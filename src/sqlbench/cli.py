@@ -14,11 +14,11 @@ import sys
 import time
 from pathlib import Path
 
-from .corpus import TrainProfile, emit_train_profile, export_corpus
-from .datasets import DatasetBundle, DatasetError, load_bundle, validate_dataset
+from .corpus import TrainProfile, emit_train_profile, export_corpus, plan_prompts
+from .datasets import DatasetBundle, DatasetError, ExampleTriple, load_bundle
 from .inference import append_prediction, predict_batch, read_predictions, write_predictions
 from .metrics import ScoreOptions, score_run, write_eval_records
-from .prompts import BudgetExceededError, TokenBudget, build_prompt
+from .prompts import BudgetExceededError, TokenBudget
 from .reporting import (
     CSV,
     PLAIN,
@@ -30,8 +30,14 @@ from .reporting import (
     summarize,
 )
 from .runconfig import ConfigError, RunConfig, load_run_config
-from .selection import RANDOM_SHOT, build_index, select
+from .selection import FIXED_K, RANDOM_SHOT, mix_shots
 from .stub import StubBehavior, StubServer
+
+# Not called here: the traced benchmark run (benchmarks/spans.py) looks these
+# names up on this module and fails if one is missing.
+from .datasets import validate_dataset  # noqa: F401
+from .prompts import build_prompt  # noqa: F401
+from .selection import build_index, select  # noqa: F401
 
 logger = logging.getLogger("sqlbench")
 
@@ -77,19 +83,16 @@ def _bundle_from_config(config: RunConfig) -> DatasetBundle:
     )
 
 
+def _split(bundle: DatasetBundle, name: str, what: str = "split") -> list[ExampleTriple]:
+    """The named split's examples; a split the dataset lacks is a dataset error."""
+    if name not in bundle.splits:
+        raise DatasetError(f"{what} {name!r} not in dataset")
+    return bundle.splits[name]
+
+
 def cmd_ingest(args) -> int:
     config = _load_config(args)
-    bundle, errors = validate_dataset(
-        name=config.dataset.name,
-        dialect=config.dataset.dialect,
-        tables_path=config.dataset.tables,
-        split_paths=config.dataset.splits,
-        db_dir=config.dataset.db_dir,
-    )
-    if errors or bundle is None:
-        for error in errors:
-            print(f"validation: {error}", file=sys.stderr)
-        return EXIT_CONFIG
+    bundle = _bundle_from_config(config)
     run_dir = _run_dir(config, args)
     manifest = dict(bundle.manifest())
     manifest["config_fingerprint"] = config.fingerprint()
@@ -122,26 +125,19 @@ def _unparseable_golds(bundle: DatasetBundle, rows) -> list[int]:
     return bad
 
 
-def _policy_for(config: RunConfig, k: int):
-    return config.selection.policy(default_seed=config.seed, k=k)
-
-
 def cmd_build_corpus(args) -> int:
     config = _load_config(args)
     bundle = _bundle_from_config(config)
-    if args.split not in bundle.splits:
-        print(f"split {args.split!r} not in dataset", file=sys.stderr)
-        return EXIT_CONFIG
-    split = bundle.splits[args.split]
+    split = _split(bundle, args.split)
     run_dir = _run_dir(config, args)
     corpus_dir = run_dir / "corpus"
     corpus_dir.mkdir(exist_ok=True)
     template = config.prompt.template()
-    jobs: list[tuple[str, str, int | None]] = []  # (filename, mode, k)
+    jobs: list[tuple[str, str, int]] = []  # (filename, mode, k)
     if args.random_shot:
-        jobs.append((f"{args.split}_random_shot.jsonl", RANDOM_SHOT, None))
+        jobs.append((f"{args.split}_random_shot.jsonl", RANDOM_SHOT, 0))
     for k in args.k:
-        jobs.append((f"{args.split}_k{k}.jsonl", "fixed-k", k))
+        jobs.append((f"{args.split}_k{k}.jsonl", FIXED_K, k))
     if not jobs:
         print("nothing to do: pass --k and/or --random-shot", file=sys.stderr)
         return EXIT_CONFIG
@@ -149,7 +145,7 @@ def cmd_build_corpus(args) -> int:
     for filename, mode, k in jobs:
         out = corpus_dir / filename
         partial = out.with_name(out.name + ".partial")
-        policy = _policy_for(config, k if k is not None else 0)
+        policy = config.selection.policy(default_seed=config.seed, k=k)
         summary = export_corpus(
             split, bundle, template, policy, mode, partial, choices=choices
         )
@@ -165,11 +161,8 @@ def cmd_build_corpus(args) -> int:
 def cmd_predict(args) -> int:
     config = _load_config(args)
     bundle = _bundle_from_config(config)
-    if args.split not in bundle.splits:
-        print(f"split {args.split!r} not in dataset", file=sys.stderr)
-        return EXIT_CONFIG
-    targets = bundle.splits[args.split]
-    pool = bundle.splits.get(config.selection.pool, [])
+    targets = _split(bundle, args.split)
+    pool = _split(bundle, config.selection.pool, "selection.pool split") if args.shots else []
     run_dir = _run_dir(config, args)
     pred_dir = run_dir / "predictions"
     pred_dir.mkdir(exist_ok=True)
@@ -183,31 +176,15 @@ def cmd_predict(args) -> int:
         print(f"resuming: {len(done)} predictions already recorded")
 
     policy = config.selection.policy(default_seed=config.seed, k=args.shots)
-    index = build_index(pool) if policy.strategy != "random" and pool else None
-    budget = TokenBudget()
-    template = config.prompt.template()
+    todo = [target for target in targets if target.index not in done]
     envelopes = []
-    for target in targets:
-        if target.index in done:
-            continue
-        exemplars = (
-            []
-            if policy.k == 0
-            else select(
-                target, pool, policy, index=index,
-                schema=bundle.schemas.get(target.db_id),
-            )
-        )
-        try:
-            envelope = build_prompt(target, exemplars, template, budget, bundle.schemas)
-        except BudgetExceededError as exc:
-            print(f"example {target.index}: {exc}", file=sys.stderr)
+    for target, envelope in plan_prompts(
+        todo, pool, policy, mix_shots(policy, FIXED_K, todo), bundle.schemas,
+        config.prompt.template(), TokenBudget(),
+    ):
+        if isinstance(envelope, BudgetExceededError):
+            print(f"example {target.index}: {envelope}", file=sys.stderr)
             return EXIT_RUNTIME
-        if envelope.shots < len(exemplars):
-            logger.warning(
-                "example %d: budget truncated exemplars %d -> %d",
-                target.index, len(exemplars), envelope.shots,
-            )
         envelopes.append(envelope)
 
     endpoint = config.endpoint.endpoint()
@@ -220,7 +197,10 @@ def cmd_predict(args) -> int:
     predict_batch(envelopes, endpoint, on_result=sink)
     merged = read_predictions(partial) if partial.is_file() else {}
     merged.update({k: v for k, v in done.items() if k not in merged})
-    write_predictions(out, merged)
+    # the final file appears whole or not at all; the append log goes last
+    writing = out.with_name(out.name + ".writing")
+    write_predictions(writing, merged)
+    os.replace(writing, out)
     partial.unlink(missing_ok=True)
     print(f"{len(merged)} predictions written to {out}")
     return EXIT_OK
@@ -229,15 +209,12 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     config = _load_config(args)
     bundle = _bundle_from_config(config)
-    if args.split not in bundle.splits:
-        print(f"split {args.split!r} not in dataset", file=sys.stderr)
-        return EXIT_CONFIG
+    examples = _split(bundle, args.split)
     predictions_path = Path(args.predictions)
     if not predictions_path.is_file():
         print(f"prediction file not found: {predictions_path}", file=sys.stderr)
         return EXIT_CONFIG
     predictions = read_predictions(predictions_path)
-    examples = bundle.splits[args.split]
     options = ScoreOptions(
         em=config.metrics.em,
         ex=config.metrics.ex,
@@ -405,12 +382,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError,) as exc:
+    except ConfigError as exc:
         for error in exc.errors:
             print(f"config: {error}", file=sys.stderr)
         return EXIT_CONFIG
     except DatasetError as exc:
-        print(f"dataset: {exc}", file=sys.stderr)
+        for error in exc.args:
+            print(f"dataset: {error}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # runtime failure: report, nonzero exit
         logger.exception("runtime failure: %s", exc)

@@ -1,28 +1,41 @@
-"""Fine-tuning corpus export and training-config profiles.
+"""Prompt planning, fine-tuning corpus export and training-config profiles.
 
-Corpora are line-delimited instruction/output records in the prompt format,
-with configurable shot mixing; training profiles are flat key-value files
-handed to external fine-tuning tooling. No training happens here.
+``plan_prompts`` is the one select-then-render loop, shared by prediction
+and corpus export. Corpora are line-delimited instruction/output records in
+the prompt format, with configurable shot mixing; training profiles are flat
+key-value files handed to external fine-tuning tooling. No training happens
+here.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import logging
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import Iterator
 
 import yaml
 
-from .datasets import DatasetBundle, ExampleTriple
-from .prompts import BudgetExceededError, PromptTemplate, TokenBudget, build_prompt
+from .datasets import DatabaseSchema, DatasetBundle, ExampleTriple
+from .prompts import (
+    BudgetExceededError,
+    PromptEnvelope,
+    PromptTemplate,
+    TokenBudget,
+    build_prompt,
+)
 from .selection import (
     DEFAULT_SHOT_CHOICES,
+    RANDOM,
     SelectionPolicy,
     SimilarityIndex,
     build_index,
     mix_shots,
     select,
 )
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -47,6 +60,50 @@ class CorpusSummary:
         }
 
 
+def plan_prompts(
+    targets: list[ExampleTriple],
+    pool: list[ExampleTriple],
+    policy: SelectionPolicy,
+    shot_plan: dict[int, int],
+    schemas: dict[str, DatabaseSchema],
+    template: PromptTemplate,
+    budget: TokenBudget,
+    index: SimilarityIndex | None = None,
+    corpus_mode: bool = False,
+) -> Iterator[tuple[ExampleTriple, PromptEnvelope | BudgetExceededError]]:
+    """Select exemplars from ``pool`` and render the prompt of each target.
+
+    ``shot_plan`` maps each target's index to its k; ``policy`` supplies the
+    strategy and seed. The pool's similarity index is built only when a
+    similarity strategy plans some k > 0. Yields each target, in order, with
+    its envelope, or with the error of a prompt over budget even at k=0.
+    """
+    if index is None and policy.strategy != RANDOM and any(
+        shot_plan[target.index] for target in targets
+    ):
+        index = build_index(pool)
+    policies: dict[int, SelectionPolicy] = {}
+    for target in targets:
+        k = shot_plan[target.index]
+        if k not in policies:
+            policies[k] = replace(policy, k=k)
+        exemplars = select(
+            target, pool, policies[k], index=index,
+            schema=schemas.get(target.db_id), corpus_mode=corpus_mode,
+        )
+        try:
+            envelope = build_prompt(target, exemplars, template, budget, schemas)
+        except BudgetExceededError as exc:
+            yield target, exc
+            continue
+        if envelope.shots < len(exemplars):
+            logger.warning(
+                "example %d: budget truncated exemplars %d -> %d",
+                target.index, len(exemplars), envelope.shots,
+            )
+        yield target, envelope
+
+
 def export_corpus(
     split: list[ExampleTriple],
     bundle: DatasetBundle,
@@ -60,43 +117,25 @@ def export_corpus(
 ) -> CorpusSummary:
     """Write one instruction/output record per example.
 
-    Exemplars are drawn from the split itself with self-exclusion. Examples
-    that exceed the budget even at zero shots are reported as skipped, never
-    silently dropped. Fixed seeds make the output byte-identical across runs.
+    Exemplars are drawn from the split itself, never the example itself.
+    Examples that exceed the budget even at zero shots are reported as
+    skipped, never silently dropped. Fixed seeds make the output
+    byte-identical across runs.
     """
-    budget = budget or TokenBudget()
-    if index is None and policy.strategy != "random":
-        index = build_index(split)
-    shot_plan = mix_shots(policy, mode, split, choices)
+    plan = plan_prompts(
+        split, split, policy, mix_shots(policy, mode, split, choices), bundle.schemas,
+        template, budget or TokenBudget(), index=index, corpus_mode=True,
+    )
     histogram: dict[int, int] = {}
     token_estimates: list[int] = []
     skipped: list[dict] = []
-    out_path = Path(out)
-    with open(out_path, "w", encoding="utf-8") as fp:
-        for example in split:
-            k = shot_plan[example.index]
-            per_example = SelectionPolicy(
-                strategy=policy.strategy,
-                k=k,
-                seed=policy.seed,
-                pool=policy.pool,
-                exclude_same_example=True,
-            )
-            exemplars = select(
-                example,
-                split,
-                per_example,
-                index=index,
-                schema=bundle.schemas.get(example.db_id),
-                corpus_mode=True,
-            )
-            try:
-                envelope = build_prompt(example, exemplars, template, budget, bundle.schemas)
-            except BudgetExceededError as exc:
+    with open(out, "w", encoding="utf-8") as fp:
+        for example, envelope in plan:
+            if isinstance(envelope, BudgetExceededError):
                 skipped.append(
                     {
                         "example_index": example.index,
-                        "reason": f"over budget by {exc.overflow} tokens at k=0",
+                        "reason": f"over budget by {envelope.overflow} tokens at k=0",
                     }
                 )
                 continue

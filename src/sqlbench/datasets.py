@@ -26,15 +26,10 @@ _TYPE_PREFIXES = (
 
 
 class DatasetError(Exception):
-    """Malformed or inconsistent dataset input."""
+    """Malformed or inconsistent dataset input; each argument is one problem."""
 
-
-class SchemaValidationError(DatasetError):
-    pass
-
-
-class ExampleValidationError(DatasetError):
-    pass
+    def __str__(self) -> str:
+        return "; ".join(str(arg) for arg in self.args)
 
 
 def map_column_type(raw: str) -> str:
@@ -54,13 +49,12 @@ def map_column_type(raw: str) -> str:
 class ColumnDef:
     name: str
     data_type: str
-    original_name: str
 
     def __post_init__(self) -> None:
         if not self.name:
-            raise SchemaValidationError("column name must be non-empty")
+            raise DatasetError("column name must be non-empty")
         if self.data_type not in COLUMN_KINDS:
-            raise SchemaValidationError(f"unknown column type {self.data_type!r}")
+            raise DatasetError(f"unknown column type {self.data_type!r}")
 
 
 @dataclass(frozen=True)
@@ -70,10 +64,10 @@ class TableDef:
 
     def __post_init__(self) -> None:
         if not self.name:
-            raise SchemaValidationError("table name must be non-empty")
+            raise DatasetError("table name must be non-empty")
         folded = [c.name.lower() for c in self.columns]
         if len(set(folded)) != len(folded):
-            raise SchemaValidationError(f"duplicate column names in table {self.name!r}")
+            raise DatasetError(f"duplicate column names in table {self.name!r}")
 
     def column_names(self) -> list[str]:
         return [c.name for c in self.columns]
@@ -109,7 +103,7 @@ class DatabaseSchema:
     def _check_ref(self, index: dict, ref: KeyRef, kind: str) -> None:
         cols = index.get(ref.table.lower())
         if cols is None or ref.column.lower() not in cols:
-            raise SchemaValidationError(
+            raise DatasetError(
                 f"{self.db_id}: {kind} references unknown column {ref.table}.{ref.column}"
             )
 
@@ -123,15 +117,6 @@ class DatabaseSchema:
     def has_column(self, table: str, column: str) -> bool:
         t = self.table(table)
         return t is not None and column.lower() in {c.name.lower() for c in t.columns}
-
-    def tables_with_column(self, column: str) -> list[str]:
-        """Case-folded names of tables that contain the given column."""
-        folded = column.lower()
-        return [
-            t.name.lower()
-            for t in self.tables
-            if folded in {c.name.lower() for c in t.columns}
-        ]
 
     def primary_key_of(self, table: str) -> str | None:
         """First declared primary-key column of a table, original casing."""
@@ -199,11 +184,11 @@ def _catalog_entry_to_schema(entry: dict) -> DatabaseSchema:
         if tbl_idx == -1:
             continue  # the [-1, "*"] sentinel
         if not 0 <= tbl_idx < len(table_names):
-            raise SchemaValidationError(
+            raise DatasetError(
                 f"{db_id}: column {idx} references unknown table index {tbl_idx}"
             )
         kind = map_column_type(str(column_types[idx])) if idx < len(column_types) else "other"
-        per_table[tbl_idx].append(ColumnDef(name=col_name, data_type=kind, original_name=col_name))
+        per_table[tbl_idx].append(ColumnDef(name=col_name, data_type=kind))
 
     tables = tuple(
         TableDef(name=name, columns=tuple(cols)) for name, cols in zip(table_names, per_table)
@@ -211,7 +196,7 @@ def _catalog_entry_to_schema(entry: dict) -> DatabaseSchema:
 
     def column_ref(col_idx: int, what: str) -> KeyRef:
         if not 0 <= col_idx < len(raw_columns) or raw_columns[col_idx][0] == -1:
-            raise SchemaValidationError(f"{db_id}: {what} column index {col_idx} out of range")
+            raise DatasetError(f"{db_id}: {what} column index {col_idx} out of range")
         tbl_idx, col_name = raw_columns[col_idx]
         return KeyRef(table=table_names[tbl_idx], column=col_name)
 
@@ -240,32 +225,17 @@ def _catalog_entry_to_schema(entry: dict) -> DatabaseSchema:
     )
 
 
-def load_schemas(path: str | Path) -> list[DatabaseSchema]:
-    """Load a Spider/BIRD-layout schema catalog file."""
-    with open(path, encoding="utf-8") as fp:
-        entries = json.load(fp)
-    schemas = []
-    seen: set[str] = set()
-    for entry in entries:
-        schema = _catalog_entry_to_schema(entry)
-        if schema.db_id in seen:
-            raise SchemaValidationError(f"duplicate db_id {schema.db_id!r} in catalog")
-        seen.add(schema.db_id)
-        schemas.append(schema)
-    return schemas
-
-
 def _example_from_record(ordinal: int, rec: dict, bundle: DatasetBundle) -> ExampleTriple:
     db_id = rec.get("db_id")
     question = rec.get("question")
     # BIRD releases carry the gold query under "SQL"
     sql = rec.get("query", rec.get("SQL"))
     if not db_id or db_id not in bundle.schemas:
-        raise ExampleValidationError(f"record {ordinal}: unknown db_id {db_id!r}")
+        raise DatasetError(f"record {ordinal}: unknown db_id {db_id!r}")
     if not question:
-        raise ExampleValidationError(f"record {ordinal}: missing question")
+        raise DatasetError(f"record {ordinal}: missing question")
     if not sql:
-        raise ExampleValidationError(f"record {ordinal}: missing SQL query")
+        raise DatasetError(f"record {ordinal}: missing SQL query")
     difficulty = None
     evidence = None
     if bundle.dialect == BIRD:
@@ -273,7 +243,7 @@ def _example_from_record(ordinal: int, rec: dict, bundle: DatasetBundle) -> Exam
         raw_label = rec.get("difficulty")
         if raw_label:
             if raw_label not in BIRD_LABELS:
-                raise ExampleValidationError(
+                raise DatasetError(
                     f"record {ordinal}: difficulty {raw_label!r} not in {BIRD_LABELS}"
                 )
             difficulty = DifficultyLabel(scheme="bird3", label=raw_label)
@@ -285,13 +255,6 @@ def _example_from_record(ordinal: int, rec: dict, bundle: DatasetBundle) -> Exam
         difficulty=difficulty,
         evidence=evidence,
     )
-
-
-def load_examples(path: str | Path, bundle: DatasetBundle) -> list[ExampleTriple]:
-    """Load an examples file against an already-loaded bundle's schemas."""
-    with open(path, encoding="utf-8") as fp:
-        records = json.load(fp)
-    return [_example_from_record(i, rec, bundle) for i, rec in enumerate(records)]
 
 
 def discover_db_files(db_dir: str | Path, db_ids: list[str]) -> dict[str, Path]:
@@ -310,29 +273,6 @@ def discover_db_files(db_dir: str | Path, db_ids: list[str]) -> dict[str, Path]:
     return found
 
 
-def load_bundle(
-    name: str,
-    dialect: str,
-    tables_path: str | Path,
-    split_paths: dict[str, str | Path],
-    db_dir: str | Path | None = None,
-) -> DatasetBundle:
-    """Load schemas plus splits into a validated, immutable-after-load bundle."""
-    if dialect not in DIALECTS:
-        raise DatasetError(f"unknown dialect {dialect!r}")
-    for split in split_paths:
-        if split not in ("train", "dev", "test"):
-            raise DatasetError(f"unknown split name {split!r}")
-    bundle = DatasetBundle(name=name, dialect=dialect)
-    for schema in load_schemas(tables_path):
-        bundle.schemas[schema.db_id] = schema
-    for split, path in split_paths.items():
-        bundle.splits[split] = load_examples(path, bundle)
-    if db_dir is not None:
-        bundle.db_files = discover_db_files(db_dir, sorted(bundle.schemas))
-    return bundle
-
-
 def validate_dataset(
     name: str,
     dialect: str,
@@ -340,10 +280,12 @@ def validate_dataset(
     split_paths: dict[str, str | Path],
     db_dir: str | Path | None = None,
 ) -> tuple[DatasetBundle | None, list[str]]:
-    """Load a bundle while collecting every validation failure instead of
-    stopping at the first. Returns (bundle, errors); the bundle is None only
-    when the catalog itself is unreadable."""
+    """Load schemas plus splits, collecting every validation failure instead
+    of stopping at the first. Returns (bundle, errors); the bundle is None
+    only when the catalog itself is unreadable."""
     errors: list[str] = []
+    if dialect not in DIALECTS:
+        errors.append(f"unknown dialect {dialect!r}")
     bundle = DatasetBundle(name=name, dialect=dialect)
     try:
         with open(tables_path, encoding="utf-8") as fp:
@@ -354,10 +296,12 @@ def validate_dataset(
         try:
             schema = _catalog_entry_to_schema(entry)
             if schema.db_id in bundle.schemas:
-                raise SchemaValidationError(f"duplicate db_id {schema.db_id!r}")
+                raise DatasetError(f"duplicate db_id {schema.db_id!r}")
             bundle.schemas[schema.db_id] = schema
-        except (SchemaValidationError, KeyError, TypeError, ValueError) as exc:
+        except (DatasetError, KeyError, TypeError, ValueError) as exc:
             errors.append(f"catalog entry {pos}: {exc}")
+    # each file's raw JSON is dropped before the next is read, to bound the peak
+    del entries
     for split, path in split_paths.items():
         try:
             with open(path, encoding="utf-8") as fp:
@@ -369,12 +313,27 @@ def validate_dataset(
         for ordinal, rec in enumerate(records):
             try:
                 rows.append(_example_from_record(ordinal, rec, bundle))
-            except ExampleValidationError as exc:
+            except DatasetError as exc:
                 errors.append(f"split {split}: {exc}")
         bundle.splits[split] = rows
+        del records
     if db_dir is not None:
         bundle.db_files = discover_db_files(db_dir, sorted(bundle.schemas))
     return bundle, errors
+
+
+def load_bundle(
+    name: str,
+    dialect: str,
+    tables_path: str | Path,
+    split_paths: dict[str, str | Path],
+    db_dir: str | Path | None = None,
+) -> DatasetBundle:
+    """``validate_dataset`` that raises one DatasetError listing every problem."""
+    bundle, errors = validate_dataset(name, dialect, tables_path, split_paths, db_dir)
+    if errors:
+        raise DatasetError(*errors)
+    return bundle
 
 
 _SQLITE_LIST_TABLES = (
@@ -400,13 +359,7 @@ def introspect_database(db_file: str | Path) -> DatabaseSchema:
             for _, col_name, decltype, _, _, pk_order in conn.execute(
                 f'PRAGMA table_info("{name}")'
             ):
-                cols.append(
-                    ColumnDef(
-                        name=col_name,
-                        data_type=map_column_type(decltype or ""),
-                        original_name=col_name,
-                    )
-                )
+                cols.append(ColumnDef(name=col_name, data_type=map_column_type(decltype or "")))
                 if pk_order:
                     pk_by_table.setdefault(name, []).append((pk_order, col_name))
             tables.append(TableDef(name=name, columns=tuple(cols)))
@@ -422,7 +375,7 @@ def introspect_database(db_file: str | Path) -> DatabaseSchema:
                     pk_cols = sorted(pk_by_table.get(parent, []))
                     parent_col = pk_cols[0][1] if pk_cols else None
                 if parent_col is None or parent not in schema_index:
-                    raise SchemaValidationError(
+                    raise DatasetError(
                         f"{path.stem}: unresolvable foreign key on {name}.{child_col}"
                     )
                 foreign_keys.append(

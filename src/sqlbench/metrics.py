@@ -22,16 +22,6 @@ PREDICTION_ERROR = "prediction-error"
 PARSE_ERROR = "parse-error"
 GOLD_ERROR = "gold-error"
 
-FAILURE_KINDS = (
-    PARSE_ERROR,
-    "exec-error",
-    "timeout",
-    DB_UNAVAILABLE,
-    PREDICTION_ERROR,
-    GOLD_ERROR,
-)
-
-
 class GoldExecutionError(Exception):
     """The gold query itself failed to execute: a dataset error, not a score."""
 

@@ -10,7 +10,7 @@ one-line-per-table form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from .datasets import DatabaseSchema, ExampleTriple
@@ -206,7 +206,3 @@ def build_prompt(
                 target_index=target.index,
             )
     raise BudgetExceededError(overflow=estimate - budget.available)
-
-
-def with_evidence(template: PromptTemplate, include: bool) -> PromptTemplate:
-    return replace(template, include_evidence=include)

@@ -3,7 +3,8 @@
 Paths are resolved relative to the config file. Secrets never live in the
 config; the endpoint API key is read from an environment variable named by
 ``endpoint.api_key_env``. The config fingerprint embedded in reports is a
-content hash of the resolved, secret-free configuration.
+content hash of every resolved config field except ``output_dir`` and
+``endpoint.api_key_env``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import yaml
@@ -58,7 +59,6 @@ class SelectionConfig:
             strategy=self.strategy,
             k=self.k if k is None else k,
             seed=self.seed if self.seed is not None else default_seed,
-            pool=self.pool,
         )
 
 
@@ -109,52 +109,14 @@ class RunConfig:
     seed: int = 42
 
     def fingerprint(self) -> str:
-        canonical = json.dumps(_config_dict(self), sort_keys=True, ensure_ascii=False)
+        fields = asdict(self)
+        del fields["output_dir"]
+        del fields["endpoint"]["api_key_env"]
+        canonical = json.dumps(fields, sort_keys=True, ensure_ascii=False, default=str)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
     def scheme(self) -> str:
         return "spider4" if self.dataset.dialect == "spider" else "bird3"
-
-
-def _config_dict(config: RunConfig) -> dict:
-    return {
-        "dataset": {
-            "name": config.dataset.name,
-            "dialect": config.dataset.dialect,
-            "tables": str(config.dataset.tables),
-            "splits": {k: str(v) for k, v in sorted(config.dataset.splits.items())},
-            "db_dir": None if config.dataset.db_dir is None else str(config.dataset.db_dir),
-        },
-        "prompt": {
-            "schema_style": config.prompt.schema_style,
-            "include_evidence": config.prompt.include_evidence,
-        },
-        "selection": {
-            "strategy": config.selection.strategy,
-            "k": config.selection.k,
-            "pool": config.selection.pool,
-            "seed": config.selection.seed,
-        },
-        "endpoint": {
-            "base_url": config.endpoint.base_url,
-            "model_name": config.endpoint.model_name,
-            "temperature": config.endpoint.temperature,
-            "max_response_tokens": config.endpoint.max_response_tokens,
-            "timeout_s": config.endpoint.timeout_s,
-            "max_retries": config.endpoint.max_retries,
-            "concurrency_limit": config.endpoint.concurrency_limit,
-            "backoff_base_s": config.endpoint.backoff_base_s,
-            "record_latency": config.endpoint.record_latency,
-        },
-        "metrics": {
-            "em": config.metrics.em,
-            "ex": config.metrics.ex,
-            "ves": config.metrics.ves,
-            "timeout_s": config.metrics.timeout_s,
-            "workers": config.metrics.workers,
-        },
-        "seed": config.seed,
-    }
 
 
 def _take(section, cls, errors: list[str], where: str) -> dict:

@@ -55,7 +55,6 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 @dataclass
 class SimilarityIndex:
     vectors: dict[int, np.ndarray] = field(default_factory=dict)
-    metric: str = "cosine"
 
     def vector_for(self, example: ExampleTriple) -> np.ndarray:
         vec = self.vectors.get(example.index)
@@ -79,8 +78,6 @@ class SelectionPolicy:
     strategy: str = RANDOM
     k: int = 0
     seed: int = 0
-    pool: str = "train"
-    exclude_same_example: bool = True
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -119,32 +116,24 @@ def select(
 ) -> list[ExampleTriple]:
     """Choose the k exemplars for one target.
 
-    Similarity strategies return the selection ordered most-similar-last, so
-    the nearest exemplar sits adjacent to the target question in the prompt.
+    The target itself is never its own exemplar; any other pool member may
+    be, whatever its index. Similarity strategies return the selection
+    ordered most-similar-last, so the nearest exemplar sits adjacent to the
+    target question in the prompt.
     """
     if policy.k == 0:
         return []
 
     if policy.strategy == RANDOM:
         rng = _rng_for(policy.seed, "select", target.index)
-        if not policy.exclude_same_example:
-            if policy.k > len(pool):
-                raise ValueError(f"k={policy.k} exceeds pool size {len(pool)}")
-            return rng.sample(pool, policy.k)
         # draw one extra, drop the target if sampled: still a uniform k-sample
         take = min(len(pool), policy.k + 1)
-        picked = [
-            ex for ex in rng.sample(pool, take) if ex.index != target.index
-        ][: policy.k]
-        if len(picked) < policy.k:
-            raise ValueError(f"k={policy.k} exceeds pool size {len(pool) - 1}")
+        picked = [ex for ex in rng.sample(pool, take) if ex is not target][: policy.k]
+        if len(picked) < policy.k:  # only when the whole pool was drawn
+            raise ValueError(f"k={policy.k} exceeds pool size {len(picked)}")
         return picked
 
-    candidates = [
-        ex
-        for ex in pool
-        if not (policy.exclude_same_example and ex.index == target.index)
-    ]
+    candidates = [ex for ex in pool if ex is not target]
     if policy.k > len(candidates):
         raise ValueError(f"k={policy.k} exceeds pool size {len(candidates)}")
 

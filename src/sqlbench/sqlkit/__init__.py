@@ -10,7 +10,7 @@ from .ast import (
     clause_signature,
 )
 from .hardness import classify_difficulty, component_counts
-from .match import em_match, match_explanation
+from .match import em_match
 from .parser import SqlParseError, parse_sql, tokenize
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "clause_signature",
     "component_counts",
     "em_match",
-    "match_explanation",
     "parse_sql",
     "tokenize",
 ]

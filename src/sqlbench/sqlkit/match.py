@@ -19,14 +19,3 @@ def em_match(pred: SqlUnit, gold: SqlUnit) -> bool:
     signature equality.
     """
     return clause_signature(pred) == clause_signature(gold)
-
-
-def match_explanation(pred: SqlUnit, gold: SqlUnit) -> str | None:
-    """Human-readable first point of divergence, for fixture debugging."""
-    a, b = clause_signature(pred), clause_signature(gold)
-    if a == b:
-        return None
-    for i, (ca, cb) in enumerate(zip(a, b)):
-        if ca != cb:
-            return f"signatures diverge at offset {i}: ...{a[i:i+40]!r} vs ...{b[i:i+40]!r}"
-    return f"signature lengths differ: {len(a)} vs {len(b)}"

@@ -246,7 +246,7 @@ def synthetic_bundle():
     schema = DatabaseSchema(
         db_id="tiny",
         tables=(TableDef(name="t", columns=(
-            ColumnDef("a", "number", "a"), ColumnDef("b", "text", "b"),
+            ColumnDef("a", "number"), ColumnDef("b", "text"),
         )),),
         primary_keys=(),
         foreign_keys=(),

@@ -291,3 +291,71 @@ seed: 1
     assert em_line.split()[-1] == "1.000"
     ex_line = [l for l in out.splitlines() if l.startswith("ex")][0]
     assert ex_line.split()[-1] == "n/a"
+
+
+class RecordingBehavior(StubBehavior):
+    """Gold-echo stub behaviour that also keeps every prompt it answers."""
+
+    def __init__(self, answers):
+        super().__init__(answers=answers)
+        self.prompts: list[str] = []
+
+    def lookup(self, prompt_text: str) -> str:
+        self.prompts.append(prompt_text)
+        return super().lookup(prompt_text)
+
+
+def test_few_shot_predict_sends_exemplars(scratch_config, tmp_path, bundle):
+    train_questions = {ex.question for ex in bundle.splits["train"]}
+    behavior = RecordingBehavior(answers_from_examples(bundle.splits["dev"]))
+    with StubServer(behavior) as server:
+        config = write_config_with_url(scratch_config, server.base_url)
+        rc = run_cli("predict", "--config", str(config), "--run-id", "t",
+                     "--split", "dev", "--shots", "2")
+    assert rc == 0
+    predictions = read_predictions(tmp_path / "runs" / "t" / "predictions" / "dev_shots2.jsonl")
+    assert sorted(predictions) == list(range(20))
+    assert len(behavior.prompts) == 20
+    for prompt in behavior.prompts:
+        lines = prompt.splitlines()
+        questions = [i for i, line in enumerate(lines) if line.startswith("Q: ")]
+        assert len(questions) == 3  # two exemplars, then the target
+        for i in questions[:2]:
+            assert lines[i][len("Q: "):] in train_questions
+            assert lines[i + 1].startswith("Response: SELECT")
+        assert lines[questions[2] + 1] == "Response: "
+
+
+def test_predict_missing_pool_split_is_a_config_error(scratch_config, bundle, capsys):
+    text = scratch_config.read_text().replace("    train:", "    #train:")
+    scratch_config.write_text(text)
+    with StubServer(StubBehavior(answers=answers_from_examples(bundle.splits["dev"]))) as server:
+        config = write_config_with_url(scratch_config, server.base_url)
+        rc = run_cli("predict", "--config", str(config), "--run-id", "t",
+                     "--split", "dev", "--shots", "1")
+        assert server.request_count == 0
+    assert rc == 1
+    assert "selection.pool split 'train' not in dataset" in capsys.readouterr().err
+
+
+def test_interrupted_final_write_is_redone(scratch_config, tmp_path, gold_stub, monkeypatch):
+    """A predictions file cut off while being written is never taken as complete."""
+    import sqlbench.cli
+
+    config = write_config_with_url(scratch_config, gold_stub.base_url)
+    argv = ["predict", "--config", str(config), "--run-id", "t", "--split", "dev",
+            "--shots", "0"]
+
+    def dies_midway(path, predictions):
+        with open(path, "w", encoding="utf-8") as fp:
+            fp.write(predictions[0].to_json() + "\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(sqlbench.cli, "write_predictions", dies_midway)
+    assert run_cli(*argv) == 2
+    monkeypatch.undo()
+    assert run_cli(*argv) == 0
+    out = tmp_path / "runs" / "t" / "predictions" / "dev_shots0.jsonl"
+    assert sorted(read_predictions(out)) == list(range(20))
+    assert gold_stub.request_count == 20  # the rerun reused the append log
+    assert not out.with_name(out.name + ".partial").exists()

@@ -5,15 +5,25 @@ import json
 import pytest
 
 from sqlbench.datasets import (
-    ExampleValidationError,
-    SchemaValidationError,
+    DatasetError,
     introspect_database,
-    load_examples,
-    load_schemas,
+    load_bundle,
     map_column_type,
     schemas_equivalent,
     validate_dataset,
 )
+
+
+def load_catalog(tables):
+    return load_bundle("x", "spider", tables, {})
+
+
+def load_split(fixtures_dir, records, tmp_path, dialect: str = "spider"):
+    split = tmp_path / "split.json"
+    split.write_text(json.dumps(records), encoding="utf-8")
+    tables = fixtures_dir / dialect / "tables.json"
+    return load_bundle("x", dialect, tables, {"dev": split}).splits["dev"]
+
 
 def test_concert_singer_catalog_entry(bundle):
     schema = bundle.schemas["concert_singer"]
@@ -30,7 +40,7 @@ def test_concert_singer_catalog_entry(bundle):
 def test_empty_catalog(tmp_path):
     path = tmp_path / "tables.json"
     path.write_text("[]", encoding="utf-8")
-    assert load_schemas(path) == []
+    assert load_catalog(path).schemas == {}
 
 
 def test_dangling_foreign_key_index(tmp_path, fixtures_dir):
@@ -38,8 +48,8 @@ def test_dangling_foreign_key_index(tmp_path, fixtures_dir):
     entries[0]["foreign_keys"][0][0] = 99  # out of range
     path = tmp_path / "tables.json"
     path.write_text(json.dumps(entries), encoding="utf-8")
-    with pytest.raises(SchemaValidationError) as err:
-        load_schemas(path)
+    with pytest.raises(DatasetError) as err:
+        load_catalog(path)
     assert "concert_singer" in str(err.value)
     assert "99" in str(err.value)
 
@@ -49,8 +59,8 @@ def test_duplicate_db_id(tmp_path, fixtures_dir):
     entries.append(entries[0])
     path = tmp_path / "tables.json"
     path.write_text(json.dumps(entries), encoding="utf-8")
-    with pytest.raises(SchemaValidationError, match="duplicate"):
-        load_schemas(path)
+    with pytest.raises(DatasetError, match="duplicate"):
+        load_catalog(path)
 
 
 def test_load_examples_resolves_schema(bundle):
@@ -62,17 +72,14 @@ def test_load_examples_resolves_schema(bundle):
     assert [ex.index for ex in bundle.splits["dev"]] == list(range(20))
 
 
-def test_load_examples_empty(tmp_path, bundle):
-    path = tmp_path / "empty.json"
-    path.write_text("[]", encoding="utf-8")
-    assert load_examples(path, bundle) == []
+def test_load_examples_empty(tmp_path, fixtures_dir):
+    assert load_split(fixtures_dir, [], tmp_path) == []
 
 
-def test_load_examples_unknown_db(tmp_path, bundle):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps([{"db_id": "nope", "question": "q", "query": "SELECT 1"}]))
-    with pytest.raises(ExampleValidationError, match="record 0"):
-        load_examples(path, bundle)
+def test_load_examples_unknown_db(tmp_path, fixtures_dir):
+    records = [{"db_id": "nope", "question": "q", "query": "SELECT 1"}]
+    with pytest.raises(DatasetError, match="record 0"):
+        load_split(fixtures_dir, records, tmp_path)
 
 
 def test_bird_examples_carry_evidence_and_difficulty(bird_bundle):
@@ -84,16 +91,13 @@ def test_bird_examples_carry_evidence_and_difficulty(bird_bundle):
     assert rows[2].gold_sql.startswith("SELECT movie_url")
 
 
-def test_bird_bad_difficulty_label(tmp_path, bird_bundle):
-    path = tmp_path / "bad.json"
-    path.write_text(
-        json.dumps([{
-            "db_id": "movie_platform", "question": "q",
-            "query": "SELECT 1", "difficulty": "impossible",
-        }])
-    )
-    with pytest.raises(ExampleValidationError, match="difficulty"):
-        load_examples(path, bird_bundle)
+def test_bird_bad_difficulty_label(tmp_path, fixtures_dir):
+    records = [{
+        "db_id": "movie_platform", "question": "q",
+        "query": "SELECT 1", "difficulty": "impossible",
+    }]
+    with pytest.raises(DatasetError, match="difficulty"):
+        load_split(fixtures_dir, records, tmp_path, dialect="bird")
 
 
 def test_column_type_mapping():
@@ -149,8 +153,6 @@ def test_referential_closure(bundle):
 
 
 def test_load_determinism(db_root, fixtures_dir):
-    from sqlbench.datasets import load_bundle
-
     kwargs = dict(
         name="spider-fixture",
         dialect="spider",

@@ -15,7 +15,7 @@ from sqlbench.prompts import (
     build_prompt,
     estimate_tokens,
     render_schema,
-    with_evidence,
+    template_for_style,
 )
 
 
@@ -101,7 +101,7 @@ def test_zero_shot_single_question_prefix(bundle):
 
 def test_evidence_flag(bird_bundle):
     target = bird_bundle.splits["dev"][0]
-    include = with_evidence(TRP_COMPACT, True)
+    include = template_for_style(COMPACT_STYLE, True)
     exclude = TRP_COMPACT
     with_text = build_prompt(target, [], include, TokenBudget(), bird_bundle.schemas).text
     without_text = build_prompt(target, [], exclude, TokenBudget(), bird_bundle.schemas).text

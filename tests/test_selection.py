@@ -213,3 +213,13 @@ def test_build_index_propagates_embedder_failure_with_index():
 
     with pytest.raises(RuntimeError, match="example 1"):
         build_index(pool, embedder=broken)
+
+
+@pytest.mark.parametrize("strategy", [RANDOM, QUESTION_SIMILARITY])
+def test_cross_split_pool_keeps_same_ordinal(bundle, strategy):
+    """Only the target itself is excluded: dev example 3 may draw train example 3."""
+    train = bundle.splits["train"]
+    target = bundle.splits["dev"][3]
+    policy = SelectionPolicy(strategy=strategy, k=len(train), seed=0)
+    chosen = select(target, train, policy, index=build_index(train))
+    assert sorted(ex.index for ex in chosen) == [ex.index for ex in train]

@@ -105,7 +105,7 @@ def test_parser_total_over_arbitrary_text(text):
 
     schema = DatabaseSchema(
         db_id="t",
-        tables=(TableDef(name="t", columns=(ColumnDef("a", "text", "a"),)),),
+        tables=(TableDef(name="t", columns=(ColumnDef("a", "text"),)),),
         primary_keys=(),
         foreign_keys=(),
     )
@@ -157,13 +157,11 @@ _LITERAL_SWAPS = [
 @given(st.sampled_from(_LITERAL_SWAPS), st.integers(0, 3))
 def test_literal_invariance(swap, which):
     """Replacing any literal constant never changes em_match."""
-    from sqlbench.datasets import load_schemas
+    from sqlbench.datasets import load_bundle
     from pathlib import Path
 
-    schemas = {
-        s.db_id: s
-        for s in load_schemas(Path(__file__).parent / "fixtures" / "spider" / "tables.json")
-    }
+    tables = Path(__file__).parent / "fixtures" / "spider" / "tables.json"
+    schemas = load_bundle("spider-fixture", "spider", tables, {}).schemas
     base_queries = [
         "SELECT name FROM singer WHERE age > 20",
         "SELECT name FROM singer WHERE country = 'France' AND age > 20",
