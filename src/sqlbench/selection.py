@@ -12,7 +12,8 @@ import logging
 import random
 import re
 import zlib
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,20 +30,31 @@ STRATEGIES = (RANDOM, QUESTION_SIMILARITY, DUAL_SIMILARITY)
 EMBED_DIM = 4096
 
 
+def _trigrams(text: str) -> list[str]:
+    """The character trigrams of the normalized text (the text itself if shorter)."""
+    normalized = " ".join(text.lower().split())
+    if len(normalized) < 3:
+        return [normalized] if normalized else []
+    return [normalized[i : i + 3] for i in range(len(normalized) - 2)]
+
+
+class _Buckets(dict):
+    """Trigram -> hash bucket; each distinct trigram is hashed once."""
+
+    def __init__(self, dim: int) -> None:
+        super().__init__()
+        self.dim = dim
+
+    def __missing__(self, gram: str) -> int:
+        bucket = self[gram] = zlib.crc32(gram.encode("utf-8")) % self.dim
+        return bucket
+
+
 def trigram_vector(text: str, dim: int = EMBED_DIM) -> np.ndarray:
     """Hashed character-trigram frequency vector over the normalized text."""
-    normalized = " ".join(text.lower().split())
-    vec = np.zeros(dim, dtype=np.float64)
-    if not normalized:
-        return vec
-    grams = (
-        [normalized[i : i + 3] for i in range(len(normalized) - 2)]
-        if len(normalized) >= 3
-        else [normalized]
-    )
-    for gram in grams:
-        vec[zlib.crc32(gram.encode("utf-8")) % dim] += 1.0
-    return vec
+    bucket = _Buckets(dim)
+    buckets = np.array([bucket[gram] for gram in _trigrams(text)], dtype=np.intp)
+    return np.bincount(buckets, minlength=dim).astype(np.float64)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -52,25 +64,117 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b)) / norm
 
 
-@dataclass
+def _text_vector(text: str) -> tuple[np.ndarray, float]:
+    vec = trigram_vector(text)
+    return vec, float(np.linalg.norm(vec))
+
+
+class TrigramRows:
+    """The trigram vectors of many texts as sparse rows.
+
+    Each row holds its text's ``(bucket, count)`` pairs sorted by bucket; the
+    pairs of all rows lie in flat arrays in row order, beside each row's L2
+    norm. Counts are integers, so every dot product and squared norm is exact
+    in float64 whatever the order of summation, and scores equal ``cosine``
+    bit for bit. Memory is 24 bytes per distinct trigram of a text, where a
+    dense row takes 32 KiB.
+    """
+
+    def __init__(self, texts: list[str], dim: int = EMBED_DIM) -> None:
+        bucket = _Buckets(dim)
+        keys = array("q")  # row * dim + bucket, one per trigram
+        for row, text in enumerate(texts):
+            base = row * dim
+            keys.extend([base + bucket[gram] for gram in _trigrams(text)])
+        pairs, counts = np.unique(np.frombuffer(keys, dtype=np.int64), return_counts=True)
+        rows = pairs // dim
+        self.dim = dim
+        self.buckets = (pairs % dim).astype(np.intp)
+        self.counts = counts.astype(np.float64)
+        self.starts = np.searchsorted(rows, np.arange(len(texts) + 1))
+        self.norms = np.sqrt(np.bincount(rows, self.counts * self.counts, minlength=len(texts)))
+        self._filled = np.flatnonzero(self.norms)  # rows with at least one pair
+
+    def __len__(self) -> int:
+        return len(self.norms)
+
+    def dense(self, row: int) -> tuple[np.ndarray, float]:
+        """One row as a dense vector, with its norm."""
+        lo, hi = self.starts[row], self.starts[row + 1]
+        vec = np.zeros(self.dim)
+        vec[self.buckets[lo:hi]] = self.counts[lo:hi]
+        return vec, float(self.norms[row])
+
+    def cosines(self, vec: np.ndarray, norm: float) -> np.ndarray:
+        """``cosine(vec, row)`` for every row, from one sparse mat-vec:
+        ``dot / (norm * row_norm)``, and 0.0 where that product is 0."""
+        products = np.take(vec, self.buckets)
+        products *= self.counts
+        dots = np.zeros(len(self))
+        if len(self._filled):
+            dots[self._filled] = np.add.reduceat(products, self.starts[self._filled])
+        denom = norm * self.norms
+        out = np.zeros(len(self))
+        np.divide(dots, denom, out=out, where=denom != 0.0)
+        return out
+
+
 class SimilarityIndex:
-    vectors: dict[int, np.ndarray] = field(default_factory=dict)
+    """Sparse trigram rows of a pool's questions, built once per pool.
 
-    def vector_for(self, example: ExampleTriple) -> np.ndarray:
-        vec = self.vectors.get(example.index)
-        if vec is None:
-            vec = trigram_vector(example.question)
-        return vec
+    Rows follow pool order and are found by example index. The rows of the
+    pool's gold-SQL skeletons, which only dual similarity reads, are built on
+    first use, so a question-similarity pool never parses any SQL.
+    """
+
+    def __init__(self, pool: list[ExampleTriple]) -> None:
+        self.examples = pool
+        self.row_of = {ex.index: row for row, ex in enumerate(pool)}
+        self.ids = np.array([ex.index for ex in pool], dtype=np.int64)
+        self.questions = TrigramRows([ex.question for ex in pool])
+        self._skeletons: dict[str | None, TrigramRows] = {}
+
+    def rows_for(self, pool: list[ExampleTriple], positions: list[int]) -> np.ndarray:
+        """The rows of ``pool[i]`` for each of ``positions``."""
+        if pool is self.examples:
+            return np.array(positions, dtype=np.intp)
+        rows = np.fromiter(
+            (self.row_of.get(pool[i].index, -1) for i in positions),
+            dtype=np.intp, count=len(positions),
+        )
+        if (rows < 0).any():
+            missing = [pool[i].index for i, row in zip(positions, rows) if row < 0]
+            raise ValueError(f"similarity index missing vectors for examples {missing}")
+        return rows
+
+    def question_vector(self, example: ExampleTriple) -> tuple[np.ndarray, float]:
+        row = self.row_of.get(example.index)
+        if row is None:
+            return _text_vector(example.question)
+        return self.questions.dense(row)
+
+    def skeletons(self, schema: DatabaseSchema | None) -> TrigramRows:
+        """Skeleton rows of every pool member's gold SQL under ``schema``."""
+        key = None if schema is None else schema.db_id
+        if key not in self._skeletons:
+            self._skeletons[key] = TrigramRows(
+                [sql_skeleton(ex.gold_sql, schema) for ex in self.examples]
+            )
+        return self._skeletons[key]
 
 
-def build_index(pool: list[ExampleTriple], embedder=trigram_vector) -> SimilarityIndex:
-    vectors = {}
-    for ex in pool:
-        try:
-            vectors[ex.index] = embedder(ex.question)
-        except Exception as exc:
-            raise RuntimeError(f"embedder failed on example {ex.index}: {exc}") from exc
-    return SimilarityIndex(vectors=vectors)
+def build_index(pool: list[ExampleTriple]) -> SimilarityIndex:
+    return SimilarityIndex(pool)
+
+
+def _top_k(k: int, ids: np.ndarray, *scores: np.ndarray) -> np.ndarray:
+    """Positions of the k best candidates, best first: highest ``scores[0]``,
+    ties broken by the later scores in turn, then by the lowest id. Only the
+    candidates that reach the k-th best first score are sorted."""
+    first = scores[0]
+    near = np.flatnonzero(first >= np.partition(first, len(first) - k)[len(first) - k])
+    keys = [ids[near]] + [-score[near] for score in reversed(scores)]
+    return near[np.lexsort(keys)[:k]]
 
 
 @dataclass(frozen=True)
@@ -133,45 +237,34 @@ def select(
             raise ValueError(f"k={policy.k} exceeds pool size {len(picked)}")
         return picked
 
-    candidates = [ex for ex in pool if ex is not target]
-    if policy.k > len(candidates):
-        raise ValueError(f"k={policy.k} exceeds pool size {len(candidates)}")
+    keep = [i for i, ex in enumerate(pool) if ex is not target]
+    if policy.k > len(keep):
+        raise ValueError(f"k={policy.k} exceeds pool size {len(keep)}")
 
     if index is None:
         raise ValueError("similarity strategies require a similarity index")
-    missing = [ex.index for ex in candidates if ex.index not in index.vectors]
-    if missing:
-        raise ValueError(f"similarity index missing vectors for examples {missing}")
-    target_vec = index.vector_for(target)
-    scored = [
-        (cosine(target_vec, index.vectors[ex.index]), ex) for ex in candidates
-    ]
+    rows = index.rows_for(pool, keep)
+    ids = index.ids[rows]
+    q_sim = index.questions.cosines(*index.question_vector(target))[rows]
 
-    if policy.strategy == QUESTION_SIMILARITY:
-        ranked = sorted(scored, key=lambda pair: (-pair[0], pair[1].index))
-        top = [ex for _, ex in ranked[: policy.k]]
-        return list(reversed(top))
-
-    # dual similarity: re-rank question-similar candidates by SQL skeleton
-    if draft_sql is None and corpus_mode:
+    if policy.strategy == DUAL_SIMILARITY and draft_sql is None and corpus_mode:
         draft_sql = target.gold_sql
-    if draft_sql is None:
+    if policy.strategy == QUESTION_SIMILARITY:
+        top = _top_k(policy.k, ids, q_sim)
+    elif draft_sql is None:
         logger.warning(
             "dual-similarity selection without a draft SQL for example %d;"
             " falling back to question similarity",
             target.index,
         )
-        ranked = sorted(scored, key=lambda pair: (-pair[0], pair[1].index))
-        top = [ex for _, ex in ranked[: policy.k]]
-        return list(reversed(top))
-    draft_vec = trigram_vector(sql_skeleton(draft_sql, schema))
-    rescored = []
-    for q_sim, ex in scored:
-        sql_vec = trigram_vector(sql_skeleton(ex.gold_sql, schema))
-        rescored.append((cosine(draft_vec, sql_vec), q_sim, ex))
-    ranked = sorted(rescored, key=lambda item: (-item[0], -item[1], item[2].index))
-    top = [ex for _, _, ex in ranked[: policy.k]]
-    return list(reversed(top))
+        top = _top_k(policy.k, ids, q_sim)
+    else:
+        # dual similarity: re-rank question-similar candidates by SQL skeleton
+        draft = _text_vector(sql_skeleton(draft_sql, schema))
+        skel_sim = index.skeletons(schema).cosines(*draft)[rows]
+        top = _top_k(policy.k, ids, skel_sim, q_sim)
+    # most similar last
+    return [pool[keep[i]] for i in reversed(top)]
 
 
 FIXED_K = "fixed-k"

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqlbench.datasets import ExampleTriple
 from sqlbench.selection import (
@@ -11,6 +13,7 @@ from sqlbench.selection import (
     RANDOM,
     RANDOM_SHOT,
     SelectionPolicy,
+    TrigramRows,
     build_index,
     cosine,
     mix_shots,
@@ -79,7 +82,7 @@ def test_question_similarity_brute_force_oracle():
     chosen = select(target, pool, policy, index=index)
     target_vec = trigram_vector(target.question)
     brute = sorted(
-        pool, key=lambda ex: (-cosine(target_vec, index.vectors[ex.index]), ex.index)
+        pool, key=lambda ex: (-cosine(target_vec, trigram_vector(ex.question)), ex.index)
     )[:4]
     assert chosen == list(reversed(brute))  # most similar last
     assert chosen[-1].index == 7
@@ -114,7 +117,9 @@ def test_trigram_embedder_disjoint_questions():
 
 
 def test_empty_pool_index():
-    assert build_index([]).vectors == {}
+    index = build_index([])
+    assert index.questions.norms.shape == (0,)
+    assert index.questions.cosines(*index.question_vector(make_pool(1)[0])).shape == (0,)
 
 
 def test_dual_similarity_prefers_matching_sql_shape(bundle):
@@ -203,18 +208,6 @@ def test_policy_validation():
         SelectionPolicy(strategy=RANDOM, k=-1, seed=0)
 
 
-def test_build_index_propagates_embedder_failure_with_index():
-    pool = make_pool(3)
-
-    def broken(text):
-        if "kind 1" in text:
-            raise RuntimeError("boom")
-        return trigram_vector(text)
-
-    with pytest.raises(RuntimeError, match="example 1"):
-        build_index(pool, embedder=broken)
-
-
 @pytest.mark.parametrize("strategy", [RANDOM, QUESTION_SIMILARITY])
 def test_cross_split_pool_keeps_same_ordinal(bundle, strategy):
     """Only the target itself is excluded: dev example 3 may draw train example 3."""
@@ -223,3 +216,74 @@ def test_cross_split_pool_keeps_same_ordinal(bundle, strategy):
     policy = SelectionPolicy(strategy=strategy, k=len(train), seed=0)
     chosen = select(target, train, policy, index=build_index(train))
     assert sorted(ex.index for ex in chosen) == [ex.index for ex in train]
+
+
+# edge questions: whitespace-only and empty ones have a zero vector; the
+# others tie with each other and with fixture questions after normalization
+EDGE_QUESTIONS = ("", "   ", "\t\n", "ab", "How many singers do we have?",
+                  "how many  SINGERS do we have?")
+
+
+@st.composite
+def selection_cases(draw, sources):
+    """A pool with shuffled unique indices, a target inside or outside it, and a k."""
+    size = draw(st.integers(2, 9))
+    picked = draw(st.lists(st.sampled_from(sources), min_size=size + 1, max_size=size + 1))
+    indices = draw(st.permutations(range(size)))
+    questions = [draw(st.sampled_from((src.question,) + EDGE_QUESTIONS)) for src in picked]
+    examples = [
+        ExampleTriple(index, question, src.gold_sql, src.db_id)
+        for index, question, src in zip(indices + [100], questions, picked)
+    ]
+    pool = examples[:size]
+    target = draw(st.sampled_from(pool)) if draw(st.booleans()) else examples[size]
+    candidates = len(pool) - any(ex is target for ex in pool)
+    k = draw(st.one_of(st.just(candidates), st.integers(1, candidates)))
+    return pool, target, k
+
+
+def oracle_select(target, pool, k, skeleton_of=None):
+    """Brute force: cosine of dense trigram vectors for every candidate, sorted
+    by (-score, index), or by (-skeleton, -question, index) with ``skeleton_of``."""
+    q_vec = trigram_vector(target.question)
+    candidates = [ex for ex in pool if ex is not target]
+    if skeleton_of is None:
+        def key(ex):
+            return (-cosine(q_vec, trigram_vector(ex.question)), ex.index)
+    else:
+        draft = trigram_vector(skeleton_of(target))
+
+        def key(ex):
+            return (-cosine(draft, trigram_vector(skeleton_of(ex))),
+                    -cosine(q_vec, trigram_vector(ex.question)), ex.index)
+    return list(reversed(sorted(candidates, key=key)[:k]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_question_similarity_matches_brute_force(bundle, data):
+    pool, target, k = data.draw(selection_cases(bundle.splits["train"]))
+    policy = SelectionPolicy(strategy=QUESTION_SIMILARITY, k=k, seed=0)
+    chosen = select(target, pool, policy, index=build_index(pool))
+    assert [ex.index for ex in chosen] == [ex.index for ex in oracle_select(target, pool, k)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_dual_similarity_corpus_mode_matches_brute_force(bundle, data):
+    pool, target, k = data.draw(selection_cases(bundle.splits["train"]))
+    schema = bundle.schemas[target.db_id]
+    policy = SelectionPolicy(strategy=DUAL_SIMILARITY, k=k, seed=0)
+    chosen = select(target, pool, policy, index=build_index(pool), schema=schema,
+                    corpus_mode=True)
+    expected = oracle_select(target, pool, k, lambda ex: sql_skeleton(ex.gold_sql, schema))
+    assert [ex.index for ex in chosen] == [ex.index for ex in expected]
+
+
+def test_sparse_rows_score_bit_identical_to_cosine(bundle):
+    texts = [ex.question for ex in bundle.splits["train"]] + list(EDGE_QUESTIONS)
+    rows = TrigramRows(texts)
+    for text in texts:
+        vec = trigram_vector(text)
+        scores = rows.cosines(vec, float(np.linalg.norm(vec)))
+        assert scores.tolist() == [cosine(vec, trigram_vector(other)) for other in texts]
