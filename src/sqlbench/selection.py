@@ -122,9 +122,12 @@ class TrigramRows:
 class SimilarityIndex:
     """Sparse trigram rows of a pool's questions, built once per pool.
 
-    Rows follow pool order and are found by example index. The rows of the
-    pool's gold-SQL skeletons, which only dual similarity reads, are built on
-    first use, so a question-similarity pool never parses any SQL.
+    Rows follow pool order. The index answers only for the example objects
+    it was built over: a target that is not one of them, such as a dev
+    example scored against a train pool, is embedded from its own question
+    even if a pool member shares its index. The rows of the pool's gold-SQL
+    skeletons, which only dual similarity reads, are built on first use, so
+    a question-similarity pool never parses any SQL.
     """
 
     def __init__(self, pool: list[ExampleTriple]) -> None:
@@ -134,21 +137,23 @@ class SimilarityIndex:
         self.questions = TrigramRows([ex.question for ex in pool])
         self._skeletons: dict[str | None, TrigramRows] = {}
 
+    def row(self, example: ExampleTriple) -> int | None:
+        """The row of ``example`` if it is a pool member, else None."""
+        row = self.row_of.get(example.index)
+        return row if row is not None and self.examples[row] is example else None
+
     def rows_for(self, pool: list[ExampleTriple], positions: list[int]) -> np.ndarray:
         """The rows of ``pool[i]`` for each of ``positions``."""
         if pool is self.examples:
             return np.array(positions, dtype=np.intp)
-        rows = np.fromiter(
-            (self.row_of.get(pool[i].index, -1) for i in positions),
-            dtype=np.intp, count=len(positions),
-        )
-        if (rows < 0).any():
-            missing = [pool[i].index for i, row in zip(positions, rows) if row < 0]
+        rows = [self.row(pool[i]) for i in positions]
+        missing = [pool[i].index for i, row in zip(positions, rows) if row is None]
+        if missing:
             raise ValueError(f"similarity index missing vectors for examples {missing}")
-        return rows
+        return np.array(rows, dtype=np.intp)
 
     def question_vector(self, example: ExampleTriple) -> tuple[np.ndarray, float]:
-        row = self.row_of.get(example.index)
+        row = self.row(example)
         if row is None:
             return _text_vector(example.question)
         return self.questions.dense(row)

@@ -326,6 +326,32 @@ def test_few_shot_predict_sends_exemplars(scratch_config, tmp_path, bundle):
         assert lines[questions[2] + 1] == "Response: "
 
 
+def test_cross_split_predict_ranks_by_target_question(scratch_config, tmp_path, bundle):
+    """Each dev target's one exemplar is the train question nearest its own."""
+    from sqlbench.selection import cosine, trigram_vector
+
+    text = scratch_config.read_text().replace("strategy: random", "strategy: question-similarity")
+    scratch_config.write_text(text)
+    train = bundle.splits["train"]
+    dev_index = {ex.question: ex.index for ex in bundle.splits["dev"]}
+    behavior = RecordingBehavior(answers_from_examples(bundle.splits["dev"]))
+    with StubServer(behavior) as server:
+        config = write_config_with_url(scratch_config, server.base_url)
+        assert run_cli("predict", "--config", str(config), "--run-id", "t",
+                       "--split", "dev", "--shots", "1") == 0
+    assert len(behavior.prompts) == 20
+    same_ordinal = 0
+    for prompt in behavior.prompts:
+        exemplar, target = [line[len("Q: "):] for line in prompt.splitlines()
+                            if line.startswith("Q: ")]
+        target_vec = trigram_vector(target)
+        nearest = min(train, key=lambda ex: (-cosine(target_vec, trigram_vector(ex.question)),
+                                             ex.index))
+        assert exemplar == nearest.question
+        same_ordinal += nearest.index == dev_index[target]
+    assert same_ordinal < 19
+
+
 def test_predict_missing_pool_split_is_a_config_error(scratch_config, bundle, capsys):
     text = scratch_config.read_text().replace("    train:", "    #train:")
     scratch_config.write_text(text)

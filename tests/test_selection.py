@@ -88,6 +88,18 @@ def test_question_similarity_brute_force_oracle():
     assert chosen[-1].index == 7
 
 
+def test_cross_split_target_ranks_by_its_own_question(bundle):
+    """A target from another split is embedded from its own question, not from
+    the pool member that happens to share its index."""
+    train = bundle.splits["train"]
+    target = ExampleTriple(0, train[5].question, "SELECT 1", train[5].db_id)
+    index = build_index(train)
+    policy = SelectionPolicy(strategy=QUESTION_SIMILARITY, k=3, seed=0)
+    chosen = select(target, train, policy, index=index)
+    assert chosen[-1] is train[5]
+    assert train[0] not in chosen
+
+
 def test_similarity_index_missing_vectors():
     pool = make_pool(5)
     index = build_index(pool[:3])
@@ -229,11 +241,12 @@ def selection_cases(draw, sources):
     """A pool with shuffled unique indices, a target inside or outside it, and a k."""
     size = draw(st.integers(2, 9))
     picked = draw(st.lists(st.sampled_from(sources), min_size=size + 1, max_size=size + 1))
-    indices = draw(st.permutations(range(size)))
+    # the outside target may share its index with a pool member
+    indices = draw(st.permutations(range(size))) + [draw(st.integers(0, size))]
     questions = [draw(st.sampled_from((src.question,) + EDGE_QUESTIONS)) for src in picked]
     examples = [
         ExampleTriple(index, question, src.gold_sql, src.db_id)
-        for index, question, src in zip(indices + [100], questions, picked)
+        for index, question, src in zip(indices, questions, picked)
     ]
     pool = examples[:size]
     target = draw(st.sampled_from(pool)) if draw(st.booleans()) else examples[size]
