@@ -81,16 +81,13 @@ def plan_prompts(
     if index is None and policy.strategy != RANDOM and any(
         shot_plan[target.index] for target in targets
     ):
-        index = build_index(pool)
+        index = build_index(pool, schemas)
     policies: dict[int, SelectionPolicy] = {}
     for target in targets:
         k = shot_plan[target.index]
         if k not in policies:
             policies[k] = replace(policy, k=k)
-        exemplars = select(
-            target, pool, policies[k], index=index,
-            schema=schemas.get(target.db_id), corpus_mode=corpus_mode,
-        )
+        exemplars = select(target, pool, policies[k], index=index, corpus_mode=corpus_mode)
         try:
             envelope = build_prompt(target, exemplars, template, budget, schemas)
         except BudgetExceededError as exc:

@@ -14,6 +14,7 @@ import re
 import zlib
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -126,16 +127,19 @@ class SimilarityIndex:
     it was built over: a target that is not one of them, such as a dev
     example scored against a train pool, is embedded from its own question
     even if a pool member shares its index. The rows of the pool's gold-SQL
-    skeletons, which only dual similarity reads, are built on first use, so
+    skeletons, each rendered with its own database's schema from
+    ``schemas``, are built on first use: only dual similarity reads them, so
     a question-similarity pool never parses any SQL.
     """
 
-    def __init__(self, pool: list[ExampleTriple]) -> None:
+    def __init__(
+        self, pool: list[ExampleTriple], schemas: dict[str, DatabaseSchema] | None = None
+    ) -> None:
         self.examples = pool
+        self.schemas = schemas or {}
         self.row_of = {ex.index: row for row, ex in enumerate(pool)}
         self.ids = np.array([ex.index for ex in pool], dtype=np.int64)
         self.questions = TrigramRows([ex.question for ex in pool])
-        self._skeletons: dict[str | None, TrigramRows] = {}
 
     def row(self, example: ExampleTriple) -> int | None:
         """The row of ``example`` if it is a pool member, else None."""
@@ -158,18 +162,32 @@ class SimilarityIndex:
             return _text_vector(example.question)
         return self.questions.dense(row)
 
-    def skeletons(self, schema: DatabaseSchema | None) -> TrigramRows:
-        """Skeleton rows of every pool member's gold SQL under ``schema``."""
-        key = None if schema is None else schema.db_id
-        if key not in self._skeletons:
-            self._skeletons[key] = TrigramRows(
-                [sql_skeleton(ex.gold_sql, schema) for ex in self.examples]
-            )
-        return self._skeletons[key]
+    @cached_property
+    def skeletons(self) -> TrigramRows:
+        """Skeleton rows of every pool member's gold SQL, each rendered with
+        its own database's schema."""
+        return TrigramRows(
+            [sql_skeleton(ex.gold_sql, self.schemas.get(ex.db_id)) for ex in self.examples]
+        )
+
+    def skeleton_vector(
+        self, example: ExampleTriple, sql: str | None = None
+    ) -> tuple[np.ndarray, float]:
+        """The skeleton vector of ``sql``, by default the example's gold,
+        rendered with the example's schema; a pool member's gold is its row."""
+        if sql is None:
+            row = self.row(example)
+            if row is not None:
+                return self.skeletons.dense(row)
+            sql = example.gold_sql
+        return _text_vector(sql_skeleton(sql, self.schemas.get(example.db_id)))
 
 
-def build_index(pool: list[ExampleTriple]) -> SimilarityIndex:
-    return SimilarityIndex(pool)
+def build_index(
+    pool: list[ExampleTriple], schemas: dict[str, DatabaseSchema] | None = None
+) -> SimilarityIndex:
+    return SimilarityIndex(pool, schemas)
+
 
 
 def _top_k(k: int, ids: np.ndarray, *scores: np.ndarray) -> np.ndarray:
@@ -220,7 +238,6 @@ def select(
     policy: SelectionPolicy,
     index: SimilarityIndex | None = None,
     draft_sql: str | None = None,
-    schema: DatabaseSchema | None = None,
     corpus_mode: bool = False,
 ) -> list[ExampleTriple]:
     """Choose the k exemplars for one target.
@@ -252,11 +269,9 @@ def select(
     ids = index.ids[rows]
     q_sim = index.questions.cosines(*index.question_vector(target))[rows]
 
-    if policy.strategy == DUAL_SIMILARITY and draft_sql is None and corpus_mode:
-        draft_sql = target.gold_sql
     if policy.strategy == QUESTION_SIMILARITY:
         top = _top_k(policy.k, ids, q_sim)
-    elif draft_sql is None:
+    elif draft_sql is None and not corpus_mode:
         logger.warning(
             "dual-similarity selection without a draft SQL for example %d;"
             " falling back to question similarity",
@@ -264,9 +279,10 @@ def select(
         )
         top = _top_k(policy.k, ids, q_sim)
     else:
-        # dual similarity: re-rank question-similar candidates by SQL skeleton
-        draft = _text_vector(sql_skeleton(draft_sql, schema))
-        skel_sim = index.skeletons(schema).cosines(*draft)[rows]
+        # dual similarity: re-rank question-similar candidates by how close
+        # their SQL skeleton is to the draft's (in corpus mode, the target's gold)
+        draft = index.skeleton_vector(target, draft_sql)
+        skel_sim = index.skeletons.cosines(*draft)[rows]
         top = _top_k(policy.k, ids, skel_sim, q_sim)
     # most similar last
     return [pool[keep[i]] for i in reversed(top)]

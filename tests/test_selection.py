@@ -135,7 +135,6 @@ def test_empty_pool_index():
 
 
 def test_dual_similarity_prefers_matching_sql_shape(bundle):
-    schema = bundle.schemas["concert_singer"]
     pool = [
         ExampleTriple(0, "count all the singers", "SELECT count(*) FROM singer", "concert_singer"),
         ExampleTriple(1, "count all the stadium rows", "SELECT count(*) FROM stadium", "concert_singer"),
@@ -144,10 +143,9 @@ def test_dual_similarity_prefers_matching_sql_shape(bundle):
     target = ExampleTriple(
         9, "count every singer we have", "SELECT count(*) FROM singer", "concert_singer"
     )
-    index = build_index(pool)
+    index = build_index(pool, bundle.schemas)
     policy = SelectionPolicy(strategy=DUAL_SIMILARITY, k=1, seed=0)
-    chosen = select(target, pool, policy, index=index,
-                    draft_sql="SELECT count(*) FROM singer", schema=schema)
+    chosen = select(target, pool, policy, index=index, draft_sql="SELECT count(*) FROM singer")
     assert chosen[0].index == 0
 
 
@@ -167,6 +165,21 @@ def test_dual_similarity_corpus_mode_uses_gold():
     policy = SelectionPolicy(strategy=DUAL_SIMILARITY, k=2, seed=0)
     chosen = select(pool[0], pool, policy, index=index, corpus_mode=True)
     assert len(chosen) == 2
+
+
+def test_candidate_skeleton_uses_its_own_schema(bundle):
+    """Each candidate's skeleton row is rendered with its own database's schema,
+    once per index, whatever the target's database."""
+    course = ExampleTriple(0, "Titles of the courses?", "SELECT title FROM course WHERE credits > 3",
+                           "college_2")
+    own = sql_skeleton(course.gold_sql, bundle.schemas["college_2"])
+    assert own != sql_skeleton(course.gold_sql, bundle.schemas["concert_singer"])
+    pool = [course] + bundle.splits["train"]
+    index = build_index(pool, bundle.schemas)
+    for row, ex in enumerate(pool):
+        vec, _ = index.skeletons.dense(row)
+        expected = trigram_vector(sql_skeleton(ex.gold_sql, bundle.schemas[ex.db_id]))
+        assert np.array_equal(vec, expected), ex.gold_sql
 
 
 def test_sql_skeleton_masks_literals(bundle):
@@ -285,11 +298,14 @@ def test_question_similarity_matches_brute_force(bundle, data):
 @given(data=st.data())
 def test_dual_similarity_corpus_mode_matches_brute_force(bundle, data):
     pool, target, k = data.draw(selection_cases(bundle.splits["train"]))
-    schema = bundle.schemas[target.db_id]
     policy = SelectionPolicy(strategy=DUAL_SIMILARITY, k=k, seed=0)
-    chosen = select(target, pool, policy, index=build_index(pool), schema=schema,
+    chosen = select(target, pool, policy, index=build_index(pool, bundle.schemas),
                     corpus_mode=True)
-    expected = oracle_select(target, pool, k, lambda ex: sql_skeleton(ex.gold_sql, schema))
+
+    def own_skeleton(ex):
+        return sql_skeleton(ex.gold_sql, bundle.schemas[ex.db_id])
+
+    expected = oracle_select(target, pool, k, own_skeleton)
     assert [ex.index for ex in chosen] == [ex.index for ex in expected]
 
 
