@@ -168,12 +168,15 @@ def cmd_predict(args) -> int:
     pred_dir.mkdir(exist_ok=True)
     out = pred_dir / f"{args.split}_shots{args.shots}.jsonl"
     partial = out.with_name(out.name + ".partial")
-    if out.is_file():
+    # the finished file, then the append log of a rerun that retries its errors
+    recorded = read_predictions(*(path for path in (out, partial) if path.is_file()))
+    done = {index: p for index, p in recorded.items() if p.error is None}
+    if out.is_file() and len(done) == len(recorded):
         print(f"predictions already complete at {out}")
         return EXIT_OK
-    done = read_predictions(partial) if partial.is_file() else {}
-    if done:
-        print(f"resuming: {len(done)} predictions already recorded")
+    if recorded:
+        print(f"resuming: {len(done)} predictions already recorded,"
+              f" {len(recorded) - len(done)} errored ones requested again")
 
     policy = config.selection.policy(default_seed=config.seed, k=args.shots)
     todo = [target for target in targets if target.index not in done]
@@ -195,8 +198,7 @@ def cmd_predict(args) -> int:
         append_prediction(partial, prediction)
 
     predict_batch(envelopes, endpoint, on_result=sink)
-    merged = read_predictions(partial) if partial.is_file() else {}
-    merged.update({k: v for k, v in done.items() if k not in merged})
+    merged = read_predictions(*(path for path in (out, partial) if path.is_file()))
     # the final file appears whole or not at all; the append log goes last
     writing = out.with_name(out.name + ".writing")
     write_predictions(writing, merged)

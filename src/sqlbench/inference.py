@@ -224,25 +224,31 @@ def append_prediction(path: str | Path, prediction: Prediction) -> None:
         fp.flush()
 
 
-def read_predictions(path: str | Path) -> dict[int, Prediction]:
-    """Load a prediction file; on duplicates the first record wins.
+def read_predictions(*paths: str | Path) -> dict[int, Prediction]:
+    """Load prediction files, read in order as one stream of records, into
+    one record per example index.
 
-    Undecodable lines are skipped with a warning: an interrupted writer can
-    leave a truncated final line, and the affected example is simply
-    re-predicted on resume.
+    On duplicates the first record wins, unless it carries an error: then a
+    later record for the same index replaces it, so a retried example ends
+    with its retry. Undecodable lines are skipped with a warning: an
+    interrupted writer can leave a truncated final line, and the affected
+    example is simply re-predicted on resume.
     """
     out: dict[int, Prediction] = {}
-    with open(path, encoding="utf-8") as fp:
-        for lineno, line in enumerate(fp, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                prediction = Prediction.from_json(line)
-            except (json.JSONDecodeError, KeyError):
-                logger.warning("%s:%d: skipping undecodable prediction line", path, lineno)
-                continue
-            out.setdefault(prediction.example_index, prediction)
+    for path in paths:
+        with open(path, encoding="utf-8") as fp:
+            for lineno, line in enumerate(fp, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    prediction = Prediction.from_json(line)
+                except (json.JSONDecodeError, KeyError):
+                    logger.warning("%s:%d: skipping undecodable prediction line", path, lineno)
+                    continue
+                earlier = out.get(prediction.example_index)
+                if earlier is None or earlier.error is not None:
+                    out[prediction.example_index] = prediction
     return out
 
 

@@ -226,6 +226,55 @@ def test_interrupt_and_resume_predict(scratch_config, tmp_path, bundle):
     assert not partial.is_file()
 
 
+def test_errored_predictions_are_retried_on_rerun(scratch_config, tmp_path, bundle, capsys):
+    """An outage leaves errored records in the finished file; a rerun requests
+    exactly those again, and once none is left the file is complete."""
+    argv = ["predict", "--run-id", "t", "--split", "dev", "--shots", "0"]
+    out = tmp_path / "runs" / "t" / "predictions" / "dev_shots0.jsonl"
+    with StubServer(StubBehavior(always_status=500)) as down:
+        config = write_config_with_url(scratch_config, down.base_url)
+        assert run_cli(*argv, "--config", str(config)) == 0
+    assert all(p.error is not None for p in read_predictions(out).values())
+    answers = answers_from_examples(bundle.splits["dev"])
+    with StubServer(StubBehavior(answers=answers)) as healthy:
+        config = write_config_with_url(scratch_config, healthy.base_url)
+        capsys.readouterr()
+        assert run_cli(*argv, "--config", str(config)) == 0
+        assert "already complete" not in capsys.readouterr().out
+        assert healthy.request_count == 20
+        predictions = read_predictions(out)
+        assert sorted(predictions) == list(range(20))
+        assert all(p.error is None for p in predictions.values())
+        assert run_cli(*argv, "--config", str(config)) == 0
+        assert "already complete" in capsys.readouterr().out
+        assert healthy.request_count == 20
+
+
+def test_errored_records_in_the_append_log_are_retried(scratch_config, tmp_path, bundle):
+    """Resuming from an append log re-requests its errored records only."""
+    from sqlbench.inference import Prediction, append_prediction
+
+    out = tmp_path / "runs" / "t" / "predictions" / "dev_shots0.jsonl"
+    out.parent.mkdir(parents=True)
+    partial = out.with_name(out.name + ".partial")
+    for index in range(15):
+        failed = index % 3 == 0  # 0, 3, 6, 9, 12
+        append_prediction(partial, Prediction(
+            index, "", "" if failed else "SELECT 'kept'", 0.0, 1,
+            error="HTTP 503" if failed else None))
+    answers = answers_from_examples(bundle.splits["dev"])
+    with StubServer(StubBehavior(answers=answers)) as server:
+        config = write_config_with_url(scratch_config, server.base_url)
+        assert run_cli("predict", "--config", str(config), "--run-id", "t",
+                       "--split", "dev", "--shots", "0") == 0
+        assert server.request_count == 5 + 5  # the errored five, the unrecorded five
+    predictions = read_predictions(out)
+    assert sorted(predictions) == list(range(20))
+    assert all(p.error is None for p in predictions.values())
+    kept = [i for i, p in predictions.items() if p.extracted_sql == "SELECT 'kept'"]
+    assert kept == [i for i in range(15) if i % 3]
+
+
 def test_scalar_config_section_is_a_config_error(tmp_path, capsys, fixtures_dir):
     config = tmp_path / "scalar.yaml"
     config.write_text(

@@ -152,6 +152,25 @@ def test_prediction_file_roundtrip_and_dedup(tmp_path):
     assert [Prediction.from_json(l).example_index for l in lines] == [1, 3]
 
 
+def test_later_record_replaces_an_errored_one(tmp_path):
+    """Across the files read, in order: an errored record gives way to a later
+    record for the same index; a record without an error is kept."""
+    final, log = tmp_path / "final.jsonl", tmp_path / "final.jsonl.partial"
+    final.write_text(
+        Prediction(0, "", "", 1.0, 3, error="HTTP 500").to_json() + "\n"
+        + Prediction(1, "raw", "SELECT 1", 1.0, 1).to_json() + "\n", encoding="utf-8")
+    log.write_text(
+        Prediction(0, "", "", 1.0, 3, error="HTTP 503").to_json() + "\n"
+        + Prediction(0, "raw", "SELECT 2", 1.0, 1).to_json() + "\n"
+        + Prediction(1, "raw", "SELECT 3", 1.0, 1).to_json() + "\n"
+        + Prediction(0, "raw", "SELECT 4", 1.0, 1).to_json() + "\n", encoding="utf-8")
+    assert read_predictions(final)[0].error == "HTTP 500"
+    loaded = read_predictions(final, log)
+    assert loaded[0].extracted_sql == "SELECT 2" and loaded[0].error is None
+    assert loaded[1].extracted_sql == "SELECT 1"
+    assert read_predictions() == {}
+
+
 def test_deterministic_prediction_files(bundle, tmp_path):
     """Temperature-0 runs against the deterministic stub produce identical files."""
     answers = answers_from_examples(bundle.splits["dev"])
