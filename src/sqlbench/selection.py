@@ -2,8 +2,9 @@
 
 Strategies: uniform random, question similarity, and dual similarity, which
 re-ranks question-similar candidates by how close their gold SQL skeleton is
-to a draft SQL for the target. The default embedder is a hashed character
-trigram frequency vector, deterministic across runs and platforms.
+to a draft SQL for the target. Questions and skeletons are embedded as
+hashed character-trigram frequency vectors, deterministic across runs and
+platforms; a pool's vectors are kept as sparse rows in a ``SimilarityIndex``.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class TrigramRows:
     pairs of all rows lie in flat arrays in row order, beside each row's L2
     norm. Counts are integers, so every dot product and squared norm is exact
     in float64 whatever the order of summation, and scores equal ``cosine``
-    bit for bit. Memory is 24 bytes per distinct trigram of a text, where a
+    bit for bit. Memory is 16 bytes per distinct trigram of a text, where a
     dense row takes 32 KiB.
     """
 
@@ -187,7 +188,6 @@ def build_index(
     pool: list[ExampleTriple], schemas: dict[str, DatabaseSchema] | None = None
 ) -> SimilarityIndex:
     return SimilarityIndex(pool, schemas)
-
 
 
 def _top_k(k: int, ids: np.ndarray, *scores: np.ndarray) -> np.ndarray:
