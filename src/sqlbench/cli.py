@@ -171,7 +171,8 @@ def cmd_predict(args) -> int:
     # the finished file, then the append log of a rerun that retries its errors
     recorded = read_predictions(*(path for path in (out, partial) if path.is_file()))
     done = {index: p for index, p in recorded.items() if p.error is None}
-    if out.is_file() and len(done) == len(recorded):
+    # a leftover append log means the last run did not rewrite the final file
+    if out.is_file() and not partial.is_file() and len(done) == len(recorded):
         print(f"predictions already complete at {out}")
         return EXIT_OK
     if recorded:

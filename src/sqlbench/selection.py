@@ -54,9 +54,8 @@ class _Buckets(dict):
 
 def trigram_vector(text: str, dim: int = EMBED_DIM) -> np.ndarray:
     """Hashed character-trigram frequency vector over the normalized text."""
-    bucket = _Buckets(dim)
-    buckets = np.array([bucket[gram] for gram in _trigrams(text)], dtype=np.intp)
-    return np.bincount(buckets, minlength=dim).astype(np.float64)
+    buckets = [zlib.crc32(gram.encode("utf-8")) % dim for gram in _trigrams(text)]
+    return np.bincount(np.array(buckets, dtype=np.intp), minlength=dim).astype(np.float64)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -250,6 +250,35 @@ def test_errored_predictions_are_retried_on_rerun(scratch_config, tmp_path, bund
         assert healthy.request_count == 20
 
 
+def test_leftover_append_log_is_merged_into_the_final_file(scratch_config, tmp_path, bundle,
+                                                           capsys):
+    """A rerun killed after retrying every error but before replacing the
+    final file leaves the successes in the append log; the next run must
+    rewrite the final file from it, not call the stale file complete."""
+    from sqlbench.inference import Prediction, append_prediction, write_predictions
+
+    out = tmp_path / "runs" / "t" / "predictions" / "dev_shots0.jsonl"
+    out.parent.mkdir(parents=True)
+    partial = out.with_name(out.name + ".partial")
+    write_predictions(out, {
+        index: Prediction(index, "", "", 0.0, 1, error="HTTP 500") for index in range(20)
+    })
+    for index in range(20):
+        append_prediction(partial, Prediction(index, "", "SELECT 'retried'", 0.0, 1))
+    with StubServer(StubBehavior(answers={})) as server:
+        config = write_config_with_url(scratch_config, server.base_url)
+        capsys.readouterr()
+        assert run_cli("predict", "--config", str(config), "--run-id", "t",
+                       "--split", "dev", "--shots", "0") == 0
+        assert "already complete" not in capsys.readouterr().out
+        assert server.request_count == 0
+    predictions = read_predictions(out)
+    assert sorted(predictions) == list(range(20))
+    assert all(p.error is None and p.extracted_sql == "SELECT 'retried'"
+               for p in predictions.values())
+    assert not partial.is_file()
+
+
 def test_errored_records_in_the_append_log_are_retried(scratch_config, tmp_path, bundle):
     """Resuming from an append log re-requests its errored records only."""
     from sqlbench.inference import Prediction, append_prediction
