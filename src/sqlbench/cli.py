@@ -30,14 +30,14 @@ from .reporting import (
     summarize,
 )
 from .runconfig import ConfigError, RunConfig, load_run_config
-from .selection import FIXED_K, RANDOM_SHOT, mix_shots
+from .selection import FIXED_K, RANDOM, RANDOM_SHOT, build_index, mix_shots
 from .stub import StubBehavior, StubServer
 
 # Not called here: the traced benchmark run (benchmarks/spans.py) looks these
 # names up on this module and fails if one is missing.
 from .datasets import validate_dataset  # noqa: F401
 from .prompts import build_prompt  # noqa: F401
-from .selection import build_index, select  # noqa: F401
+from .selection import select  # noqa: F401
 
 logger = logging.getLogger("sqlbench")
 
@@ -114,13 +114,21 @@ def cmd_ingest(args) -> int:
 
 
 def _unparseable_golds(bundle: DatasetBundle, rows) -> list[int]:
+    """Indexes of the examples whose gold is outside the clause grammar;
+    each distinct (db_id, gold_sql) is parsed once."""
     from .sqlkit import SqlParseError, parse_sql
 
+    parses: dict[tuple[str, str], bool] = {}
     bad = []
     for example in rows:
-        try:
-            parse_sql(example.gold_sql, bundle.schemas[example.db_id])
-        except SqlParseError:
+        key = (example.db_id, example.gold_sql)
+        if key not in parses:
+            try:
+                parse_sql(example.gold_sql, bundle.schemas[example.db_id])
+                parses[key] = True
+            except SqlParseError:
+                parses[key] = False
+        if not parses[key]:
             bad.append(example.index)
     return bad
 
@@ -142,12 +150,18 @@ def cmd_build_corpus(args) -> int:
         print("nothing to do: pass --k and/or --random-shot", file=sys.stderr)
         return EXIT_CONFIG
     choices = tuple(args.choices)
+    # one similarity index serves every job; only a job with some k > 0 uses it
+    index = None
+    if config.selection.strategy != RANDOM and (
+        any(args.k) or (args.random_shot and any(choices))
+    ):
+        index = build_index(split, bundle.schemas)
     for filename, mode, k in jobs:
         out = corpus_dir / filename
         partial = out.with_name(out.name + ".partial")
         policy = config.selection.policy(default_seed=config.seed, k=k)
         summary = export_corpus(
-            split, bundle, template, policy, mode, partial, choices=choices
+            split, bundle, template, policy, mode, partial, choices=choices, index=index
         )
         os.replace(partial, out)
         summary_path = out.with_suffix(".summary.json")
@@ -205,7 +219,9 @@ def cmd_predict(args) -> int:
     write_predictions(writing, merged)
     os.replace(writing, out)
     partial.unlink(missing_ok=True)
-    print(f"{len(merged)} predictions written to {out}")
+    errored = sum(1 for p in merged.values() if p.error is not None)
+    retry = f" ({errored} errored; rerun predict to retry them)" if errored else ""
+    print(f"{len(merged)} predictions written to {out}{retry}")
     return EXIT_OK
 
 

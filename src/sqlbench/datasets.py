@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -93,30 +94,33 @@ class DatabaseSchema:
     foreign_keys: tuple[ForeignKey, ...]
 
     def __post_init__(self) -> None:
-        index = {t.name.lower(): {c.name.lower() for c in t.columns} for t in self.tables}
+        # folded table name -> (table, folded column names); the first of two
+        # tables whose names fold alike wins, for lookups and key checks alike.
+        # Column names are interned: cloned schemas share them.
+        columns: dict[str, tuple[TableDef, frozenset[str]]] = {}
+        for t in self.tables:
+            columns.setdefault(t.name.lower(),
+                               (t, frozenset(sys.intern(c.name.lower()) for c in t.columns)))
+        object.__setattr__(self, "_columns", columns)
         for ref in self.primary_keys:
-            self._check_ref(index, ref, "primary key")
+            self._check_ref(ref, "primary key")
         for fk in self.foreign_keys:
-            self._check_ref(index, fk.child, "foreign key")
-            self._check_ref(index, fk.parent, "foreign key")
+            self._check_ref(fk.child, "foreign key")
+            self._check_ref(fk.parent, "foreign key")
 
-    def _check_ref(self, index: dict, ref: KeyRef, kind: str) -> None:
-        cols = index.get(ref.table.lower())
-        if cols is None or ref.column.lower() not in cols:
+    def _check_ref(self, ref: KeyRef, kind: str) -> None:
+        if not self.has_column(ref.table, ref.column):
             raise DatasetError(
                 f"{self.db_id}: {kind} references unknown column {ref.table}.{ref.column}"
             )
 
     def table(self, name: str) -> TableDef | None:
-        folded = name.lower()
-        for t in self.tables:
-            if t.name.lower() == folded:
-                return t
-        return None
+        entry = self._columns.get(name.lower())
+        return None if entry is None else entry[0]
 
     def has_column(self, table: str, column: str) -> bool:
-        t = self.table(table)
-        return t is not None and column.lower() in {c.name.lower() for c in t.columns}
+        entry = self._columns.get(table.lower())
+        return entry is not None and column.lower() in entry[1]
 
     def primary_key_of(self, table: str) -> str | None:
         """First declared primary-key column of a table, original casing."""

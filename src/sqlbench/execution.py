@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import sqlite3
 import statistics
+import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import isclose
 from pathlib import Path
 
@@ -37,7 +39,12 @@ class ExecutionFailure(Exception):
 class ExecOutcome:
     rows: list[tuple]
     elapsed: float
-    ordered: bool
+    sql: str
+
+    @cached_property
+    def ordered(self) -> bool:
+        """Whether the query orders its rows; worked out on first use only."""
+        return has_top_level_order_by(self.sql)
 
 
 def has_top_level_order_by(sql: str) -> bool:
@@ -63,12 +70,38 @@ def has_top_level_order_by(sql: str) -> bool:
     return False
 
 
-def execute_sql(sql: str, db_file: str | Path, timeout_s: float = 30.0) -> ExecOutcome:
-    """Run one statement read-only and fetch all rows under a deadline."""
+def connect_readonly(db_file: str | Path) -> sqlite3.Connection:
+    """Open a database strictly read-only, usable from any one thread at a time."""
     path = Path(db_file)
     if not path.is_file():
         raise ExecutionFailure(DB_UNAVAILABLE, f"no database file at {path}")
-    ordered = has_top_level_order_by(sql)
+    try:
+        conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True, check_same_thread=False)
+    except sqlite3.Error as exc:
+        raise ExecutionFailure(EXEC_ERROR, str(exc)) from exc
+    try:
+        conn.execute("PRAGMA query_only = ON")
+    except sqlite3.Error as exc:
+        conn.close()
+        raise ExecutionFailure(EXEC_ERROR, str(exc)) from exc
+    return conn
+
+
+def execute_sql(
+    sql: str,
+    db_file: str | Path,
+    timeout_s: float = 30.0,
+    conn: sqlite3.Connection | None = None,
+) -> ExecOutcome:
+    """Run one statement read-only and fetch all rows under a deadline.
+
+    ``conn``, when given, is an open connection from ``connect_readonly`` to
+    ``db_file``; it is left open, with no progress handler. Otherwise the
+    statement runs on a connection of its own.
+    """
+    own = conn is None
+    if own:
+        conn = connect_readonly(db_file)
     deadline = time.monotonic() + timeout_s
     timed_out = False
 
@@ -79,10 +112,9 @@ def execute_sql(sql: str, db_file: str | Path, timeout_s: float = 30.0) -> ExecO
             return 1
         return 0
 
-    conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+    cursor = None
     try:
         conn.set_progress_handler(guard, _PROGRESS_INTERVAL_OPS)
-        conn.execute("PRAGMA query_only = ON")
         start = time.perf_counter()
         cursor = conn.execute(sql)
         rows: list[tuple] = []
@@ -99,8 +131,76 @@ def execute_sql(sql: str, db_file: str | Path, timeout_s: float = 30.0) -> ExecO
         kind = TIMEOUT if timed_out else EXEC_ERROR
         raise ExecutionFailure(kind, str(exc)) from exc
     finally:
-        conn.close()
-    return ExecOutcome(rows=rows, elapsed=max(elapsed, _MIN_ELAPSED_S), ordered=ordered)
+        if own:
+            conn.close()
+        else:
+            if cursor is not None:
+                cursor.close()
+            conn.set_progress_handler(None, 0)
+    return ExecOutcome(rows=rows, elapsed=max(elapsed, _MIN_ELAPSED_S), sql=sql)
+
+
+# authorizer actions of statements that can leave state on a connection
+_STATEFUL_ACTIONS = frozenset({
+    sqlite3.SQLITE_PRAGMA,
+    sqlite3.SQLITE_TRANSACTION,
+    sqlite3.SQLITE_SAVEPOINT,
+    sqlite3.SQLITE_ATTACH,
+    sqlite3.SQLITE_DETACH,
+})
+
+
+class ThreadConnections:
+    """One open read-only connection per thread, to the database that thread
+    used last; a thread that moves to another database closes its old one.
+
+    A statement that can leave state on its connection (a PRAGMA, a
+    transaction, a savepoint, ATTACH or DETACH) still runs on it, but retires
+    it, so no later statement sees what an earlier one set. ``close`` closes
+    every connection still open, from any thread, once no thread uses them.
+    """
+
+    def __init__(self) -> None:
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._open: set[sqlite3.Connection] = set()
+
+    def get(self, db_file: str | Path) -> sqlite3.Connection:
+        local = self._local
+        current = getattr(local, "current", None)
+        if current is not None:
+            used, conn = current
+            if used == db_file and not local.retired:
+                return conn
+            local.current = None
+            with self._lock:
+                self._open.discard(conn)
+            conn.close()
+        conn = connect_readonly(db_file)
+        local.retired = False
+
+        def authorize(action, *_args) -> int:
+            if action in _STATEFUL_ACTIONS:
+                local.retired = True
+            return sqlite3.SQLITE_OK
+
+        conn.set_authorizer(authorize)
+        with self._lock:
+            self._open.add(conn)
+        local.current = (db_file, conn)
+        return conn
+
+    def close(self) -> None:
+        with self._lock:
+            conns, self._open = self._open, set()
+        for conn in conns:
+            conn.close()
+
+    def __enter__(self) -> "ThreadConnections":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def median_elapsed(sql: str, db_file: str | Path, timeout_s: float, runs: int = 3) -> float:

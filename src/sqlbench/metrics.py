@@ -6,17 +6,20 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .datasets import BIRD, DatabaseSchema, DatasetBundle, DifficultyLabel, ExampleTriple
 from .execution import (
     DB_UNAVAILABLE,
+    ExecOutcome,
     ExecutionFailure,
+    ThreadConnections,
     execute_sql,
     median_elapsed,
     results_match,
 )
-from .sqlkit import SqlParseError, classify_difficulty, em_match, parse_sql
+from .sqlkit import SqlParseError, SqlUnit, classify_difficulty, em_match, parse_sql
 
 PREDICTION_ERROR = "prediction-error"
 PARSE_ERROR = "parse-error"
@@ -57,21 +60,47 @@ def score_ex(
     prediction with ``ves`` set, the efficiency ratio
     sqrt(gold_elapsed / pred_elapsed) is computed from median-of-3 timings.
     """
-    if db_file is None or not Path(db_file).is_file():
+    if not _db_available(db_file):
         return ExScore(ex=None, ves_ratio=None, failure=DB_UNAVAILABLE)
+    return _judge(_run_gold(gold_sql, db_file, timeout_s), pred_sql, db_file, timeout_s, ves)
+
+
+def _db_available(db_file: str | Path | None) -> bool:
+    return db_file is not None and Path(db_file).is_file()
+
+
+def _run_gold(
+    gold_sql: str,
+    db_file: str | Path,
+    timeout_s: float,
+    connections: ThreadConnections | None = None,
+) -> ExecOutcome:
     try:
-        gold_out = execute_sql(gold_sql, db_file, timeout_s)
+        conn = connections.get(db_file) if connections else None
+        return execute_sql(gold_sql, db_file, timeout_s, conn)
     except ExecutionFailure as failure:
         raise GoldExecutionError(f"gold query failed: {failure}") from failure
+
+
+def _judge(
+    gold_out: ExecOutcome,
+    pred_sql: str,
+    db_file: str | Path,
+    timeout_s: float,
+    ves: bool,
+    connections: ThreadConnections | None = None,
+) -> ExScore:
+    """Execute the prediction and compare it with the gold's result."""
     try:
-        pred_out = execute_sql(pred_sql, db_file, timeout_s)
+        conn = connections.get(db_file) if connections else None
+        pred_out = execute_sql(pred_sql, db_file, timeout_s, conn)
     except ExecutionFailure as failure:
         return ExScore(ex=False, ves_ratio=None, failure=failure.kind)
     ex = results_match(gold_out.rows, pred_out.rows, gold_out.ordered)
     ves_ratio = None
     if ex and ves:
         try:
-            gold_time = median_elapsed(gold_sql, db_file, timeout_s)
+            gold_time = median_elapsed(gold_out.sql, db_file, timeout_s)
             pred_time = median_elapsed(pred_sql, db_file, timeout_s)
             ves_ratio = math.sqrt(gold_time / pred_time)
         except ExecutionFailure:
@@ -124,27 +153,51 @@ class ScoreOptions:
     workers: int = 4
 
 
-def _difficulty_for(example: ExampleTriple, bundle: DatasetBundle,
-                    cache: dict) -> DifficultyLabel | None:
-    if bundle.dialect == BIRD:
-        return example.difficulty
-    key = (example.db_id, example.gold_sql)
-    if key not in cache:
+class _Gold:
+    """One distinct (db_id, gold_sql) of a run. Each fact about it is worked
+    out on first use and then shared by every example with this gold."""
+
+    def __init__(self, example: ExampleTriple, bundle: DatasetBundle,
+                 options: ScoreOptions, connections: ThreadConnections) -> None:
+        self.sql = example.gold_sql
+        self.schema = bundle.schemas[example.db_id]
+        self.db_file = bundle.db_files.get(example.db_id)
+        self.connections = connections
+        self._timeout_s = options.timeout_s
+
+    @cached_property
+    def unit(self) -> SqlUnit | None:
+        """The parsed gold, or None outside the clause grammar."""
         try:
-            unit = parse_sql(example.gold_sql, bundle.schemas[example.db_id])
-            cache[key] = classify_difficulty(unit)
+            return parse_sql(self.sql, self.schema)
         except SqlParseError:
-            cache[key] = None
-    return cache[key]
+            return None
+
+    @cached_property
+    def difficulty(self) -> DifficultyLabel | None:
+        return None if self.unit is None else classify_difficulty(self.unit)
+
+    @cached_property
+    def db_available(self) -> bool:
+        return _db_available(self.db_file)
+
+    @cached_property
+    def result(self) -> ExecOutcome | GoldExecutionError:
+        """The gold's rows, or the error of a gold that does not execute."""
+        try:
+            return _run_gold(self.sql, self.db_file, self._timeout_s, self.connections)
+        except GoldExecutionError as error:
+            return error
 
 
 def _score_one(
     example: ExampleTriple,
     prediction,
+    gold: _Gold,
     bundle: DatasetBundle,
     options: ScoreOptions,
-    difficulty: DifficultyLabel | None,
 ) -> EvalRecord:
+    difficulty = example.difficulty if bundle.dialect == BIRD else gold.difficulty
     if prediction is None or getattr(prediction, "error", None):
         return EvalRecord(
             example_index=example.index,
@@ -155,31 +208,29 @@ def _score_one(
             failure=PREDICTION_ERROR,
         )
     pred_sql = prediction.extracted_sql
-    schema = bundle.schemas[example.db_id]
 
-    em = None
+    em = None  # an unparseable gold is excluded from EM, kept for EX
     pred_unparseable = False
-    if options.em:
+    if options.em and gold.unit is not None:
         try:
-            em = score_em(pred_sql, example.gold_sql, schema)
+            pred_unit = parse_sql(pred_sql, gold.schema)
         except SqlParseError:
-            em = None  # unparseable gold: excluded from EM, kept for EX
-        if em is False:
-            try:
-                parse_sql(pred_sql, schema)
-            except SqlParseError:
-                pred_unparseable = True
+            em, pred_unparseable = False, True
+        else:
+            em = em_match(pred_unit, gold.unit)
 
     ex = None
     ves_ratio = None
     failure = None
     if options.ex:
-        db_file = bundle.db_files.get(example.db_id)
-        try:
-            result = score_ex(pred_sql, example.gold_sql, db_file, options.timeout_s, options.ves)
+        if not gold.db_available:
+            failure = DB_UNAVAILABLE
+        elif isinstance(gold.result, GoldExecutionError):
+            failure = GOLD_ERROR
+        else:
+            result = _judge(gold.result, pred_sql, gold.db_file, options.timeout_s,
+                            options.ves, gold.connections)
             ex, ves_ratio, failure = result.ex, result.ves_ratio, result.failure
-        except GoldExecutionError:
-            ex, failure = None, GOLD_ERROR
     if failure is None and pred_unparseable:
         # the prediction is outside the clause grammar; execution verdicts,
         # when computed, still stand on their own
@@ -202,26 +253,38 @@ def score_run(
 ) -> list[EvalRecord]:
     """Score every example of the run: exactly one EvalRecord per example,
     in example order. Examples without a prediction score as prediction
-    errors rather than aborting."""
+    errors rather than aborting.
+
+    Examples are scored in groups sharing one (db_id, gold_sql): the gold is
+    parsed, classified and executed at most once per run, and its rows are
+    dropped when its last example has been scored. Predictions always
+    execute. Each scoring thread keeps one read-only connection open, to the
+    database it used last, until the run ends.
+    """
     options = options or ScoreOptions()
-    cache: dict = {}
-    difficulties = [_difficulty_for(ex, bundle, cache) for ex in examples]
-    jobs = [
-        (example, predictions.get(example.index), difficulty)
-        for example, difficulty in zip(examples, difficulties)
-    ]
-    # VES timings taken while other scoring threads run would measure their
-    # contention rather than the queries, so VES runs score one at a time
-    if options.ex and not options.ves and options.workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=options.workers) as pool:
-            records = list(
-                pool.map(
-                    lambda job: _score_one(job[0], job[1], bundle, options, job[2]),
-                    jobs,
+    groups: dict[tuple[str, str], list[int]] = {}
+    for position, example in enumerate(examples):
+        groups.setdefault((example.db_id, example.gold_sql), []).append(position)
+    records: list[EvalRecord | None] = [None] * len(examples)
+
+    with ThreadConnections() as connections:
+
+        def score_group(positions: list[int]) -> None:
+            gold = _Gold(examples[positions[0]], bundle, options, connections)
+            for position in positions:
+                example = examples[position]
+                records[position] = _score_one(
+                    example, predictions.get(example.index), gold, bundle, options
                 )
-            )
-    else:
-        records = [_score_one(ex, pred, bundle, options, d) for ex, pred, d in jobs]
+
+        # VES timings taken while other scoring threads run would measure their
+        # contention rather than the queries, so VES runs score one at a time
+        if options.ex and not options.ves and options.workers > 1 and len(groups) > 1:
+            with ThreadPoolExecutor(max_workers=options.workers) as pool:
+                list(pool.map(score_group, groups.values()))
+        else:
+            for positions in groups.values():
+                score_group(positions)
     return records
 
 

@@ -47,6 +47,30 @@ def test_ingest_missing_examples_file(scratch_config, capsys):
     assert "missing_dev.json" in err
 
 
+def test_ingest_parses_each_distinct_gold_once(bundle, monkeypatch):
+    """The grammar check reports every example of an unparseable gold, and
+    parses each distinct (db_id, gold_sql) once."""
+    from dataclasses import replace
+
+    import sqlbench.sqlkit
+    from sqlbench.cli import _unparseable_golds
+
+    dev = bundle.splits["dev"]
+    outside = "SELECT name FROM singer WHERE EXISTS (SELECT 1)"
+    rows = dev + [replace(ex, index=100 + ex.index) for ex in dev]
+    rows += [replace(dev[0], index=200 + i, gold_sql=outside) for i in range(3)]
+    parsed = []
+
+    def counted(sql, schema):
+        parsed.append(sql)
+        return parse_sql(sql, schema)
+
+    parse_sql = sqlbench.sqlkit.parse_sql
+    monkeypatch.setattr(sqlbench.sqlkit, "parse_sql", counted)
+    assert _unparseable_golds(bundle, rows) == [200, 201, 202]
+    assert sorted(parsed) == sorted({ex.gold_sql for ex in rows})
+
+
 def test_ingest_deterministic(scratch_config, tmp_path):
     config = write_config_with_url(scratch_config, "http://127.0.0.1:1/v1")
     run_cli("ingest", "--config", str(config), "--run-id", "a")
@@ -74,6 +98,54 @@ def test_build_corpus_random_shot(scratch_config, tmp_path):
     rc = run_cli("build-corpus", "--config", str(config), "--run-id", "t", "--random-shot")
     assert rc == 0
     assert (tmp_path / "runs" / "t" / "corpus" / "train_random_shot.jsonl").is_file()
+
+
+@pytest.mark.parametrize("strategy", ["question-similarity", "dual-similarity"])
+def test_build_corpus_builds_one_index_for_all_jobs(scratch_config, tmp_path, bundle,
+                                                    monkeypatch, strategy):
+    """`--random-shot --k 3` embeds the split once, and its corpora are the
+    bytes each job writes with an index of its own."""
+    import sqlbench.cli
+    import sqlbench.corpus
+    from sqlbench.corpus import export_corpus
+    from sqlbench.runconfig import load_run_config
+    from sqlbench.selection import FIXED_K, RANDOM_SHOT
+
+    config = write_config_with_url(scratch_config, "http://127.0.0.1:1/v1")
+    config.write_text(config.read_text().replace("strategy: random", f"strategy: {strategy}"))
+    builds = []
+    for module in (sqlbench.cli, sqlbench.corpus):
+        def counted(*args, original=module.build_index, **kwargs):
+            builds.append(1)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, "build_index", counted)
+    assert run_cli("build-corpus", "--config", str(config), "--run-id", "t",
+                   "--random-shot", "--k", "3") == 0
+    assert len(builds) == 1
+
+    run_config = load_run_config(config)
+    template = run_config.prompt.template()
+    corpus_dir = tmp_path / "runs" / "t" / "corpus"
+    for name, mode, k in (("train_random_shot.jsonl", RANDOM_SHOT, 0),
+                          ("train_k3.jsonl", FIXED_K, 3)):
+        policy = run_config.selection.policy(default_seed=run_config.seed, k=k)
+        reference = tmp_path / f"reference_{name}"
+        export_corpus(bundle.splits["train"], bundle, template, policy, mode, reference)
+        assert (corpus_dir / name).read_bytes() == reference.read_bytes(), name
+    assert len(builds) == 3
+
+
+def test_build_corpus_at_k0_builds_no_index(scratch_config, monkeypatch):
+    import sqlbench.cli
+    import sqlbench.corpus
+
+    config = write_config_with_url(scratch_config, "http://127.0.0.1:1/v1")
+    config.write_text(config.read_text().replace("strategy: random",
+                                                 "strategy: question-similarity"))
+    for module in (sqlbench.cli, sqlbench.corpus):
+        monkeypatch.setattr(module, "build_index", None)  # calling it fails the run
+    assert run_cli("build-corpus", "--config", str(config), "--run-id", "t",
+                   "--k", "0") == 0
 
 
 def test_predict_stub_run(scratch_config, tmp_path, gold_stub):
@@ -233,14 +305,19 @@ def test_errored_predictions_are_retried_on_rerun(scratch_config, tmp_path, bund
     out = tmp_path / "runs" / "t" / "predictions" / "dev_shots0.jsonl"
     with StubServer(StubBehavior(always_status=500)) as down:
         config = write_config_with_url(scratch_config, down.base_url)
+        capsys.readouterr()
         assert run_cli(*argv, "--config", str(config)) == 0
+        assert (f"20 predictions written to {out} (20 errored; rerun predict to retry them)"
+                in capsys.readouterr().out)
     assert all(p.error is not None for p in read_predictions(out).values())
     answers = answers_from_examples(bundle.splits["dev"])
     with StubServer(StubBehavior(answers=answers)) as healthy:
         config = write_config_with_url(scratch_config, healthy.base_url)
         capsys.readouterr()
         assert run_cli(*argv, "--config", str(config)) == 0
-        assert "already complete" not in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "already complete" not in printed
+        assert f"20 predictions written to {out}\n" in printed
         assert healthy.request_count == 20
         predictions = read_predictions(out)
         assert sorted(predictions) == list(range(20))

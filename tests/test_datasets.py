@@ -37,6 +37,19 @@ def test_concert_singer_catalog_entry(bundle):
     assert (fk.parent.table, fk.parent.column) == ("stadium", "Stadium_ID")
 
 
+def test_schema_lookups_fold_case(bundle):
+    """`table` and `has_column` agree with a scan of the declared tables."""
+    schema = bundle.schemas["concert_singer"]
+    for table in schema.tables:
+        for name in (table.name, table.name.upper()):
+            assert schema.table(name) is table
+            for column in table.columns:
+                assert schema.has_column(name, column.name.swapcase())
+            assert not schema.has_column(name, "no_such_column")
+    assert schema.table("no_such_table") is None
+    assert not schema.has_column("no_such_table", "name")
+
+
 def test_empty_catalog(tmp_path):
     path = tmp_path / "tables.json"
     path.write_text("[]", encoding="utf-8")

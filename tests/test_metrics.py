@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +26,7 @@ from sqlbench.metrics import (
 
 
 def sha256(path) -> str:
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def prediction(index: int, sql: str) -> Prediction:
@@ -284,3 +285,287 @@ def test_score_run_with_ves(bundle):
         assert record.ex is True
         assert record.ves_ratio is not None
         assert 0.5 <= record.ves_ratio <= 2.0
+
+
+# --- score_run's per-gold cache against the per-example public scorers ---
+
+# prediction kinds, cycled over the examples by position
+_PREDICTION_KINDS = (
+    "echo",  # the gold itself: EM and EX true
+    "SELECT count(*) FROM stadium",  # parses, misses EM
+    "SELECT name FROM singer WHERE EXISTS (SELECT 1)",  # executes, outside the grammar
+    "SELECT broken FROM nowhere",  # neither parses nor executes
+    None,  # no prediction at all
+    "error",  # an errored request
+    "SELECT 1",
+    "PRAGMA case_sensitive_like = 1",  # leaves state on its connection
+    "PRAGMA query_only = OFF",
+    "DELETE FROM singer",  # refused: the database is read-only
+)
+
+
+def _scoring_examples(bundle):
+    """The fixture dev split, then dev examples again under new indexes
+    (shared golds), train examples (another database, whose file is missing)
+    and golds that fall outside the grammar or do not execute."""
+    from dataclasses import replace
+
+    dev = bundle.splits["dev"]
+    examples = list(dev)
+    examples += [replace(ex, index=100 + ex.index) for ex in dev[::3]]
+    examples += [replace(ex, index=200 + ex.index) for ex in bundle.splits["train"]]
+    examples += [
+        replace(dev[0], index=300, gold_sql="SELECT name FROM singer WHERE EXISTS (SELECT 1)"),
+        replace(dev[0], index=301, gold_sql="SELECT broken FROM nowhere"),
+        replace(dev[0], index=302, gold_sql="SELECT 'a' LIKE 'A'"),
+        replace(dev[0], index=303, gold_sql="SELECT 'a' LIKE 'A'"),
+    ]
+    return examples
+
+
+def _scoring_predictions(examples):
+    predictions = {}
+    for position, example in enumerate(examples):
+        kind = _PREDICTION_KINDS[position % len(_PREDICTION_KINDS)]
+        if kind is None:
+            continue
+        if kind == "error":
+            predictions[example.index] = Prediction(example.index, "", "", 1.0, 1, error="HTTP 500")
+        else:
+            predictions[example.index] = prediction(
+                example.index, example.gold_sql if kind == "echo" else kind)
+    return predictions
+
+
+def _reference_record(example, pred, bundle, options) -> EvalRecord:
+    """One example scored on its own, through the public scorers."""
+    from sqlbench.sqlkit import SqlParseError, classify_difficulty, parse_sql
+
+    schema = bundle.schemas[example.db_id]
+    try:
+        difficulty = classify_difficulty(parse_sql(example.gold_sql, schema))
+    except SqlParseError:
+        difficulty = None
+    if pred is None or pred.error:
+        return EvalRecord(example.index, False if options.em else None,
+                          False if options.ex else None, None, difficulty, "prediction-error")
+    em = None
+    pred_unparseable = False
+    if options.em:
+        try:
+            em = score_em(pred.extracted_sql, example.gold_sql, schema)
+        except SqlParseError:
+            em = None
+        if em is False:
+            try:
+                parse_sql(pred.extracted_sql, schema)
+            except SqlParseError:
+                pred_unparseable = True
+    ex = failure = None
+    if options.ex:
+        try:
+            result = score_ex(pred.extracted_sql, example.gold_sql,
+                              bundle.db_files.get(example.db_id), options.timeout_s)
+            ex, failure = result.ex, result.failure
+        except GoldExecutionError:
+            failure = "gold-error"
+    if failure is None and pred_unparseable:
+        failure = "parse-error"
+    return EvalRecord(example.index, em, ex, None, difficulty, failure)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("em,ex", [(True, True), (True, False), (False, True)])
+def test_score_run_matches_per_example_reference(bundle, db_file, workers, em, ex):
+    examples = _scoring_examples(bundle)
+    predictions = _scoring_predictions(examples)
+    options = ScoreOptions(em=em, ex=ex, timeout_s=10, workers=workers)
+    before = sha256(db_file)
+    records = score_run(examples, predictions, bundle, options)
+    assert sha256(db_file) == before, "database bytes changed during scoring"
+    reference = [_reference_record(e, predictions.get(e.index), bundle, options)
+                 for e in examples]
+    assert records == reference
+    # the run covers every verdict it is meant to
+    failures = {r.failure for r in records}
+    assert "prediction-error" in failures
+    if ex:
+        assert {"exec-error", "db-unavailable", "gold-error", None} <= failures
+        assert {True, False} <= {r.ex for r in records}
+    if em:
+        assert "parse-error" in failures
+        assert {True, False, None} <= {r.em for r in records}
+
+
+def test_score_run_analyses_each_gold_once(bundle, monkeypatch):
+    import sqlbench.metrics as metrics
+
+    dev = bundle.splits["dev"]
+    examples = _scoring_examples(bundle)[: len(dev) + len(dev[::3])]  # one database
+    # every prediction is a distinct string, no gold's twin
+    predictions = {}
+    for position, example in enumerate(examples):
+        sql = example.gold_sql if position % 2 else "SELECT count(*) FROM stadium"
+        predictions[example.index] = prediction(example.index, sql + " " * (position + 1))
+    executed, parsed = [], []
+
+    def counting(calls, original):
+        def counted(sql, *args, **kwargs):
+            calls.append(sql)
+            return original(sql, *args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(metrics, "execute_sql", counting(executed, metrics.execute_sql))
+    monkeypatch.setattr(metrics, "parse_sql", counting(parsed, metrics.parse_sql))
+    for workers in (1, 4):
+        executed.clear()
+        parsed.clear()
+        records = score_run(examples, predictions, bundle,
+                            ScoreOptions(timeout_s=10, workers=workers))
+        assert all(r.ex is not None and r.em is not None for r in records)
+        golds = {ex.gold_sql for ex in examples}
+        assert len(golds) == len(dev) < len(examples)
+        for calls in (executed, parsed):
+            assert sorted(sql for sql in calls if sql in golds) == sorted(golds)
+        pred_sqls = [p.extracted_sql for p in predictions.values()]
+        assert sorted(sql for sql in executed if sql not in golds) == sorted(pred_sqls)
+        assert sorted(sql for sql in parsed if sql not in golds) == sorted(pred_sqls)
+
+
+def test_em_off_on_bird_parses_no_gold(bird_bundle, monkeypatch):
+    import sqlbench.metrics as metrics
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("parsed or executed with EM and EX off")
+
+    monkeypatch.setattr(metrics, "parse_sql", refuse)
+    monkeypatch.setattr(metrics, "execute_sql", refuse)
+    examples = bird_bundle.splits["dev"]
+    predictions = {ex.index: prediction(ex.index, ex.gold_sql) for ex in examples}
+    records = score_run(examples, predictions, bird_bundle, ScoreOptions(em=False, ex=False))
+    assert [r.difficulty for r in records] == [ex.difficulty for ex in examples]
+
+
+class TestReusedConnection:
+    RUNAWAY = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c)"
+               " SELECT count(*) FROM c")
+    # many more than the progress handler's interval of virtual-machine steps
+    LONG = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c LIMIT 200000)"
+            " SELECT count(*) FROM c")
+
+    def test_timeout_leaves_the_connection_working(self, db_file):
+        from sqlbench.execution import ThreadConnections
+
+        with ThreadConnections() as connections:
+            conn = connections.get(db_file)
+            with pytest.raises(ExecutionFailure) as err:
+                execute_sql(self.RUNAWAY, db_file, 0.5, conn)
+            assert err.value.kind == "timeout"
+            assert connections.get(db_file) is conn
+            # no expired deadline is left behind to interrupt the next query
+            assert conn.execute(self.LONG).fetchall() == [(200000,)]
+            outcome = execute_sql("SELECT count(*) FROM singer", db_file, 5, conn)
+            assert outcome.rows == [(6,)]
+
+    def test_stateful_statement_retires_its_connection(self, db_file):
+        import sqlite3
+
+        from sqlbench.execution import ThreadConnections
+
+        with ThreadConnections() as connections:
+            conn = connections.get(db_file)
+            assert execute_sql("SELECT 'a' LIKE 'A'", db_file, 5, conn).rows == [(1,)]
+            assert connections.get(db_file) is conn
+            execute_sql("PRAGMA case_sensitive_like = 1", db_file, 5, conn)
+            fresh = connections.get(db_file)
+            assert fresh is not conn
+            with pytest.raises(sqlite3.ProgrammingError):
+                conn.execute("SELECT 1")
+            assert execute_sql("SELECT 'a' LIKE 'A'", db_file, 5, fresh).rows == [(1,)]
+
+    def test_a_prediction_does_not_change_a_later_gold(self, bundle):
+        from dataclasses import replace
+
+        first = bundle.splits["dev"][0]
+        examples = [first, replace(first, index=1, gold_sql="SELECT 'a' LIKE 'A'")]
+        predictions = {0: prediction(0, "PRAGMA case_sensitive_like = 1"),
+                       1: prediction(1, "SELECT 1")}
+        records = score_run(examples, predictions, bundle, ScoreOptions(timeout_s=10))
+        assert records[1].ex is True
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_score_run_closes_every_connection(bundle, monkeypatch, fail):
+    import sqlite3
+
+    import sqlbench.execution as execution
+    import sqlbench.metrics as metrics
+
+    opened = []
+
+    def recording(db_file):
+        conn = connect_readonly(db_file)
+        opened.append(conn)
+        return conn
+
+    connect_readonly = execution.connect_readonly
+    monkeypatch.setattr(execution, "connect_readonly", recording)
+    if fail:
+        calls = []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 5:
+                raise RuntimeError("scoring failed")
+            return results_match(*args)
+
+        monkeypatch.setattr(metrics, "results_match", failing)
+    examples = _scoring_examples(bundle)
+    predictions = {ex.index: prediction(ex.index, ex.gold_sql) for ex in examples}
+    options = ScoreOptions(timeout_s=10, workers=4)
+    if fail:
+        with pytest.raises(RuntimeError):
+            score_run(examples, predictions, bundle, options)
+    else:
+        score_run(examples, predictions, bundle, options)
+    assert opened
+    for conn in opened:
+        with pytest.raises(sqlite3.ProgrammingError):
+            conn.execute("SELECT 1")
+
+
+def test_score_run_threads_stress(bundle, monkeypatch):
+    """More scoring threads than cores, switching often: the records equal a
+    serial run's, each thread opened one connection, and all are closed."""
+    import sqlite3
+    import sys
+    from dataclasses import replace
+
+    import sqlbench.execution as execution
+
+    opened = []
+
+    def recording(db_file):
+        conn = connect_readonly(db_file)
+        opened.append(conn)
+        return conn
+
+    connect_readonly = execution.connect_readonly
+    monkeypatch.setattr(execution, "connect_readonly", recording)
+    dev = bundle.splits["dev"]
+    examples = [replace(ex, index=round_ * 100 + ex.index) for round_ in range(5) for ex in dev]
+    predictions = {ex.index: prediction(ex.index, ex.gold_sql if ex.index % 3 else "SELECT 1")
+                   for ex in examples}
+    serial = score_run(examples, predictions, bundle, ScoreOptions(timeout_s=10, workers=1))
+    opened.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = score_run(examples, predictions, bundle, ScoreOptions(timeout_s=10, workers=8))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    assert 1 <= len(opened) <= 8
+    for conn in opened:
+        with pytest.raises(sqlite3.ProgrammingError):
+            conn.execute("SELECT 1")
