@@ -490,7 +490,9 @@ class TestReusedConnection:
         examples = [first, replace(first, index=1, gold_sql="SELECT 'a' LIKE 'A'")]
         predictions = {0: prediction(0, "PRAGMA case_sensitive_like = 1"),
                        1: prediction(1, "SELECT 1")}
-        records = score_run(examples, predictions, bundle, ScoreOptions(timeout_s=10))
+        # one thread, so both golds run on the same connection
+        options = ScoreOptions(timeout_s=10, workers=1)
+        records = score_run(examples, predictions, bundle, options)
         assert records[1].ex is True
 
 
