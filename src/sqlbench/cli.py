@@ -30,7 +30,7 @@ from .reporting import (
     summarize,
 )
 from .runconfig import ConfigError, RunConfig, load_run_config
-from .selection import FIXED_K, RANDOM, RANDOM_SHOT, build_index, mix_shots
+from .selection import DUAL_SIMILARITY, FIXED_K, RANDOM, RANDOM_SHOT, build_index, mix_shots
 from .stub import StubBehavior, StubServer
 
 # Not called here: the traced benchmark run (benchmarks/spans.py) looks these
@@ -174,6 +174,11 @@ def cmd_build_corpus(args) -> int:
 
 def cmd_predict(args) -> int:
     config = _load_config(args)
+    if args.shots and config.selection.strategy == DUAL_SIMILARITY:
+        print(f"selection.strategy {DUAL_SIMILARITY!r} ranks exemplars by a draft SQL per"
+              " target, which predict does not take; use question-similarity or random",
+              file=sys.stderr)
+        return EXIT_CONFIG
     bundle = _bundle_from_config(config)
     targets = _split(bundle, args.split)
     pool = _split(bundle, config.selection.pool, "selection.pool split") if args.shots else []

@@ -1,17 +1,22 @@
-"""Model-service client: batched chat-completions requests and SQL extraction."""
+"""Model-service client: batched chat-completions calls and SQL extraction."""
 
 from __future__ import annotations
 
+import base64
+import http.client
 import json
 import logging
 import re
+import socket
+import ssl
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
-
-import requests
+from urllib.parse import unquote, urlsplit
+from urllib.request import getproxies, proxy_bypass
 
 from .prompts import PromptEnvelope
 
@@ -109,51 +114,140 @@ def _classify_status(status: int) -> str:
     return "permanent"
 
 
-def _request_once(
-    session: requests.Session, endpoint: ModelEndpoint, text: str
-) -> tuple[str | None, str | None, str]:
+class _Client:
+    """A batch's way to the chat URL, resolved once: the proxy from
+    ``HTTP_PROXY``/``HTTPS_PROXY``/``NO_PROXY``, the TLS context from the
+    system CA store, and the request headers. Each worker thread keeps one
+    connection alive for every call it makes, opened on first use.
+
+    Plain HTTP goes to a proxy in absolute form; HTTPS goes through a
+    ``CONNECT`` tunnel. Credentials in the proxy URL become a
+    ``Proxy-Authorization: Basic`` header.
+    """
+
+    def __init__(self, endpoint: ModelEndpoint) -> None:
+        url = urlsplit(endpoint.chat_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"endpoint URL must be http(s)://host/...: {endpoint.chat_url!r}")
+        self.timeout_s = endpoint.timeout_s
+        self.headers = {"Content-Type": "application/json"}
+        if endpoint.api_key:
+            self.headers["Authorization"] = f"Bearer {endpoint.api_key}"
+        self._tls = ssl.create_default_context() if url.scheme == "https" else None
+        self._tunnel: tuple[str, int] | None = None
+        self._proxy_headers: dict[str, str] = {}
+        port = url.port or (80 if self._tls is None else 443)
+        self.address = (url.hostname, port)
+        self.target = url.path + (f"?{url.query}" if url.query else "")
+        proxy = getproxies().get(url.scheme)
+        if proxy and not proxy_bypass(url.hostname):
+            via = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            if via.scheme != "http" or not via.hostname:
+                raise ValueError(f"{url.scheme} proxy must be http://host[:port]: {proxy!r}")
+            if via.username is not None:
+                credentials = f"{unquote(via.username)}:{unquote(via.password or '')}"
+                self._proxy_headers["Proxy-Authorization"] = (
+                    "Basic " + base64.b64encode(credentials.encode("utf-8")).decode("ascii"))
+            if self._tls is not None:
+                self._tunnel = self.address
+            else:
+                self.target = endpoint.chat_url
+                self.headers.update(self._proxy_headers)
+            self.address = (via.hostname, via.port or 80)
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._opened: list[http.client.HTTPConnection] = []
+
+    def new_connection(self) -> http.client.HTTPConnection:
+        """An unopened connection to the endpoint, or to its proxy."""
+        host, port = self.address
+        if self._tls is None:
+            conn = http.client.HTTPConnection(host, port, timeout=self.timeout_s)
+        else:
+            conn = http.client.HTTPSConnection(host, port, timeout=self.timeout_s,
+                                               context=self._tls)
+        if self._tunnel is not None:
+            conn.set_tunnel(*self._tunnel, headers=self._proxy_headers)
+        return conn
+
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self.new_connection()
+            with self._lock:
+                self._opened.append(conn)
+        return conn
+
+    def post(self, body: bytes) -> tuple[int, bytes]:
+        """Status and body of one POST on the calling thread's connection.
+
+        A kept-alive connection that the server closed while it sat idle fails
+        before a status line arrives; it is reopened and the request sent
+        once more. Any other failure closes the connection and raises.
+        """
+        conn = self._connection()
+        reused = conn.sock is not None
+        try:
+            try:
+                response = self._send(conn, body)
+            except ConnectionError:
+                if not reused:
+                    raise
+                conn.close()
+                response = self._send(conn, body)
+            return response.status, response.read()
+        except (OSError, http.client.HTTPException):
+            conn.close()
+            raise
+
+    def _send(self, conn: http.client.HTTPConnection, body: bytes) -> http.client.HTTPResponse:
+        if conn.sock is None:
+            conn.connect()
+            conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn.request("POST", self.target, body, self.headers)
+        return conn.getresponse()
+
+    def close(self) -> None:
+        with self._lock:
+            for conn in self._opened:
+                conn.close()
+
+
+def _request_once(client: _Client, body: bytes) -> tuple[str | None, str | None, str]:
     """Returns (content, error, classification)."""
-    headers = {"Content-Type": "application/json"}
-    if endpoint.api_key:
-        headers["Authorization"] = f"Bearer {endpoint.api_key}"
-    body = {
-        "model": endpoint.model_name,
-        "messages": [{"role": "user", "content": text}],
-        "temperature": endpoint.temperature,
-        "max_tokens": endpoint.max_response_tokens,
-    }
     try:
-        response = session.post(
-            endpoint.chat_url, json=body, headers=headers, timeout=endpoint.timeout_s
-        )
-    except requests.RequestException as exc:
+        status, data = client.post(body)
+    except (OSError, http.client.HTTPException) as exc:
         return None, f"request failed: {exc}", "transient"
-    if response.status_code != 200:
-        return (
-            None,
-            f"status {response.status_code}: {response.text[:200]}",
-            _classify_status(response.status_code),
-        )
+    if status != 200:
+        text = data.decode("utf-8", errors="replace")
+        return None, f"status {status}: {text[:200]}", _classify_status(status)
     try:
-        content = response.json()["choices"][0]["message"]["content"]
-    except (ValueError, KeyError, IndexError) as exc:
+        content = json.loads(data)["choices"][0]["message"]["content"]
+    except (ValueError, KeyError, IndexError, TypeError) as exc:
         return None, f"malformed response: {exc}", "permanent"
     return content, None, "ok"
 
 
 def _predict_one(
-    session: requests.Session,
+    client: _Client,
     endpoint: ModelEndpoint,
     envelope: PromptEnvelope,
     sleep: Callable[[float], None],
 ) -> Prediction:
+    body = json.dumps({
+        "model": endpoint.model_name,
+        "messages": [{"role": "user", "content": envelope.text}],
+        "temperature": endpoint.temperature,
+        "max_tokens": endpoint.max_response_tokens,
+    }).encode("utf-8")
     attempts = 0
     start = time.perf_counter()
     error = None
     content = None
     while attempts <= endpoint.max_retries:
         attempts += 1
-        content, error, classification = _request_once(session, endpoint, envelope.text)
+        content, error, classification = _request_once(client, body)
         if content is not None:
             break
         if classification == "permanent" or attempts > endpoint.max_retries:
@@ -186,23 +280,23 @@ def predict_batch(
     endpoint: ModelEndpoint,
     on_result: Callable[[Prediction], None] | None = None,
     sleep: Callable[[float], None] = time.sleep,
-    session: requests.Session | None = None,
 ) -> list[Prediction]:
     """One Prediction per envelope, order-preserving.
 
-    Requests run with at most ``concurrency_limit`` in flight; all failures
-    are per-example records, never batch aborts. ``on_result`` is invoked
-    from the calling thread as each prediction completes (single-writer sink).
+    Requests run with at most ``concurrency_limit`` in flight, each worker
+    thread over one kept-alive connection that is closed when the batch
+    returns or raises; all failures are per-example records, never batch
+    aborts. ``on_result`` is invoked from the calling thread as each
+    prediction completes (single-writer sink).
     """
     if not envelopes:
         return []
-    own_session = session is None
-    session = session or requests.Session()
+    client = _Client(endpoint)
     results: dict[int, Prediction] = {}
     try:
         with ThreadPoolExecutor(max_workers=endpoint.concurrency_limit) as pool:
             futures = {
-                pool.submit(_predict_one, session, endpoint, env, sleep): pos
+                pool.submit(_predict_one, client, endpoint, env, sleep): pos
                 for pos, env in enumerate(envelopes)
             }
             for future in as_completed(futures):
@@ -212,8 +306,7 @@ def predict_batch(
                 if on_result is not None:
                     on_result(prediction)
     finally:
-        if own_session:
-            session.close()
+        client.close()
     return [results[pos] for pos in range(len(envelopes))]
 
 

@@ -1,8 +1,9 @@
 """Deterministic in-repo stub of a chat-completions endpoint.
 
-Serves canned SQL for prompts by looking up the last question line, with
-optional fault injection (fixed failure statuses, fail-first-N, per-request
-delay) for exercising the client's retry and resume paths.
+Serves canned SQL for prompts by looking up the last question line, over
+kept-alive HTTP/1.1 connections, with optional fault injection (fixed
+failure statuses, fail-first-N, per-request delay) for exercising the
+client's retry and resume paths.
 """
 
 from __future__ import annotations
@@ -33,6 +34,12 @@ class StubBehavior:
 
 
 class _Handler(BaseHTTPRequestHandler):
+    # keep connections alive, as real model servers do; with Nagle on, a
+    # reply's headers and body go out as two small writes and wait on the
+    # client's delayed ACK
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
     def do_POST(self) -> None:  # noqa: N802 (http.server naming)
         stub = self.server.stub
         with stub.lock:

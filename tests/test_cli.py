@@ -26,6 +26,16 @@ def run_cli(*argv) -> int:
     return main(list(argv))
 
 
+def test_cli_runs_without_requests(tmp_path):
+    """The package's only HTTP client is the standard library's."""
+    probe = ("import sys, sqlbench.cli;"
+             " print(sorted(m for m in sys.modules if m.startswith('requests')))")
+    done = subprocess.run([sys.executable, "-c", probe], env=cli_child_env(), cwd=str(tmp_path),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_ingest_writes_manifest(scratch_config, tmp_path, capsys):
     config = write_config_with_url(scratch_config, "http://127.0.0.1:1/v1")
     rc = run_cli("ingest", "--config", str(config), "--run-id", "t")
@@ -517,6 +527,21 @@ def test_predict_missing_pool_split_is_a_config_error(scratch_config, bundle, ca
         assert server.request_count == 0
     assert rc == 1
     assert "selection.pool split 'train' not in dataset" in capsys.readouterr().err
+
+
+def test_predict_with_dual_similarity_shots_is_a_config_error(scratch_config, gold_stub,
+                                                              capsys):
+    """predict takes no draft SQL, so dual-similarity shots would silently be
+    question-similarity ones; zero-shot predict selects nothing and runs."""
+    scratch_config.write_text(
+        scratch_config.read_text().replace("strategy: random", "strategy: dual-similarity"))
+    config = write_config_with_url(scratch_config, gold_stub.base_url)
+    argv = ["predict", "--config", str(config), "--run-id", "t", "--split", "dev"]
+    assert run_cli(*argv, "--shots", "1") == 1
+    assert gold_stub.request_count == 0
+    assert "'dual-similarity'" in capsys.readouterr().err
+    assert run_cli(*argv, "--shots", "0") == 0
+    assert gold_stub.request_count == 20
 
 
 def test_interrupted_final_write_is_redone(scratch_config, tmp_path, gold_stub, monkeypatch):
