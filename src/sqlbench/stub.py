@@ -97,6 +97,13 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
+class _Server(ThreadingHTTPServer):
+    # a batch opens up to concurrency_limit connections at once; past the
+    # listen backlog (socketserver's default is 5) a connect waits about a
+    # second for its SYN to be sent again
+    request_queue_size = 128
+
+
 class StubServer:
     """Threaded stub endpoint; use as a context manager in tests and demos."""
 
@@ -107,7 +114,7 @@ class StubServer:
         self.request_count = 0
         self.in_flight = 0
         self.max_in_flight = 0
-        self._http = ThreadingHTTPServer((host, port), _Handler)
+        self._http = _Server((host, port), _Handler)
         self._http.stub = self
         self._thread = threading.Thread(target=self._http.serve_forever, daemon=True)
 
