@@ -14,6 +14,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import yaml
 
@@ -186,6 +187,9 @@ def load_run_config(path: str | Path) -> RunConfig:
     endpoint = EndpointConfig(
         **_take(raw.get("endpoint") or {}, EndpointConfig, errors, "endpoint")
     )
+    if urlsplit(str(endpoint.base_url)).scheme not in ("http", "https"):
+        errors.append(f"endpoint.base_url must be an http:// or https:// URL,"
+                      f" got {endpoint.base_url!r}")
     metrics = MetricsConfig(**_take(raw.get("metrics") or {}, MetricsConfig, errors, "metrics"))
     if errors:
         raise ConfigError(errors)

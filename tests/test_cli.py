@@ -544,6 +544,12 @@ def test_predict_with_dual_similarity_shots_is_a_config_error(scratch_config, go
     assert gold_stub.request_count == 20
 
 
+def test_predict_to_a_url_that_is_not_http_is_a_config_error(scratch_config, capsys):
+    config = write_config_with_url(scratch_config, "localhost:8181/v1")
+    assert run_cli("predict", "--config", str(config), "--run-id", "t", "--split", "dev") == 1
+    assert "endpoint.base_url must be an http:// or https:// URL" in capsys.readouterr().err
+
+
 def test_interrupted_final_write_is_redone(scratch_config, tmp_path, gold_stub, monkeypatch):
     """A predictions file cut off while being written is never taken as complete."""
     import sqlbench.cli
