@@ -190,7 +190,7 @@ class _Client:
         try:
             try:
                 response = self._send(conn, body)
-            except ConnectionError:
+            except (ConnectionError, ssl.SSLEOFError):
                 if not reused:
                     raise
                 conn.close()
