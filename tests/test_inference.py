@@ -282,7 +282,7 @@ def test_https_proxy_tunnels_to_the_target(no_proxy_env):
     assert (conn.host, conn.port) == ("proxy.invalid", 3128)
     assert (conn._tunnel_host, conn._tunnel_port) == ("model.invalid", 8443)
     credentials = base64.b64encode(b"user:p@ss").decode("ascii")
-    assert conn._tunnel_headers == {"Proxy-Authorization": f"Basic {credentials}"}
+    assert conn._tunnel_headers["Proxy-Authorization"] == f"Basic {credentials}"
     # the target sees its own path and key, never the proxy's credentials
     assert client.target == "/v1/chat/completions"
     assert client.headers == {"Content-Type": "application/json",
