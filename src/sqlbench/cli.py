@@ -17,7 +17,7 @@ from pathlib import Path
 from .corpus import TrainProfile, emit_train_profile, export_corpus, plan_prompts
 from .datasets import DatasetBundle, DatasetError, ExampleTriple, load_bundle
 from .inference import append_prediction, predict_batch, read_predictions, write_predictions
-from .metrics import ScoreOptions, score_run, write_eval_records
+from .metrics import score_run, write_eval_records
 from .prompts import BudgetExceededError, TokenBudget
 from .reporting import (
     CSV,
@@ -239,14 +239,7 @@ def cmd_evaluate(args) -> int:
         print(f"prediction file not found: {predictions_path}", file=sys.stderr)
         return EXIT_CONFIG
     predictions = read_predictions(predictions_path)
-    options = ScoreOptions(
-        em=config.metrics.em,
-        ex=config.metrics.ex,
-        ves=config.metrics.ves,
-        timeout_s=config.metrics.timeout_s,
-        workers=config.metrics.workers,
-    )
-    records = score_run(examples, predictions, bundle, options)
+    records = score_run(examples, predictions, bundle, config.metrics)
     run_dir = _run_dir(config, args)
     eval_dir = run_dir / "eval"
     reports_dir = run_dir / "reports"

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import sqlite3
 import statistics
-import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -71,12 +70,12 @@ def has_top_level_order_by(sql: str) -> bool:
 
 
 def connect_readonly(db_file: str | Path) -> sqlite3.Connection:
-    """Open a database strictly read-only, usable from any one thread at a time."""
+    """Open a database strictly read-only, for the calling thread only."""
     path = Path(db_file)
     if not path.is_file():
         raise ExecutionFailure(DB_UNAVAILABLE, f"no database file at {path}")
     try:
-        conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True, check_same_thread=False)
+        conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
     except sqlite3.Error as exc:
         raise ExecutionFailure(EXEC_ERROR, str(exc)) from exc
     try:
@@ -150,62 +149,65 @@ _STATEFUL_ACTIONS = frozenset({
 })
 
 
-class ThreadConnections:
-    """One open read-only connection per thread, to the database that thread
-    used last; a thread that moves to another database closes its old one.
+class ReusedConnection:
+    """One open read-only connection, to the database used last; asking for
+    another database closes it and opens one there.
 
-    A statement that can leave state on its connection (a PRAGMA, a
+    A statement that can leave state on the connection (a PRAGMA, a
     transaction, a savepoint, ATTACH or DETACH) still runs on it, but retires
     it, so no later statement sees what an earlier one set. ``close`` closes
-    every connection still open, from any thread, once no thread uses them.
+    the connection still open.
     """
 
     def __init__(self) -> None:
-        self._local = threading.local()
-        self._lock = threading.Lock()
-        self._open: set[sqlite3.Connection] = set()
+        self._db_file: str | Path | None = None
+        self._conn: sqlite3.Connection | None = None
+        self._retired = False
 
     def get(self, db_file: str | Path) -> sqlite3.Connection:
-        local = self._local
-        current = getattr(local, "current", None)
-        if current is not None:
-            used, conn = current
-            if used == db_file and not local.retired:
-                return conn
-            local.current = None
-            with self._lock:
-                self._open.discard(conn)
-            conn.close()
+        if self._conn is not None:
+            if self._db_file == db_file and not self._retired:
+                return self._conn
+            self.close()
         conn = connect_readonly(db_file)
-        local.retired = False
+        self._retired = False
 
         def authorize(action, *_args) -> int:
             if action in _STATEFUL_ACTIONS:
-                local.retired = True
+                self._retired = True
             return sqlite3.SQLITE_OK
 
         conn.set_authorizer(authorize)
-        with self._lock:
-            self._open.add(conn)
-        local.current = (db_file, conn)
+        self._db_file, self._conn = db_file, conn
         return conn
 
     def close(self) -> None:
-        with self._lock:
-            conns, self._open = self._open, set()
-        for conn in conns:
-            conn.close()
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
 
-    def __enter__(self) -> "ThreadConnections":
+    def __enter__(self) -> "ReusedConnection":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
 
 
-def median_elapsed(sql: str, db_file: str | Path, timeout_s: float, runs: int = 3) -> float:
-    """Median wall-clock time of repeated executions, for efficiency ratios."""
-    samples = [execute_sql(sql, db_file, timeout_s).elapsed for _ in range(runs)]
+def median_elapsed(
+    sql: str,
+    db_file: str | Path,
+    timeout_s: float,
+    connection: ReusedConnection,
+    runs: int = 3,
+) -> float:
+    """Median wall-clock time of repeated executions, for efficiency ratios.
+
+    Each run takes its connection from ``connection``, so the timings leave
+    out opening the database and reading its schema, and a statement that
+    retires the connection leaves the next run a fresh one.
+    """
+    samples = [execute_sql(sql, db_file, timeout_s, connection.get(db_file)).elapsed
+               for _ in range(runs)]
     return max(statistics.median(samples), _MIN_ELAPSED_S)
 
 

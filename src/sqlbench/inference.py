@@ -101,13 +101,6 @@ def extract_sql(raw: str) -> str:
     return " ".join(text.replace("\r", "\n").split("\n")).strip()
 
 
-@dataclass
-class _RequestOutcome:
-    content: str | None
-    attempts: int
-    error: str | None
-
-
 def _classify_status(status: int) -> str:
     if status == 429 or status >= 500:
         return "transient"

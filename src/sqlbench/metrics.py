@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -14,7 +13,7 @@ from .execution import (
     DB_UNAVAILABLE,
     ExecOutcome,
     ExecutionFailure,
-    ThreadConnections,
+    ReusedConnection,
     execute_sql,
     median_elapsed,
     results_match,
@@ -62,50 +61,15 @@ def score_ex(
     """
     if not _db_available(db_file):
         return ExScore(ex=None, ves_ratio=None, failure=DB_UNAVAILABLE)
-    return _judge(_run_gold(gold_sql, db_file, timeout_s), pred_sql, db_file, timeout_s, ves)
+    with ReusedConnection() as connection:
+        gold = _Gold(gold_sql, None, db_file, timeout_s, connection)
+        if isinstance(gold.result, GoldExecutionError):
+            raise gold.result
+        return _judge(gold, pred_sql, ves)
 
 
 def _db_available(db_file: str | Path | None) -> bool:
     return db_file is not None and Path(db_file).is_file()
-
-
-def _run_gold(
-    gold_sql: str,
-    db_file: str | Path,
-    timeout_s: float,
-    connections: ThreadConnections | None = None,
-) -> ExecOutcome:
-    try:
-        conn = connections.get(db_file) if connections else None
-        return execute_sql(gold_sql, db_file, timeout_s, conn)
-    except ExecutionFailure as failure:
-        raise GoldExecutionError(f"gold query failed: {failure}") from failure
-
-
-def _judge(
-    gold_out: ExecOutcome,
-    pred_sql: str,
-    db_file: str | Path,
-    timeout_s: float,
-    ves: bool,
-    connections: ThreadConnections | None = None,
-) -> ExScore:
-    """Execute the prediction and compare it with the gold's result."""
-    try:
-        conn = connections.get(db_file) if connections else None
-        pred_out = execute_sql(pred_sql, db_file, timeout_s, conn)
-    except ExecutionFailure as failure:
-        return ExScore(ex=False, ves_ratio=None, failure=failure.kind)
-    ex = results_match(gold_out.rows, pred_out.rows, gold_out.ordered)
-    ves_ratio = None
-    if ex and ves:
-        try:
-            gold_time = median_elapsed(gold_out.sql, db_file, timeout_s)
-            pred_time = median_elapsed(pred_sql, db_file, timeout_s)
-            ves_ratio = math.sqrt(gold_time / pred_time)
-        except ExecutionFailure:
-            ves_ratio = None  # timing rerun failed; the verdict stands
-    return ExScore(ex=ex, ves_ratio=ves_ratio, failure=None)
 
 
 @dataclass
@@ -150,20 +114,19 @@ class ScoreOptions:
     ex: bool = True
     ves: bool = False
     timeout_s: float = 30.0
-    workers: int = 4
 
 
 class _Gold:
     """One distinct (db_id, gold_sql) of a run. Each fact about it is worked
     out on first use and then shared by every example with this gold."""
 
-    def __init__(self, example: ExampleTriple, bundle: DatasetBundle,
-                 options: ScoreOptions, connections: ThreadConnections) -> None:
-        self.sql = example.gold_sql
-        self.schema = bundle.schemas[example.db_id]
-        self.db_file = bundle.db_files.get(example.db_id)
-        self.connections = connections
-        self._timeout_s = options.timeout_s
+    def __init__(self, sql: str, schema: DatabaseSchema | None, db_file: str | Path | None,
+                 timeout_s: float, connection: ReusedConnection) -> None:
+        self.sql = sql
+        self.schema = schema
+        self.db_file = db_file
+        self.timeout_s = timeout_s
+        self.connection = connection
 
     @cached_property
     def unit(self) -> SqlUnit | None:
@@ -185,9 +148,38 @@ class _Gold:
     def result(self) -> ExecOutcome | GoldExecutionError:
         """The gold's rows, or the error of a gold that does not execute."""
         try:
-            return _run_gold(self.sql, self.db_file, self._timeout_s, self.connections)
-        except GoldExecutionError as error:
-            return error
+            return execute_sql(self.sql, self.db_file, self.timeout_s,
+                               self.connection.get(self.db_file))
+        except ExecutionFailure as failure:
+            return GoldExecutionError(f"gold query failed: {failure}")
+
+    @cached_property
+    def elapsed(self) -> float | None:
+        """The gold's median time for VES, or None if a timing run failed."""
+        try:
+            return median_elapsed(self.sql, self.db_file, self.timeout_s, self.connection)
+        except ExecutionFailure:
+            return None
+
+
+def _judge(gold: _Gold, pred_sql: str, ves: bool) -> ExScore:
+    """Execute the prediction and compare it with the gold's result. On a
+    correct prediction with ``ves`` set, both queries are timed on the
+    scoring connection for the efficiency ratio."""
+    try:
+        pred_out = execute_sql(pred_sql, gold.db_file, gold.timeout_s,
+                               gold.connection.get(gold.db_file))
+    except ExecutionFailure as failure:
+        return ExScore(ex=False, ves_ratio=None, failure=failure.kind)
+    ex = results_match(gold.result.rows, pred_out.rows, gold.result.ordered)
+    ves_ratio = None
+    if ex and ves and gold.elapsed is not None:
+        try:
+            pred_time = median_elapsed(pred_sql, gold.db_file, gold.timeout_s, gold.connection)
+            ves_ratio = math.sqrt(gold.elapsed / pred_time)
+        except ExecutionFailure:
+            ves_ratio = None  # timing rerun failed; the verdict stands
+    return ExScore(ex=ex, ves_ratio=ves_ratio, failure=None)
 
 
 def _score_one(
@@ -228,8 +220,7 @@ def _score_one(
         elif isinstance(gold.result, GoldExecutionError):
             failure = GOLD_ERROR
         else:
-            result = _judge(gold.result, pred_sql, gold.db_file, options.timeout_s,
-                            options.ves, gold.connections)
+            result = _judge(gold, pred_sql, options.ves)
             ex, ves_ratio, failure = result.ex, result.ves_ratio, result.failure
     if failure is None and pred_unparseable:
         # the prediction is outside the clause grammar; execution verdicts,
@@ -256,35 +247,26 @@ def score_run(
     errors rather than aborting.
 
     Examples are scored in groups sharing one (db_id, gold_sql): the gold is
-    parsed, classified and executed at most once per run, and its rows are
-    dropped when its last example has been scored. Predictions always
-    execute. Each scoring thread keeps one read-only connection open, to the
-    database it used last, until the run ends.
+    parsed, classified, executed and (for VES) timed at most once per run,
+    and its rows are dropped when its last example has been scored.
+    Predictions always execute. Scoring runs on the calling thread, over one
+    read-only connection kept open to the database it used last until the
+    run ends.
     """
     options = options or ScoreOptions()
     groups: dict[tuple[str, str], list[int]] = {}
     for position, example in enumerate(examples):
         groups.setdefault((example.db_id, example.gold_sql), []).append(position)
     records: list[EvalRecord | None] = [None] * len(examples)
-
-    with ThreadConnections() as connections:
-
-        def score_group(positions: list[int]) -> None:
-            gold = _Gold(examples[positions[0]], bundle, options, connections)
+    with ReusedConnection() as connection:
+        for (db_id, gold_sql), positions in groups.items():
+            gold = _Gold(gold_sql, bundle.schemas[db_id], bundle.db_files.get(db_id),
+                         options.timeout_s, connection)
             for position in positions:
                 example = examples[position]
                 records[position] = _score_one(
                     example, predictions.get(example.index), gold, bundle, options
                 )
-
-        # VES timings taken while other scoring threads run would measure their
-        # contention rather than the queries, so VES runs score one at a time
-        if options.ex and not options.ves and options.workers > 1 and len(groups) > 1:
-            with ThreadPoolExecutor(max_workers=options.workers) as pool:
-                list(pool.map(score_group, groups.values()))
-        else:
-            for positions in groups.values():
-                score_group(positions)
     return records
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -20,8 +21,11 @@ import yaml
 
 from .datasets import DIALECTS
 from .inference import ModelEndpoint
+from .metrics import ScoreOptions
 from .prompts import COMPACT_STYLE, SENTENCE_STYLE, PromptTemplate, template_for_style
 from .selection import STRATEGIES, SelectionPolicy
+
+logger = logging.getLogger(__name__)
 
 
 class ConfigError(Exception):
@@ -91,21 +95,12 @@ class EndpointConfig:
 
 
 @dataclass
-class MetricsConfig:
-    em: bool = True
-    ex: bool = True
-    ves: bool = False
-    timeout_s: float = 30.0
-    workers: int = 4
-
-
-@dataclass
 class RunConfig:
     dataset: DatasetConfig
     prompt: PromptConfig = field(default_factory=PromptConfig)
     selection: SelectionConfig = field(default_factory=SelectionConfig)
     endpoint: EndpointConfig = field(default_factory=EndpointConfig)
-    metrics: MetricsConfig = field(default_factory=MetricsConfig)
+    metrics: ScoreOptions = field(default_factory=ScoreOptions)
     output_dir: Path = Path("runs")
     seed: int = 42
 
@@ -190,7 +185,12 @@ def load_run_config(path: str | Path) -> RunConfig:
     if urlsplit(str(endpoint.base_url)).scheme not in ("http", "https"):
         errors.append(f"endpoint.base_url must be an http:// or https:// URL,"
                       f" got {endpoint.base_url!r}")
-    metrics = MetricsConfig(**_take(raw.get("metrics") or {}, MetricsConfig, errors, "metrics"))
+    metrics_raw = raw.get("metrics") or {}
+    if isinstance(metrics_raw, dict) and "workers" in metrics_raw:
+        # scoring runs on one thread; configs that still size a pool load
+        logger.warning("metrics.workers is retired and ignored")
+        metrics_raw = {k: v for k, v in metrics_raw.items() if k != "workers"}
+    metrics = ScoreOptions(**_take(metrics_raw, ScoreOptions, errors, "metrics"))
     if errors:
         raise ConfigError(errors)
     return RunConfig(

@@ -9,7 +9,6 @@ platforms; a pool's vectors are kept as sparse rows in a ``SimilarityIndex``.
 
 from __future__ import annotations
 
-import logging
 import random
 import re
 import zlib
@@ -21,8 +20,6 @@ import numpy as np
 
 from .datasets import DatabaseSchema, ExampleTriple
 from .sqlkit import SqlParseError, clause_signature, parse_sql
-
-logger = logging.getLogger(__name__)
 
 RANDOM = "random"
 QUESTION_SIMILARITY = "question-similarity"
@@ -244,7 +241,8 @@ def select(
     The target itself is never its own exemplar; any other pool member may
     be, whatever its index. Similarity strategies return the selection
     ordered most-similar-last, so the nearest exemplar sits adjacent to the
-    target question in the prompt.
+    target question in the prompt. Dual similarity needs ``draft_sql``
+    outside corpus mode, where the target's gold stands in for it.
     """
     if policy.k == 0:
         return []
@@ -271,12 +269,7 @@ def select(
     if policy.strategy == QUESTION_SIMILARITY:
         top = _top_k(policy.k, ids, q_sim)
     elif draft_sql is None and not corpus_mode:
-        logger.warning(
-            "dual-similarity selection without a draft SQL for example %d;"
-            " falling back to question similarity",
-            target.index,
-        )
-        top = _top_k(policy.k, ids, q_sim)
+        raise ValueError("dual-similarity selection needs a draft SQL outside corpus mode")
     else:
         # dual similarity: re-rank question-similar candidates by how close
         # their SQL skeleton is to the draft's (in corpus mode, the target's gold)

@@ -374,12 +374,11 @@ def _reference_record(example, pred, bundle, options) -> EvalRecord:
     return EvalRecord(example.index, em, ex, None, difficulty, failure)
 
 
-@pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("em,ex", [(True, True), (True, False), (False, True)])
-def test_score_run_matches_per_example_reference(bundle, db_file, workers, em, ex):
+def test_score_run_matches_per_example_reference(bundle, db_file, em, ex):
     examples = _scoring_examples(bundle)
     predictions = _scoring_predictions(examples)
-    options = ScoreOptions(em=em, ex=ex, timeout_s=10, workers=workers)
+    options = ScoreOptions(em=em, ex=ex, timeout_s=10)
     before = sha256(db_file)
     records = score_run(examples, predictions, bundle, options)
     assert sha256(db_file) == before, "database bytes changed during scoring"
@@ -417,19 +416,15 @@ def test_score_run_analyses_each_gold_once(bundle, monkeypatch):
 
     monkeypatch.setattr(metrics, "execute_sql", counting(executed, metrics.execute_sql))
     monkeypatch.setattr(metrics, "parse_sql", counting(parsed, metrics.parse_sql))
-    for workers in (1, 4):
-        executed.clear()
-        parsed.clear()
-        records = score_run(examples, predictions, bundle,
-                            ScoreOptions(timeout_s=10, workers=workers))
-        assert all(r.ex is not None and r.em is not None for r in records)
-        golds = {ex.gold_sql for ex in examples}
-        assert len(golds) == len(dev) < len(examples)
-        for calls in (executed, parsed):
-            assert sorted(sql for sql in calls if sql in golds) == sorted(golds)
-        pred_sqls = [p.extracted_sql for p in predictions.values()]
-        assert sorted(sql for sql in executed if sql not in golds) == sorted(pred_sqls)
-        assert sorted(sql for sql in parsed if sql not in golds) == sorted(pred_sqls)
+    records = score_run(examples, predictions, bundle, ScoreOptions(timeout_s=10))
+    assert all(r.ex is not None and r.em is not None for r in records)
+    golds = {ex.gold_sql for ex in examples}
+    assert len(golds) == len(dev) < len(examples)
+    for calls in (executed, parsed):
+        assert sorted(sql for sql in calls if sql in golds) == sorted(golds)
+    pred_sqls = [p.extracted_sql for p in predictions.values()]
+    assert sorted(sql for sql in executed if sql not in golds) == sorted(pred_sqls)
+    assert sorted(sql for sql in parsed if sql not in golds) == sorted(pred_sqls)
 
 
 def test_em_off_on_bird_parses_no_gold(bird_bundle, monkeypatch):
@@ -454,9 +449,9 @@ class TestReusedConnection:
             " SELECT count(*) FROM c")
 
     def test_timeout_leaves_the_connection_working(self, db_file):
-        from sqlbench.execution import ThreadConnections
+        from sqlbench.execution import ReusedConnection
 
-        with ThreadConnections() as connections:
+        with ReusedConnection() as connections:
             conn = connections.get(db_file)
             with pytest.raises(ExecutionFailure) as err:
                 execute_sql(self.RUNAWAY, db_file, 0.5, conn)
@@ -470,9 +465,9 @@ class TestReusedConnection:
     def test_stateful_statement_retires_its_connection(self, db_file):
         import sqlite3
 
-        from sqlbench.execution import ThreadConnections
+        from sqlbench.execution import ReusedConnection
 
-        with ThreadConnections() as connections:
+        with ReusedConnection() as connections:
             conn = connections.get(db_file)
             assert execute_sql("SELECT 'a' LIKE 'A'", db_file, 5, conn).rows == [(1,)]
             assert connections.get(db_file) is conn
@@ -490,9 +485,8 @@ class TestReusedConnection:
         examples = [first, replace(first, index=1, gold_sql="SELECT 'a' LIKE 'A'")]
         predictions = {0: prediction(0, "PRAGMA case_sensitive_like = 1"),
                        1: prediction(1, "SELECT 1")}
-        # one thread, so both golds run on the same connection
-        options = ScoreOptions(timeout_s=10, workers=1)
-        records = score_run(examples, predictions, bundle, options)
+        # both golds run on the one scoring connection
+        records = score_run(examples, predictions, bundle, ScoreOptions(timeout_s=10))
         assert records[1].ex is True
 
 
@@ -524,7 +518,7 @@ def test_score_run_closes_every_connection(bundle, monkeypatch, fail):
         monkeypatch.setattr(metrics, "results_match", failing)
     examples = _scoring_examples(bundle)
     predictions = {ex.index: prediction(ex.index, ex.gold_sql) for ex in examples}
-    options = ScoreOptions(timeout_s=10, workers=4)
+    options = ScoreOptions(timeout_s=10)
     if fail:
         with pytest.raises(RuntimeError):
             score_run(examples, predictions, bundle, options)
@@ -536,38 +530,70 @@ def test_score_run_closes_every_connection(bundle, monkeypatch, fail):
             conn.execute("SELECT 1")
 
 
-def test_score_run_threads_stress(bundle, monkeypatch):
-    """More scoring threads than cores, switching often: the records equal a
-    serial run's, each thread opened one connection, and all are closed."""
-    import sqlite3
-    import sys
-    from dataclasses import replace
+def test_score_run_starts_no_thread(bundle, monkeypatch):
+    import threading
 
-    import sqlbench.execution as execution
+    def refuse(self):
+        raise AssertionError("score_run started a thread")
 
-    opened = []
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    examples = _scoring_examples(bundle)
+    predictions = _scoring_predictions(examples)
+    records = score_run(examples, predictions, bundle, ScoreOptions(ves=True, timeout_s=10))
+    assert [r.example_index for r in records] == [ex.index for ex in examples]
 
-    def recording(db_file):
-        conn = connect_readonly(db_file)
-        opened.append(conn)
-        return conn
 
-    connect_readonly = execution.connect_readonly
-    monkeypatch.setattr(execution, "connect_readonly", recording)
-    dev = bundle.splits["dev"]
-    examples = [replace(ex, index=round_ * 100 + ex.index) for round_ in range(5) for ex in dev]
-    predictions = {ex.index: prediction(ex.index, ex.gold_sql if ex.index % 3 else "SELECT 1")
-                   for ex in examples}
-    serial = score_run(examples, predictions, bundle, ScoreOptions(timeout_s=10, workers=1))
-    opened.clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = score_run(examples, predictions, bundle, ScoreOptions(timeout_s=10, workers=8))
-    finally:
-        sys.setswitchinterval(interval)
-    assert threaded == serial
-    assert 1 <= len(opened) <= 8
-    for conn in opened:
-        with pytest.raises(sqlite3.ProgrammingError):
-            conn.execute("SELECT 1")
+class TestVes:
+    # the same rows as the gold, after a 100k-step recursion run once
+    SLOW = ("SELECT count(*) FROM singer WHERE (WITH RECURSIVE c(x) AS"
+            " (SELECT 1 UNION ALL SELECT x + 1 FROM c LIMIT 100000) SELECT count(*) FROM c) > 0")
+
+    def test_each_distinct_gold_is_timed_once(self, bundle, monkeypatch):
+        import sqlbench.metrics as metrics
+
+        dev = bundle.splits["dev"]
+        examples = _scoring_examples(bundle)[: len(dev) + len(dev[::3])]  # one database
+        # gold echoes under distinct strings, so each timing names its query
+        predictions = {ex.index: prediction(ex.index, ex.gold_sql + " " * (position + 1))
+                       for position, ex in enumerate(examples)}
+        timed = []
+        median_elapsed = metrics.median_elapsed
+
+        def counted(sql, *args, **kwargs):
+            timed.append(sql)
+            return median_elapsed(sql, *args, **kwargs)
+
+        monkeypatch.setattr(metrics, "median_elapsed", counted)
+        records = score_run(examples, predictions, bundle, ScoreOptions(ves=True, timeout_s=10))
+        assert all(r.ex is True and r.ves_ratio is not None for r in records)
+        golds = {ex.gold_sql for ex in examples}
+        assert len(golds) < len(examples)
+        assert sorted(sql for sql in timed if sql in golds) == sorted(golds)
+        assert sorted(sql for sql in timed if sql not in golds) == sorted(
+            p.extracted_sql for p in predictions.values())
+
+    def test_timing_opens_no_connection(self, bundle, monkeypatch):
+        import sqlbench.execution as execution
+
+        opened = []
+        connect_readonly = execution.connect_readonly
+        monkeypatch.setattr(execution, "connect_readonly",
+                            lambda db_file: opened.append(db_file) or connect_readonly(db_file))
+        examples = bundle.splits["dev"]
+        predictions = {ex.index: prediction(ex.index, ex.gold_sql) for ex in examples}
+        score_run(examples, predictions, bundle, ScoreOptions(timeout_s=10))
+        without_ves = len(opened)
+        opened.clear()
+        records = score_run(examples, predictions, bundle, ScoreOptions(ves=True, timeout_s=10))
+        assert all(r.ves_ratio is not None for r in records)
+        assert len(opened) == without_ves == 1
+
+    def test_slower_prediction_scores_below_half(self, bundle):
+        from dataclasses import replace
+
+        example = replace(bundle.splits["dev"][0], gold_sql="SELECT count(*) FROM singer")
+        predictions = {example.index: prediction(example.index, self.SLOW)}
+        options = ScoreOptions(em=False, ves=True, timeout_s=10)
+        record, = score_run([example], predictions, bundle, options)
+        assert record.ex is True
+        assert record.ves_ratio < 0.5

@@ -3,13 +3,17 @@ from __future__ import annotations
 import dataclasses
 from pathlib import Path
 
+import pytest
+
+from sqlbench.metrics import ScoreOptions
 from sqlbench.runconfig import (
+    ConfigError,
     DatasetConfig,
     EndpointConfig,
-    MetricsConfig,
     PromptConfig,
     RunConfig,
     SelectionConfig,
+    load_run_config,
 )
 
 # fields that may vary between runs of the same experiment
@@ -33,7 +37,7 @@ def fixture_run_config() -> RunConfig:
             base_url="BASE_URL", model_name="stub", max_retries=2, concurrency_limit=4,
             backoff_base_s=0.01, record_latency=False,
         ),
-        metrics=MetricsConfig(em=True, ex=True, ves=False, timeout_s=10),
+        metrics=ScoreOptions(em=True, ex=True, ves=False, timeout_s=10),
         output_dir=Path("runs"),
         seed=42,
     )
@@ -74,10 +78,32 @@ def _with(config: RunConfig, path: tuple[str, ...], value) -> RunConfig:
 def test_fingerprint_pinned_and_covers_every_field_but_output_dir_and_key_env():
     config = fixture_run_config()
     # pinned: a config keeps its fingerprint, so its runs stay comparable
-    assert config.fingerprint() == "07619efee30b"
+    assert config.fingerprint() == "b6831a28fc41"
     for path in _leaves(config):
         value = config
         for name in path:
             value = getattr(value, name)
         changed = _with(config, path, _other(value)).fingerprint()
         assert (changed == config.fingerprint()) == (path in UNHASHED), ".".join(path)
+
+
+def _load_with_metrics(config_path: Path, *lines: str) -> RunConfig:
+    """The scratch run config, with the given lines added to its metrics."""
+    text = config_path.read_text(encoding="utf-8").replace("BASE_URL", "http://127.0.0.1:9/v1")
+    out = config_path.with_name("extra.yaml")
+    out.write_text(text.replace("  timeout_s: 10\n", "".join(
+        ["  timeout_s: 10\n"] + [f"  {line}\n" for line in lines])), encoding="utf-8")
+    return load_run_config(out)
+
+
+def test_retired_workers_key_loads_with_one_warning(scratch_config, caplog):
+    with caplog.at_level("WARNING"):
+        config = _load_with_metrics(scratch_config, "workers: 8")
+    warnings = [rec.getMessage() for rec in caplog.records if rec.levelname == "WARNING"]
+    assert len(warnings) == 1 and "metrics.workers" in warnings[0]
+    assert config.fingerprint() == _load_with_metrics(scratch_config).fingerprint()
+
+
+def test_unknown_metrics_key_is_a_config_error(scratch_config):
+    with pytest.raises(ConfigError, match=r"metrics: unknown keys \['bogus'\]"):
+        _load_with_metrics(scratch_config, "bogus: 1")

@@ -149,14 +149,13 @@ def test_dual_similarity_prefers_matching_sql_shape(bundle):
     assert chosen[0].index == 0
 
 
-def test_dual_similarity_without_draft_degrades(caplog, bundle):
+def test_dual_similarity_without_draft_degrades():
+    """It does not degrade: outside corpus mode, a missing draft is an error."""
     pool = make_pool(6)
     index = build_index(pool)
     policy = SelectionPolicy(strategy=DUAL_SIMILARITY, k=2, seed=0)
-    with caplog.at_level("WARNING"):
-        chosen = select(pool[0], pool, policy, index=index)
-    assert len(chosen) == 2
-    assert any("falling back" in rec.message for rec in caplog.records)
+    with pytest.raises(ValueError, match="draft"):
+        select(pool[0], pool, policy, index=index)
 
 
 def test_dual_similarity_corpus_mode_uses_gold():
