@@ -374,9 +374,16 @@ def _reference_record(example, pred, bundle, options) -> EvalRecord:
     return EvalRecord(example.index, em, ex, None, difficulty, failure)
 
 
+@pytest.mark.parametrize("rounds", [1, 4])
 @pytest.mark.parametrize("em,ex", [(True, True), (True, False), (False, True)])
-def test_score_run_matches_per_example_reference(bundle, db_file, em, ex):
-    examples = _scoring_examples(bundle)
+def test_score_run_matches_per_example_reference(bundle, db_file, rounds, em, ex):
+    """With rounds > 1 the examples repeat under new indexes, so each gold
+    group holds more members and predictions that leave state on the reused
+    connection run between members that share one gold."""
+    from dataclasses import replace
+
+    examples = [replace(e, index=round_ * 1000 + e.index)
+                for round_ in range(rounds) for e in _scoring_examples(bundle)]
     predictions = _scoring_predictions(examples)
     options = ScoreOptions(em=em, ex=ex, timeout_s=10)
     before = sha256(db_file)
