@@ -140,7 +140,6 @@ def cmd_build_corpus(args) -> int:
     run_dir = _run_dir(config, args)
     corpus_dir = run_dir / "corpus"
     corpus_dir.mkdir(exist_ok=True)
-    template = config.prompt.template()
     jobs: list[tuple[str, str, int]] = []  # (filename, mode, k)
     if args.random_shot:
         jobs.append((f"{args.split}_random_shot.jsonl", RANDOM_SHOT, 0))
@@ -161,7 +160,7 @@ def cmd_build_corpus(args) -> int:
         partial = out.with_name(out.name + ".partial")
         policy = config.selection.policy(default_seed=config.seed, k=k)
         summary = export_corpus(
-            split, bundle, template, policy, mode, partial, choices=choices, index=index
+            split, bundle, config.prompt, policy, mode, partial, choices=choices, index=index
         )
         os.replace(partial, out)
         summary_path = out.with_suffix(".summary.json")
@@ -174,18 +173,19 @@ def cmd_build_corpus(args) -> int:
 
 def cmd_predict(args) -> int:
     config = _load_config(args)
-    if args.shots and config.selection.strategy == DUAL_SIMILARITY:
+    policy = config.selection.policy(default_seed=config.seed, k=args.shots)
+    if policy.k and policy.strategy == DUAL_SIMILARITY:
         print(f"selection.strategy {DUAL_SIMILARITY!r} ranks exemplars by a draft SQL per"
               " target, which predict does not take; use question-similarity or random",
               file=sys.stderr)
         return EXIT_CONFIG
     bundle = _bundle_from_config(config)
     targets = _split(bundle, args.split)
-    pool = _split(bundle, config.selection.pool, "selection.pool split") if args.shots else []
+    pool = _split(bundle, config.selection.pool, "selection.pool split") if policy.k else []
     run_dir = _run_dir(config, args)
     pred_dir = run_dir / "predictions"
     pred_dir.mkdir(exist_ok=True)
-    out = pred_dir / f"{args.split}_shots{args.shots}.jsonl"
+    out = pred_dir / f"{args.split}_shots{policy.k}.jsonl"
     partial = out.with_name(out.name + ".partial")
     # the finished file, then the append log of a rerun that retries its errors
     recorded = read_predictions(*(path for path in (out, partial) if path.is_file()))
@@ -198,26 +198,23 @@ def cmd_predict(args) -> int:
         print(f"resuming: {len(done)} predictions already recorded,"
               f" {len(recorded) - len(done)} errored ones requested again")
 
-    policy = config.selection.policy(default_seed=config.seed, k=args.shots)
     todo = [target for target in targets if target.index not in done]
     envelopes = []
     for target, envelope in plan_prompts(
         todo, pool, policy, mix_shots(policy, FIXED_K, todo), bundle.schemas,
-        config.prompt.template(), TokenBudget(),
+        config.prompt, TokenBudget(),
     ):
         if isinstance(envelope, BudgetExceededError):
             print(f"example {target.index}: {envelope}", file=sys.stderr)
             return EXIT_RUNTIME
         envelopes.append(envelope)
 
-    endpoint = config.endpoint.endpoint()
-
     def sink(prediction) -> None:
         if not config.endpoint.record_latency:
             prediction.latency_ms = 0.0
         append_prediction(partial, prediction)
 
-    predict_batch(envelopes, endpoint, on_result=sink)
+    predict_batch(envelopes, config.endpoint, on_result=sink)
     merged = read_predictions(*(path for path in (out, partial) if path.is_file()))
     # the final file appears whole or not at all; the append log goes last
     writing = out.with_name(out.name + ".writing")
@@ -358,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", parents=[common], help="request predictions for a split")
     p.add_argument("--split", default="dev")
-    p.add_argument("--shots", type=int, default=0)
+    p.add_argument("--shots", type=int, default=None,
+                   help="exemplars per prompt (default: selection.k)")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", parents=[common], help="score a prediction file")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterator
@@ -194,10 +195,13 @@ class TrainProfile:
 
 
 def emit_train_profile(profile: TrainProfile, out: str | Path) -> Path:
-    """Write the profile as a flat key-value file for external trainers."""
+    """Write the profile as a flat key-value file for external trainers; it
+    appears whole or not at all."""
     path = Path(out)
-    with open(path, "w", encoding="utf-8") as fp:
+    partial = path.with_name(path.name + ".partial")
+    with open(partial, "w", encoding="utf-8") as fp:
         yaml.safe_dump(asdict(profile), fp, sort_keys=True)
+    os.replace(partial, path)
     return path
 
 

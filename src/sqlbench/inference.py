@@ -6,6 +6,7 @@ import base64
 import http.client
 import json
 import logging
+import os
 import re
 import socket
 import ssl
@@ -28,15 +29,20 @@ _SQL_START_RE = re.compile(r"\b(select|with|insert)\b", re.IGNORECASE)
 
 @dataclass(frozen=True)
 class ModelEndpoint:
-    base_url: str
-    model_name: str
-    api_key: str | None = None
+    """Where and how to request predictions. The API key is never a field:
+    it is read from the environment variable named by ``api_key_env`` when a
+    batch starts."""
+
+    base_url: str = "http://127.0.0.1:8181/v1"
+    model_name: str = "stub"
     temperature: float = 0.0
     max_response_tokens: int = 512
     timeout_s: float = 60.0
     max_retries: int = 2
     concurrency_limit: int = 4
     backoff_base_s: float = 0.5
+    api_key_env: str = "SQLBENCH_API_KEY"
+    record_latency: bool = True
 
     def __post_init__(self) -> None:
         if self.temperature < 0:
@@ -124,8 +130,9 @@ class _Client:
             raise ValueError(f"endpoint URL must be http(s)://host/...: {endpoint.chat_url!r}")
         self.timeout_s = endpoint.timeout_s
         self.headers = {"Content-Type": "application/json"}
-        if endpoint.api_key:
-            self.headers["Authorization"] = f"Bearer {endpoint.api_key}"
+        api_key = os.environ.get(endpoint.api_key_env)
+        if api_key:
+            self.headers["Authorization"] = f"Bearer {api_key}"
         self._tls = ssl.create_default_context() if url.scheme == "https" else None
         self._tunnel: tuple[str, int] | None = None
         self._proxy_headers: dict[str, str] = {}

@@ -18,15 +18,20 @@ from .datasets import DatabaseSchema, ExampleTriple
 SENTENCE_STYLE = "sentence"
 COMPACT_STYLE = "compact"
 
-_SENTENCE_HEADER = (
-    "I want you to act as a SQL terminal in front of a database and below is"
-    " an description of the database schema. Write a response that"
-    " appropriately completes the request.\n\n/* Instruction */"
-)
-_SENTENCE_PREAMBLE = "Please give SQL statement to answer the following question:"
-
-_COMPACT_HEADER = "Given the following database schema :\n"
-_COMPACT_PREAMBLE = "Please write queries to answer the following questions:"
+_HEADER_AND_PREAMBLE = {
+    SENTENCE_STYLE: (
+        "I want you to act as a SQL terminal in front of a database and below is"
+        " an description of the database schema. Write a response that"
+        " appropriately completes the request.\n\n/* Instruction */",
+        "Please give SQL statement to answer the following question:",
+    ),
+    COMPACT_STYLE: (
+        "Given the following database schema :\n",
+        "Please write queries to answer the following questions:",
+    ),
+}
+_QUESTION_PREFIX = "Q:"
+_RESPONSE_PREFIX = "Response:"
 
 DEFAULT_MAX_CONTEXT = 2048
 DEFAULT_RESERVED_RESPONSE = 512
@@ -50,40 +55,17 @@ class TokenBudget:
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    instruction_header: str
-    question_preamble: str
     schema_style: str = SENTENCE_STYLE
-    question_prefix: str = "Q:"
-    response_prefix: str = "Response:"
     include_evidence: bool = False
 
     def __post_init__(self) -> None:
-        if not self.question_prefix or not self.response_prefix:
-            raise ValueError("prompt prefixes must be non-empty")
-        if self.schema_style not in (SENTENCE_STYLE, COMPACT_STYLE):
-            raise ValueError(f"unknown schema style {self.schema_style!r}")
+        if self.schema_style not in _HEADER_AND_PREAMBLE:
+            raise ValueError(f"schema_style must be {SENTENCE_STYLE} or {COMPACT_STYLE},"
+                             f" got {self.schema_style!r}")
 
 
-def template_for_style(style: str, include_evidence: bool = False) -> PromptTemplate:
-    if style == SENTENCE_STYLE:
-        return PromptTemplate(
-            instruction_header=_SENTENCE_HEADER,
-            question_preamble=_SENTENCE_PREAMBLE,
-            schema_style=SENTENCE_STYLE,
-            include_evidence=include_evidence,
-        )
-    if style == COMPACT_STYLE:
-        return PromptTemplate(
-            instruction_header=_COMPACT_HEADER,
-            question_preamble=_COMPACT_PREAMBLE,
-            schema_style=COMPACT_STYLE,
-            include_evidence=include_evidence,
-        )
-    raise ValueError(f"unknown schema style {style!r}")
-
-
-TRP_SENTENCE = template_for_style(SENTENCE_STYLE)
-TRP_COMPACT = template_for_style(COMPACT_STYLE)
+TRP_SENTENCE = PromptTemplate(SENTENCE_STYLE)
+TRP_COMPACT = PromptTemplate(COMPACT_STYLE)
 
 
 @dataclass(frozen=True)
@@ -144,13 +126,13 @@ def _oneline(text: str) -> str:
 def _question_block(
     example: ExampleTriple, template: PromptTemplate, answer: str | None
 ) -> str:
-    lines = [f"{template.question_prefix} {_oneline(example.question)}"]
+    lines = [f"{_QUESTION_PREFIX} {_oneline(example.question)}"]
     if template.include_evidence and example.evidence:
         lines.append(_oneline(example.evidence))
     if answer is None:
-        lines.append(f"{template.response_prefix} ")
+        lines.append(f"{_RESPONSE_PREFIX} ")
     else:
-        lines.append(f"{template.response_prefix} {_oneline(answer)}")
+        lines.append(f"{_RESPONSE_PREFIX} {_oneline(answer)}")
     return "\n".join(lines)
 
 
@@ -160,12 +142,13 @@ def _assemble(
     template: PromptTemplate,
     schemas: dict[str, DatabaseSchema],
 ) -> str:
+    header, preamble = _HEADER_AND_PREAMBLE[template.schema_style]
     parts = [
-        template.instruction_header,
+        header,
         "\n",
         render_schema(schemas[target.db_id], template.schema_style),
         "\n\n",
-        template.question_preamble,
+        preamble,
         "\n\n",
     ]
     for exemplar in exemplars:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from urllib.parse import urlsplit
@@ -22,8 +21,8 @@ import yaml
 from .datasets import DIALECTS
 from .inference import ModelEndpoint
 from .metrics import ScoreOptions
-from .prompts import COMPACT_STYLE, SENTENCE_STYLE, PromptTemplate, template_for_style
-from .selection import STRATEGIES, SelectionPolicy
+from .prompts import PromptTemplate
+from .selection import SelectionPolicy
 
 logger = logging.getLogger(__name__)
 
@@ -44,20 +43,14 @@ class DatasetConfig:
 
 
 @dataclass
-class PromptConfig:
-    schema_style: str = SENTENCE_STYLE
-    include_evidence: bool = False
-
-    def template(self) -> PromptTemplate:
-        return template_for_style(self.schema_style, self.include_evidence)
-
-
-@dataclass
 class SelectionConfig:
     strategy: str = "random"
     k: int = 0
     pool: str = "train"
     seed: int | None = None
+
+    def __post_init__(self) -> None:
+        self.policy(default_seed=0)  # raises ValueError on a bad strategy or k
 
     def policy(self, default_seed: int, k: int | None = None) -> SelectionPolicy:
         return SelectionPolicy(
@@ -68,38 +61,11 @@ class SelectionConfig:
 
 
 @dataclass
-class EndpointConfig:
-    base_url: str = "http://127.0.0.1:8181/v1"
-    model_name: str = "stub"
-    temperature: float = 0.0
-    max_response_tokens: int = 512
-    timeout_s: float = 60.0
-    max_retries: int = 2
-    concurrency_limit: int = 4
-    backoff_base_s: float = 0.5
-    api_key_env: str = "SQLBENCH_API_KEY"
-    record_latency: bool = True
-
-    def endpoint(self) -> ModelEndpoint:
-        return ModelEndpoint(
-            base_url=self.base_url,
-            model_name=self.model_name,
-            api_key=os.environ.get(self.api_key_env) or None,
-            temperature=self.temperature,
-            max_response_tokens=self.max_response_tokens,
-            timeout_s=self.timeout_s,
-            max_retries=self.max_retries,
-            concurrency_limit=self.concurrency_limit,
-            backoff_base_s=self.backoff_base_s,
-        )
-
-
-@dataclass
 class RunConfig:
     dataset: DatasetConfig
-    prompt: PromptConfig = field(default_factory=PromptConfig)
+    prompt: PromptTemplate = field(default_factory=PromptTemplate)
     selection: SelectionConfig = field(default_factory=SelectionConfig)
-    endpoint: EndpointConfig = field(default_factory=EndpointConfig)
+    endpoint: ModelEndpoint = field(default_factory=ModelEndpoint)
     metrics: ScoreOptions = field(default_factory=ScoreOptions)
     output_dir: Path = Path("runs")
     seed: int = 42
@@ -115,15 +81,21 @@ class RunConfig:
         return "spider4" if self.dataset.dialect == "spider" else "bird3"
 
 
-def _take(section, cls, errors: list[str], where: str) -> dict:
+def _section(section, cls, errors: list[str], where: str):
+    """The config section built as ``cls``; each unknown key and the
+    constructor's ValueError become errors naming the section."""
     if not isinstance(section, dict):
         errors.append(f"{where}: expected a mapping, got {type(section).__name__}")
-        return {}
+        return None
     known = {f.name for f in cls.__dataclass_fields__.values()}
     unknown = set(section) - known
     if unknown:
         errors.append(f"{where}: unknown keys {sorted(unknown)}")
-    return {k: v for k, v in section.items() if k in known}
+    try:
+        return cls(**{k: v for k, v in section.items() if k in known})
+    except ValueError as exc:
+        errors.append(f"{where}: {exc}")
+        return None
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -171,18 +143,10 @@ def load_run_config(path: str | Path) -> RunConfig:
         if not db_dir.is_dir():
             errors.append(f"dataset.db_dir not found: {db_dir}")
 
-    prompt = PromptConfig(**_take(raw.get("prompt") or {}, PromptConfig, errors, "prompt"))
-    if prompt.schema_style not in (SENTENCE_STYLE, COMPACT_STYLE):
-        errors.append(f"prompt.schema_style must be sentence or compact, got {prompt.schema_style!r}")
-    selection = SelectionConfig(
-        **_take(raw.get("selection") or {}, SelectionConfig, errors, "selection")
-    )
-    if selection.strategy not in STRATEGIES:
-        errors.append(f"selection.strategy must be one of {STRATEGIES}")
-    endpoint = EndpointConfig(
-        **_take(raw.get("endpoint") or {}, EndpointConfig, errors, "endpoint")
-    )
-    if urlsplit(str(endpoint.base_url)).scheme not in ("http", "https"):
+    prompt = _section(raw.get("prompt") or {}, PromptTemplate, errors, "prompt")
+    selection = _section(raw.get("selection") or {}, SelectionConfig, errors, "selection")
+    endpoint = _section(raw.get("endpoint") or {}, ModelEndpoint, errors, "endpoint")
+    if endpoint is not None and urlsplit(str(endpoint.base_url)).scheme not in ("http", "https"):
         errors.append(f"endpoint.base_url must be an http:// or https:// URL,"
                       f" got {endpoint.base_url!r}")
     metrics_raw = raw.get("metrics") or {}
@@ -190,7 +154,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         # scoring runs on one thread; configs that still size a pool load
         logger.warning("metrics.workers is retired and ignored")
         metrics_raw = {k: v for k, v in metrics_raw.items() if k != "workers"}
-    metrics = ScoreOptions(**_take(metrics_raw, ScoreOptions, errors, "metrics"))
+    metrics = _section(metrics_raw, ScoreOptions, errors, "metrics")
     if errors:
         raise ConfigError(errors)
     return RunConfig(

@@ -204,7 +204,7 @@ class SelectionPolicy:
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown selection strategy {self.strategy!r}")
+            raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.k < 0:
             raise ValueError("k must be non-negative")
 

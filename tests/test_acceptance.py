@@ -71,19 +71,17 @@ def test_1_prompt_fidelity(bundle, fixtures_dir):
     def criterion():
         target = bundle.splits["dev"][0]
         envelope = build_prompt(target, [], TRP_SENTENCE, TokenBudget(), bundle.schemas)
-        golden = open(
-            fixtures_dir / "golden" / "trp_zero_shot_concert_singer.txt",
-            encoding="utf-8", newline="",
-        ).read()
+        with open(fixtures_dir / "golden" / "trp_zero_shot_concert_singer.txt",
+                  encoding="utf-8", newline="") as fp:
+            golden = fp.read()
         assert envelope.text == golden, "zero-shot envelope differs from the pinned golden file"
         compact = render_schema(bundle.schemas["college_2"], COMPACT_STYLE)
         lines = compact.splitlines()
         assert "Table course, columns = [*,course_id,title,dept_name,credits]" in lines
         assert "Table prereq, columns = [*,course_id,prereq_id]" in lines
-        golden_compact = open(
-            fixtures_dir / "golden" / "compact_college_2.txt",
-            encoding="utf-8", newline="",
-        ).read()
+        with open(fixtures_dir / "golden" / "compact_college_2.txt",
+                  encoding="utf-8", newline="") as fp:
+            golden_compact = fp.read()
         assert compact == golden_compact
 
     criterion()

@@ -134,13 +134,12 @@ def test_build_corpus_builds_one_index_for_all_jobs(scratch_config, tmp_path, bu
     assert len(builds) == 1
 
     run_config = load_run_config(config)
-    template = run_config.prompt.template()
     corpus_dir = tmp_path / "runs" / "t" / "corpus"
     for name, mode, k in (("train_random_shot.jsonl", RANDOM_SHOT, 0),
                           ("train_k3.jsonl", FIXED_K, 3)):
         policy = run_config.selection.policy(default_seed=run_config.seed, k=k)
         reference = tmp_path / f"reference_{name}"
-        export_corpus(bundle.splits["train"], bundle, template, policy, mode, reference)
+        export_corpus(bundle.splits["train"], bundle, run_config.prompt, policy, mode, reference)
         assert (corpus_dir / name).read_bytes() == reference.read_bytes(), name
     assert len(builds) == 3
 
@@ -544,10 +543,59 @@ def test_predict_with_dual_similarity_shots_is_a_config_error(scratch_config, go
     assert gold_stub.request_count == 20
 
 
-def test_predict_to_a_url_that_is_not_http_is_a_config_error(scratch_config, capsys):
-    config = write_config_with_url(scratch_config, "localhost:8181/v1")
-    assert run_cli("predict", "--config", str(config), "--run-id", "t", "--split", "dev") == 1
-    assert "endpoint.base_url must be an http:// or https:// URL" in capsys.readouterr().err
+def test_predict_to_a_url_that_is_not_http_is_a_config_error(scratch_config, tmp_path, gold_stub,
+                                                             capsys):
+    """Each bad value is refused at load, before any data is read."""
+    url = f"base_url: {gold_stub.base_url}"
+    bad_values = {  # key: (replaced, replacement)
+        "endpoint.base_url": (url, "base_url: localhost:8181/v1"),
+        "endpoint.concurrency_limit": ("concurrency_limit: 4", "concurrency_limit: 0"),
+        "endpoint.temperature": ("endpoint:\n", "endpoint:\n  temperature: -1\n"),
+        "selection.k": ("k: 0", "k: -1"),
+        "selection.strategy": ("strategy: random", "strategy: telepathy"),
+        "prompt.schema_style": ("schema_style: sentence", "schema_style: weird"),
+    }
+    good = write_config_with_url(scratch_config, gold_stub.base_url).read_text()
+    for key, (replaced, replacement) in bad_values.items():
+        assert replaced in good, key
+        config = tmp_path / "bad.yaml"
+        config.write_text(good.replace(replaced, replacement))
+        assert run_cli("predict", "--config", str(config), "--run-id", "t",
+                       "--split", "dev") == 1, key
+        section, name = key.split(".")
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith(f"config: {section}")]
+        assert len(errors) == 1 and name in errors[0], (key, errors)
+        assert not (tmp_path / "runs").exists(), key
+        assert gold_stub.request_count == 0, key
+
+
+def test_predict_without_shots_takes_selection_k(scratch_config, tmp_path, bundle):
+    scratch_config.write_text(scratch_config.read_text().replace("k: 0", "k: 1"))
+    behavior = RecordingBehavior(answers_from_examples(bundle.splits["dev"]))
+    with StubServer(behavior) as server:
+        config = write_config_with_url(scratch_config, server.base_url)
+        assert run_cli("predict", "--config", str(config), "--run-id", "t",
+                       "--split", "dev") == 0
+    predictions = tmp_path / "runs" / "t" / "predictions" / "dev_shots1.jsonl"
+    assert sorted(read_predictions(predictions)) == list(range(20))
+    assert len(behavior.prompts) == 20
+    for prompt in behavior.prompts:
+        # one exemplar, then the target
+        assert sum(line.startswith("Q: ") for line in prompt.splitlines()) == 2
+
+
+def test_emit_train_profile_cut_midway_leaves_nothing_at_out(tmp_path, monkeypatch):
+    import sqlbench.corpus
+
+    def dies_midway(data, stream, **kwargs):
+        stream.write("method: lora\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(sqlbench.corpus.yaml, "safe_dump", dies_midway)
+    out = tmp_path / "profile.yaml"
+    assert run_cli("emit-train-profile", "--out", str(out)) == 2
+    assert not out.exists()
 
 
 def test_interrupted_final_write_is_redone(scratch_config, tmp_path, gold_stub, monkeypatch):

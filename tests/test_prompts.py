@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from sqlbench.prompts import (
     COMPACT_STYLE,
-    SENTENCE_STYLE,
     TRP_COMPACT,
     TRP_SENTENCE,
     BudgetExceededError,
@@ -15,7 +14,6 @@ from sqlbench.prompts import (
     build_prompt,
     estimate_tokens,
     render_schema,
-    template_for_style,
 )
 
 
@@ -101,7 +99,7 @@ def test_zero_shot_single_question_prefix(bundle):
 
 def test_evidence_flag(bird_bundle):
     target = bird_bundle.splits["dev"][0]
-    include = template_for_style(COMPACT_STYLE, True)
+    include = PromptTemplate(COMPACT_STYLE, include_evidence=True)
     exclude = TRP_COMPACT
     with_text = build_prompt(target, [], include, TokenBudget(), bird_bundle.schemas).text
     without_text = build_prompt(target, [], exclude, TokenBudget(), bird_bundle.schemas).text
@@ -137,9 +135,5 @@ def test_estimate_tokens_monotone_over_prefixes(prefix, suffix):
 
 
 def test_template_validation():
-    with pytest.raises(ValueError):
-        PromptTemplate(instruction_header="h", question_preamble="p",
-                       schema_style="weird")
-    with pytest.raises(ValueError):
-        PromptTemplate(instruction_header="h", question_preamble="p",
-                       schema_style=SENTENCE_STYLE, question_prefix="")
+    with pytest.raises(ValueError, match="schema_style"):
+        PromptTemplate(schema_style="weird")

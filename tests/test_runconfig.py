@@ -5,19 +5,16 @@ from pathlib import Path
 
 import pytest
 
+from sqlbench.inference import ModelEndpoint
 from sqlbench.metrics import ScoreOptions
-from sqlbench.runconfig import (
-    ConfigError,
-    DatasetConfig,
-    EndpointConfig,
-    PromptConfig,
-    RunConfig,
-    SelectionConfig,
-    load_run_config,
-)
+from sqlbench.prompts import PromptTemplate
+from sqlbench.runconfig import ConfigError, DatasetConfig, RunConfig, SelectionConfig, load_run_config
 
 # fields that may vary between runs of the same experiment
 UNHASHED = {("output_dir",), ("endpoint", "api_key_env")}
+# enumerated fields validate, so each moves to another valid value
+OTHER_CHOICE = {("prompt", "schema_style"): "compact",
+                ("selection", "strategy"): "question-similarity"}
 
 
 def fixture_run_config() -> RunConfig:
@@ -31,9 +28,9 @@ def fixture_run_config() -> RunConfig:
             splits={"train": Path("spider/train.json"), "dev": Path("spider/dev.json")},
             db_dir=Path("databases"),
         ),
-        prompt=PromptConfig(schema_style="sentence"),
+        prompt=PromptTemplate(schema_style="sentence"),
         selection=SelectionConfig(strategy="random", k=0, pool="train"),
-        endpoint=EndpointConfig(
+        endpoint=ModelEndpoint(
             base_url="BASE_URL", model_name="stub", max_retries=2, concurrency_limit=4,
             backoff_base_s=0.01, record_latency=False,
         ),
@@ -83,7 +80,7 @@ def test_fingerprint_pinned_and_covers_every_field_but_output_dir_and_key_env():
         value = config
         for name in path:
             value = getattr(value, name)
-        changed = _with(config, path, _other(value)).fingerprint()
+        changed = _with(config, path, OTHER_CHOICE.get(path) or _other(value)).fingerprint()
         assert (changed == config.fingerprint()) == (path in UNHASHED), ".".join(path)
 
 
