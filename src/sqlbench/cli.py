@@ -12,6 +12,8 @@ import logging
 import os
 import sys
 import time
+import typing
+from dataclasses import fields
 from pathlib import Path
 
 from .corpus import TrainProfile, emit_train_profile, export_corpus, plan_prompts
@@ -30,7 +32,15 @@ from .reporting import (
     summarize,
 )
 from .runconfig import ConfigError, RunConfig, load_run_config
-from .selection import DUAL_SIMILARITY, FIXED_K, RANDOM, RANDOM_SHOT, build_index, mix_shots
+from .selection import (
+    DEFAULT_SHOT_CHOICES,
+    DUAL_SIMILARITY,
+    FIXED_K,
+    RANDOM,
+    RANDOM_SHOT,
+    build_index,
+    mix_shots,
+)
 from .stub import StubBehavior, StubServer
 
 # Not called here: the traced benchmark run (benchmarks/spans.py) looks these
@@ -73,14 +83,12 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(partial, path)
 
 
-def _bundle_from_config(config: RunConfig) -> DatasetBundle:
-    return load_bundle(
-        name=config.dataset.name,
-        dialect=config.dataset.dialect,
-        tables_path=config.dataset.tables,
-        split_paths=config.dataset.splits,
-        db_dir=config.dataset.db_dir,
-    )
+def _check_counts(**counts) -> None:
+    """Shot counts from the command line are checked with the config, before
+    any data is read or any run directory made."""
+    for flag, values in counts.items():
+        if any(value < 0 for value in values):
+            raise ConfigError([f"--{flag} must be non-negative, got {min(values)}"])
 
 
 def _split(bundle: DatasetBundle, name: str, what: str = "split") -> list[ExampleTriple]:
@@ -92,7 +100,7 @@ def _split(bundle: DatasetBundle, name: str, what: str = "split") -> list[Exampl
 
 def cmd_ingest(args) -> int:
     config = _load_config(args)
-    bundle = _bundle_from_config(config)
+    bundle = load_bundle(config.dataset)
     run_dir = _run_dir(config, args)
     manifest = dict(bundle.manifest())
     manifest["config_fingerprint"] = config.fingerprint()
@@ -134,12 +142,6 @@ def _unparseable_golds(bundle: DatasetBundle, rows) -> list[int]:
 
 
 def cmd_build_corpus(args) -> int:
-    config = _load_config(args)
-    bundle = _bundle_from_config(config)
-    split = _split(bundle, args.split)
-    run_dir = _run_dir(config, args)
-    corpus_dir = run_dir / "corpus"
-    corpus_dir.mkdir(exist_ok=True)
     jobs: list[tuple[str, str, int]] = []  # (filename, mode, k)
     if args.random_shot:
         jobs.append((f"{args.split}_random_shot.jsonl", RANDOM_SHOT, 0))
@@ -149,6 +151,13 @@ def cmd_build_corpus(args) -> int:
         print("nothing to do: pass --k and/or --random-shot", file=sys.stderr)
         return EXIT_CONFIG
     choices = tuple(args.choices)
+    _check_counts(k=args.k, choices=choices)
+    config = _load_config(args)
+    bundle = load_bundle(config.dataset)
+    split = _split(bundle, args.split)
+    run_dir = _run_dir(config, args)
+    corpus_dir = run_dir / "corpus"
+    corpus_dir.mkdir(exist_ok=True)
     # one similarity index serves every job; only a job with some k > 0 uses it
     index = None
     if config.selection.strategy != RANDOM and (
@@ -172,6 +181,7 @@ def cmd_build_corpus(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _check_counts(shots=[] if args.shots is None else [args.shots])
     config = _load_config(args)
     policy = config.selection.policy(default_seed=config.seed, k=args.shots)
     if policy.k and policy.strategy == DUAL_SIMILARITY:
@@ -179,7 +189,7 @@ def cmd_predict(args) -> int:
               " target, which predict does not take; use question-similarity or random",
               file=sys.stderr)
         return EXIT_CONFIG
-    bundle = _bundle_from_config(config)
+    bundle = load_bundle(config.dataset)
     targets = _split(bundle, args.split)
     pool = _split(bundle, config.selection.pool, "selection.pool split") if policy.k else []
     run_dir = _run_dir(config, args)
@@ -229,7 +239,7 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = _load_config(args)
-    bundle = _bundle_from_config(config)
+    bundle = load_bundle(config.dataset)
     examples = _split(bundle, args.split)
     predictions_path = Path(args.predictions)
     if not predictions_path.is_file():
@@ -281,16 +291,7 @@ def cmd_compare(args) -> int:
 
 def cmd_emit_train_profile(args) -> int:
     try:
-        profile = TrainProfile(
-            method=args.method,
-            lora_rank=args.lora_rank,
-            lora_alpha=args.lora_alpha,
-            learning_rate=args.learning_rate,
-            epochs=args.epochs,
-            max_source_length=args.max_source_length,
-            max_target_length=args.max_target_length,
-            model_name=args.model_name,
-        )
+        profile = TrainProfile(**{f.name: getattr(args, f.name) for f in fields(TrainProfile)})
     except ValueError as exc:
         print(f"invalid profile: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -349,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random-shot", action="store_true",
                    help="also export one corpus with per-example shot counts"
                         " drawn from --choices")
-    p.add_argument("--choices", type=_int_list, default=[0, 1, 3, 5],
-                   help="random-shot choice set (default 0,1,3,5)")
+    p.add_argument("--choices", type=_int_list, default=DEFAULT_SHOT_CHOICES,
+                   help="random-shot choice set, default %(default)s")
     p.set_defaults(func=cmd_build_corpus)
 
     p = sub.add_parser("predict", parents=[common], help="request predictions for a split")
@@ -371,14 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("emit-train-profile", help="write a training-config profile")
-    p.add_argument("--method", choices=["lora", "qlora"], default="lora")
-    p.add_argument("--lora-rank", type=int, default=64)
-    p.add_argument("--lora-alpha", type=int, default=32)
-    p.add_argument("--learning-rate", type=float, default=0.0002)
-    p.add_argument("--epochs", type=int, default=8)
-    p.add_argument("--max-source-length", type=int, default=2048)
-    p.add_argument("--max-target-length", type=int, default=512)
-    p.add_argument("--model-name", default="llama2-7b")
+    # one flag per profile field, with the field's type and default
+    hints = typing.get_type_hints(TrainProfile)
+    for f in fields(TrainProfile):
+        p.add_argument("--" + f.name.replace("_", "-"), type=hints[f.name], default=f.default)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_emit_train_profile)
 

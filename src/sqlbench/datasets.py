@@ -11,6 +11,7 @@ from pathlib import Path
 SPIDER = "spider"
 BIRD = "bird"
 DIALECTS = (SPIDER, BIRD)
+SPLITS = ("train", "dev", "test")
 
 COLUMN_KINDS = ("text", "number", "time", "boolean", "other")
 
@@ -154,6 +155,25 @@ class ExampleTriple:
     evidence: str | None = None
 
 
+@dataclass(frozen=True)
+class DatasetSource:
+    """Where a dataset lives: its schema catalog, one example file per split
+    and, for EX scoring, the directory of its SQLite databases."""
+
+    name: str = "dataset"
+    dialect: str = SPIDER
+    tables: Path = Path("tables.json")
+    splits: dict[str, Path] = field(default_factory=dict)
+    db_dir: Path | None = None
+
+    def __post_init__(self) -> None:
+        if self.dialect not in DIALECTS:
+            raise ValueError(f"dialect must be one of {DIALECTS}, got {self.dialect!r}")
+        for split in self.splits:
+            if split not in SPLITS:
+                raise ValueError(f"splits: unknown split name {split!r}, not in {SPLITS}")
+
+
 @dataclass
 class DatasetBundle:
     name: str
@@ -277,25 +297,17 @@ def discover_db_files(db_dir: str | Path, db_ids: list[str]) -> dict[str, Path]:
     return found
 
 
-def validate_dataset(
-    name: str,
-    dialect: str,
-    tables_path: str | Path,
-    split_paths: dict[str, str | Path],
-    db_dir: str | Path | None = None,
-) -> tuple[DatasetBundle | None, list[str]]:
+def validate_dataset(source: DatasetSource) -> tuple[DatasetBundle | None, list[str]]:
     """Load schemas plus splits, collecting every validation failure instead
     of stopping at the first. Returns (bundle, errors); the bundle is None
     only when the catalog itself is unreadable."""
     errors: list[str] = []
-    if dialect not in DIALECTS:
-        errors.append(f"unknown dialect {dialect!r}")
-    bundle = DatasetBundle(name=name, dialect=dialect)
+    bundle = DatasetBundle(name=source.name, dialect=source.dialect)
     try:
-        with open(tables_path, encoding="utf-8") as fp:
+        with open(source.tables, encoding="utf-8") as fp:
             entries = json.load(fp)
     except (OSError, ValueError) as exc:
-        return None, [f"schema catalog {tables_path}: {exc}"]
+        return None, [f"schema catalog {source.tables}: {exc}"]
     for pos, entry in enumerate(entries):
         try:
             schema = _catalog_entry_to_schema(entry)
@@ -306,7 +318,7 @@ def validate_dataset(
             errors.append(f"catalog entry {pos}: {exc}")
     # each file's raw JSON is dropped before the next is read, to bound the peak
     del entries
-    for split, path in split_paths.items():
+    for split, path in source.splits.items():
         try:
             with open(path, encoding="utf-8") as fp:
                 records = json.load(fp)
@@ -321,20 +333,14 @@ def validate_dataset(
                 errors.append(f"split {split}: {exc}")
         bundle.splits[split] = rows
         del records
-    if db_dir is not None:
-        bundle.db_files = discover_db_files(db_dir, sorted(bundle.schemas))
+    if source.db_dir is not None:
+        bundle.db_files = discover_db_files(source.db_dir, sorted(bundle.schemas))
     return bundle, errors
 
 
-def load_bundle(
-    name: str,
-    dialect: str,
-    tables_path: str | Path,
-    split_paths: dict[str, str | Path],
-    db_dir: str | Path | None = None,
-) -> DatasetBundle:
+def load_bundle(source: DatasetSource) -> DatasetBundle:
     """``validate_dataset`` that raises one DatasetError listing every problem."""
-    bundle, errors = validate_dataset(name, dialect, tables_path, split_paths, db_dir)
+    bundle, errors = validate_dataset(source)
     if errors:
         raise DatasetError(*errors)
     return bundle

@@ -1,10 +1,11 @@
 """Run configuration: one structured file drives every pipeline stage.
 
-Paths are resolved relative to the config file. Secrets never live in the
-config; the endpoint API key is read from an environment variable named by
-``endpoint.api_key_env``. The config fingerprint embedded in reports is a
-content hash of every resolved config field except ``output_dir`` and
-``endpoint.api_key_env``.
+Every key is checked against its section's fields and every value against
+its field's annotation. Paths are resolved relative to the config file.
+Secrets never live in the config; the endpoint API key is read from an
+environment variable named by ``endpoint.api_key_env``. The config
+fingerprint embedded in reports is a content hash of every resolved config
+field except ``output_dir`` and ``endpoint.api_key_env``.
 """
 
 from __future__ import annotations
@@ -12,13 +13,14 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from urllib.parse import urlsplit
 
 import yaml
 
-from .datasets import DIALECTS
+from .datasets import DatasetSource
 from .inference import ModelEndpoint
 from .metrics import ScoreOptions
 from .prompts import PromptTemplate
@@ -31,15 +33,6 @@ class ConfigError(Exception):
     def __init__(self, errors: list[str]):
         super().__init__("; ".join(errors))
         self.errors = errors
-
-
-@dataclass
-class DatasetConfig:
-    name: str
-    dialect: str
-    tables: Path
-    splits: dict[str, Path]
-    db_dir: Path | None = None
 
 
 @dataclass
@@ -62,7 +55,7 @@ class SelectionConfig:
 
 @dataclass
 class RunConfig:
-    dataset: DatasetConfig
+    dataset: DatasetSource
     prompt: PromptTemplate = field(default_factory=PromptTemplate)
     selection: SelectionConfig = field(default_factory=SelectionConfig)
     endpoint: ModelEndpoint = field(default_factory=ModelEndpoint)
@@ -71,38 +64,20 @@ class RunConfig:
     seed: int = 42
 
     def fingerprint(self) -> str:
-        fields = asdict(self)
-        del fields["output_dir"]
-        del fields["endpoint"]["api_key_env"]
-        canonical = json.dumps(fields, sort_keys=True, ensure_ascii=False, default=str)
+        values = asdict(self)
+        del values["output_dir"]
+        del values["endpoint"]["api_key_env"]
+        canonical = json.dumps(values, sort_keys=True, ensure_ascii=False, default=str)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
     def scheme(self) -> str:
         return "spider4" if self.dataset.dialect == "spider" else "bird3"
 
 
-def _section(section, cls, errors: list[str], where: str):
-    """The config section built as ``cls``; each unknown key and the
-    constructor's ValueError become errors naming the section."""
-    if not isinstance(section, dict):
-        errors.append(f"{where}: expected a mapping, got {type(section).__name__}")
-        return None
-    known = {f.name for f in cls.__dataclass_fields__.values()}
-    unknown = set(section) - known
-    if unknown:
-        errors.append(f"{where}: unknown keys {sorted(unknown)}")
-    try:
-        return cls(**{k: v for k, v in section.items() if k in known})
-    except ValueError as exc:
-        errors.append(f"{where}: {exc}")
-        return None
-
-
 def load_run_config(path: str | Path) -> RunConfig:
     """Parse and validate a run config; raises ConfigError listing every
     problem found, not just the first."""
     config_path = Path(path)
-    errors: list[str] = []
     if not config_path.is_file():
         raise ConfigError([f"config file not found: {config_path}"])
     with open(config_path, encoding="utf-8") as fp:
@@ -111,60 +86,79 @@ def load_run_config(path: str | Path) -> RunConfig:
         except yaml.YAMLError as exc:
             raise ConfigError([f"config is not valid YAML: {exc}"]) from exc
     base = config_path.parent
+    errors: list[str] = []
+    paths: dict[str, Path] = {}  # dotted key -> resolved path
 
-    def resolve(rel) -> Path:
-        p = Path(rel)
-        return p if p.is_absolute() else (base / p)
+    def build(hint, value, key: str):
+        """``value`` checked against the annotation ``hint``: a dataclass is
+        built from its mapping field by field, a path is resolved against the
+        config file's directory. Each problem is recorded in ``errors`` under
+        its dotted key; the result is then None."""
+        if is_dataclass(hint):
+            where = f"{key}: " if key else ""
+            value = {} if value is None else value  # an empty section keeps the defaults
+            if not isinstance(value, dict):
+                errors.append(f"{where}expected a mapping, got {type(value).__name__}")
+                return None
+            known = fields(hint)
+            unknown = set(value) - {f.name for f in known}
+            if unknown:
+                errors.append(f"{where}unknown keys {sorted(unknown, key=str)}")
+            hints = typing.get_type_hints(hint)
+            before = len(errors)
+            kwargs = {}
+            for f in known:
+                inner = f"{key}.{f.name}" if key else f.name
+                if f.name in value:
+                    kwargs[f.name] = build(hints[f.name], value[f.name], inner)
+                elif isinstance(f.default, Path):  # a default path is relative to the config too
+                    kwargs[f.name] = build(Path, f.default, inner)
+                elif f.default is MISSING and f.default_factory is MISSING:
+                    errors.append(f"config must have a {inner} section")
+            if len(errors) > before:
+                return None
+            try:
+                return hint(**kwargs)
+            except ValueError as exc:
+                errors.append(f"{where}{exc}")
+                return None
+        origin, args = typing.get_origin(hint), typing.get_args(hint)
+        if type(None) in args:  # X | None
+            if value is None:
+                return None
+            (hint,) = (arg for arg in args if arg is not type(None))
+            return build(hint, value, key)
+        if origin is dict:
+            if isinstance(value, dict):
+                return {k: build(args[1], v, f"{key}.{k}") for k, v in value.items()}
+        elif hint is Path:
+            if isinstance(value, (str, Path)):
+                resolved = Path(value)
+                paths[key] = resolved if resolved.is_absolute() else base / resolved
+                return paths[key]
+        # an int is a number too, but a bool is not an int
+        elif (isinstance(value, (int, float) if hint is float else hint)
+              and isinstance(value, bool) == (hint is bool)):
+            return value
+        errors.append(f"{key} must be {(origin or hint).__name__}, got {value!r}")
+        return None
 
-    dataset_raw = raw.get("dataset")
-    if not isinstance(dataset_raw, dict):
-        raise ConfigError(["config must have a dataset section"])
-    name = dataset_raw.get("name", "dataset")
-    dialect = dataset_raw.get("dialect", "spider")
-    if dialect not in DIALECTS:
-        errors.append(f"dataset.dialect must be one of {DIALECTS}, got {dialect!r}")
-    tables = resolve(dataset_raw.get("tables", "tables.json"))
-    if not tables.is_file():
-        errors.append(f"dataset.tables not found: {tables}")
-    splits = {}
-    for split, rel in (dataset_raw.get("splits") or {}).items():
-        if split not in ("train", "dev", "test"):
-            errors.append(f"dataset.splits: unknown split name {split!r}")
-            continue
-        split_path = resolve(rel)
-        if not split_path.is_file():
-            errors.append(f"dataset.splits.{split} not found: {split_path}")
-        splits[split] = split_path
-    if not splits:
-        errors.append("dataset.splits must name at least one split file")
-    db_dir = dataset_raw.get("db_dir")
-    if db_dir is not None:
-        db_dir = resolve(db_dir)
-        if not db_dir.is_dir():
-            errors.append(f"dataset.db_dir not found: {db_dir}")
-
-    prompt = _section(raw.get("prompt") or {}, PromptTemplate, errors, "prompt")
-    selection = _section(raw.get("selection") or {}, SelectionConfig, errors, "selection")
-    endpoint = _section(raw.get("endpoint") or {}, ModelEndpoint, errors, "endpoint")
-    if endpoint is not None and urlsplit(str(endpoint.base_url)).scheme not in ("http", "https"):
-        errors.append(f"endpoint.base_url must be an http:// or https:// URL,"
-                      f" got {endpoint.base_url!r}")
-    metrics_raw = raw.get("metrics") or {}
+    metrics_raw = raw.get("metrics") if isinstance(raw, dict) else None
     if isinstance(metrics_raw, dict) and "workers" in metrics_raw:
         # scoring runs on one thread; configs that still size a pool load
         logger.warning("metrics.workers is retired and ignored")
-        metrics_raw = {k: v for k, v in metrics_raw.items() if k != "workers"}
-    metrics = _section(metrics_raw, ScoreOptions, errors, "metrics")
+        raw["metrics"] = {k: v for k, v in metrics_raw.items() if k != "workers"}
+    config = build(RunConfig, raw, "")
+    # the dataset's files are looked for even when another of its fields is bad
+    for key, found in paths.items():
+        exists = found.is_dir() if key == "dataset.db_dir" else found.is_file()
+        if key.startswith("dataset.") and not exists:
+            errors.append(f"{key} not found: {found}")
+    if config is not None and not config.dataset.splits:
+        errors.append("dataset.splits must name at least one split file")
+    if config is not None and urlsplit(config.endpoint.base_url).scheme not in ("http", "https"):
+        errors.append(f"endpoint.base_url must be an http:// or https:// URL,"
+                      f" got {config.endpoint.base_url!r}")
     if errors:
         raise ConfigError(errors)
-    return RunConfig(
-        dataset=DatasetConfig(
-            name=name, dialect=dialect, tables=tables, splits=splits, db_dir=db_dir
-        ),
-        prompt=prompt,
-        selection=selection,
-        endpoint=endpoint,
-        metrics=metrics,
-        output_dir=resolve(raw.get("output_dir", "runs")),
-        seed=int(raw.get("seed", 42)),
-    )
+    return config

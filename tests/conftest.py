@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import sqlbench
-from sqlbench.datasets import load_bundle
+from sqlbench.datasets import DatasetSource, load_bundle
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -44,26 +44,26 @@ def db_file(db_root) -> Path:
 
 @pytest.fixture(scope="session")
 def bundle(db_root):
-    return load_bundle(
+    return load_bundle(DatasetSource(
         name="spider-fixture",
         dialect="spider",
-        tables_path=FIXTURES / "spider" / "tables.json",
-        split_paths={
+        tables=FIXTURES / "spider" / "tables.json",
+        splits={
             "train": FIXTURES / "spider" / "train.json",
             "dev": FIXTURES / "spider" / "dev.json",
         },
         db_dir=db_root,
-    )
+    ))
 
 
 @pytest.fixture(scope="session")
 def bird_bundle():
-    return load_bundle(
+    return load_bundle(DatasetSource(
         name="bird-fixture",
         dialect="bird",
-        tables_path=FIXTURES / "bird" / "tables.json",
-        split_paths={"dev": FIXTURES / "bird" / "dev.json"},
-    )
+        tables=FIXTURES / "bird" / "tables.json",
+        splits={"dev": FIXTURES / "bird" / "dev.json"},
+    ))
 
 
 @pytest.fixture()

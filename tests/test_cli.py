@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import signal
 import subprocess
 import sys
@@ -238,6 +239,26 @@ def test_emit_train_profile_cli(tmp_path):
     profile = load_train_profile(out)
     assert profile.method == "qlora"
     assert profile.lora_rank == 64
+
+
+def test_train_profile_flags_are_the_profile_fields(capsys):
+    from dataclasses import fields
+
+    from sqlbench.corpus import TrainProfile
+
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("emit-train-profile", "-h")
+    assert exit_info.value.code == 0
+    listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert listed == {"--help", "--out"} | {
+        "--" + f.name.replace("_", "-") for f in fields(TrainProfile)}
+
+
+def test_unknown_train_profile_method_is_refused(tmp_path, capsys):
+    out = tmp_path / "profile.yaml"
+    assert run_cli("emit-train-profile", "--method", "foo", "--out", str(out)) == 1
+    assert "invalid profile:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_error_lists_all_problems(tmp_path, capsys):
@@ -568,6 +589,53 @@ def test_predict_to_a_url_that_is_not_http_is_a_config_error(scratch_config, tmp
         assert len(errors) == 1 and name in errors[0], (key, errors)
         assert not (tmp_path / "runs").exists(), key
         assert gold_stub.request_count == 0, key
+
+
+@pytest.mark.parametrize("replaced, replacement, named", [
+    ("  db_dir:", "  database_dir:", "dataset: unknown keys ['database_dir']"),
+    ("metrics:\n", "metric:\n", "unknown keys ['metric']"),
+    ("seed: 42", "seed: abc", "seed must be"),
+    ("endpoint:\n", "endpoint:\n  temperature: hot\n", "endpoint.temperature must be"),
+    ("max_retries: 2", "max_retries: x", "endpoint.max_retries must be"),
+    ("k: 0", "k: three", "selection.k must be"),
+    ("timeout_s: 10", "timeout_s: soon", "metrics.timeout_s must be"),
+    ("pool: train", "pool: 7", "selection.pool must be"),
+])
+def test_misspelt_key_or_wrong_type_is_a_config_error(scratch_config, tmp_path, gold_stub,
+                                                      capsys, replaced, replacement, named):
+    """An unknown key at any level, or a value of the wrong type, is refused at
+    load with one line naming it, before any data is read or request sent."""
+    good = write_config_with_url(scratch_config, gold_stub.base_url).read_text()
+    assert good.count(replaced) == 1
+    config = tmp_path / "bad.yaml"
+    config.write_text(good.replace(replaced, replacement))
+    assert run_cli("predict", "--config", str(config), "--run-id", "t", "--split", "dev") == 1
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("config:")]
+    assert len(errors) == 1 and named in errors[0], errors
+    assert not (tmp_path / "runs").exists()
+    assert gold_stub.request_count == 0
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["predict", "--split", "dev", "--shots", "-1"], "--shots"),
+    (["build-corpus", "--k", "-1"], "--k"),
+    (["build-corpus", "--random-shot", "--choices", "0,-1"], "--choices"),
+])
+def test_negative_count_flag_is_refused_before_any_work(scratch_config, tmp_path, gold_stub,
+                                                        monkeypatch, capsys, argv, flag):
+    import sqlbench.cli
+
+    def no_data(source):
+        raise AssertionError("dataset read")
+
+    monkeypatch.setattr(sqlbench.cli, "load_bundle", no_data)
+    config = write_config_with_url(scratch_config, gold_stub.base_url)
+    assert run_cli(*argv, "--config", str(config), "--run-id", "t") == 1
+    err = capsys.readouterr().err
+    assert f"{flag} must be non-negative" in err and "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+    assert gold_stub.request_count == 0
 
 
 def test_predict_without_shots_takes_selection_k(scratch_config, tmp_path, bundle):

@@ -6,6 +6,7 @@ import pytest
 
 from sqlbench.datasets import (
     DatasetError,
+    DatasetSource,
     introspect_database,
     load_bundle,
     map_column_type,
@@ -15,14 +16,14 @@ from sqlbench.datasets import (
 
 
 def load_catalog(tables):
-    return load_bundle("x", "spider", tables, {})
+    return load_bundle(DatasetSource("x", "spider", tables))
 
 
 def load_split(fixtures_dir, records, tmp_path, dialect: str = "spider"):
     split = tmp_path / "split.json"
     split.write_text(json.dumps(records), encoding="utf-8")
     tables = fixtures_dir / dialect / "tables.json"
-    return load_bundle("x", dialect, tables, {"dev": split}).splits["dev"]
+    return load_bundle(DatasetSource("x", dialect, tables, {"dev": split})).splits["dev"]
 
 
 def test_concert_singer_catalog_entry(bundle):
@@ -166,17 +167,17 @@ def test_referential_closure(bundle):
 
 
 def test_load_determinism(db_root, fixtures_dir):
-    kwargs = dict(
+    source = DatasetSource(
         name="spider-fixture",
         dialect="spider",
-        tables_path=fixtures_dir / "spider" / "tables.json",
-        split_paths={
+        tables=fixtures_dir / "spider" / "tables.json",
+        splits={
             "train": fixtures_dir / "spider" / "train.json",
             "dev": fixtures_dir / "spider" / "dev.json",
         },
         db_dir=db_root,
     )
-    a, b = load_bundle(**kwargs), load_bundle(**kwargs)
+    a, b = load_bundle(source), load_bundle(source)
     assert json.dumps(a.manifest(), sort_keys=True) == json.dumps(b.manifest(), sort_keys=True)
     assert a.splits == b.splits
     assert a.schemas == b.schemas
@@ -196,10 +197,19 @@ def test_validate_dataset_collects_all_errors(tmp_path, fixtures_dir):
         ]),
         encoding="utf-8",
     )
-    bundle, errors = validate_dataset("x", "spider", tables, {"dev": split})
+    bundle, errors = validate_dataset(DatasetSource("x", "spider", tables, {"dev": split}))
     assert bundle is not None
     assert len(errors) == 3  # bad pk, unknown db, missing question
     assert len(bundle.splits["dev"]) == 1
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"dialect": "sparc"}, "dialect must be one of"),
+    ({"splits": {"validation": "dev.json"}}, "unknown split name 'validation'"),
+])
+def test_dataset_source_rejects_unknown_dialect_and_split(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        DatasetSource(**kwargs)
 
 
 def test_manifest_shape(bundle):

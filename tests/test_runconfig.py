@@ -5,23 +5,25 @@ from pathlib import Path
 
 import pytest
 
+from sqlbench.datasets import DatasetSource
 from sqlbench.inference import ModelEndpoint
 from sqlbench.metrics import ScoreOptions
 from sqlbench.prompts import PromptTemplate
-from sqlbench.runconfig import ConfigError, DatasetConfig, RunConfig, SelectionConfig, load_run_config
+from sqlbench.runconfig import ConfigError, RunConfig, SelectionConfig, load_run_config
 
 # fields that may vary between runs of the same experiment
 UNHASHED = {("output_dir",), ("endpoint", "api_key_env")}
 # enumerated fields validate, so each moves to another valid value
 OTHER_CHOICE = {("prompt", "schema_style"): "compact",
-                ("selection", "strategy"): "question-similarity"}
+                ("selection", "strategy"): "question-similarity",
+                ("dataset", "dialect"): "bird"}
 
 
 def fixture_run_config() -> RunConfig:
     """The fixture run config of ``conftest.scratch_config``, with paths kept
     relative so that the fingerprint does not depend on the checkout."""
     return RunConfig(
-        dataset=DatasetConfig(
+        dataset=DatasetSource(
             name="spider-fixture",
             dialect="spider",
             tables=Path("spider/tables.json"),
@@ -104,3 +106,16 @@ def test_retired_workers_key_loads_with_one_warning(scratch_config, caplog):
 def test_unknown_metrics_key_is_a_config_error(scratch_config):
     with pytest.raises(ConfigError, match=r"metrics: unknown keys \['bogus'\]"):
         _load_with_metrics(scratch_config, "bogus: 1")
+
+
+def test_readme_quickstart_config_loads(tmp_path):
+    """The README's run.yaml has no unknown key and no value of the wrong
+    type; its data files are absent, so only they are reported."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```yaml\n# run.yaml\n", 1)[1].split("```", 1)[0]
+    config = tmp_path / "run.yaml"
+    config.write_text(block, encoding="utf-8")
+    with pytest.raises(ConfigError) as exc_info:
+        load_run_config(config)
+    errors = exc_info.value.errors
+    assert errors and all(" not found: " in error for error in errors), errors

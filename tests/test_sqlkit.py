@@ -157,11 +157,11 @@ _LITERAL_SWAPS = [
 @given(st.sampled_from(_LITERAL_SWAPS), st.integers(0, 3))
 def test_literal_invariance(swap, which):
     """Replacing any literal constant never changes em_match."""
-    from sqlbench.datasets import load_bundle
+    from sqlbench.datasets import DatasetSource, load_bundle
     from pathlib import Path
 
     tables = Path(__file__).parent / "fixtures" / "spider" / "tables.json"
-    schemas = load_bundle("spider-fixture", "spider", tables, {}).schemas
+    schemas = load_bundle(DatasetSource("spider-fixture", "spider", tables)).schemas
     base_queries = [
         "SELECT name FROM singer WHERE age > 20",
         "SELECT name FROM singer WHERE country = 'France' AND age > 20",
