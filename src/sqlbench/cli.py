@@ -152,6 +152,8 @@ def cmd_build_corpus(args) -> int:
         return EXIT_CONFIG
     choices = tuple(args.choices)
     _check_counts(k=args.k, choices=choices)
+    if args.random_shot and not choices:
+        raise ConfigError(["--choices must name at least one shot count for --random-shot"])
     config = _load_config(args)
     bundle = load_bundle(config.dataset)
     split = _split(bundle, args.split)

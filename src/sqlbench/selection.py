@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 import re
 import zlib
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,70 +26,81 @@ DUAL_SIMILARITY = "dual-similarity"
 STRATEGIES = (RANDOM, QUESTION_SIMILARITY, DUAL_SIMILARITY)
 
 EMBED_DIM = 4096
+_CHUNK_ROWS = 1024  # texts embedded at a time: bounds the build's working arrays
+# normalized text holds no tab: tabs separate texts and pad short grams
+_TAB = ord("\t")
+_SHIFT = 1 << 21  # above every code point: a gram code packs three 21-bit fields
 
 
-def _trigrams(text: str) -> list[str]:
-    """The character trigrams of the normalized text (the text itself if shorter)."""
-    normalized = " ".join(text.lower().split())
-    if len(normalized) < 3:
-        return [normalized] if normalized else []
-    return [normalized[i : i + 3] for i in range(len(normalized) - 2)]
+def _gram_codes(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Each text's grams as int64 codes, with the row of each code. A text is
+    lower-cased and its whitespace runs collapsed to single spaces; its grams
+    are its character trigrams, or the whole text, padded with tabs to three
+    code points, when it is one or two characters long."""
+    normalized = [" ".join(text.lower().split()) for text in texts]
+    grams = [max(len(text) - 2, min(len(text), 1)) for text in normalized]
+    joined = "\t" + "\t\t".join(normalized) + "\t\t"
+    points = np.frombuffer(joined.encode("utf-32-le"), dtype="<u4").astype(np.int64)
+    before, first, second, third = points[:-3], points[1:-2], points[2:-1], points[3:]
+    # a gram starts on a character and ends on one, unless it is a whole short text
+    valid = (first != _TAB) & ((third != _TAB) | (before == _TAB))
+    codes = (first * _SHIFT + second) * _SHIFT + third
+    return codes[valid], np.repeat(np.arange(len(texts)), grams)
 
 
 class _Buckets(dict):
-    """Trigram -> hash bucket; each distinct trigram is hashed once."""
+    """Gram code -> hash bucket, the CRC-32 of the gram's UTF-8 bytes; each
+    distinct gram is hashed once."""
 
     def __init__(self, dim: int) -> None:
         super().__init__()
         self.dim = dim
 
-    def __missing__(self, gram: str) -> int:
-        bucket = self[gram] = zlib.crc32(gram.encode("utf-8")) % self.dim
+    def __missing__(self, code: int) -> int:
+        points = (code // _SHIFT // _SHIFT, code // _SHIFT % _SHIFT, code % _SHIFT)
+        gram = "".join(chr(point) for point in points if point != _TAB)
+        bucket = self[code] = zlib.crc32(gram.encode("utf-8")) % self.dim
         return bucket
 
 
-def trigram_vector(text: str, dim: int = EMBED_DIM) -> np.ndarray:
-    """Hashed character-trigram frequency vector over the normalized text."""
-    buckets = [zlib.crc32(gram.encode("utf-8")) % dim for gram in _trigrams(text)]
-    return np.bincount(np.array(buckets, dtype=np.intp), minlength=dim).astype(np.float64)
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    norm = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
-    if norm == 0.0:
-        return 0.0
-    return float(np.dot(a, b)) / norm
-
-
-def _text_vector(text: str) -> tuple[np.ndarray, float]:
-    vec = trigram_vector(text)
-    return vec, float(np.linalg.norm(vec))
-
-
 class TrigramRows:
-    """The trigram vectors of many texts as sparse rows.
+    """The hashed character-trigram frequency vectors of many texts as sparse rows.
 
     Each row holds its text's ``(bucket, count)`` pairs sorted by bucket; the
     pairs of all rows lie in flat arrays in row order, beside each row's L2
     norm. Counts are integers, so every dot product and squared norm is exact
-    in float64 whatever the order of summation, and scores equal ``cosine``
-    bit for bit. Memory is 16 bytes per distinct trigram of a text, where a
-    dense row takes 32 KiB.
+    in float64 whatever the order of summation, and a score equals the cosine
+    of the two dense vectors bit for bit. Memory is 16 bytes per distinct
+    trigram of a text, where a dense row takes 32 KiB.
+
+    The rows are built ``_CHUNK_ROWS`` texts at a time with array operations,
+    and each distinct gram is hashed once.
     """
 
     def __init__(self, texts: list[str], dim: int = EMBED_DIM) -> None:
         bucket = _Buckets(dim)
-        keys = array("q")  # row * dim + bucket, one per trigram
-        for row, text in enumerate(texts):
-            base = row * dim
-            keys.extend([base + bucket[gram] for gram in _trigrams(text)])
-        pairs, counts = np.unique(np.frombuffer(keys, dtype=np.int64), return_counts=True)
-        rows = pairs // dim
+        # per chunk: each row's buckets, their counts, its pair count and squared norm
+        buckets, counts = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+        sizes, squares = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+        for lo in range(0, len(texts), _CHUNK_ROWS):
+            chunk = texts[lo : lo + _CHUNK_ROWS]
+            codes, rows = _gram_codes(chunk)
+            # asked for counts, np.unique sorts; for values alone, numpy 2.3+
+            # hashes instead and imports numpy.ma, about 1 MB
+            distinct, _ = np.unique(codes, return_counts=True)
+            table = np.array([bucket[code] for code in distinct.tolist()], dtype=np.int64)
+            keys = rows * dim + table[np.searchsorted(distinct, codes)]
+            pairs, count = np.unique(keys, return_counts=True)
+            rows, count = pairs // dim, count.astype(np.float64)
+            buckets.append((pairs % dim).astype(np.intp))
+            counts.append(count)
+            sizes.append(np.bincount(rows, minlength=len(chunk)))
+            squares.append(np.bincount(rows, count * count, minlength=len(chunk)))
         self.dim = dim
-        self.buckets = (pairs % dim).astype(np.intp)
-        self.counts = counts.astype(np.float64)
-        self.starts = np.searchsorted(rows, np.arange(len(texts) + 1))
-        self.norms = np.sqrt(np.bincount(rows, self.counts * self.counts, minlength=len(texts)))
+        self.buckets = np.concatenate(buckets)
+        self.counts = np.concatenate(counts)
+        self.starts = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
+        self.norms = np.sqrt(np.concatenate(squares))
         self._filled = np.flatnonzero(self.norms)  # rows with at least one pair
 
     def __len__(self) -> int:
@@ -104,7 +114,7 @@ class TrigramRows:
         return vec, float(self.norms[row])
 
     def cosines(self, vec: np.ndarray, norm: float) -> np.ndarray:
-        """``cosine(vec, row)`` for every row, from one sparse mat-vec:
+        """The cosine of ``vec`` with every row, from one sparse mat-vec:
         ``dot / (norm * row_norm)``, and 0.0 where that product is 0."""
         products = np.take(vec, self.buckets)
         products *= self.counts
@@ -115,6 +125,10 @@ class TrigramRows:
         out = np.zeros(len(self))
         np.divide(dots, denom, out=out, where=denom != 0.0)
         return out
+
+
+def _text_vector(text: str) -> tuple[np.ndarray, float]:
+    return TrigramRows([text]).dense(0)
 
 
 class SimilarityIndex:
@@ -143,12 +157,15 @@ class SimilarityIndex:
         row = self.row_of.get(example.index)
         return row if row is not None and self.examples[row] is example else None
 
-    def rows_for(self, pool: list[ExampleTriple], positions: list[int]) -> np.ndarray:
-        """The rows of ``pool[i]`` for each of ``positions``."""
+    def rows_for(self, pool: list[ExampleTriple], exclude: ExampleTriple) -> np.ndarray:
+        """The rows of the members of ``pool`` other than ``exclude``, in pool order."""
         if pool is self.examples:
-            return np.array(positions, dtype=np.intp)
-        rows = [self.row(pool[i]) for i in positions]
-        missing = [pool[i].index for i, row in zip(positions, rows) if row is None]
+            rows = np.arange(len(pool))
+            row = self.row(exclude)
+            return rows if row is None else np.delete(rows, row)
+        members = [ex for ex in pool if ex is not exclude]
+        rows = [self.row(ex) for ex in members]
+        missing = [ex.index for ex, row in zip(members, rows) if row is None]
         if missing:
             raise ValueError(f"similarity index missing vectors for examples {missing}")
         return np.array(rows, dtype=np.intp)
@@ -256,13 +273,14 @@ def select(
             raise ValueError(f"k={policy.k} exceeds pool size {len(picked)}")
         return picked
 
-    keep = [i for i, ex in enumerate(pool) if ex is not target]
-    if policy.k > len(keep):
-        raise ValueError(f"k={policy.k} exceeds pool size {len(keep)}")
+    if policy.k >= len(pool):  # only then can the target's exclusion leave too few
+        candidates = sum(ex is not target for ex in pool)
+        if policy.k > candidates:
+            raise ValueError(f"k={policy.k} exceeds pool size {candidates}")
 
     if index is None:
         raise ValueError("similarity strategies require a similarity index")
-    rows = index.rows_for(pool, keep)
+    rows = index.rows_for(pool, target)
     ids = index.ids[rows]
     q_sim = index.questions.cosines(*index.question_vector(target))[rows]
 
@@ -276,8 +294,8 @@ def select(
         draft = index.skeleton_vector(target, draft_sql)
         skel_sim = index.skeletons.cosines(*draft)[rows]
         top = _top_k(policy.k, ids, skel_sim, q_sim)
-    # most similar last
-    return [pool[keep[i]] for i in reversed(top)]
+    # most similar last; a pool member is the index's own example object
+    return [index.examples[rows[i]] for i in reversed(top)]
 
 
 FIXED_K = "fixed-k"

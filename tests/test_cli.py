@@ -513,7 +513,7 @@ def test_few_shot_predict_sends_exemplars(scratch_config, tmp_path, bundle):
 
 def test_cross_split_predict_ranks_by_target_question(scratch_config, tmp_path, bundle):
     """Each dev target's one exemplar is the train question nearest its own."""
-    from sqlbench.selection import cosine, trigram_vector
+    from trigram_oracle import cosine, trigram_vector
 
     text = scratch_config.read_text().replace("strategy: random", "strategy: question-similarity")
     scratch_config.write_text(text)
@@ -636,6 +636,23 @@ def test_negative_count_flag_is_refused_before_any_work(scratch_config, tmp_path
     assert f"{flag} must be non-negative" in err and "Traceback" not in err
     assert not (tmp_path / "runs").exists()
     assert gold_stub.request_count == 0
+
+
+def test_empty_choices_are_refused_before_any_work(scratch_config, tmp_path, gold_stub,
+                                                  monkeypatch, capsys):
+    import sqlbench.cli
+
+    def no_data(source):
+        raise AssertionError("dataset read")
+
+    monkeypatch.setattr(sqlbench.cli, "load_bundle", no_data)
+    config = write_config_with_url(scratch_config, gold_stub.base_url)
+    assert run_cli("build-corpus", "--random-shot", "--choices", ",", "--config", str(config),
+                   "--run-id", "t") == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("config:")]
+    assert len(errors) == 1 and "--choices" in errors[0] and "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_predict_without_shots_takes_selection_k(scratch_config, tmp_path, bundle):

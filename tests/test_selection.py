@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,12 +17,11 @@ from sqlbench.selection import (
     SelectionPolicy,
     TrigramRows,
     build_index,
-    cosine,
     mix_shots,
     select,
     sql_skeleton,
-    trigram_vector,
 )
+from trigram_oracle import cosine, trigram_vector
 
 
 def make_pool(n: int, db_id: str = "concert_singer") -> list[ExampleTriple]:
@@ -106,6 +107,16 @@ def test_similarity_index_missing_vectors():
     policy = SelectionPolicy(strategy=QUESTION_SIMILARITY, k=2, seed=0)
     with pytest.raises(ValueError, match="missing vectors"):
         select(pool[0], pool, policy, index=index)
+
+
+def test_similarity_pool_size_is_checked_before_the_index():
+    pool = make_pool(3)
+    policy = SelectionPolicy(strategy=QUESTION_SIMILARITY, k=3, seed=0)
+    with pytest.raises(ValueError, match="exceeds pool size 2"):
+        select(pool[0], pool, policy)
+    with pytest.raises(ValueError, match="exceeds pool size 2"):
+        select(pool[0], list(pool), policy, index=build_index(pool))
+    assert len(select(make_pool(1)[0], pool, policy, index=build_index(pool))) == 3
 
 
 def test_similarity_requires_index():
@@ -317,3 +328,35 @@ def test_sparse_rows_score_bit_identical_to_cosine(bundle):
         vec = trigram_vector(text)
         scores = rows.cosines(vec, float(np.linalg.norm(vec)))
         assert scores.tolist() == [cosine(vec, trigram_vector(other)) for other in texts]
+
+
+# texts the array build must cut into trigrams exactly as the oracle does:
+# whitespace runs of every kind, 0-2 character texts, astral characters and
+# characters whose lower case is longer than they are
+_ODD_TEXTS = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",))),
+    st.text(st.sampled_from(" \t\n\x0b\x0c\r\x1c\x85  　"), max_size=4),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=2),
+    st.text(st.sampled_from("aZ \tİẞﬃ\U0001d518\U0001f600ß"), max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=st.lists(_ODD_TEXTS, max_size=12))
+def test_array_build_matches_dense_oracle(texts):
+    """Rows built three texts at a time, so rows meet chunk boundaries,
+    equal the dense oracle bit for bit."""
+    with mock.patch("sqlbench.selection._CHUNK_ROWS", 3):
+        rows = TrigramRows(texts)
+    assert len(rows) == len(texts)
+    for i, text in enumerate(texts):
+        vec, norm = rows.dense(i)
+        expected = trigram_vector(text)
+        assert vec.tobytes() == expected.tobytes(), text
+        assert norm == float(np.linalg.norm(expected)), text
+
+
+def test_empty_trigram_rows():
+    rows = TrigramRows([])
+    assert len(rows) == 0 and rows.starts.tolist() == [0]
+    assert rows.cosines(np.zeros(rows.dim), 0.0).shape == (0,)
