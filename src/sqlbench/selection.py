@@ -85,7 +85,7 @@ class TrigramRows:
         for lo in range(0, len(texts), _CHUNK_ROWS):
             chunk = texts[lo : lo + _CHUNK_ROWS]
             codes, rows = _gram_codes(chunk)
-            # asked for counts, np.unique sorts; for values alone, numpy 2.3+
+            # asked for counts, np.unique sorts; for values alone, numpy 2.4
             # hashes instead and imports numpy.ma, about 1 MB
             distinct, _ = np.unique(codes, return_counts=True)
             table = np.array([bucket[code] for code in distinct.tolist()], dtype=np.int64)
