@@ -25,6 +25,7 @@ from .reporting import (
     CSV,
     PLAIN,
     STRUCTURED,
+    RunSummary,
     compare,
     parse_summary_csv,
     render_delta,
@@ -148,8 +149,7 @@ def cmd_build_corpus(args) -> int:
     for k in args.k:
         jobs.append((f"{args.split}_k{k}.jsonl", FIXED_K, k))
     if not jobs:
-        print("nothing to do: pass --k and/or --random-shot", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(["nothing to do: pass --k and/or --random-shot"])
     choices = tuple(args.choices)
     _check_counts(k=args.k, choices=choices)
     if args.random_shot and not choices:
@@ -187,10 +187,9 @@ def cmd_predict(args) -> int:
     config = _load_config(args)
     policy = config.selection.policy(default_seed=config.seed, k=args.shots)
     if policy.k and policy.strategy == DUAL_SIMILARITY:
-        print(f"selection.strategy {DUAL_SIMILARITY!r} ranks exemplars by a draft SQL per"
-              " target, which predict does not take; use question-similarity or random",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError([f"selection.strategy {DUAL_SIMILARITY!r} ranks exemplars by a draft"
+                           " SQL per target, which predict does not take; use"
+                           " question-similarity or random"])
     bundle = load_bundle(config.dataset)
     targets = _split(bundle, args.split)
     pool = _split(bundle, config.selection.pool, "selection.pool split") if policy.k else []
@@ -240,13 +239,12 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    predictions_path = Path(args.predictions)
+    if not predictions_path.is_file():
+        raise ConfigError([f"--predictions: no file at {predictions_path}"])
     config = _load_config(args)
     bundle = load_bundle(config.dataset)
     examples = _split(bundle, args.split)
-    predictions_path = Path(args.predictions)
-    if not predictions_path.is_file():
-        print(f"prediction file not found: {predictions_path}", file=sys.stderr)
-        return EXIT_CONFIG
     predictions = read_predictions(predictions_path)
     records = score_run(examples, predictions, bundle, config.metrics)
     run_dir = _run_dir(config, args)
@@ -276,11 +274,16 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    base = parse_summary_csv(Path(args.base).read_text(encoding="utf-8"))
-    target = parse_summary_csv(Path(args.target).read_text(encoding="utf-8"))
+def _read_summary(path: str) -> RunSummary:
     try:
-        report = compare(base, target)
+        return parse_summary_csv(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def cmd_compare(args) -> int:
+    try:
+        report = compare(_read_summary(args.base), _read_summary(args.target))
     except ValueError as exc:
         print(f"cannot compare: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -295,22 +298,29 @@ def cmd_emit_train_profile(args) -> int:
     try:
         profile = TrainProfile(**{f.name: getattr(args, f.name) for f in fields(TrainProfile)})
     except ValueError as exc:
-        print(f"invalid profile: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError([f"invalid profile: {exc}"]) from exc
     path = emit_train_profile(profile, args.out)
     print(f"training profile written to {path}")
     return EXIT_OK
 
 
-def cmd_stub(args) -> int:
-    answers: dict[str, str] = {}
-    if args.examples:
-        with open(args.examples, encoding="utf-8") as fp:
+def _canned_answers(path: str) -> dict[str, str]:
+    """question -> gold SQL from an examples file: a JSON list of records, each
+    with a ``question`` and a Spider ``query`` or a BIRD ``SQL``."""
+    try:
+        with open(path, encoding="utf-8") as fp:
             records = json.load(fp)
-        answers = {
-            rec["question"]: rec.get("query", rec.get("SQL", "SELECT 1"))
-            for rec in records
-        }
+    except (OSError, ValueError) as exc:
+        raise ConfigError([f"--examples {path}: {exc}"]) from exc
+    if not isinstance(records, list) or not all(
+        isinstance(rec, dict) and isinstance(rec.get("question"), str) for rec in records
+    ):
+        raise ConfigError([f"--examples {path}: not a JSON list of records with a question"])
+    return {rec["question"]: rec.get("query", rec.get("SQL", "SELECT 1")) for rec in records}
+
+
+def cmd_stub(args) -> int:
+    answers = _canned_answers(args.examples) if args.examples else {}
     behavior = StubBehavior(answers=answers, fallback_sql=args.fallback)
     server = StubServer(behavior, host=args.host, port=args.port)
     server.start()

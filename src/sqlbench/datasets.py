@@ -1,9 +1,8 @@
-"""Benchmark dataset loading: schema catalogs, example files, SQLite introspection."""
+"""Benchmark dataset loading: schema catalogs and example files."""
 
 from __future__ import annotations
 
 import json
-import sqlite3
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -345,83 +344,3 @@ def load_bundle(source: DatasetSource) -> DatasetBundle:
         raise DatasetError(*errors)
     return bundle
 
-
-_SQLITE_LIST_TABLES = (
-    "SELECT name FROM sqlite_master WHERE type = 'table'"
-    " AND name NOT LIKE 'sqlite_%' ORDER BY rowid"
-)
-
-
-def introspect_database(db_file: str | Path) -> DatabaseSchema:
-    """Extract a DatabaseSchema from a SQLite file's own metadata."""
-    path = Path(db_file)
-    if not path.is_file():
-        raise OSError(f"database file not found: {path}")
-    conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
-    try:
-        names = [row[0] for row in conn.execute(_SQLITE_LIST_TABLES)]
-        tables = []
-        primary_keys: list[KeyRef] = []
-        foreign_keys: list[ForeignKey] = []
-        pk_by_table: dict[str, list[tuple[int, str]]] = {}
-        for name in names:
-            cols = []
-            for _, col_name, decltype, _, _, pk_order in conn.execute(
-                f'PRAGMA table_info("{name}")'
-            ):
-                cols.append(ColumnDef(name=col_name, data_type=map_column_type(decltype or "")))
-                if pk_order:
-                    pk_by_table.setdefault(name, []).append((pk_order, col_name))
-            tables.append(TableDef(name=name, columns=tuple(cols)))
-        for name in names:
-            for _, col_name in sorted(pk_by_table.get(name, [])):
-                primary_keys.append(KeyRef(table=name, column=col_name))
-        schema_index = {t.name: t for t in tables}
-        for name in names:
-            rows = sorted(conn.execute(f'PRAGMA foreign_key_list("{name}")'))
-            for _, _, parent, child_col, parent_col, *_ in rows:
-                if parent_col is None:
-                    # implicit reference to the parent's primary key
-                    pk_cols = sorted(pk_by_table.get(parent, []))
-                    parent_col = pk_cols[0][1] if pk_cols else None
-                if parent_col is None or parent not in schema_index:
-                    raise DatasetError(
-                        f"{path.stem}: unresolvable foreign key on {name}.{child_col}"
-                    )
-                foreign_keys.append(
-                    ForeignKey(
-                        child=KeyRef(table=name, column=child_col),
-                        parent=KeyRef(table=parent, column=parent_col),
-                    )
-                )
-    except sqlite3.Error as exc:
-        raise OSError(f"cannot introspect {path}: {exc}") from exc
-    finally:
-        conn.close()
-    return DatabaseSchema(
-        db_id=path.stem,
-        tables=tuple(tables),
-        primary_keys=tuple(primary_keys),
-        foreign_keys=tuple(foreign_keys),
-    )
-
-
-def schemas_equivalent(a: DatabaseSchema, b: DatabaseSchema) -> bool:
-    """Structural equality up to identifier case-folding and key-list ordering."""
-
-    def fold(schema: DatabaseSchema):
-        return (
-            [(t.name.lower(), [(c.name.lower(), c.data_type) for c in t.columns]) for t in schema.tables],
-            sorted((r.table.lower(), r.column.lower()) for r in schema.primary_keys),
-            sorted(
-                (
-                    fk.child.table.lower(),
-                    fk.child.column.lower(),
-                    fk.parent.table.lower(),
-                    fk.parent.column.lower(),
-                )
-                for fk in schema.foreign_keys
-            ),
-        )
-
-    return fold(a) == fold(b)

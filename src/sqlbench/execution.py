@@ -86,21 +86,13 @@ def connect_readonly(db_file: str | Path) -> sqlite3.Connection:
     return conn
 
 
-def execute_sql(
-    sql: str,
-    db_file: str | Path,
-    timeout_s: float = 30.0,
-    conn: sqlite3.Connection | None = None,
-) -> ExecOutcome:
-    """Run one statement read-only and fetch all rows under a deadline.
+def execute_sql(sql: str, conn: sqlite3.Connection, timeout_s: float) -> ExecOutcome:
+    """Run one statement on ``conn`` and fetch all rows under a deadline.
 
-    ``conn``, when given, is an open connection from ``connect_readonly`` to
-    ``db_file``; it is left open, with no progress handler. Otherwise the
-    statement runs on a connection of its own.
+    ``conn`` is an open connection from ``connect_readonly``, such as one that
+    ``ReusedConnection.get`` hands out. It is left open, with its cursor
+    closed and no progress handler, whether the statement succeeds or fails.
     """
-    own = conn is None
-    if own:
-        conn = connect_readonly(db_file)
     deadline = time.monotonic() + timeout_s
     timed_out = False
 
@@ -130,12 +122,9 @@ def execute_sql(
         kind = TIMEOUT if timed_out else EXEC_ERROR
         raise ExecutionFailure(kind, str(exc)) from exc
     finally:
-        if own:
-            conn.close()
-        else:
-            if cursor is not None:
-                cursor.close()
-            conn.set_progress_handler(None, 0)
+        if cursor is not None:
+            cursor.close()
+        conn.set_progress_handler(None, 0)
     return ExecOutcome(rows=rows, elapsed=max(elapsed, _MIN_ELAPSED_S), sql=sql)
 
 
@@ -206,7 +195,7 @@ def median_elapsed(
     out opening the database and reading its schema, and a statement that
     retires the connection leaves the next run a fresh one.
     """
-    samples = [execute_sql(sql, db_file, timeout_s, connection.get(db_file)).elapsed
+    samples = [execute_sql(sql, connection.get(db_file), timeout_s).elapsed
                for _ in range(runs)]
     return max(statistics.median(samples), _MIN_ELAPSED_S)
 

@@ -148,8 +148,7 @@ class _Gold:
     def result(self) -> ExecOutcome | GoldExecutionError:
         """The gold's rows, or the error of a gold that does not execute."""
         try:
-            return execute_sql(self.sql, self.db_file, self.timeout_s,
-                               self.connection.get(self.db_file))
+            return execute_sql(self.sql, self.connection.get(self.db_file), self.timeout_s)
         except ExecutionFailure as failure:
             return GoldExecutionError(f"gold query failed: {failure}")
 
@@ -167,8 +166,7 @@ def _judge(gold: _Gold, pred_sql: str, ves: bool) -> ExScore:
     correct prediction with ``ves`` set, both queries are timed on the
     scoring connection for the efficiency ratio."""
     try:
-        pred_out = execute_sql(pred_sql, gold.db_file, gold.timeout_s,
-                               gold.connection.get(gold.db_file))
+        pred_out = execute_sql(pred_sql, gold.connection.get(gold.db_file), gold.timeout_s)
     except ExecutionFailure as failure:
         return ExScore(ex=False, ves_ratio=None, failure=failure.kind)
     ex = results_match(gold.result.rows, pred_out.rows, gold.result.ordered)

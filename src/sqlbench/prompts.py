@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .datasets import DatabaseSchema, ExampleTriple
 
@@ -84,13 +83,8 @@ class PromptEnvelope:
             raise ValueError("envelope exceeds its own budget")
 
 
-def estimate_tokens(text: str, tokenizer: Callable[[str], int] | None = None) -> int:
-    """Deterministic over-estimate of the tokenizer count (bytes/3, rounded up).
-
-    An exact tokenizer can be plugged in for a specific model.
-    """
-    if tokenizer is not None:
-        return tokenizer(text)
+def estimate_tokens(text: str) -> int:
+    """Deterministic over-estimate of the tokenizer count (bytes/3, rounded up)."""
     return math.ceil(len(text.encode("utf-8")) / 3)
 
 
@@ -168,7 +162,6 @@ def build_prompt(
     template: PromptTemplate,
     budget: TokenBudget,
     schemas: dict[str, DatabaseSchema],
-    tokenizer: Callable[[str], int] | None = None,
 ) -> PromptEnvelope:
     """Render the prompt, shedding exemplars from the tail if needed to fit.
 
@@ -178,7 +171,7 @@ def build_prompt(
     for keep in range(len(exemplars), -1, -1):
         kept = exemplars[:keep]
         text = _assemble(target, kept, template, schemas)
-        estimate = estimate_tokens(text, tokenizer)
+        estimate = estimate_tokens(text)
         if estimate <= budget.available:
             return PromptEnvelope(
                 text=text,

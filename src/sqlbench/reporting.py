@@ -34,13 +34,6 @@ class BucketCounts:
             self.ex_scored += 1
             self.ex_correct += int(record.ex)
 
-    def merge(self, other: "BucketCounts") -> None:
-        self.n += other.n
-        self.em_scored += other.em_scored
-        self.em_correct += other.em_correct
-        self.ex_scored += other.ex_scored
-        self.ex_correct += other.ex_correct
-
     def em_rate(self) -> Fraction | None:
         return Fraction(self.em_correct, self.em_scored) if self.em_scored else None
 
@@ -161,6 +154,9 @@ PLAIN = "plain-table"
 CSV = "csv"
 STRUCTURED = "structured"
 
+_COUNT_COLUMNS = ("n", "em_scored", "em_correct", "ex_scored", "ex_correct")
+_CSV_COLUMNS = ("run_id", "config_fingerprint", "scheme", "bucket", *_COUNT_COLUMNS, "ves_mean")
+
 
 def _summary_columns(summary: RunSummary) -> list[tuple[str, BucketCounts]]:
     cols = [(label, summary.buckets[label]) for label in summary.labels()]
@@ -187,10 +183,7 @@ def render_summary(summary: RunSummary, fmt: str = PLAIN) -> str:
     if fmt == CSV:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(
-            ["run_id", "config_fingerprint", "scheme", "bucket", "n",
-             "em_scored", "em_correct", "ex_scored", "ex_correct", "ves_mean"]
-        )
+        writer.writerow(_CSV_COLUMNS)
         for label, counts in _summary_columns(summary):
             ves = ""
             if label == OVERALL and summary.ves_mean is not None:
@@ -225,11 +218,19 @@ def render_summary(summary: RunSummary, fmt: str = PLAIN) -> str:
 
 
 def parse_summary_csv(text: str) -> RunSummary:
-    """Inverse of the CSV rendering, at full precision."""
-    rows = list(csv.DictReader(io.StringIO(text)))
+    """Inverse of the CSV rendering, at full precision. Text that is not a
+    summary CSV, with a column missing, an unknown scheme or bucket, or a
+    count that is not an integer, raises ValueError."""
+    reader = csv.DictReader(io.StringIO(text))
+    missing = [name for name in _CSV_COLUMNS if name not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"not a summary csv: missing columns {missing}")
+    rows = list(reader)
     if not rows:
         raise ValueError("empty summary csv")
     scheme = rows[0]["scheme"]
+    if scheme not in _SCHEME_LABELS:
+        raise ValueError(f"unknown difficulty scheme {scheme!r}")
     summary = RunSummary(
         run_id=rows[0]["run_id"],
         scheme=scheme,
@@ -239,35 +240,24 @@ def parse_summary_csv(text: str) -> RunSummary:
         config_fingerprint=rows[0]["config_fingerprint"],
     )
     for row in rows:
-        counts = BucketCounts(
-            n=int(row["n"]),
-            em_scored=int(row["em_scored"]),
-            em_correct=int(row["em_correct"]),
-            ex_scored=int(row["ex_scored"]),
-            ex_correct=int(row["ex_correct"]),
-        )
-        if row["bucket"] == OVERALL:
+        bucket = row["bucket"]
+        if bucket != OVERALL and bucket not in summary.buckets:
+            raise ValueError(f"unknown bucket {bucket!r} for scheme {scheme}")
+        try:
+            counts = BucketCounts(*(int(row[name]) for name in _COUNT_COLUMNS))
+        except (TypeError, ValueError):
+            raise ValueError(f"bucket {bucket!r}: counts must be integers") from None
+        if bucket == OVERALL:
             summary.overall = counts
             if row["ves_mean"]:
                 summary.ves_mean = float(row["ves_mean"])
         else:
-            summary.buckets[row["bucket"]] = counts
+            summary.buckets[bucket] = counts
     return summary
 
 
 def render_delta(report: DeltaReport, fmt: str = PLAIN) -> str:
     labels = list(report.labels()) + [OVERALL]
-    if fmt == CSV:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["base_run", "target_run", "scheme", "bucket", "em_delta", "ex_delta"])
-        for label in labels:
-            writer.writerow([
-                report.base_run, report.target_run, report.scheme, label,
-                format_rate(report.em_deltas[label], signed=True),
-                format_rate(report.ex_deltas[label], signed=True),
-            ])
-        return buffer.getvalue()
     if fmt == PLAIN:
         width = max(8, *(len(label) for label in labels))
         lines = [

@@ -49,17 +49,13 @@ def _gram_codes(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Buckets(dict):
-    """Gram code -> hash bucket, the CRC-32 of the gram's UTF-8 bytes; each
-    distinct gram is hashed once."""
-
-    def __init__(self, dim: int) -> None:
-        super().__init__()
-        self.dim = dim
+    """Gram code -> hash bucket, the CRC-32 of the gram's UTF-8 bytes modulo
+    ``EMBED_DIM``; each distinct gram is hashed once."""
 
     def __missing__(self, code: int) -> int:
         points = (code // _SHIFT // _SHIFT, code // _SHIFT % _SHIFT, code % _SHIFT)
         gram = "".join(chr(point) for point in points if point != _TAB)
-        bucket = self[code] = zlib.crc32(gram.encode("utf-8")) % self.dim
+        bucket = self[code] = zlib.crc32(gram.encode("utf-8")) % EMBED_DIM
         return bucket
 
 
@@ -77,8 +73,8 @@ class TrigramRows:
     and each distinct gram is hashed once.
     """
 
-    def __init__(self, texts: list[str], dim: int = EMBED_DIM) -> None:
-        bucket = _Buckets(dim)
+    def __init__(self, texts: list[str]) -> None:
+        bucket = _Buckets()
         # per chunk: each row's buckets, their counts, its pair count and squared norm
         buckets, counts = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
         sizes, squares = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
@@ -89,14 +85,13 @@ class TrigramRows:
             # hashes instead and imports numpy.ma, about 1 MB
             distinct, _ = np.unique(codes, return_counts=True)
             table = np.array([bucket[code] for code in distinct.tolist()], dtype=np.int64)
-            keys = rows * dim + table[np.searchsorted(distinct, codes)]
+            keys = rows * EMBED_DIM + table[np.searchsorted(distinct, codes)]
             pairs, count = np.unique(keys, return_counts=True)
-            rows, count = pairs // dim, count.astype(np.float64)
-            buckets.append((pairs % dim).astype(np.intp))
+            rows, count = pairs // EMBED_DIM, count.astype(np.float64)
+            buckets.append((pairs % EMBED_DIM).astype(np.intp))
             counts.append(count)
             sizes.append(np.bincount(rows, minlength=len(chunk)))
             squares.append(np.bincount(rows, count * count, minlength=len(chunk)))
-        self.dim = dim
         self.buckets = np.concatenate(buckets)
         self.counts = np.concatenate(counts)
         self.starts = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
@@ -109,7 +104,7 @@ class TrigramRows:
     def dense(self, row: int) -> tuple[np.ndarray, float]:
         """One row as a dense vector, with its norm."""
         lo, hi = self.starts[row], self.starts[row + 1]
-        vec = np.zeros(self.dim)
+        vec = np.zeros(EMBED_DIM)
         vec[self.buckets[lo:hi]] = self.counts[lo:hi]
         return vec, float(self.norms[row])
 

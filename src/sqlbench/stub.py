@@ -137,8 +137,3 @@ class StubServer:
 
     def __exit__(self, *exc) -> None:
         self.stop()
-
-
-def answers_from_examples(examples) -> dict[str, str]:
-    """question -> gold SQL map for gold-echo serving."""
-    return {ex.question: ex.gold_sql for ex in examples}

@@ -128,3 +128,8 @@ def write_config_with_url(config_path: Path, base_url: str) -> Path:
     resolved = config_path.with_name("run_resolved.yaml")
     resolved.write_text(text, encoding="utf-8")
     return resolved
+
+
+def answers_from_examples(examples) -> dict[str, str]:
+    """question -> gold SQL map for gold-echo serving."""
+    return {ex.question: ex.gold_sql for ex in examples}

@@ -39,9 +39,9 @@ from sqlbench.prompts import (
 from sqlbench.reporting import PLAIN, compare, format_rate, render_summary, summarize
 from sqlbench.selection import RANDOM_SHOT, SelectionPolicy
 from sqlbench.sqlkit import SqlParseError, classify_difficulty, em_match, parse_sql
-from sqlbench.stub import StubBehavior, StubServer, answers_from_examples
+from sqlbench.stub import StubBehavior, StubServer
 
-from conftest import cli_child_env, write_config_with_url
+from conftest import answers_from_examples, cli_child_env, write_config_with_url
 
 
 def _checked(num: int, name: str, limit_s: float | None = None):

@@ -11,9 +11,9 @@ import pytest
 
 from sqlbench.cli import main
 from sqlbench.inference import read_predictions
-from sqlbench.stub import StubBehavior, StubServer, answers_from_examples
+from sqlbench.stub import StubBehavior, StubServer
 
-from conftest import cli_child_env, write_config_with_url
+from conftest import answers_from_examples, cli_child_env, write_config_with_url
 
 
 @pytest.fixture()
@@ -230,6 +230,38 @@ def test_compare_scheme_mismatch_exits_nonzero(tmp_path, capsys):
     assert "scheme" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows, named", [
+    (None, "No such file"),
+    ("a,b\n1,2\n", "missing columns"),
+    ("r,f,spider4,simple,1,1,1,1,1,\n", "unknown bucket"),
+    ("r,f,spider4,overall,1,1,x,1,1,\n", "counts must be integers"),
+], ids=["missing-file", "columns", "bucket", "count"])
+def test_compare_on_what_is_not_a_summary_is_one_line(tmp_path, capsys, rows, named):
+    header = ("run_id,config_fingerprint,scheme,bucket,n,em_scored,em_correct,"
+              "ex_scored,ex_correct,ves_mean\n")
+    good = tmp_path / "good.csv"
+    good.write_text(header + "a,f,spider4,overall,1,1,1,1,1,\n")
+    bad = tmp_path / "bad.csv"
+    if rows is not None:
+        bad.write_text(rows if rows.startswith("a,b") else header + rows)
+    for base, target in ((bad, good), (good, bad)):
+        assert run_cli("compare", "--base", str(base), "--target", str(target)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot compare: {bad}: ") and named in err, err
+        assert len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("examples", ['{"question": "q", "query": "SELECT 1"}', "[1, 2]",
+                                      '[{"query": "SELECT 1"}]', "not json"],
+                         ids=["object", "numbers", "no-question", "not-json"])
+def test_stub_examples_that_are_not_records_are_a_config_error(tmp_path, capsys, examples):
+    path = tmp_path / "examples.json"
+    path.write_text(examples)
+    assert run_cli("stub", "--examples", str(path), "--port", "0") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config: --examples {path}: ") and len(err.splitlines()) == 1, err
+
+
 def test_emit_train_profile_cli(tmp_path):
     out = tmp_path / "profile.yaml"
     rc = run_cli("emit-train-profile", "--method", "qlora", "--out", str(out))
@@ -257,7 +289,7 @@ def test_train_profile_flags_are_the_profile_fields(capsys):
 def test_unknown_train_profile_method_is_refused(tmp_path, capsys):
     out = tmp_path / "profile.yaml"
     assert run_cli("emit-train-profile", "--method", "foo", "--out", str(out)) == 1
-    assert "invalid profile:" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("config: invalid profile:")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -562,6 +594,30 @@ def test_predict_with_dual_similarity_shots_is_a_config_error(scratch_config, go
     assert "'dual-similarity'" in capsys.readouterr().err
     assert run_cli(*argv, "--shots", "0") == 0
     assert gold_stub.request_count == 20
+
+
+def test_evaluate_missing_predictions_is_refused_before_any_data(scratch_config, tmp_path,
+                                                                 monkeypatch, capsys):
+    import sqlbench.cli
+
+    def no_data(source):
+        raise AssertionError("dataset read")
+
+    monkeypatch.setattr(sqlbench.cli, "load_bundle", no_data)
+    config = write_config_with_url(scratch_config, "http://127.0.0.1:1/v1")
+    assert run_cli("evaluate", "--config", str(config), "--run-id", "t", "--split", "dev",
+                   "--predictions", str(tmp_path / "ghost.jsonl")) == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("config:")]
+    assert len(errors) == 1 and "ghost.jsonl" in errors[0] and "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_build_corpus_with_no_job_is_a_config_error(scratch_config, tmp_path, capsys):
+    config = write_config_with_url(scratch_config, "http://127.0.0.1:1/v1")
+    assert run_cli("build-corpus", "--config", str(config), "--run-id", "t") == 1
+    assert capsys.readouterr().err == "config: nothing to do: pass --k and/or --random-shot\n"
+    assert not (tmp_path / "runs").exists()
 
 
 def test_predict_to_a_url_that_is_not_http_is_a_config_error(scratch_config, tmp_path, gold_stub,

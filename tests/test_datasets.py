@@ -7,10 +7,8 @@ import pytest
 from sqlbench.datasets import (
     DatasetError,
     DatasetSource,
-    introspect_database,
     load_bundle,
     map_column_type,
-    schemas_equivalent,
     validate_dataset,
 )
 
@@ -122,42 +120,6 @@ def test_column_type_mapping():
     assert map_column_type("others") == "other"
     assert map_column_type("number") == "number"
     assert map_column_type("blob") == "other"
-
-
-def test_introspect_minimal_database(tmp_path):
-    import sqlite3
-
-    path = tmp_path / "mini.sqlite"
-    conn = sqlite3.connect(path)
-    conn.execute("CREATE TABLE t (a INTEGER PRIMARY KEY, b TEXT)")
-    conn.commit()
-    conn.close()
-    schema = introspect_database(path)
-    assert len(schema.tables) == 1
-    assert [c.name for c in schema.tables[0].columns] == ["a", "b"]
-    assert [c.data_type for c in schema.tables[0].columns] == ["number", "text"]
-    assert len(schema.primary_keys) == 1
-    assert schema.foreign_keys == ()
-
-
-def test_introspect_empty_database(tmp_path):
-    import sqlite3
-
-    path = tmp_path / "empty.sqlite"
-    sqlite3.connect(path).close()
-    assert introspect_database(path).tables == ()
-
-
-def test_introspect_missing_file(tmp_path):
-    with pytest.raises(OSError):
-        introspect_database(tmp_path / "nope.sqlite")
-
-
-def test_loader_agreement_on_concert_singer(bundle, db_file):
-    """Catalog-loaded and engine-introspected schemas agree up to
-    identifier case and key ordering."""
-    introspected = introspect_database(db_file)
-    assert schemas_equivalent(bundle.schemas["concert_singer"], introspected)
 
 
 def test_referential_closure(bundle):

@@ -24,7 +24,9 @@ from sqlbench.inference import (
     write_predictions,
 )
 from sqlbench.prompts import TRP_SENTENCE, TokenBudget, build_prompt
-from sqlbench.stub import StubBehavior, StubServer, _Handler, answers_from_examples
+from sqlbench.stub import StubBehavior, StubServer, _Handler
+
+from conftest import answers_from_examples
 
 PROXY_VARIABLES = ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
 TLS = Path(__file__).parent / "fixtures" / "tls"

@@ -8,6 +8,7 @@ import pytest
 
 from sqlbench.execution import (
     ExecutionFailure,
+    ReusedConnection,
     execute_sql,
     has_top_level_order_by,
     results_match,
@@ -33,26 +34,32 @@ def prediction(index: int, sql: str) -> Prediction:
     return Prediction(index, sql, sql, 1.0, 1)
 
 
+def run_sql(sql: str, db_file, timeout_s: float = 30.0):
+    """One statement on a connection of its own, as scoring opens them."""
+    with ReusedConnection() as connections:
+        return execute_sql(sql, connections.get(db_file), timeout_s)
+
+
 class TestExecute:
     def test_select_one(self, db_file):
-        outcome = execute_sql("SELECT 1", db_file)
+        outcome = run_sql("SELECT 1", db_file)
         assert outcome.rows == [(1,)]
         assert outcome.elapsed > 0
         assert outcome.ordered is False
 
     def test_error_on_unknown_table(self, db_file):
         with pytest.raises(ExecutionFailure) as err:
-            execute_sql("SELECT nonexistent FROM nowhere", db_file)
+            run_sql("SELECT nonexistent FROM nowhere", db_file)
         assert err.value.kind == "exec-error"
 
     def test_missing_db(self, tmp_path):
         with pytest.raises(ExecutionFailure) as err:
-            execute_sql("SELECT 1", tmp_path / "ghost.sqlite")
+            run_sql("SELECT 1", tmp_path / "ghost.sqlite")
         assert err.value.kind == "db-unavailable"
 
     def test_runaway_query_times_out(self, db_file):
         with pytest.raises(ExecutionFailure) as err:
-            execute_sql(
+            run_sql(
                 "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c)"
                 " SELECT count(*) FROM c",
                 db_file,
@@ -63,7 +70,7 @@ class TestExecute:
     def test_write_rejected_readonly(self, db_file):
         before = sha256(db_file)
         with pytest.raises(ExecutionFailure) as err:
-            execute_sql("INSERT INTO singer VALUES (99,'X','Y','Z','2020',30,1)", db_file)
+            run_sql("INSERT INTO singer VALUES (99,'X','Y','Z','2020',30,1)", db_file)
         assert err.value.kind == "exec-error"
         assert sha256(db_file) == before
 
@@ -456,34 +463,30 @@ class TestReusedConnection:
             " SELECT count(*) FROM c")
 
     def test_timeout_leaves_the_connection_working(self, db_file):
-        from sqlbench.execution import ReusedConnection
-
         with ReusedConnection() as connections:
             conn = connections.get(db_file)
             with pytest.raises(ExecutionFailure) as err:
-                execute_sql(self.RUNAWAY, db_file, 0.5, conn)
+                execute_sql(self.RUNAWAY, conn, 0.5)
             assert err.value.kind == "timeout"
             assert connections.get(db_file) is conn
             # no expired deadline is left behind to interrupt the next query
             assert conn.execute(self.LONG).fetchall() == [(200000,)]
-            outcome = execute_sql("SELECT count(*) FROM singer", db_file, 5, conn)
+            outcome = execute_sql("SELECT count(*) FROM singer", conn, 5)
             assert outcome.rows == [(6,)]
 
     def test_stateful_statement_retires_its_connection(self, db_file):
         import sqlite3
 
-        from sqlbench.execution import ReusedConnection
-
         with ReusedConnection() as connections:
             conn = connections.get(db_file)
-            assert execute_sql("SELECT 'a' LIKE 'A'", db_file, 5, conn).rows == [(1,)]
+            assert execute_sql("SELECT 'a' LIKE 'A'", conn, 5).rows == [(1,)]
             assert connections.get(db_file) is conn
-            execute_sql("PRAGMA case_sensitive_like = 1", db_file, 5, conn)
+            execute_sql("PRAGMA case_sensitive_like = 1", conn, 5)
             fresh = connections.get(db_file)
             assert fresh is not conn
             with pytest.raises(sqlite3.ProgrammingError):
                 conn.execute("SELECT 1")
-            assert execute_sql("SELECT 'a' LIKE 'A'", db_file, 5, fresh).rows == [(1,)]
+            assert execute_sql("SELECT 'a' LIKE 'A'", fresh, 5).rows == [(1,)]
 
     def test_a_prediction_does_not_change_a_later_gold(self, bundle):
         from dataclasses import replace

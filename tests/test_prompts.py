@@ -124,10 +124,6 @@ def test_estimate_tokens_basics():
     assert estimate_tokens("abcd") == 2  # ceil(4/3)
 
 
-def test_estimate_tokens_pluggable():
-    assert estimate_tokens("hello world", tokenizer=lambda text: len(text.split())) == 2
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.text(max_size=200), st.text(max_size=50))
 def test_estimate_tokens_monotone_over_prefixes(prefix, suffix):

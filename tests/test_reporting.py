@@ -108,17 +108,33 @@ def test_csv_roundtrip_exact():
 )
 def test_csv_roundtrip_randomized(cells):
     buckets = {}
-    overall = BucketCounts()
     for label, (n_extra, em_c, ex_c) in zip(SPIDER, cells):
         n = n_extra + max(em_c, ex_c)  # keep correct <= scored
-        counts = BucketCounts(n=n, em_scored=n, em_correct=em_c, ex_scored=n, ex_correct=ex_c)
-        buckets[label] = counts
-        overall.merge(counts)
+        buckets[label] = BucketCounts(n=n, em_scored=n, em_correct=em_c, ex_scored=n,
+                                      ex_correct=ex_c)
+    overall = BucketCounts(*(sum(getattr(c, name) for c in buckets.values())
+                             for name in ("n", "em_scored", "em_correct", "ex_scored", "ex_correct")))
     summary = RunSummary(
         run_id="rand", scheme="spider4", buckets=buckets, overall=overall,
         ves_mean=None, config_fingerprint="fp",
     )
     assert parse_summary_csv(render_summary(summary, CSV)) == summary
+
+
+_HEADER = ("run_id,config_fingerprint,scheme,bucket,n,em_scored,em_correct,"
+           "ex_scored,ex_correct,ves_mean\n")
+
+
+@pytest.mark.parametrize("text, named", [
+    ("a,b\n1,2\n", "missing columns"),
+    (_HEADER + "r,f,spider5,overall,1,1,1,1,1,\n", "unknown difficulty scheme"),
+    (_HEADER + "r,f,spider4,simple,1,1,1,1,1,\n", "unknown bucket 'simple'"),
+    (_HEADER + "r,f,spider4,easy,1,1,one,1,1,\n", "counts must be integers"),
+    (_HEADER + "r,f,spider4,easy,1,1\n", "counts must be integers"),
+], ids=["columns", "scheme", "bucket", "count", "short-row"])
+def test_parse_summary_csv_refuses_what_is_not_a_summary(text, named):
+    with pytest.raises(ValueError, match=named):
+        parse_summary_csv(text)
 
 
 def test_compare_zero_on_identical():
@@ -193,11 +209,3 @@ def test_ves_mean_over_scored_records():
     ]
     summary = summarize(records, "r", "f")
     assert summary.ves_mean == pytest.approx(0.75)  # incorrect counts as zero
-
-
-def test_render_delta_csv():
-    a = summarize(graded_bucket_records(), "a", "f")
-    rendered = render_delta(compare(a, a), CSV)
-    lines = rendered.splitlines()
-    assert lines[0].startswith("base_run,target_run,scheme,bucket")
-    assert lines[-1].endswith("overall,+0.000,+0.000")

@@ -14,6 +14,7 @@ from sqlbench.selection import (
     QUESTION_SIMILARITY,
     RANDOM,
     RANDOM_SHOT,
+    EMBED_DIM,
     SelectionPolicy,
     TrigramRows,
     build_index,
@@ -359,4 +360,4 @@ def test_array_build_matches_dense_oracle(texts):
 def test_empty_trigram_rows():
     rows = TrigramRows([])
     assert len(rows) == 0 and rows.starts.tolist() == [0]
-    assert rows.cosines(np.zeros(rows.dim), 0.0).shape == (0,)
+    assert rows.cosines(np.zeros(EMBED_DIM), 0.0).shape == (0,)
