@@ -337,8 +337,17 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part != ""]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error is a config error: usage and one line, exit 1.
+    Subparsers are made of this class too."""
+
+    def error(self, message: str) -> typing.NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sqlbench",
         description="Text-to-SQL benchmarking pipeline: dataset construction,"
         " prediction, evaluation, and fine-tuning corpus export.",

@@ -12,18 +12,9 @@ BIRD = "bird"
 DIALECTS = (SPIDER, BIRD)
 SPLITS = ("train", "dev", "test")
 
-COLUMN_KINDS = ("text", "number", "time", "boolean", "other")
-
 SPIDER_LABELS = ("easy", "medium", "hard", "extra")
 BIRD_LABELS = ("simple", "moderate", "challenge")
-
-# prefix rules applied after case-folding; the five canonical kinds pass through
-_TYPE_PREFIXES = (
-    (("int", "real", "numeric", "decimal"), "number"),
-    (("char", "text", "varchar"), "text"),
-    (("date", "time", "timestamp"), "time"),
-    (("bool",), "boolean"),
-)
+SCHEME_LABELS = {"spider4": SPIDER_LABELS, "bird3": BIRD_LABELS}
 
 
 class DatasetError(Exception):
@@ -33,45 +24,19 @@ class DatasetError(Exception):
         return "; ".join(str(arg) for arg in self.args)
 
 
-def map_column_type(raw: str) -> str:
-    """Map a source type string onto the five-kind column type vocabulary."""
-    folded = raw.strip().lower()
-    if folded in COLUMN_KINDS:
-        return folded
-    if folded == "others":
-        return "other"
-    for prefixes, kind in _TYPE_PREFIXES:
-        if folded.startswith(prefixes):
-            return kind
-    return "other"
-
-
-@dataclass(frozen=True)
-class ColumnDef:
-    name: str
-    data_type: str
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise DatasetError("column name must be non-empty")
-        if self.data_type not in COLUMN_KINDS:
-            raise DatasetError(f"unknown column type {self.data_type!r}")
-
-
 @dataclass(frozen=True)
 class TableDef:
     name: str
-    columns: tuple[ColumnDef, ...]
+    columns: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise DatasetError("table name must be non-empty")
-        folded = [c.name.lower() for c in self.columns]
+        if not isinstance(self.name, str) or not self.name:
+            raise DatasetError("table name must be a non-empty string")
+        if not all(isinstance(c, str) and c for c in self.columns):
+            raise DatasetError(f"column names of table {self.name!r} must be non-empty strings")
+        folded = [c.lower() for c in self.columns]
         if len(set(folded)) != len(folded):
             raise DatasetError(f"duplicate column names in table {self.name!r}")
-
-    def column_names(self) -> list[str]:
-        return [c.name for c in self.columns]
 
 
 @dataclass(frozen=True)
@@ -94,13 +59,12 @@ class DatabaseSchema:
     foreign_keys: tuple[ForeignKey, ...]
 
     def __post_init__(self) -> None:
-        # folded table name -> (table, folded column names); the first of two
-        # tables whose names fold alike wins, for lookups and key checks alike.
-        # Column names are interned: cloned schemas share them.
-        columns: dict[str, tuple[TableDef, frozenset[str]]] = {}
+        # folded table name -> folded column names; the first of two tables
+        # whose names fold alike wins. Column names are interned: cloned
+        # schemas share them.
+        columns: dict[str, frozenset[str]] = {}
         for t in self.tables:
-            columns.setdefault(t.name.lower(),
-                               (t, frozenset(sys.intern(c.name.lower()) for c in t.columns)))
+            columns.setdefault(t.name.lower(), frozenset(sys.intern(c.lower()) for c in t.columns))
         object.__setattr__(self, "_columns", columns)
         for ref in self.primary_keys:
             self._check_ref(ref, "primary key")
@@ -114,13 +78,9 @@ class DatabaseSchema:
                 f"{self.db_id}: {kind} references unknown column {ref.table}.{ref.column}"
             )
 
-    def table(self, name: str) -> TableDef | None:
-        entry = self._columns.get(name.lower())
-        return None if entry is None else entry[0]
-
     def has_column(self, table: str, column: str) -> bool:
-        entry = self._columns.get(table.lower())
-        return entry is not None and column.lower() in entry[1]
+        columns = self._columns.get(table.lower())
+        return columns is not None and column.lower() in columns
 
     def primary_key_of(self, table: str) -> str | None:
         """First declared primary-key column of a table, original casing."""
@@ -137,7 +97,7 @@ class DifficultyLabel:
     label: str
 
     def __post_init__(self) -> None:
-        allowed = {"spider4": SPIDER_LABELS, "bird3": BIRD_LABELS}.get(self.scheme)
+        allowed = SCHEME_LABELS.get(self.scheme)
         if allowed is None:
             raise ValueError(f"unknown difficulty scheme {self.scheme!r}")
         if self.label not in allowed:
@@ -200,9 +160,8 @@ def _catalog_entry_to_schema(entry: dict) -> DatabaseSchema:
     db_id = entry["db_id"]
     table_names = entry["table_names_original"]
     raw_columns = entry["column_names_original"]
-    column_types = entry.get("column_types", ["text"] * len(raw_columns))
 
-    per_table: list[list[ColumnDef]] = [[] for _ in table_names]
+    per_table: list[list[str]] = [[] for _ in table_names]
     for idx, (tbl_idx, col_name) in enumerate(raw_columns):
         if tbl_idx == -1:
             continue  # the [-1, "*"] sentinel
@@ -210,8 +169,7 @@ def _catalog_entry_to_schema(entry: dict) -> DatabaseSchema:
             raise DatasetError(
                 f"{db_id}: column {idx} references unknown table index {tbl_idx}"
             )
-        kind = map_column_type(str(column_types[idx])) if idx < len(column_types) else "other"
-        per_table[tbl_idx].append(ColumnDef(name=col_name, data_type=kind))
+        per_table[tbl_idx].append(col_name)
 
     tables = tuple(
         TableDef(name=name, columns=tuple(cols)) for name, cols in zip(table_names, per_table)
@@ -249,20 +207,24 @@ def _catalog_entry_to_schema(entry: dict) -> DatabaseSchema:
 
 
 def _example_from_record(ordinal: int, rec: dict, bundle: DatasetBundle) -> ExampleTriple:
+    if not isinstance(rec, dict):
+        raise DatasetError(f"record {ordinal}: not a JSON object")
     db_id = rec.get("db_id")
     question = rec.get("question")
     # BIRD releases carry the gold query under "SQL"
     sql = rec.get("query", rec.get("SQL"))
-    if not db_id or db_id not in bundle.schemas:
+    if not isinstance(db_id, str) or db_id not in bundle.schemas:
         raise DatasetError(f"record {ordinal}: unknown db_id {db_id!r}")
-    if not question:
-        raise DatasetError(f"record {ordinal}: missing question")
-    if not sql:
-        raise DatasetError(f"record {ordinal}: missing SQL query")
+    if not question or not isinstance(question, str):
+        raise DatasetError(f"record {ordinal}: question must be a non-empty string")
+    if not sql or not isinstance(sql, str):
+        raise DatasetError(f"record {ordinal}: SQL query must be a non-empty string")
     difficulty = None
     evidence = None
     if bundle.dialect == BIRD:
         evidence = rec.get("evidence") or None
+        if not isinstance(evidence, (str, type(None))):
+            raise DatasetError(f"record {ordinal}: evidence must be a string")
         raw_label = rec.get("difficulty")
         if raw_label:
             if raw_label not in BIRD_LABELS:
@@ -305,6 +267,8 @@ def validate_dataset(source: DatasetSource) -> tuple[DatasetBundle | None, list[
     try:
         with open(source.tables, encoding="utf-8") as fp:
             entries = json.load(fp)
+        if not isinstance(entries, list):
+            raise ValueError("not a JSON list of databases")
     except (OSError, ValueError) as exc:
         return None, [f"schema catalog {source.tables}: {exc}"]
     for pos, entry in enumerate(entries):
@@ -321,6 +285,8 @@ def validate_dataset(source: DatasetSource) -> tuple[DatasetBundle | None, list[
         try:
             with open(path, encoding="utf-8") as fp:
                 records = json.load(fp)
+            if not isinstance(records, list):
+                raise ValueError("not a JSON list of records")
         except (OSError, ValueError) as exc:
             errors.append(f"split {split} ({path}): {exc}")
             continue

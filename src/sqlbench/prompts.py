@@ -91,7 +91,7 @@ def estimate_tokens(text: str) -> int:
 def render_schema(schema: DatabaseSchema, style: str) -> str:
     if style == COMPACT_STYLE:
         lines = [
-            f"Table {t.name}, columns = [*,{','.join(t.column_names())}]"
+            f"Table {t.name}, columns = [*,{','.join(t.columns)}]"
             for t in schema.tables
         ]
         return "\n".join(lines)
@@ -100,7 +100,7 @@ def render_schema(schema: DatabaseSchema, style: str) -> str:
     tables = ", ".join(t.name for t in schema.tables)
     lines = [f"Database {schema.db_id} contains tables such as {tables}."]
     for table in schema.tables:
-        line = f"Table {table.name} has columns such as {', '.join(table.column_names())}."
+        line = f"Table {table.name} has columns such as {', '.join(table.columns)}."
         pk = schema.primary_key_of(table.name)
         if pk:
             line += f" {pk} is the primary key."

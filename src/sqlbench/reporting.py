@@ -6,14 +6,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
-from .datasets import BIRD_LABELS, SPIDER_LABELS
+from .datasets import SCHEME_LABELS
 from .metrics import EvalRecord
 
-_SCHEME_LABELS = {"spider4": SPIDER_LABELS, "bird3": BIRD_LABELS}
 OVERALL = "overall"
 
 
@@ -41,17 +40,18 @@ class BucketCounts:
         return Fraction(self.ex_correct, self.ex_scored) if self.ex_scored else None
 
 
+def _buckets(scheme: str) -> dict[str, BucketCounts]:
+    """Empty counts for the scheme's labels in order, then ``OVERALL``."""
+    return {label: BucketCounts() for label in (*SCHEME_LABELS[scheme], OVERALL)}
+
+
 @dataclass
 class RunSummary:
     run_id: str
     scheme: str
-    buckets: dict[str, BucketCounts]
-    overall: BucketCounts
+    buckets: dict[str, BucketCounts]  # the scheme's labels in order, then OVERALL
     ves_mean: float | None
     config_fingerprint: str
-
-    def labels(self) -> tuple[str, ...]:
-        return _SCHEME_LABELS[self.scheme]
 
 
 def summarize(
@@ -66,8 +66,7 @@ def summarize(
     three decimals. The VES mean covers every record whose execution verdict
     was computed, counting incorrect predictions as zero efficiency.
     """
-    buckets = {label: BucketCounts() for label in _SCHEME_LABELS[scheme]}
-    overall = BucketCounts()
+    buckets = _buckets(scheme)
     ves_total = 0.0
     ves_n = 0
     ves_seen = False
@@ -82,7 +81,7 @@ def summarize(
                 f" {record.difficulty.scheme}, summary uses {scheme}"
             )
         buckets[record.difficulty.label].add(record)
-        overall.add(record)
+        buckets[OVERALL].add(record)
         if record.ex is not None:
             ves_n += 1
             if record.ves_ratio is not None:
@@ -95,7 +94,6 @@ def summarize(
         run_id=run_id,
         scheme=scheme,
         buckets=buckets,
-        overall=overall,
         ves_mean=ves_mean,
         config_fingerprint=config_fingerprint,
     )
@@ -108,9 +106,6 @@ class DeltaReport:
     scheme: str
     em_deltas: dict[str, Fraction | None] = field(default_factory=dict)
     ex_deltas: dict[str, Fraction | None] = field(default_factory=dict)
-
-    def labels(self) -> tuple[str, ...]:
-        return _SCHEME_LABELS[self.scheme]
 
 
 def _delta(target: Fraction | None, base: Fraction | None) -> Fraction | None:
@@ -125,15 +120,9 @@ def compare(base: RunSummary, target: RunSummary) -> DeltaReport:
     if base.scheme != target.scheme:
         raise ValueError(f"difficulty schemes differ: {base.scheme} vs {target.scheme}")
     report = DeltaReport(base_run=base.run_id, target_run=target.run_id, scheme=base.scheme)
-    for label in base.labels():
-        report.em_deltas[label] = _delta(
-            target.buckets[label].em_rate(), base.buckets[label].em_rate()
-        )
-        report.ex_deltas[label] = _delta(
-            target.buckets[label].ex_rate(), base.buckets[label].ex_rate()
-        )
-    report.em_deltas[OVERALL] = _delta(target.overall.em_rate(), base.overall.em_rate())
-    report.ex_deltas[OVERALL] = _delta(target.overall.ex_rate(), base.overall.ex_rate())
+    for label, counts in base.buckets.items():
+        report.em_deltas[label] = _delta(target.buckets[label].em_rate(), counts.em_rate())
+        report.ex_deltas[label] = _delta(target.buckets[label].ex_rate(), counts.ex_rate())
     return report
 
 
@@ -158,24 +147,25 @@ _COUNT_COLUMNS = ("n", "em_scored", "em_correct", "ex_scored", "ex_correct")
 _CSV_COLUMNS = ("run_id", "config_fingerprint", "scheme", "bucket", *_COUNT_COLUMNS, "ves_mean")
 
 
-def _summary_columns(summary: RunSummary) -> list[tuple[str, BucketCounts]]:
-    cols = [(label, summary.buckets[label]) for label in summary.labels()]
-    cols.append((OVERALL, summary.overall))
-    return cols
+def _plain_table(labels, rows: dict[str, list[str]]) -> list[str]:
+    """A header line of the capitalized labels, then one line per metric."""
+    width = max(8, *(len(label) for label in labels))
+    rows = {"metric": [label.capitalize() for label in labels], **rows}
+    return ["  ".join([name.ljust(8)] + [cell.rjust(width) for cell in cells])
+            for name, cells in rows.items()]
 
 
 def render_summary(summary: RunSummary, fmt: str = PLAIN) -> str:
     if fmt == PLAIN:
-        columns = _summary_columns(summary)
-        width = max(8, *(len(label) for label, _ in columns))
-        header = ["metric".ljust(8)] + [label.capitalize().rjust(width) for label, _ in columns]
+        counts = summary.buckets.values()
         lines = [
             f"run: {summary.run_id}",
             f"config: {summary.config_fingerprint}",
-            "  ".join(header),
-            "  ".join(["n".ljust(8)] + [str(c.n).rjust(width) for _, c in columns]),
-            "  ".join(["em".ljust(8)] + [format_rate(c.em_rate()).rjust(width) for _, c in columns]),
-            "  ".join(["ex".ljust(8)] + [format_rate(c.ex_rate()).rjust(width) for _, c in columns]),
+            *_plain_table(summary.buckets, {
+                "n": [str(c.n) for c in counts],
+                "em": [format_rate(c.em_rate()) for c in counts],
+                "ex": [format_rate(c.ex_rate()) for c in counts],
+            }),
         ]
         if summary.ves_mean is not None:
             lines.append(f"ves mean: {format_rate(summary.ves_mean)}")
@@ -184,15 +174,12 @@ def render_summary(summary: RunSummary, fmt: str = PLAIN) -> str:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
-        for label, counts in _summary_columns(summary):
+        for label, counts in summary.buckets.items():
             ves = ""
             if label == OVERALL and summary.ves_mean is not None:
                 ves = repr(summary.ves_mean)
-            writer.writerow(
-                [summary.run_id, summary.config_fingerprint, summary.scheme, label,
-                 counts.n, counts.em_scored, counts.em_correct,
-                 counts.ex_scored, counts.ex_correct, ves]
-            )
+            writer.writerow([summary.run_id, summary.config_fingerprint, summary.scheme, label,
+                             *astuple(counts), ves])
         return buffer.getvalue()
     if fmt == STRUCTURED:
         payload = {
@@ -200,16 +187,9 @@ def render_summary(summary: RunSummary, fmt: str = PLAIN) -> str:
             "config_fingerprint": summary.config_fingerprint,
             "scheme": summary.scheme,
             "buckets": {
-                label: {
-                    "n": c.n,
-                    "em_scored": c.em_scored,
-                    "em_correct": c.em_correct,
-                    "ex_scored": c.ex_scored,
-                    "ex_correct": c.ex_correct,
-                    "em_rate": format_rate(c.em_rate()),
-                    "ex_rate": format_rate(c.ex_rate()),
-                }
-                for label, c in _summary_columns(summary)
+                label: {**asdict(c), "em_rate": format_rate(c.em_rate()),
+                        "ex_rate": format_rate(c.ex_rate())}
+                for label, c in summary.buckets.items()
             },
             "ves_mean": summary.ves_mean,
         }
@@ -219,8 +199,9 @@ def render_summary(summary: RunSummary, fmt: str = PLAIN) -> str:
 
 def parse_summary_csv(text: str) -> RunSummary:
     """Inverse of the CSV rendering, at full precision. Text that is not a
-    summary CSV, with a column missing, an unknown scheme or bucket, or a
-    count that is not an integer, raises ValueError."""
+    summary CSV raises ValueError: a column missing, an unknown scheme, an
+    unknown or repeated bucket, a count that is not an integer, or counts
+    outside ``0 <= correct <= scored <= n``."""
     reader = csv.DictReader(io.StringIO(text))
     missing = [name for name in _CSV_COLUMNS if name not in (reader.fieldnames or ())]
     if missing:
@@ -229,49 +210,44 @@ def parse_summary_csv(text: str) -> RunSummary:
     if not rows:
         raise ValueError("empty summary csv")
     scheme = rows[0]["scheme"]
-    if scheme not in _SCHEME_LABELS:
+    if scheme not in SCHEME_LABELS:
         raise ValueError(f"unknown difficulty scheme {scheme!r}")
     summary = RunSummary(
         run_id=rows[0]["run_id"],
         scheme=scheme,
-        buckets={label: BucketCounts() for label in _SCHEME_LABELS[scheme]},
-        overall=BucketCounts(),
+        buckets=_buckets(scheme),
         ves_mean=None,
         config_fingerprint=rows[0]["config_fingerprint"],
     )
+    seen = set()
     for row in rows:
         bucket = row["bucket"]
-        if bucket != OVERALL and bucket not in summary.buckets:
+        if bucket not in summary.buckets:
             raise ValueError(f"unknown bucket {bucket!r} for scheme {scheme}")
+        if bucket in seen:
+            raise ValueError(f"bucket {bucket!r} appears more than once")
+        seen.add(bucket)
         try:
-            counts = BucketCounts(*(int(row[name]) for name in _COUNT_COLUMNS))
+            c = BucketCounts(*(int(row[name]) for name in _COUNT_COLUMNS))
         except (TypeError, ValueError):
             raise ValueError(f"bucket {bucket!r}: counts must be integers") from None
-        if bucket == OVERALL:
-            summary.overall = counts
-            if row["ves_mean"]:
-                summary.ves_mean = float(row["ves_mean"])
-        else:
-            summary.buckets[bucket] = counts
+        if not (0 <= c.em_correct <= c.em_scored <= c.n
+                and 0 <= c.ex_correct <= c.ex_scored <= c.n):
+            raise ValueError(f"bucket {bucket!r}: counts break 0 <= correct <= scored <= n")
+        summary.buckets[bucket] = c
+        if row["ves_mean"]:  # written on the overall row
+            summary.ves_mean = float(row["ves_mean"])
     return summary
 
 
 def render_delta(report: DeltaReport, fmt: str = PLAIN) -> str:
-    labels = list(report.labels()) + [OVERALL]
+    em = {label: format_rate(delta, signed=True) for label, delta in report.em_deltas.items()}
+    ex = {label: format_rate(delta, signed=True) for label, delta in report.ex_deltas.items()}
     if fmt == PLAIN:
-        width = max(8, *(len(label) for label in labels))
         lines = [
             f"base: {report.base_run}",
             f"target: {report.target_run}",
-            "  ".join(["metric".ljust(8)] + [l.capitalize().rjust(width) for l in labels]),
-            "  ".join(
-                ["em".ljust(8)]
-                + [format_rate(report.em_deltas[l], signed=True).rjust(width) for l in labels]
-            ),
-            "  ".join(
-                ["ex".ljust(8)]
-                + [format_rate(report.ex_deltas[l], signed=True).rjust(width) for l in labels]
-            ),
+            *_plain_table(em, {"em": list(em.values()), "ex": list(ex.values())}),
         ]
         return "\n".join(lines) + "\n"
     if fmt == STRUCTURED:
@@ -279,8 +255,8 @@ def render_delta(report: DeltaReport, fmt: str = PLAIN) -> str:
             "base_run": report.base_run,
             "target_run": report.target_run,
             "scheme": report.scheme,
-            "em_deltas": {l: format_rate(report.em_deltas[l], signed=True) for l in labels},
-            "ex_deltas": {l: format_rate(report.ex_deltas[l], signed=True) for l in labels},
+            "em_deltas": em,
+            "ex_deltas": ex,
         }
         return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")

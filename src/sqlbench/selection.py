@@ -129,11 +129,11 @@ def _text_vector(text: str) -> tuple[np.ndarray, float]:
 class SimilarityIndex:
     """Sparse trigram rows of a pool's questions, built once per pool.
 
-    Rows follow pool order. The index answers only for the example objects
-    it was built over: a target that is not one of them, such as a dev
-    example scored against a train pool, is embedded from its own question
-    even if a pool member shares its index. The rows of the pool's gold-SQL
-    skeletons, each rendered with its own database's schema from
+    Rows follow pool order. The index answers only for the pool list it was
+    built over: a target that is not one of its example objects, such as a
+    dev example scored against a train pool, is embedded from its own
+    question even if a pool member shares its index. The rows of the pool's
+    gold-SQL skeletons, each rendered with its own database's schema from
     ``schemas``, are built on first use: only dual similarity reads them, so
     a question-similarity pool never parses any SQL.
     """
@@ -153,17 +153,13 @@ class SimilarityIndex:
         return row if row is not None and self.examples[row] is example else None
 
     def rows_for(self, pool: list[ExampleTriple], exclude: ExampleTriple) -> np.ndarray:
-        """The rows of the members of ``pool`` other than ``exclude``, in pool order."""
-        if pool is self.examples:
-            rows = np.arange(len(pool))
-            row = self.row(exclude)
-            return rows if row is None else np.delete(rows, row)
-        members = [ex for ex in pool if ex is not exclude]
-        rows = [self.row(ex) for ex in members]
-        missing = [ex.index for ex, row in zip(members, rows) if row is None]
-        if missing:
-            raise ValueError(f"similarity index missing vectors for examples {missing}")
-        return np.array(rows, dtype=np.intp)
+        """The rows of the members of ``pool`` other than ``exclude``, in pool
+        order; ``pool`` must be the list the index was built over."""
+        if pool is not self.examples:
+            raise ValueError("similarity index was built over another pool")
+        rows = np.arange(len(pool))
+        row = self.row(exclude)
+        return rows if row is None else np.delete(rows, row)
 
     def question_vector(self, example: ExampleTriple) -> tuple[np.ndarray, float]:
         row = self.row(example)

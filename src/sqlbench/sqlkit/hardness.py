@@ -1,8 +1,9 @@
 """Difficulty bucketing for parsed queries, replicating the Spider hardness rules.
 
-The label is a pure function of the parsed structure: whitespace, casing and
-literal values never change it. BIRD labels are dataset-supplied and are never
-computed here.
+``classify_difficulty`` returns a label of the ``spider4`` scheme, the only
+scheme that is computed: BIRD's ``bird3`` labels are dataset-supplied. The
+label is a pure function of the parsed structure: whitespace, casing and
+literal values never change it.
 """
 
 from __future__ import annotations
@@ -87,9 +88,7 @@ def component_counts(unit: SqlUnit) -> tuple[int, int, int]:
     return comp1, comp2, others
 
 
-def classify_difficulty(unit: SqlUnit, scheme: str = "spider4") -> DifficultyLabel:
-    if scheme != "spider4":
-        raise ValueError(f"difficulty is only computed for spider4, not {scheme!r}")
+def classify_difficulty(unit: SqlUnit) -> DifficultyLabel:
     comp1, comp2, others = component_counts(unit)
     if comp1 <= 1 and others == 0 and comp2 == 0:
         label = "easy"

@@ -282,16 +282,7 @@ class _Parser:
         return query
 
     def parse_select_item(self) -> tuple[tuple, str | None]:
-        expr = self.parse_expr()
-        alias = None
-        if self.accept_word("as"):
-            tok = self.peek()
-            if tok.kind != "word":
-                raise SqlParseError("expected alias name after AS", tok.pos)
-            alias = self.advance().text
-        elif self.peek().kind == "word" and self.peek().text not in RESERVED:
-            alias = self.advance().text
-        return expr, alias
+        return self.parse_expr(), self.parse_optional_alias()
 
     def parse_from(self, query: _RawQuery) -> None:
         self.parse_from_item(query)

@@ -18,7 +18,6 @@ import pytest
 
 from sqlbench.corpus import TrainProfile, emit_train_profile, export_corpus, load_train_profile, read_corpus
 from sqlbench.datasets import (
-    ColumnDef,
     DatabaseSchema,
     DatasetBundle,
     DifficultyLabel,
@@ -36,7 +35,7 @@ from sqlbench.prompts import (
     estimate_tokens,
     render_schema,
 )
-from sqlbench.reporting import PLAIN, compare, format_rate, render_summary, summarize
+from sqlbench.reporting import OVERALL, PLAIN, compare, format_rate, render_summary, summarize
 from sqlbench.selection import RANDOM_SHOT, SelectionPolicy
 from sqlbench.sqlkit import SqlParseError, classify_difficulty, em_match, parse_sql
 from sqlbench.stub import StubBehavior, StubServer
@@ -144,10 +143,10 @@ def test_4_metric_sanity(bundle):
         }
         records = score_run(examples, gold_echo, bundle, ScoreOptions(timeout_s=10))
         summary = summarize(records, "gold-echo", "fp")
-        assert summary.overall.em_rate() == 1
-        assert summary.overall.ex_rate() == 1
-        assert format_rate(summary.overall.em_rate()) == "1.000"
-        assert format_rate(summary.overall.ex_rate()) == "1.000"
+        assert summary.buckets[OVERALL].em_rate() == 1
+        assert summary.buckets[OVERALL].ex_rate() == 1
+        assert format_rate(summary.buckets[OVERALL].em_rate()) == "1.000"
+        assert format_rate(summary.buckets[OVERALL].ex_rate()) == "1.000"
 
         garbled = {
             ex.index: Prediction(ex.index, "### not sql ###", "### not sql ###", 0.0, 1)
@@ -155,10 +154,10 @@ def test_4_metric_sanity(bundle):
         }
         records = score_run(examples, garbled, bundle, ScoreOptions(timeout_s=10))
         summary = summarize(records, "garbled", "fp")
-        assert summary.overall.em_rate() == 0
-        assert summary.overall.ex_rate() == 0
-        assert format_rate(summary.overall.em_rate()) == "0.000"
-        assert format_rate(summary.overall.ex_rate()) == "0.000"
+        assert summary.buckets[OVERALL].em_rate() == 0
+        assert summary.buckets[OVERALL].ex_rate() == 0
+        assert format_rate(summary.buckets[OVERALL].em_rate()) == "0.000"
+        assert format_rate(summary.buckets[OVERALL].ex_rate()) == "0.000"
 
         # EM implies EX for predictions parse-identical to gold incl. literals
         records = score_run(examples, gold_echo, bundle, ScoreOptions(timeout_s=10))
@@ -218,7 +217,7 @@ def test_6_aggregation_arithmetic():
                 for l in ("easy", "medium", "hard", "extra")] == [
             "0.900", "0.700", "0.500", "0.300",
         ]
-        assert format_rate(summary.overall.ex_rate()) == "0.600"
+        assert format_rate(summary.buckets[OVERALL].ex_rate()) == "0.600"
         table = render_summary(summary, PLAIN)
         assert table.splitlines()[2].split() == [
             "metric", "Easy", "Medium", "Hard", "Extra", "Overall",
@@ -243,9 +242,7 @@ def synthetic_bundle():
     """10,000 tiny examples over one database for the mixing statistics."""
     schema = DatabaseSchema(
         db_id="tiny",
-        tables=(TableDef(name="t", columns=(
-            ColumnDef("a", "number"), ColumnDef("b", "text"),
-        )),),
+        tables=(TableDef(name="t", columns=("a", "b")),),
         primary_keys=(),
         foreign_keys=(),
     )

@@ -58,6 +58,51 @@ def test_ingest_missing_examples_file(scratch_config, capsys):
     assert "missing_dev.json" in err
 
 
+def _malform(case: str, tables: list, dev: list):
+    if case == "catalog-object":
+        return tables[0], dev
+    if case == "split-object":
+        return tables, {"db_id": "concert_singer"}
+    if case == "record-not-object":
+        return tables, [1, *dev]
+    if case == "column-name":
+        tables[0]["column_names_original"][1] = [0, 5]
+    elif case == "table-name":
+        tables[0]["table_names_original"][0] = 7
+    else:
+        dev[0][case] = [dev[0][case]]
+    return tables, dev
+
+
+@pytest.mark.parametrize("case, named", [
+    ("catalog-object", "schema catalog {tables}: not a JSON list of databases"),
+    ("split-object", "split dev ({dev}): not a JSON list of records"),
+    ("record-not-object", "split dev: record 0: not a JSON object"),
+    ("column-name", "catalog entry 0: column names of table 'stadium' must be non-empty strings"),
+    ("table-name", "catalog entry 0: table name must be a non-empty string"),
+    ("db_id", "split dev: record 0: unknown db_id ['concert_singer']"),
+    ("question", "split dev: record 0: question must be a non-empty string"),
+    ("query", "split dev: record 0: SQL query must be a non-empty string"),
+], ids=["catalog-object", "split-object", "record-not-object", "column-name", "table-name",
+        "db-id", "question", "query"])
+def test_ingest_malformed_dataset_json_is_a_dataset_error(
+        scratch_config, tmp_path, fixtures_dir, capsys, case, named):
+    tables, dev = _malform(
+        case, json.loads((fixtures_dir / "spider" / "tables.json").read_text()),
+        json.loads((fixtures_dir / "spider" / "dev.json").read_text()))
+    tables_path, dev_path = tmp_path / "tables.json", tmp_path / "dev.json"
+    tables_path.write_text(json.dumps(tables))
+    dev_path.write_text(json.dumps(dev))
+    config = write_config_with_url(scratch_config, "http://127.0.0.1:1/v1")
+    text = config.read_text()
+    text = text.replace(str(fixtures_dir / "spider" / "tables.json"), str(tables_path))
+    config.write_text(text.replace(str(fixtures_dir / "spider" / "dev.json"), str(dev_path)))
+    assert run_cli("ingest", "--config", str(config), "--run-id", "t") == 1
+    err = capsys.readouterr().err
+    assert f"dataset: {named.format(tables=tables_path, dev=dev_path)}" in err.splitlines(), err
+    assert all(line.startswith("dataset: ") for line in err.splitlines()), err
+
+
 def test_ingest_parses_each_distinct_gold_once(bundle, monkeypatch):
     """The grammar check reports every example of an unparseable gold, and
     parses each distinct (db_id, gold_sql) once."""
@@ -235,7 +280,11 @@ def test_compare_scheme_mismatch_exits_nonzero(tmp_path, capsys):
     ("a,b\n1,2\n", "missing columns"),
     ("r,f,spider4,simple,1,1,1,1,1,\n", "unknown bucket"),
     ("r,f,spider4,overall,1,1,x,1,1,\n", "counts must be integers"),
-], ids=["missing-file", "columns", "bucket", "count"])
+    ("r,f,spider4,overall,1,1,1,1,1,\nr,f,spider4,overall,5,5,0,5,0,\n", "more than once"),
+    ("r,f,spider4,overall,1,1,3,1,1,\n", "correct <= scored"),
+    ("r,f,spider4,easy,1,1,1,2,0,\n", "scored <= n"),
+], ids=["missing-file", "columns", "bucket", "count", "repeated-bucket", "correct-over-scored",
+        "scored-over-n"])
 def test_compare_on_what_is_not_a_summary_is_one_line(tmp_path, capsys, rows, named):
     header = ("run_id,config_fingerprint,scheme,bucket,n,em_scored,em_correct,"
               "ex_scored,ex_correct,ves_mean\n")
@@ -260,6 +309,16 @@ def test_stub_examples_that_are_not_records_are_a_config_error(tmp_path, capsys,
     assert run_cli("stub", "--examples", str(path), "--port", "0") == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config: --examples {path}: ") and len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("argv", [["predict", "--config", "x", "--shots", "abc"], ["predict"],
+                                  ["compare", "--base", "a.csv"], []],
+                         ids=["bad-int", "no-config", "no-target", "no-command"])
+def test_argument_errors_exit_one(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(*argv)
+    assert exit_info.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("sqlbench")
 
 
 def test_emit_train_profile_cli(tmp_path):

@@ -8,7 +8,6 @@ from sqlbench.datasets import (
     DatasetError,
     DatasetSource,
     load_bundle,
-    map_column_type,
     validate_dataset,
 )
 
@@ -37,15 +36,13 @@ def test_concert_singer_catalog_entry(bundle):
 
 
 def test_schema_lookups_fold_case(bundle):
-    """`table` and `has_column` agree with a scan of the declared tables."""
+    """`has_column` agrees with a scan of the declared tables."""
     schema = bundle.schemas["concert_singer"]
     for table in schema.tables:
         for name in (table.name, table.name.upper()):
-            assert schema.table(name) is table
             for column in table.columns:
-                assert schema.has_column(name, column.name.swapcase())
+                assert schema.has_column(name, column.swapcase())
             assert not schema.has_column(name, "no_such_column")
-    assert schema.table("no_such_table") is None
     assert not schema.has_column("no_such_table", "name")
 
 
@@ -112,14 +109,10 @@ def test_bird_bad_difficulty_label(tmp_path, fixtures_dir):
         load_split(fixtures_dir, records, tmp_path, dialect="bird")
 
 
-def test_column_type_mapping():
-    assert map_column_type("INTEGER") == "number"
-    assert map_column_type("varchar(40)") == "text"
-    assert map_column_type("TIMESTAMP") == "time"
-    assert map_column_type("BOOL") == "boolean"
-    assert map_column_type("others") == "other"
-    assert map_column_type("number") == "number"
-    assert map_column_type("blob") == "other"
+def test_bird_evidence_that_is_not_a_string(tmp_path, fixtures_dir):
+    records = [{"db_id": "movie_platform", "question": "q", "SQL": "SELECT 1", "evidence": 5}]
+    with pytest.raises(DatasetError, match="record 0: evidence must be a string"):
+        load_split(fixtures_dir, records, tmp_path, dialect="bird")
 
 
 def test_referential_closure(bundle):

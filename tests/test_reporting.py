@@ -10,6 +10,7 @@ from sqlbench.datasets import DifficultyLabel
 from sqlbench.metrics import EvalRecord
 from sqlbench.reporting import (
     CSV,
+    OVERALL,
     PLAIN,
     STRUCTURED,
     BucketCounts,
@@ -50,16 +51,19 @@ def test_bucket_rates_and_overall():
     summary = summarize(graded_bucket_records(), "run-a", "cafe")
     rates = [summary.buckets[label].ex_rate() for label in SPIDER]
     assert rates == [Fraction(9, 10), Fraction(7, 10), Fraction(5, 10), Fraction(3, 10)]
-    assert summary.overall.ex_rate() == Fraction(24, 40) == Fraction(3, 5)
+    assert summary.buckets[OVERALL].ex_rate() == Fraction(24, 40) == Fraction(3, 5)
     assert [format_rate(r) for r in rates] == ["0.900", "0.700", "0.500", "0.300"]
-    assert format_rate(summary.overall.ex_rate()) == "0.600"
+    assert format_rate(summary.buckets[OVERALL].ex_rate()) == "0.600"
 
 
 def test_aggregation_consistency():
     summary = summarize(graded_bucket_records(), "run-a", "cafe")
-    assert sum(c.n for c in summary.buckets.values()) == summary.overall.n
-    assert sum(c.ex_correct for c in summary.buckets.values()) == summary.overall.ex_correct
-    assert sum(c.em_correct for c in summary.buckets.values()) == summary.overall.em_correct
+    assert list(summary.buckets) == [*SPIDER, OVERALL]
+    labeled = [summary.buckets[label] for label in SPIDER]
+    overall = summary.buckets[OVERALL]
+    assert sum(c.n for c in labeled) == overall.n
+    assert sum(c.ex_correct for c in labeled) == overall.ex_correct
+    assert sum(c.em_correct for c in labeled) == overall.em_correct
 
 
 def test_all_correct_rates_one():
@@ -71,8 +75,8 @@ def test_all_correct_rates_one():
 
 def test_zero_records_no_division_error():
     summary = summarize([], "empty", "f")
-    assert summary.overall.n == 0
-    assert summary.overall.ex_rate() is None
+    assert summary.buckets[OVERALL].n == 0
+    assert summary.buckets[OVERALL].ex_rate() is None
     rendered = render_summary(summary, PLAIN)
     assert "n/a" in rendered
 
@@ -112,11 +116,11 @@ def test_csv_roundtrip_randomized(cells):
         n = n_extra + max(em_c, ex_c)  # keep correct <= scored
         buckets[label] = BucketCounts(n=n, em_scored=n, em_correct=em_c, ex_scored=n,
                                       ex_correct=ex_c)
-    overall = BucketCounts(*(sum(getattr(c, name) for c in buckets.values())
-                             for name in ("n", "em_scored", "em_correct", "ex_scored", "ex_correct")))
+    buckets[OVERALL] = BucketCounts(*(sum(getattr(c, name) for c in buckets.values())
+                                      for name in ("n", "em_scored", "em_correct", "ex_scored",
+                                                   "ex_correct")))
     summary = RunSummary(
-        run_id="rand", scheme="spider4", buckets=buckets, overall=overall,
-        ves_mean=None, config_fingerprint="fp",
+        run_id="rand", scheme="spider4", buckets=buckets, ves_mean=None, config_fingerprint="fp",
     )
     assert parse_summary_csv(render_summary(summary, CSV)) == summary
 
@@ -131,7 +135,13 @@ _HEADER = ("run_id,config_fingerprint,scheme,bucket,n,em_scored,em_correct,"
     (_HEADER + "r,f,spider4,simple,1,1,1,1,1,\n", "unknown bucket 'simple'"),
     (_HEADER + "r,f,spider4,easy,1,1,one,1,1,\n", "counts must be integers"),
     (_HEADER + "r,f,spider4,easy,1,1\n", "counts must be integers"),
-], ids=["columns", "scheme", "bucket", "count", "short-row"])
+    (_HEADER + "r,f,spider4,easy,1,1,1,1,1,\nr,f,spider4,easy,1,1,0,1,0,\n", "more than once"),
+    (_HEADER + "r,f,spider4,overall,1,1,3,1,1,\n", "correct <= scored"),
+    (_HEADER + "r,f,spider4,hard,1,1,0,1,2,\n", "correct <= scored"),
+    (_HEADER + "r,f,spider4,easy,1,2,0,1,1,\n", "scored <= n"),
+    (_HEADER + "r,f,spider4,easy,-1,0,0,0,0,\n", "0 <= correct"),
+], ids=["columns", "scheme", "bucket", "count", "short-row", "repeated-bucket",
+        "em-correct-over-scored", "ex-correct-over-scored", "scored-over-n", "negative"])
 def test_parse_summary_csv_refuses_what_is_not_a_summary(text, named):
     with pytest.raises(ValueError, match=named):
         parse_summary_csv(text)
@@ -175,8 +185,8 @@ def test_compare_scheme_mismatch():
     spider = summarize(graded_bucket_records(), "a", "f")
     bird = RunSummary(
         run_id="b", scheme="bird3",
-        buckets={l: BucketCounts() for l in ("simple", "moderate", "challenge")},
-        overall=BucketCounts(), ves_mean=None, config_fingerprint="f",
+        buckets={l: BucketCounts() for l in ("simple", "moderate", "challenge", OVERALL)},
+        ves_mean=None, config_fingerprint="f",
     )
     with pytest.raises(ValueError, match="scheme"):
         compare(spider, bird)
@@ -209,3 +219,52 @@ def test_ves_mean_over_scored_records():
     ]
     summary = summarize(records, "r", "f")
     assert summary.ves_mean == pytest.approx(0.75)  # incorrect counts as zero
+
+
+def _pinned_records(scheme: str, rows: list[tuple]) -> list[EvalRecord]:
+    """(label, em, ex, ves_ratio) rows as records, indexed in order."""
+    return [
+        EvalRecord(i, em, ex, ves, DifficultyLabel(scheme, label), None)
+        for i, (label, em, ex, ves) in enumerate(rows)
+    ]
+
+
+# a fixed record set per scheme, each with a VES mean; one bucket of each has
+# no EM verdict and one BIRD bucket holds no record at all
+PINNED_SPIDER = _pinned_records("spider4", [
+    ("easy", True, True, 1.25), ("easy", True, True, 0.5), ("easy", False, True, 2.0),
+    ("medium", True, False, 0.75), ("medium", False, False, None),
+    ("medium", True, True, 1.0), ("hard", False, True, 0.3333333333333333),
+    ("hard", None, None, None), ("extra", None, True, 4.0), ("extra", None, False, 1.5),
+])
+PINNED_BIRD = _pinned_records("bird3", [
+    ("simple", True, True, 1.1), ("simple", False, True, 0.9), ("simple", True, False, 2.5),
+    ("moderate", None, True, 0.6), ("moderate", False, None, None),
+])
+PINNED_TARGET = _pinned_records("spider4", [
+    ("easy", True, True, None), ("easy", False, False, None), ("medium", True, True, None),
+    ("hard", True, True, None), ("hard", True, False, None), ("extra", False, False, None),
+])
+
+
+def _pinned_summaries() -> dict[str, RunSummary]:
+    return {
+        "spider4": summarize(PINNED_SPIDER, "run-spider", "0123456789ab"),
+        "bird3": summarize(PINNED_BIRD, "run-bird", "ba9876543210", scheme="bird3"),
+    }
+
+
+@pytest.mark.parametrize("scheme", ["spider4", "bird3"])
+@pytest.mark.parametrize("fmt, suffix", [(PLAIN, "txt"), (CSV, "csv"), (STRUCTURED, "json")])
+def test_summary_report_matches_golden(fixtures_dir, scheme, fmt, suffix):
+    rendered = render_summary(_pinned_summaries()[scheme], fmt)
+    path = fixtures_dir / "golden" / f"summary_{scheme}.{suffix}"
+    assert rendered == path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt, suffix", [(PLAIN, "txt"), (STRUCTURED, "json")])
+def test_delta_report_matches_golden(fixtures_dir, fmt, suffix):
+    target = summarize(PINNED_TARGET, "run-target", "0123456789ab")
+    rendered = render_delta(compare(_pinned_summaries()["spider4"], target), fmt)
+    assert rendered == (fixtures_dir / "golden" / f"delta_spider4.{suffix}").read_text(
+        encoding="utf-8")

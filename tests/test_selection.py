@@ -102,12 +102,14 @@ def test_cross_split_target_ranks_by_its_own_question(bundle):
     assert train[0] not in chosen
 
 
-def test_similarity_index_missing_vectors():
+def test_similarity_index_refuses_another_pool():
+    """An index answers for its own pool list only, not for a larger pool,
+    nor for another list of the same members."""
     pool = make_pool(5)
-    index = build_index(pool[:3])
     policy = SelectionPolicy(strategy=QUESTION_SIMILARITY, k=2, seed=0)
-    with pytest.raises(ValueError, match="missing vectors"):
-        select(pool[0], pool, policy, index=index)
+    for other, index in ((pool, build_index(pool[:3])), (list(pool), build_index(pool))):
+        with pytest.raises(ValueError, match="another pool"):
+            select(pool[0], other, policy, index=index)
 
 
 def test_similarity_pool_size_is_checked_before_the_index():
@@ -301,9 +303,7 @@ def oracle_select(target, pool, k, skeleton_of=None):
 def test_question_similarity_matches_brute_force(bundle, data):
     pool, target, k = data.draw(selection_cases(bundle.splits["train"]))
     policy = SelectionPolicy(strategy=QUESTION_SIMILARITY, k=k, seed=0)
-    index = build_index(pool)
-    # the index's own pool list, or another list of the same members
-    chosen = select(target, data.draw(st.sampled_from([pool, list(pool)])), policy, index=index)
+    chosen = select(target, pool, policy, index=build_index(pool))
     assert [ex.index for ex in chosen] == [ex.index for ex in oracle_select(target, pool, k)]
 
 
