@@ -18,7 +18,13 @@ from pathlib import Path
 
 from .corpus import TrainProfile, emit_train_profile, export_corpus, plan_prompts
 from .datasets import DatasetBundle, DatasetError, ExampleTriple, load_bundle
-from .inference import append_prediction, predict_batch, read_predictions, write_predictions
+from .inference import (
+    Prediction,
+    append_prediction,
+    predict_batch,
+    read_predictions,
+    write_predictions,
+)
 from .metrics import score_run, write_eval_records
 from .prompts import BudgetExceededError, TokenBudget
 from .reporting import (
@@ -33,15 +39,7 @@ from .reporting import (
     summarize,
 )
 from .runconfig import ConfigError, RunConfig, load_run_config
-from .selection import (
-    DEFAULT_SHOT_CHOICES,
-    DUAL_SIMILARITY,
-    FIXED_K,
-    RANDOM,
-    RANDOM_SHOT,
-    build_index,
-    mix_shots,
-)
+from .selection import DUAL_SIMILARITY, RANDOM, build_index, mix_shots
 from .stub import StubBehavior, StubServer
 
 # Not called here: the traced benchmark run (benchmarks/spans.py) looks these
@@ -143,16 +141,14 @@ def _unparseable_golds(bundle: DatasetBundle, rows) -> list[int]:
 
 
 def cmd_build_corpus(args) -> int:
-    jobs: list[tuple[str, str, int]] = []  # (filename, mode, k)
+    jobs: list[tuple[str, tuple[int, ...]]] = []  # (filename, shot choices)
     if args.random_shot:
-        jobs.append((f"{args.split}_random_shot.jsonl", RANDOM_SHOT, 0))
-    for k in args.k:
-        jobs.append((f"{args.split}_k{k}.jsonl", FIXED_K, k))
+        jobs.append((f"{args.split}_random_shot.jsonl", tuple(args.choices)))
+    jobs += [(f"{args.split}_k{k}.jsonl", (k,)) for k in args.k]
     if not jobs:
         raise ConfigError(["nothing to do: pass --k and/or --random-shot"])
-    choices = tuple(args.choices)
-    _check_counts(k=args.k, choices=choices)
-    if args.random_shot and not choices:
+    _check_counts(k=args.k, choices=args.choices)
+    if args.random_shot and not args.choices:
         raise ConfigError(["--choices must name at least one shot count for --random-shot"])
     config = _load_config(args)
     bundle = load_bundle(config.dataset)
@@ -162,16 +158,15 @@ def cmd_build_corpus(args) -> int:
     corpus_dir.mkdir(exist_ok=True)
     # one similarity index serves every job; only a job with some k > 0 uses it
     index = None
-    if config.selection.strategy != RANDOM and (
-        any(args.k) or (args.random_shot and any(choices))
-    ):
+    if config.selection.strategy != RANDOM and any(any(choices) for _, choices in jobs):
         index = build_index(split, bundle.schemas)
-    for filename, mode, k in jobs:
+    # the plan sets each target's k, so one policy serves every job
+    policy = config.selection.policy(default_seed=config.seed)
+    for filename, choices in jobs:
         out = corpus_dir / filename
         partial = out.with_name(out.name + ".partial")
-        policy = config.selection.policy(default_seed=config.seed, k=k)
         summary = export_corpus(
-            split, bundle, config.prompt, policy, mode, partial, choices=choices, index=index
+            split, bundle, config.prompt, policy, choices, partial, index=index
         )
         os.replace(partial, out)
         summary_path = out.with_suffix(".summary.json")
@@ -209,21 +204,23 @@ def cmd_predict(args) -> int:
         print(f"resuming: {len(done)} predictions already recorded,"
               f" {len(recorded) - len(done)} errored ones requested again")
 
-    todo = [target for target in targets if target.index not in done]
-    envelopes = []
-    for target, envelope in plan_prompts(
-        todo, pool, policy, mix_shots(policy, FIXED_K, todo), bundle.schemas,
-        config.prompt, TokenBudget(),
-    ):
-        if isinstance(envelope, BudgetExceededError):
-            print(f"example {target.index}: {envelope}", file=sys.stderr)
-            return EXIT_RUNTIME
-        envelopes.append(envelope)
-
     def sink(prediction) -> None:
         if not config.endpoint.record_latency:
             prediction.latency_ms = 0.0
         append_prediction(partial, prediction)
+
+    todo = [target for target in targets if target.index not in done]
+    envelopes = []
+    for target, envelope in plan_prompts(
+        todo, pool, policy, mix_shots(policy, todo, (policy.k,)), bundle.schemas,
+        config.prompt, TokenBudget(),
+    ):
+        if isinstance(envelope, BudgetExceededError):
+            # no request can hold this prompt: the example errors, the run goes on
+            logger.warning("example %d: %s at k=0", target.index, envelope)
+            sink(Prediction(target.index, attempt_count=0, error=f"{envelope} at k=0"))
+            continue
+        envelopes.append(envelope)
 
     predict_batch(envelopes, config.endpoint, on_result=sink)
     merged = read_predictions(*(path for path in (out, partial) if path.is_file()))
@@ -371,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random-shot", action="store_true",
                    help="also export one corpus with per-example shot counts"
                         " drawn from --choices")
-    p.add_argument("--choices", type=_int_list, default=DEFAULT_SHOT_CHOICES,
+    p.add_argument("--choices", type=_int_list, default=(0, 1, 3, 5),
                    help="random-shot choice set, default %(default)s")
     p.set_defaults(func=cmd_build_corpus)
 

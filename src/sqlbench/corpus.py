@@ -2,9 +2,9 @@
 
 ``plan_prompts`` is the one select-then-render loop, shared by prediction
 and corpus export. Corpora are line-delimited instruction/output records in
-the prompt format, with configurable shot mixing; training profiles are flat
-key-value files handed to external fine-tuning tooling. No training happens
-here.
+the prompt format, each with a shot count drawn from a choice set; training
+profiles are flat key-value files handed to external fine-tuning tooling. No
+training happens here.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .prompts import (
     build_prompt,
 )
 from .selection import (
-    DEFAULT_SHOT_CHOICES,
     RANDOM,
     SelectionPolicy,
     SimilarityIndex,
@@ -107,13 +106,13 @@ def export_corpus(
     bundle: DatasetBundle,
     template: PromptTemplate,
     policy: SelectionPolicy,
-    mode: str,
+    choices: tuple[int, ...],
     out: str | Path,
-    choices: tuple[int, ...] = DEFAULT_SHOT_CHOICES,
     budget: TokenBudget | None = None,
     index: SimilarityIndex | None = None,
 ) -> CorpusSummary:
-    """Write one instruction/output record per example.
+    """Write one instruction/output record per example, its shot count drawn
+    from ``choices`` (see ``mix_shots``).
 
     Exemplars are drawn from the split itself, never the example itself.
     Examples that exceed the budget even at zero shots are reported as
@@ -121,7 +120,7 @@ def export_corpus(
     byte-identical across runs.
     """
     plan = plan_prompts(
-        split, split, policy, mix_shots(policy, mode, split, choices), bundle.schemas,
+        split, split, policy, mix_shots(policy, split, choices), bundle.schemas,
         template, budget or TokenBudget(), index=index, corpus_mode=True,
     )
     histogram: dict[int, int] = {}
@@ -160,16 +159,6 @@ def export_corpus(
     )
 
 
-def read_corpus(path: str | Path) -> list[dict]:
-    records = []
-    with open(path, encoding="utf-8") as fp:
-        for line in fp:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
 LORA = "lora"
 QLORA = "qlora"
 
@@ -203,9 +192,3 @@ def emit_train_profile(profile: TrainProfile, out: str | Path) -> Path:
         yaml.safe_dump(asdict(profile), fp, sort_keys=True)
     os.replace(partial, path)
     return path
-
-
-def load_train_profile(path: str | Path) -> TrainProfile:
-    with open(path, encoding="utf-8") as fp:
-        raw = yaml.safe_load(fp)
-    return TrainProfile(**raw)

@@ -49,6 +49,14 @@ class ModelEndpoint:
             raise ValueError("temperature must be non-negative")
         if self.concurrency_limit < 1:
             raise ValueError("concurrency_limit must be positive")
+        if self.max_response_tokens < 1:
+            raise ValueError("max_response_tokens must be positive")
+        if self.timeout_s <= 0:
+            raise ValueError("timeout_s must be positive")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be non-negative")
+        if self.backoff_base_s < 0:
+            raise ValueError("backoff_base_s must be non-negative")
 
     @property
     def chat_url(self) -> str:
@@ -58,35 +66,26 @@ class ModelEndpoint:
 @dataclass
 class Prediction:
     example_index: int
-    raw_text: str
-    extracted_sql: str
-    latency_ms: float
-    attempt_count: int
+    raw_text: str = ""
+    extracted_sql: str = ""
+    latency_ms: float = 0.0
+    attempt_count: int = 1
     error: str | None = None
 
     def to_json(self) -> str:
-        payload = {
-            "example_index": self.example_index,
-            "raw_text": self.raw_text,
-            "extracted_sql": self.extracted_sql,
-            "latency_ms": self.latency_ms,
-            "attempt_count": self.attempt_count,
-        }
-        if self.error is not None:
-            payload["error"] = self.error
+        """The fields in order; a prediction without an error has no error key."""
+        payload = dict(vars(self))
+        if self.error is None:
+            del payload["error"]
         return json.dumps(payload, ensure_ascii=False)
 
     @classmethod
     def from_json(cls, line: str) -> "Prediction":
-        raw = json.loads(line)
-        return cls(
-            example_index=raw["example_index"],
-            raw_text=raw.get("raw_text", ""),
-            extracted_sql=raw.get("extracted_sql", ""),
-            latency_ms=raw.get("latency_ms", 0.0),
-            attempt_count=raw.get("attempt_count", 1),
-            error=raw.get("error"),
-        )
+        """The record a line holds; TypeError if it is JSON but not a record."""
+        prediction = cls(**json.loads(line))
+        if type(prediction.example_index) is not int:
+            raise TypeError(f"example_index must be an integer: {prediction.example_index!r}")
+        return prediction
 
 
 def extract_sql(raw: str) -> str:
@@ -323,9 +322,10 @@ def read_predictions(*paths: str | Path) -> dict[int, Prediction]:
 
     On duplicates the first record wins, unless it carries an error: then a
     later record for the same index replaces it, so a retried example ends
-    with its retry. Undecodable lines are skipped with a warning: an
-    interrupted writer can leave a truncated final line, and the affected
-    example is simply re-predicted on resume.
+    with its retry. Lines that are not a record, undecodable or JSON of
+    another shape, are skipped with a warning: an interrupted writer can
+    leave a truncated final line, and the affected example is simply
+    re-predicted on resume.
     """
     out: dict[int, Prediction] = {}
     for path in paths:
@@ -336,7 +336,7 @@ def read_predictions(*paths: str | Path) -> dict[int, Prediction]:
                     continue
                 try:
                     prediction = Prediction.from_json(line)
-                except (json.JSONDecodeError, KeyError):
+                except (ValueError, TypeError):
                     logger.warning("%s:%d: skipping undecodable prediction line", path, lineno)
                     continue
                 earlier = out.get(prediction.example_index)

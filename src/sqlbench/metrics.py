@@ -82,30 +82,9 @@ class EvalRecord:
     failure: str | None = None
 
     def to_json(self) -> str:
-        payload = {
-            "example_index": self.example_index,
-            "em": self.em,
-            "ex": self.ex,
-            "ves_ratio": self.ves_ratio,
-            "difficulty": None
-            if self.difficulty is None
-            else {"scheme": self.difficulty.scheme, "label": self.difficulty.label},
-            "failure": self.failure,
-        }
-        return json.dumps(payload, ensure_ascii=False)
-
-    @classmethod
-    def from_json(cls, line: str) -> "EvalRecord":
-        raw = json.loads(line)
-        difficulty = raw.get("difficulty")
-        return cls(
-            example_index=raw["example_index"],
-            em=raw.get("em"),
-            ex=raw.get("ex"),
-            ves_ratio=raw.get("ves_ratio"),
-            difficulty=None if difficulty is None else DifficultyLabel(**difficulty),
-            failure=raw.get("failure"),
-        )
+        """The fields in order; a difficulty is its scheme and label."""
+        difficulty = None if self.difficulty is None else vars(self.difficulty)
+        return json.dumps({**vars(self), "difficulty": difficulty}, ensure_ascii=False)
 
 
 @dataclass
@@ -114,6 +93,10 @@ class ScoreOptions:
     ex: bool = True
     ves: bool = False
     timeout_s: float = 30.0
+
+    def __post_init__(self) -> None:
+        if self.timeout_s <= 0:
+            raise ValueError("timeout_s must be positive")
 
 
 class _Gold:
@@ -274,12 +257,3 @@ def write_eval_records(records: list[EvalRecord], path: str | Path) -> None:
             fp.write(record.to_json())
             fp.write("\n")
 
-
-def read_eval_records(path: str | Path) -> list[EvalRecord]:
-    records = []
-    with open(path, encoding="utf-8") as fp:
-        for line in fp:
-            line = line.strip()
-            if line:
-                records.append(EvalRecord.from_json(line))
-    return records

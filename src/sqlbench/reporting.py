@@ -200,8 +200,10 @@ def render_summary(summary: RunSummary, fmt: str = PLAIN) -> str:
 def parse_summary_csv(text: str) -> RunSummary:
     """Inverse of the CSV rendering, at full precision. Text that is not a
     summary CSV raises ValueError: a column missing, an unknown scheme, an
-    unknown or repeated bucket, a count that is not an integer, or counts
-    outside ``0 <= correct <= scored <= n``."""
+    unknown or repeated bucket, a row of another run, fingerprint or scheme
+    than the first, a count that is not an integer, counts outside
+    ``0 <= correct <= scored <= n``, a VES mean on a label row, a missing
+    bucket, or an overall row that is not the sum of the label rows."""
     reader = csv.DictReader(io.StringIO(text))
     missing = [name for name in _CSV_COLUMNS if name not in (reader.fieldnames or ())]
     if missing:
@@ -209,15 +211,16 @@ def parse_summary_csv(text: str) -> RunSummary:
     rows = list(reader)
     if not rows:
         raise ValueError("empty summary csv")
-    scheme = rows[0]["scheme"]
+    first = rows[0]
+    scheme = first["scheme"]
     if scheme not in SCHEME_LABELS:
         raise ValueError(f"unknown difficulty scheme {scheme!r}")
     summary = RunSummary(
-        run_id=rows[0]["run_id"],
+        run_id=first["run_id"],
         scheme=scheme,
         buckets=_buckets(scheme),
         ves_mean=None,
-        config_fingerprint=rows[0]["config_fingerprint"],
+        config_fingerprint=first["config_fingerprint"],
     )
     seen = set()
     for row in rows:
@@ -227,6 +230,10 @@ def parse_summary_csv(text: str) -> RunSummary:
         if bucket in seen:
             raise ValueError(f"bucket {bucket!r} appears more than once")
         seen.add(bucket)
+        for column in ("run_id", "config_fingerprint", "scheme"):
+            if row[column] != first[column]:
+                raise ValueError(f"bucket {bucket!r}: {column} {row[column]!r}"
+                                 f" differs from the first row's {first[column]!r}")
         try:
             c = BucketCounts(*(int(row[name]) for name in _COUNT_COLUMNS))
         except (TypeError, ValueError):
@@ -235,8 +242,16 @@ def parse_summary_csv(text: str) -> RunSummary:
                 and 0 <= c.ex_correct <= c.ex_scored <= c.n):
             raise ValueError(f"bucket {bucket!r}: counts break 0 <= correct <= scored <= n")
         summary.buckets[bucket] = c
-        if row["ves_mean"]:  # written on the overall row
+        if row["ves_mean"]:
+            if bucket != OVERALL:
+                raise ValueError(f"bucket {bucket!r}: ves_mean is written on the overall row")
             summary.ves_mean = float(row["ves_mean"])
+    missing = [label for label in summary.buckets if label not in seen]
+    if missing:
+        raise ValueError(f"missing buckets {missing}")
+    *labels, overall = summary.buckets.values()
+    if BucketCounts(*map(sum, zip(*map(astuple, labels)))) != overall:
+        raise ValueError(f"bucket {OVERALL!r}: counts are not the sum of the label rows")
     return summary
 
 

@@ -154,11 +154,17 @@ def load_run_config(path: str | Path) -> RunConfig:
         exists = found.is_dir() if key == "dataset.db_dir" else found.is_file()
         if key.startswith("dataset.") and not exists:
             errors.append(f"{key} not found: {found}")
-    if config is not None and not config.dataset.splits:
-        errors.append("dataset.splits must name at least one split file")
-    if config is not None and urlsplit(config.endpoint.base_url).scheme not in ("http", "https"):
-        errors.append(f"endpoint.base_url must be an http:// or https:// URL,"
-                      f" got {config.endpoint.base_url!r}")
+    if config is not None:
+        if not config.dataset.splits:
+            errors.append("dataset.splits must name at least one split file")
+        try:  # a malformed host or port raises ValueError
+            url = urlsplit(config.endpoint.base_url)
+            usable = url.scheme in ("http", "https") and url.hostname and url.port != 0
+        except ValueError:
+            usable = False
+        if not usable:
+            errors.append(f"endpoint.base_url must be an http:// or https:// URL with a host,"
+                          f" got {config.endpoint.base_url!r}")
     if errors:
         raise ConfigError(errors)
     return config

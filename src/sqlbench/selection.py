@@ -254,20 +254,16 @@ def select(
     """
     if policy.k == 0:
         return []
+    if policy.k >= len(pool):  # only then can the target's exclusion leave too few
+        candidates = sum(ex is not target for ex in pool)
+        if policy.k > candidates:
+            raise ValueError(f"k={policy.k} exceeds pool size {candidates}")
 
     if policy.strategy == RANDOM:
         rng = _rng_for(policy.seed, "select", target.index)
         # draw one extra, drop the target if sampled: still a uniform k-sample
         take = min(len(pool), policy.k + 1)
-        picked = [ex for ex in rng.sample(pool, take) if ex is not target][: policy.k]
-        if len(picked) < policy.k:  # only when the whole pool was drawn
-            raise ValueError(f"k={policy.k} exceeds pool size {len(picked)}")
-        return picked
-
-    if policy.k >= len(pool):  # only then can the target's exclusion leave too few
-        candidates = sum(ex is not target for ex in pool)
-        if policy.k > candidates:
-            raise ValueError(f"k={policy.k} exceeds pool size {candidates}")
+        return [ex for ex in rng.sample(pool, take) if ex is not target][: policy.k]
 
     if index is None:
         raise ValueError("similarity strategies require a similarity index")
@@ -289,28 +285,16 @@ def select(
     return [index.examples[rows[i]] for i in reversed(top)]
 
 
-FIXED_K = "fixed-k"
-RANDOM_SHOT = "random-shot"
-DEFAULT_SHOT_CHOICES = (0, 1, 3, 5)
-
-
 def mix_shots(
-    policy: SelectionPolicy,
-    mode: str,
-    examples: list[ExampleTriple],
-    choices: tuple[int, ...] = DEFAULT_SHOT_CHOICES,
+    policy: SelectionPolicy, examples: list[ExampleTriple], choices: tuple[int, ...]
 ) -> dict[int, int]:
-    """Per-example shot counts: the constant k, or a seeded uniform draw
-    from ``choices`` for the random-shot corpus mode."""
-    if mode == FIXED_K:
-        return {ex.index: policy.k for ex in examples}
-    if mode != RANDOM_SHOT:
-        raise ValueError(f"unknown shot-mixing mode {mode!r}")
-    if not choices:
-        raise ValueError("random-shot requires a non-empty choice list")
-    if any(choice < 0 for choice in choices):
-        raise ValueError("shot counts must be non-negative")
+    """Per-example shot counts, each a seeded uniform draw from ``choices``.
+    A single choice is every example's count, and no draw is made."""
+    if not choices or min(choices) < 0:
+        raise ValueError(f"shot choices must be one or more non-negative counts, got {choices}")
+    if len(choices) == 1:
+        return dict.fromkeys((ex.index for ex in examples), choices[0])
     return {
-        ex.index: _rng_for(policy.seed, "shots", ex.index).choice(list(choices))
+        ex.index: _rng_for(policy.seed, "shots", ex.index).choice(choices)
         for ex in examples
     }

@@ -1,26 +1,13 @@
 """SQL tokenizing, clause-set parsing, exact-set matching and difficulty bucketing."""
 
-from .ast import (
-    MASKED,
-    OrderItem,
-    Predicate,
-    SqlUnit,
-    ValueSlot,
-    canon,
-    clause_signature,
-)
+from .ast import SqlUnit, clause_signature
 from .hardness import classify_difficulty, component_counts
 from .match import em_match
 from .parser import SqlParseError, parse_sql, tokenize
 
 __all__ = [
-    "MASKED",
-    "OrderItem",
-    "Predicate",
     "SqlParseError",
     "SqlUnit",
-    "ValueSlot",
-    "canon",
     "classify_difficulty",
     "clause_signature",
     "component_counts",

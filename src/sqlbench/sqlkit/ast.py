@@ -154,22 +154,3 @@ def clause_signature(unit: SqlUnit) -> str:
         parts.append(f"{kind}({clause_signature(rhs)})")
     return " ".join(parts)
 
-
-def canon(unit: SqlUnit) -> SqlUnit:
-    """Re-apply canonical ordering; idempotent on parser output."""
-    return SqlUnit.build(
-        select_distinct=unit.select_distinct,
-        select_items=unit.select_items,
-        from_tables=unit.from_tables,
-        from_subqueries=tuple(canon(sub) for sub in unit.from_subqueries),
-        join_conds=unit.join_conds,
-        join_connectors=unit.join_connectors,
-        where_preds=unit.where_preds,
-        where_connectors=unit.where_connectors,
-        group_by=unit.group_by,
-        having_preds=unit.having_preds,
-        having_connectors=unit.having_connectors,
-        order_by=unit.order_by,
-        limit=unit.limit,
-        set_op=None if unit.set_op is None else (unit.set_op[0], canon(unit.set_op[1])),
-    )

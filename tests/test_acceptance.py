@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from sqlbench.corpus import TrainProfile, emit_train_profile, export_corpus, load_train_profile, read_corpus
+from sqlbench.corpus import TrainProfile, emit_train_profile, export_corpus
 from sqlbench.datasets import (
     DatabaseSchema,
     DatasetBundle,
@@ -36,11 +36,12 @@ from sqlbench.prompts import (
     render_schema,
 )
 from sqlbench.reporting import OVERALL, PLAIN, compare, format_rate, render_summary, summarize
-from sqlbench.selection import RANDOM_SHOT, SelectionPolicy
+from sqlbench.selection import SelectionPolicy
 from sqlbench.sqlkit import SqlParseError, classify_difficulty, em_match, parse_sql
 from sqlbench.stub import StubBehavior, StubServer
 
 from conftest import answers_from_examples, cli_child_env, write_config_with_url
+from helpers import load_train_profile, read_corpus
 
 
 def _checked(num: int, name: str, limit_s: float | None = None):
@@ -265,12 +266,10 @@ def test_7_corpus_determinism_and_mixing(synthetic_bundle, bundle, tmp_path):
         out_a = tmp_path / "mix_a.jsonl"
         out_b = tmp_path / "mix_b.jsonl"
         summary_a = export_corpus(
-            split, synthetic_bundle, TRP_SENTENCE, policy, RANDOM_SHOT, out_a,
-            choices=(0, 1, 3, 5),
+            split, synthetic_bundle, TRP_SENTENCE, policy, (0, 1, 3, 5), out_a
         )
         export_corpus(
-            split, synthetic_bundle, TRP_SENTENCE, policy, RANDOM_SHOT, out_b,
-            choices=(0, 1, 3, 5),
+            split, synthetic_bundle, TRP_SENTENCE, policy, (0, 1, 3, 5), out_b
         )
         assert out_a.read_bytes() == out_b.read_bytes(), "fixed-seed export not byte-identical"
         assert summary_a.records == 10_000
@@ -285,7 +284,7 @@ def test_7_corpus_determinism_and_mixing(synthetic_bundle, bundle, tmp_path):
         fixture_out = tmp_path / "fixture_k5.jsonl"
         export_corpus(
             bundle.splits["train"], bundle, TRP_SENTENCE,
-            SelectionPolicy(strategy="random", k=5, seed=13), "fixed-k", fixture_out,
+            SelectionPolicy(strategy="random", seed=13), (5,), fixture_out,
         )
         for record in read_corpus(fixture_out):
             assert record["meta"]["example_index"] not in record["meta"]["exemplar_ids"]

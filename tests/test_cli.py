@@ -165,7 +165,6 @@ def test_build_corpus_builds_one_index_for_all_jobs(scratch_config, tmp_path, bu
     import sqlbench.corpus
     from sqlbench.corpus import export_corpus
     from sqlbench.runconfig import load_run_config
-    from sqlbench.selection import FIXED_K, RANDOM_SHOT
 
     config = write_config_with_url(scratch_config, "http://127.0.0.1:1/v1")
     config.write_text(config.read_text().replace("strategy: random", f"strategy: {strategy}"))
@@ -181,11 +180,11 @@ def test_build_corpus_builds_one_index_for_all_jobs(scratch_config, tmp_path, bu
 
     run_config = load_run_config(config)
     corpus_dir = tmp_path / "runs" / "t" / "corpus"
-    for name, mode, k in (("train_random_shot.jsonl", RANDOM_SHOT, 0),
-                          ("train_k3.jsonl", FIXED_K, 3)):
-        policy = run_config.selection.policy(default_seed=run_config.seed, k=k)
+    policy = run_config.selection.policy(default_seed=run_config.seed)
+    for name, choices in (("train_random_shot.jsonl", (0, 1, 3, 5)), ("train_k3.jsonl", (3,))):
         reference = tmp_path / f"reference_{name}"
-        export_corpus(bundle.splits["train"], bundle, run_config.prompt, policy, mode, reference)
+        export_corpus(bundle.splits["train"], bundle, run_config.prompt, policy, choices,
+                      reference)
         assert (corpus_dir / name).read_bytes() == reference.read_bytes(), name
     assert len(builds) == 3
 
@@ -263,13 +262,9 @@ def test_compare_identical_runs(scratch_config, tmp_path, gold_stub, capsys):
     assert "+0.000" in out
 
 
-def test_compare_scheme_mismatch_exits_nonzero(tmp_path, capsys):
-    spider_csv = tmp_path / "a.csv"
-    bird_csv = tmp_path / "b.csv"
-    header = ("run_id,config_fingerprint,scheme,bucket,n,em_scored,em_correct,"
-              "ex_scored,ex_correct,ves_mean\n")
-    spider_csv.write_text(header + "a,f,spider4,overall,1,1,1,1,1,\n")
-    bird_csv.write_text(header + "b,f,bird3,overall,1,1,1,1,1,\n")
+def test_compare_scheme_mismatch_exits_nonzero(fixtures_dir, capsys):
+    spider_csv = fixtures_dir / "golden" / "summary_spider4.csv"
+    bird_csv = fixtures_dir / "golden" / "summary_bird3.csv"
     rc = run_cli("compare", "--base", str(spider_csv), "--target", str(bird_csv))
     assert rc == 1
     assert "scheme" in capsys.readouterr().err
@@ -283,13 +278,17 @@ def test_compare_scheme_mismatch_exits_nonzero(tmp_path, capsys):
     ("r,f,spider4,overall,1,1,1,1,1,\nr,f,spider4,overall,5,5,0,5,0,\n", "more than once"),
     ("r,f,spider4,overall,1,1,3,1,1,\n", "correct <= scored"),
     ("r,f,spider4,easy,1,1,1,2,0,\n", "scored <= n"),
+    ("r,f,spider4,overall,1,1,1,1,1,\n", "missing buckets"),
+    ("r,f,spider4,easy,1,1,1,1,1,\nq,f,bird3,overall,1,1,1,1,1,\n", "run_id 'q' differs"),
+    ("r,f,spider4,easy,1,1,1,1,1,\nr,f,spider4,medium,0,0,0,0,0,\nr,f,spider4,hard,0,0,0,0,0,\n"
+     "r,f,spider4,extra,0,0,0,0,0,\nr,f,spider4,overall,10,10,0,10,0,\n", "not the sum"),
 ], ids=["missing-file", "columns", "bucket", "count", "repeated-bucket", "correct-over-scored",
-        "scored-over-n"])
-def test_compare_on_what_is_not_a_summary_is_one_line(tmp_path, capsys, rows, named):
+        "scored-over-n", "only-overall", "other-run", "overall-not-sum"])
+def test_compare_on_what_is_not_a_summary_is_one_line(tmp_path, fixtures_dir, capsys, rows,
+                                                      named):
     header = ("run_id,config_fingerprint,scheme,bucket,n,em_scored,em_correct,"
               "ex_scored,ex_correct,ves_mean\n")
-    good = tmp_path / "good.csv"
-    good.write_text(header + "a,f,spider4,overall,1,1,1,1,1,\n")
+    good = fixtures_dir / "golden" / "summary_spider4.csv"
     bad = tmp_path / "bad.csv"
     if rows is not None:
         bad.write_text(rows if rows.startswith("a,b") else header + rows)
@@ -325,7 +324,7 @@ def test_emit_train_profile_cli(tmp_path):
     out = tmp_path / "profile.yaml"
     rc = run_cli("emit-train-profile", "--method", "qlora", "--out", str(out))
     assert rc == 0
-    from sqlbench.corpus import load_train_profile
+    from helpers import load_train_profile
 
     profile = load_train_profile(out)
     assert profile.method == "qlora"
@@ -500,6 +499,44 @@ def test_errored_records_in_the_append_log_are_retried(scratch_config, tmp_path,
     assert all(p.error is None for p in predictions.values())
     kept = [i for i, p in predictions.items() if p.extracted_sql == "SELECT 'kept'"]
     assert kept == [i for i in range(15) if i % 3]
+
+
+def test_target_over_budget_is_an_errored_prediction(scratch_config, tmp_path, fixtures_dir,
+                                                     gold_stub, capsys):
+    """A target whose prompt exceeds the budget even at k=0 is recorded as an
+    error without a request; the others are predicted, evaluate scores it as a
+    prediction error, and a rerun writes the same bytes."""
+    spider = fixtures_dir / "spider"
+    tables = json.loads((spider / "tables.json").read_text(encoding="utf-8"))
+    columns = [[0, f"reading_{i:03d}_value"] for i in range(300)]
+    tables.append({"db_id": "wide", "table_names_original": ["wide"],
+                   "column_names_original": [[-1, "*"], *columns]})
+    dev = json.loads((spider / "dev.json").read_text(encoding="utf-8"))[:2]
+    dev.append({"db_id": "wide", "question": "How many rows?",
+                "query": "SELECT count(*) FROM wide"})
+    (tmp_path / "tables.json").write_text(json.dumps(tables), encoding="utf-8")
+    (tmp_path / "dev.json").write_text(json.dumps(dev), encoding="utf-8")
+    config = write_config_with_url(scratch_config, gold_stub.base_url)
+    config.write_text(config.read_text()
+                      .replace(str(spider / "tables.json"), str(tmp_path / "tables.json"))
+                      .replace(str(spider / "dev.json"), str(tmp_path / "dev.json")))
+    argv = ["--config", str(config), "--run-id", "t", "--split", "dev"]
+    out = tmp_path / "runs" / "t" / "predictions" / "dev_shots0.jsonl"
+
+    assert run_cli("predict", *argv) == 0
+    assert gold_stub.request_count == 2
+    predictions = read_predictions(out)
+    assert [p.error is None for p in predictions.values()] == [True, True, False]
+    assert re.fullmatch(r"prompt exceeds token budget by \d+ tokens at k=0", predictions[2].error)
+    assert predictions[2].attempt_count == 0
+    first = out.read_bytes()
+    assert run_cli("predict", *argv) == 0
+    assert out.read_bytes() == first and gold_stub.request_count == 2
+
+    capsys.readouterr()
+    assert run_cli("evaluate", *argv, "--predictions", str(out)) == 0
+    records = (tmp_path / "runs" / "t" / "eval" / "dev_records.jsonl").read_text().splitlines()
+    assert [json.loads(line)["failure"] for line in records][2] == "prediction-error"
 
 
 def test_scalar_config_section_is_a_config_error(tmp_path, capsys, fixtures_dir):
@@ -683,27 +720,38 @@ def test_predict_to_a_url_that_is_not_http_is_a_config_error(scratch_config, tmp
                                                              capsys):
     """Each bad value is refused at load, before any data is read."""
     url = f"base_url: {gold_stub.base_url}"
-    bad_values = {  # key: (replaced, replacement)
-        "endpoint.base_url": (url, "base_url: localhost:8181/v1"),
-        "endpoint.concurrency_limit": ("concurrency_limit: 4", "concurrency_limit: 0"),
-        "endpoint.temperature": ("endpoint:\n", "endpoint:\n  temperature: -1\n"),
-        "selection.k": ("k: 0", "k: -1"),
-        "selection.strategy": ("strategy: random", "strategy: telepathy"),
-        "prompt.schema_style": ("schema_style: sentence", "schema_style: weird"),
-    }
+    bad_values = [  # (key, replaced, replacement)
+        ("endpoint.base_url", url, "base_url: localhost:8181/v1"),
+        ("endpoint.base_url", url, "base_url: http:///v1"),
+        ("endpoint.base_url", url, "base_url: http://[::1/v1"),
+        ("endpoint.base_url", url, "base_url: http://127.0.0.1:http/v1"),
+        ("endpoint.concurrency_limit", "concurrency_limit: 4", "concurrency_limit: 0"),
+        ("endpoint.temperature", "endpoint:\n", "endpoint:\n  temperature: -1\n"),
+        ("endpoint.max_retries", "max_retries: 2", "max_retries: -1"),
+        ("endpoint.backoff_base_s", "backoff_base_s: 0.01", "backoff_base_s: -1.0"),
+        ("endpoint.timeout_s", "endpoint:\n", "endpoint:\n  timeout_s: 0\n"),
+        ("endpoint.timeout_s", "endpoint:\n", "endpoint:\n  timeout_s: -1\n"),
+        ("endpoint.max_response_tokens", "endpoint:\n",
+         "endpoint:\n  max_response_tokens: 0\n"),
+        ("metrics.timeout_s", "timeout_s: 10", "timeout_s: 0"),
+        ("metrics.timeout_s", "timeout_s: 10", "timeout_s: -1"),
+        ("selection.k", "k: 0", "k: -1"),
+        ("selection.strategy", "strategy: random", "strategy: telepathy"),
+        ("prompt.schema_style", "schema_style: sentence", "schema_style: weird"),
+    ]
     good = write_config_with_url(scratch_config, gold_stub.base_url).read_text()
-    for key, (replaced, replacement) in bad_values.items():
-        assert replaced in good, key
+    for key, replaced, replacement in bad_values:
+        assert replaced in good, (key, replaced)
         config = tmp_path / "bad.yaml"
         config.write_text(good.replace(replaced, replacement))
         assert run_cli("predict", "--config", str(config), "--run-id", "t",
-                       "--split", "dev") == 1, key
+                       "--split", "dev") == 1, (key, replacement)
         section, name = key.split(".")
         errors = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith(f"config: {section}")]
-        assert len(errors) == 1 and name in errors[0], (key, errors)
-        assert not (tmp_path / "runs").exists(), key
-        assert gold_stub.request_count == 0, key
+        assert len(errors) == 1 and name in errors[0], (key, replacement, errors)
+        assert not (tmp_path / "runs").exists(), (key, replacement)
+        assert gold_stub.request_count == 0, (key, replacement)
 
 
 @pytest.mark.parametrize("replaced, replacement, named", [

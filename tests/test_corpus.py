@@ -7,21 +7,21 @@ from sqlbench.corpus import (
     TrainProfile,
     emit_train_profile,
     export_corpus,
-    load_train_profile,
-    read_corpus,
 )
 from sqlbench.prompts import TRP_SENTENCE, TokenBudget, estimate_tokens
-from sqlbench.selection import FIXED_K, RANDOM_SHOT, SelectionPolicy
+from sqlbench.selection import SelectionPolicy
+
+from helpers import load_train_profile, read_corpus
 
 
-def policy(k: int = 0, seed: int = 7) -> SelectionPolicy:
-    return SelectionPolicy(strategy="random", k=k, seed=seed)
+def policy(seed: int = 7) -> SelectionPolicy:
+    return SelectionPolicy(strategy="random", seed=seed)
 
 
 def test_fixed_zero_shot_export(bundle, tmp_path):
     out = tmp_path / "corpus.jsonl"
     summary = export_corpus(
-        bundle.splits["train"], bundle, TRP_SENTENCE, policy(0), FIXED_K, out
+        bundle.splits["train"], bundle, TRP_SENTENCE, policy(), (0,), out
     )
     records = read_corpus(out)
     assert summary.records == len(bundle.splits["train"]) == len(records)
@@ -35,7 +35,7 @@ def test_fixed_zero_shot_export(bundle, tmp_path):
 
 def test_export_structure_shots_plus_one_questions(bundle, tmp_path):
     out = tmp_path / "corpus_k2.jsonl"
-    export_corpus(bundle.splits["train"], bundle, TRP_SENTENCE, policy(2), FIXED_K, out)
+    export_corpus(bundle.splits["train"], bundle, TRP_SENTENCE, policy(), (2,), out)
     for record in read_corpus(out):
         questions = [
             line for line in record["instruction"].splitlines() if line.startswith("Q: ")
@@ -47,27 +47,27 @@ def test_export_structure_shots_plus_one_questions(bundle, tmp_path):
 def test_export_deterministic_bytes(bundle, tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     for out in (a, b):
-        export_corpus(bundle.splits["train"], bundle, TRP_SENTENCE, policy(3), FIXED_K, out)
+        export_corpus(bundle.splits["train"], bundle, TRP_SENTENCE, policy(), (3,), out)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_export_seed_changes_bytes(bundle, tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    export_corpus(bundle.splits["train"], bundle, TRP_SENTENCE, policy(3, seed=1), FIXED_K, a)
-    export_corpus(bundle.splits["train"], bundle, TRP_SENTENCE, policy(3, seed=2), FIXED_K, b)
+    export_corpus(bundle.splits["train"], bundle, TRP_SENTENCE, policy(seed=1), (3,), a)
+    export_corpus(bundle.splits["train"], bundle, TRP_SENTENCE, policy(seed=2), (3,), b)
     assert a.read_bytes() != b.read_bytes()
 
 
 def test_no_self_leakage(bundle, tmp_path):
     out = tmp_path / "corpus.jsonl"
-    export_corpus(bundle.splits["train"], bundle, TRP_SENTENCE, policy(5), FIXED_K, out)
+    export_corpus(bundle.splits["train"], bundle, TRP_SENTENCE, policy(), (5,), out)
     for record in read_corpus(out):
         assert record["meta"]["example_index"] not in record["meta"]["exemplar_ids"]
 
 
 def test_every_instruction_within_budget(bundle, tmp_path):
     out = tmp_path / "corpus.jsonl"
-    export_corpus(bundle.splits["train"], bundle, TRP_SENTENCE, policy(5), FIXED_K, out)
+    export_corpus(bundle.splits["train"], bundle, TRP_SENTENCE, policy(), (5,), out)
     for record in read_corpus(out):
         assert estimate_tokens(record["instruction"]) <= 2048 - 512
 
@@ -75,7 +75,7 @@ def test_every_instruction_within_budget(bundle, tmp_path):
 def test_over_budget_examples_skipped_with_reason(bundle, tmp_path):
     out = tmp_path / "corpus.jsonl"
     summary = export_corpus(
-        bundle.splits["train"], bundle, TRP_SENTENCE, policy(0), FIXED_K, out,
+        bundle.splits["train"], bundle, TRP_SENTENCE, policy(), (0,), out,
         budget=TokenBudget(max_context=560, reserved_response=512),
     )
     assert summary.records + len(summary.skipped) == len(bundle.splits["train"])
@@ -86,7 +86,7 @@ def test_over_budget_examples_skipped_with_reason(bundle, tmp_path):
 
 def test_empty_split(bundle, tmp_path):
     out = tmp_path / "corpus.jsonl"
-    summary = export_corpus([], bundle, TRP_SENTENCE, policy(0), FIXED_K, out)
+    summary = export_corpus([], bundle, TRP_SENTENCE, policy(), (0,), out)
     assert summary.records == 0
     assert summary.shot_histogram == {}
     assert out.read_text() == ""
@@ -99,8 +99,7 @@ def test_random_shot_histogram(bundle, tmp_path):
     # compact schema rendering keeps every k below the budget, so the
     # histogram reflects the drawn shot counts exactly
     summary = export_corpus(
-        bundle.splits["train"], bundle, TRP_COMPACT, policy(0, seed=11), RANDOM_SHOT, out,
-        choices=(0, 1, 3, 5),
+        bundle.splits["train"], bundle, TRP_COMPACT, policy(seed=11), (0, 1, 3, 5), out,
     )
     assert set(summary.shot_histogram) <= {0, 1, 3, 5}
     assert sum(summary.shot_histogram.values()) == summary.records
@@ -153,9 +152,9 @@ def test_summary_to_dict_shape():
 
 def test_export_with_similarity_strategy(bundle, tmp_path):
     out = tmp_path / "sim.jsonl"
-    sim_policy = SelectionPolicy(strategy="question-similarity", k=2, seed=3)
+    sim_policy = SelectionPolicy(strategy="question-similarity", seed=3)
     summary = export_corpus(
-        bundle.splits["train"], bundle, TRP_SENTENCE, sim_policy, FIXED_K, out
+        bundle.splits["train"], bundle, TRP_SENTENCE, sim_policy, (2,), out
     )
     assert summary.records == len(bundle.splits["train"])
     for record in read_corpus(out):

@@ -450,10 +450,13 @@ def test_empty_completion_is_an_error(bundle):
 
 
 def test_read_predictions_tolerates_truncated_line(tmp_path, caplog):
+    """A truncated line, or JSON that is not a record, is skipped with a warning."""
     path = tmp_path / "preds.jsonl"
     good = Prediction(0, "raw", "SELECT 1", 1.0, 1)
-    path.write_text(good.to_json() + "\n" + '{"example_index": 1, "raw_te', encoding="utf-8")
+    not_records = ["[1]", "null", '{"example_index": "2", "raw_text": "x"}', '{"raw_text": "x"}']
+    path.write_text("\n".join([good.to_json(), *not_records, '{"example_index": 1, "raw_te']),
+                    encoding="utf-8")
     with caplog.at_level("WARNING"):
         loaded = read_predictions(path)
     assert set(loaded) == {0}
-    assert any("undecodable" in rec.message for rec in caplog.records)
+    assert sum("undecodable" in rec.message for rec in caplog.records) == 5

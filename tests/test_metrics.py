@@ -22,8 +22,9 @@ from sqlbench.metrics import (
     score_ex,
     score_run,
     write_eval_records,
-    read_eval_records,
 )
+
+from helpers import read_eval_records
 
 
 def sha256(path) -> str:
@@ -240,6 +241,21 @@ class TestScoreRun:
         predictions = {ex.index: prediction(ex.index, "SELECT 1") for ex in examples}
         records = score_run(examples, predictions, bundle, ScoreOptions(timeout_s=10))
         assert [r.example_index for r in records] == [ex.index for ex in examples]
+
+
+def test_record_lines_match_golden(fixtures_dir):
+    """The bytes predict and evaluate write per record, errored or not."""
+    from sqlbench.datasets import DifficultyLabel
+
+    records = [
+        Prediction(3, "```sql\nSELECT name FROM singer;\n```", "SELECT name FROM singer", 12.5, 1),
+        Prediction(4, "", "", 1503.25, 3, "status 503: Café closed"),
+        EvalRecord(0, True, True, 1.25, DifficultyLabel("spider4", "easy")),
+        EvalRecord(1, False, False, None, DifficultyLabel("bird3", "challenge"), "exec-error"),
+        EvalRecord(2, None, None, None, None, "prediction-error"),
+    ]
+    lines = "".join(record.to_json() + "\n" for record in records)
+    assert lines == (fixtures_dir / "golden" / "records.jsonl").read_text(encoding="utf-8")
 
 
 def test_eval_record_roundtrip(tmp_path, bundle):

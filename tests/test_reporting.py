@@ -127,6 +127,8 @@ def test_csv_roundtrip_randomized(cells):
 
 _HEADER = ("run_id,config_fingerprint,scheme,bucket,n,em_scored,em_correct,"
            "ex_scored,ex_correct,ves_mean\n")
+_LABEL_ROWS = ("r,f,spider4,easy,1,1,1,1,1,\nr,f,spider4,medium,0,0,0,0,0,\n"
+               "r,f,spider4,hard,0,0,0,0,0,\nr,f,spider4,extra,0,0,0,0,0,\n")
 
 
 @pytest.mark.parametrize("text, named", [
@@ -140,8 +142,16 @@ _HEADER = ("run_id,config_fingerprint,scheme,bucket,n,em_scored,em_correct,"
     (_HEADER + "r,f,spider4,hard,1,1,0,1,2,\n", "correct <= scored"),
     (_HEADER + "r,f,spider4,easy,1,2,0,1,1,\n", "scored <= n"),
     (_HEADER + "r,f,spider4,easy,-1,0,0,0,0,\n", "0 <= correct"),
+    (_HEADER + _LABEL_ROWS + "q,f,bird3,overall,1,1,1,1,1,\n", "run_id 'q' differs"),
+    (_HEADER + _LABEL_ROWS + "r,g,spider4,overall,1,1,1,1,1,\n", "config_fingerprint 'g'"),
+    (_HEADER + _LABEL_ROWS + "r,f,bird3,overall,1,1,1,1,1,\n", "scheme 'bird3' differs"),
+    (_HEADER + "r,f,spider4,easy,1,1,1,1,1,0.5\n", "ves_mean is written on the overall row"),
+    (_HEADER + "r,f,spider4,overall,1,1,1,1,1,\n", "missing buckets"),
+    (_HEADER + _LABEL_ROWS + "r,f,spider4,overall,10,10,0,10,0,\n", "not the sum"),
 ], ids=["columns", "scheme", "bucket", "count", "short-row", "repeated-bucket",
-        "em-correct-over-scored", "ex-correct-over-scored", "scored-over-n", "negative"])
+        "em-correct-over-scored", "ex-correct-over-scored", "scored-over-n", "negative",
+        "other-run", "other-fingerprint", "other-scheme", "ves-on-label-row",
+        "only-overall", "overall-not-sum"])
 def test_parse_summary_csv_refuses_what_is_not_a_summary(text, named):
     with pytest.raises(ValueError, match=named):
         parse_summary_csv(text)

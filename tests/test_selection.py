@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from sqlbench.datasets import ExampleTriple
 from sqlbench.selection import (
     DUAL_SIMILARITY,
-    FIXED_K,
     QUESTION_SIMILARITY,
     RANDOM,
-    RANDOM_SHOT,
     EMBED_DIM,
     SelectionPolicy,
     TrigramRows,
@@ -208,27 +206,27 @@ def test_sql_skeleton_masks_literals(bundle):
 def test_mix_shots_fixed():
     pool = make_pool(10)
     policy = SelectionPolicy(strategy=RANDOM, k=3, seed=5)
-    plan = mix_shots(policy, FIXED_K, pool)
+    plan = mix_shots(policy, pool, (3,))
     assert plan == {ex.index: 3 for ex in pool}
 
 
 def test_mix_shots_random_uniform():
     pool = make_pool(10_000)
     policy = SelectionPolicy(strategy=RANDOM, k=0, seed=17)
-    plan = mix_shots(policy, RANDOM_SHOT, pool, choices=(0, 1, 3, 5))
+    plan = mix_shots(policy, pool, (0, 1, 3, 5))
     counts = {c: 0 for c in (0, 1, 3, 5)}
     for k in plan.values():
         counts[k] += 1
     for c, n in counts.items():
         assert abs(n / 10_000 - 0.25) <= 0.02, (c, n)
     # deterministic under the same seed
-    assert plan == mix_shots(policy, RANDOM_SHOT, pool, choices=(0, 1, 3, 5))
+    assert plan == mix_shots(policy, pool, (0, 1, 3, 5))
 
 
 def test_mix_shots_degenerate_choices():
     pool = make_pool(10)
     policy = SelectionPolicy(strategy=RANDOM, k=0, seed=5)
-    plan = mix_shots(policy, RANDOM_SHOT, pool, choices=(0,))
+    plan = mix_shots(policy, pool, (0,))
     assert set(plan.values()) == {0}
 
 
@@ -236,7 +234,7 @@ def test_mix_shots_rejects_negative():
     pool = make_pool(3)
     policy = SelectionPolicy(strategy=RANDOM, k=0, seed=5)
     with pytest.raises(ValueError):
-        mix_shots(policy, RANDOM_SHOT, pool, choices=(0, -1))
+        mix_shots(policy, pool, (0, -1))
 
 
 def test_policy_validation():

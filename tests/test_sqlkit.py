@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from sqlbench.sqlkit import (
     SqlParseError,
-    canon,
     classify_difficulty,
     clause_signature,
     component_counts,
     em_match,
     parse_sql,
 )
+
+from helpers import canon
 
 
 @pytest.fixture(scope="module")
