@@ -195,7 +195,8 @@ def cmd_predict(args) -> int:
     partial = out.with_name(out.name + ".partial")
     # the finished file, then the append log of a rerun that retries its errors
     recorded = read_predictions(*(path for path in (out, partial) if path.is_file()))
-    done = {index: p for index, p in recorded.items() if p.error is None}
+    # a record that sent no request was over budget at k=0: no rerun can change it
+    done = {index: p for index, p in recorded.items() if p.error is None or not p.attempt_count}
     # a leftover append log means the last run did not rewrite the final file
     if out.is_file() and not partial.is_file() and len(done) == len(recorded):
         print(f"predictions already complete at {out}")
@@ -229,9 +230,13 @@ def cmd_predict(args) -> int:
     write_predictions(writing, merged)
     os.replace(writing, out)
     partial.unlink(missing_ok=True)
-    errored = sum(1 for p in merged.values() if p.error is not None)
-    retry = f" ({errored} errored; rerun predict to retry them)" if errored else ""
-    print(f"{len(merged)} predictions written to {out}{retry}")
+    errors = [p for p in merged.values() if p.error is not None]
+    over_budget = sum(1 for p in errors if not p.attempt_count)
+    errored = len(errors) - over_budget
+    notes = [f"{over_budget} over budget at k=0"] if over_budget else []
+    if errored:
+        notes.append(f"{errored} errored; rerun predict to retry them")
+    print(f"{len(merged)} predictions written to {out}" + (f" ({'; '.join(notes)})" if notes else ""))
     return EXIT_OK
 
 

@@ -81,11 +81,21 @@ class Prediction:
 
     @classmethod
     def from_json(cls, line: str) -> "Prediction":
-        """The record a line holds; TypeError if it is JSON but not a record."""
-        prediction = cls(**json.loads(line))
-        if type(prediction.example_index) is not int:
-            raise TypeError(f"example_index must be an integer: {prediction.example_index!r}")
-        return prediction
+        """The record a line holds; TypeError if it is JSON but not a record
+        or a field has the wrong type."""
+        p = cls(**json.loads(line))
+        valid = {
+            "example_index": type(p.example_index) is int,
+            "raw_text": isinstance(p.raw_text, str),
+            "extracted_sql": isinstance(p.extracted_sql, str),
+            "latency_ms": type(p.latency_ms) in (int, float),
+            "attempt_count": type(p.attempt_count) is int,
+            "error": p.error is None or isinstance(p.error, str),
+        }
+        wrong = [name for name, ok in valid.items() if not ok]
+        if wrong:
+            raise TypeError(f"wrong type of {', '.join(wrong)}")
+        return p
 
 
 def extract_sql(raw: str) -> str:

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .datasets import DatabaseSchema, ExampleTriple
-from .sqlkit import SqlParseError, clause_signature, parse_sql
+from .sqlkit import SqlParseError, parse_sql
 
 RANDOM = "random"
 QUESTION_SIMILARITY = "question-similarity"
@@ -225,7 +225,7 @@ def sql_skeleton(sql: str, schema: DatabaseSchema | None) -> str:
     SQL outside the parser's subset."""
     if schema is not None:
         try:
-            return clause_signature(parse_sql(sql, schema))
+            return parse_sql(sql, schema).signature
         except SqlParseError:
             pass
     return _LITERAL_RE.sub("?", sql.lower())

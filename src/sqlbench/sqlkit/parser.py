@@ -4,25 +4,44 @@ Covers SELECT with joins, nested subqueries in FROM/WHERE/HAVING, GROUP
 BY/HAVING, ORDER BY/LIMIT, UNION/INTERSECT/EXCEPT, the five aggregates,
 DISTINCT, BETWEEN, IN, LIKE and NOT. Anything beyond the subset is rejected
 with a structured parse failure rather than half-parsed.
+
+A parsed query is its canonical signature plus the Spider hardness counts.
+The signature is normalized aggressively, so that exact-set match reduces to
+string equality: identifiers case-folded, table aliases resolved away,
+literals masked, and set-valued clauses sorted.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..datasets import DatabaseSchema
-from .ast import (
-    AGG_FUNCS,
-    COLUMN_KIND,
-    MASKED,
-    RANGE_KIND,
-    SET_OPS,
-    SUBQUERY_KIND,
-    OrderItem,
-    Predicate,
-    SqlUnit,
-    ValueSlot,
-)
+
+AGG_FUNCS = ("count", "sum", "avg", "min", "max")
+SET_OPS = ("union", "intersect", "except")
+
+
+class SqlUnit(NamedTuple):
+    """One parsed query.
+
+    ``signature`` renders the clause decomposition: select, from, join
+    conditions, where, group by and having compare as sorted sets, AND/OR
+    connectors as the set of kinds used, ORDER BY as a sequence with
+    direction, LIMIT by presence, and set operations recurse.
+
+    ``components`` are Spider's (component1, component2, others) counts
+    behind the hardness rules. component1 counts clause keywords: WHERE,
+    GROUP BY, ORDER BY, LIMIT, one per extra FROM source, each OR connector
+    and each LIKE condition. component2 counts nesting: subqueries in
+    condition values plus set operations. ``others`` counts the extras: more
+    than one aggregation, more than one selected column, two or more WHERE
+    conditions, two or more GROUP BY columns.
+    """
+
+    signature: str
+    components: tuple[int, int, int]
 
 
 class SqlParseError(Exception):
@@ -577,79 +596,89 @@ def _resolve_expr(expr: tuple, scope: _Scope, allow_select_alias: bool = False) 
     return f"({_resolve_expr(left, scope, allow_select_alias)} {op} {_resolve_expr(right, scope, allow_select_alias)})"
 
 
-def _resolve_value(value: tuple, scope: _Scope, schema: DatabaseSchema) -> ValueSlot:
+def _resolve_value(value: tuple, scope: _Scope, schema: DatabaseSchema) -> tuple[str, int]:
+    """The rendered value and the number of subqueries it holds."""
     kind = value[0]
     if kind == "masked":
-        return MASKED
+        return "?", 0
     if kind == "sub":
-        return ValueSlot(kind=SUBQUERY_KIND, subquery=_resolve_query(value[1], schema, scope))
+        return "(" + _resolve_query(value[1], schema, scope).signature + ")", 1
     if kind == "colv":
-        return ValueSlot(kind=COLUMN_KIND, column_expr=_resolve_expr(value[1], scope))
-    low = _resolve_value(value[1], scope, schema)
-    high = _resolve_value(value[2], scope, schema)
-    return ValueSlot(kind=RANGE_KIND, bounds=(low, high))
+        return _resolve_expr(value[1], scope), 0
+    low, low_subs = _resolve_value(value[1], scope, schema)
+    high, high_subs = _resolve_value(value[2], scope, schema)
+    return f"{low}..{high}", low_subs + high_subs
 
 
 def _resolve_pred(pred: tuple, scope: _Scope, schema: DatabaseSchema,
-                  allow_select_alias: bool = False) -> Predicate:
+                  allow_select_alias: bool = False) -> tuple[str, str, str, int]:
+    """(lhs, op, rendered predicate, subqueries in its value)."""
     lhs, op, value = pred
-    resolved_value = _resolve_value(value, scope, schema)
-    lhs_str = _resolve_expr(lhs, scope, allow_select_alias)
-    if op in ("=", "!=") and resolved_value.kind == COLUMN_KIND:
+    rhs, subs = _resolve_value(value, scope, schema)
+    lhs = _resolve_expr(lhs, scope, allow_select_alias)
+    if op in ("=", "!=") and value[0] == "colv" and rhs < lhs:
         # symmetric comparisons canonicalize operand order
-        rhs_str = resolved_value.column_expr
-        if rhs_str < lhs_str:
-            lhs_str, rhs_str = rhs_str, lhs_str
-            resolved_value = ValueSlot(kind=COLUMN_KIND, column_expr=rhs_str)
-    return Predicate(lhs=lhs_str, op=op, value=resolved_value)
+        lhs, rhs = rhs, lhs
+    return lhs, op, f"{lhs} {op} {rhs}", subs
+
+
+def _conditions(name: str, preds: list[tuple[str, str, str, int]], conns: list[str]) -> str:
+    kinds = "/".join(sorted(set(conns)))
+    return f"{name}[{kinds}]{{" + "|".join(sorted(text for _, _, text, _ in preds)) + "}"
+
+
+_AGG_RE = re.compile(r"\b(?:" + "|".join(AGG_FUNCS) + r")\(")
 
 
 def _resolve_query(raw: _RawQuery, schema: DatabaseSchema, parent: _Scope | None) -> SqlUnit:
     scope = _Scope(schema, raw, parent)
-    subqueries = tuple(_resolve_query(sub, schema, scope) for sub, _ in raw.subqueries)
-
+    sources = [name for name, _ in raw.tables] + [
+        "(" + _resolve_query(sub, schema, scope).signature + ")" for sub, _ in raw.subqueries
+    ]
     items = []
     for expr, alias in raw.items:
         rendered = _resolve_expr(expr, scope)
         items.append(rendered)
         if alias:
             scope.select_aliases[alias] = rendered
+    join = [_resolve_pred(p, scope, schema) for p in raw.join_preds]
+    where = [_resolve_pred(p, scope, schema) for p in raw.where_preds]
+    group = sorted(_resolve_expr(e, scope, allow_select_alias=True) for e in raw.group)
+    having = [_resolve_pred(p, scope, schema, allow_select_alias=True) for p in raw.having_preds]
+    order = [f"{_resolve_expr(e, scope, allow_select_alias=True)} {d}" for e, d in raw.order]
 
-    join_conds = tuple(_resolve_pred(p, scope, schema) for p in raw.join_preds)
-    where_preds = tuple(_resolve_pred(p, scope, schema) for p in raw.where_preds)
-    group_by = tuple(_resolve_expr(e, scope, allow_select_alias=True) for e in raw.group)
-    having_preds = tuple(
-        _resolve_pred(p, scope, schema, allow_select_alias=True) for p in raw.having_preds
-    )
-    order_by = tuple(
-        OrderItem(expr=_resolve_expr(e, scope, allow_select_alias=True), direction=d)
-        for e, d in raw.order
-    )
-    set_op = None
+    parts = ["select" + (" distinct" if raw.distinct else "") + "{" + "|".join(sorted(items)) + "}"]
+    if sources:
+        parts.append("from{" + "|".join(sorted(sources)) + "}")
+    if join:
+        parts.append("on{" + "|".join(sorted(text for _, _, text, _ in join)) + "}")
+    if where:
+        parts.append(_conditions("where", where, raw.where_conns))
+    if group:
+        parts.append("group{" + "|".join(group) + "}")
+    if having:
+        parts.append(_conditions("having", having, raw.having_conns))
+    if order:
+        parts.append("order(" + ", ".join(order) + ")")
+    if raw.limit:
+        parts.append("limit")
     if raw.set_op is not None:
         kind, rhs = raw.set_op
-        set_op = (kind, _resolve_query(rhs, schema, parent))
+        parts.append(f"{kind}({_resolve_query(rhs, schema, parent).signature})")
 
-    return SqlUnit.build(
-        select_distinct=raw.distinct,
-        select_items=tuple(items),
-        from_tables=tuple(name for name, _ in raw.tables),
-        from_subqueries=subqueries,
-        join_conds=join_conds,
-        join_connectors=tuple(raw.join_conns),
-        where_preds=where_preds,
-        where_connectors=tuple(raw.where_conns),
-        group_by=group_by,
-        having_preds=having_preds,
-        having_connectors=tuple(raw.having_conns),
-        order_by=order_by,
-        limit=MASKED if raw.limit else None,
-        set_op=set_op,
-    )
+    preds = join + where + having
+    connectors = raw.join_conns + raw.where_conns + raw.having_conns
+    comp1 = (bool(where) + bool(group) + bool(order) + raw.limit + max(len(sources) - 1, 0)
+             + connectors.count("or") + sum(op in ("like", "not like") for _, op, _, _ in preds))
+    comp2 = sum(subs for _, _, _, subs in preds) + (raw.set_op is not None)
+    aggregated = items + [lhs for lhs, _, _, _ in where + having] + group + order
+    others = ((sum(len(_AGG_RE.findall(text)) for text in aggregated) > 1)
+              + (len(items) > 1) + (len(where) > 1) + (len(group) > 1))
+    return SqlUnit(" ".join(parts), (comp1, comp2, others))
 
 
 def parse_sql(sql: str, schema: DatabaseSchema) -> SqlUnit:
-    """Parse SQL into its canonical clause decomposition.
+    """Parse SQL into its canonical signature and hardness counts.
 
     Raises SqlParseError on lexical errors, unsupported constructs, or
     unbalanced input; never anything else.

@@ -37,6 +37,20 @@ def test_cli_runs_without_requests(tmp_path):
     assert done.stdout.strip() == "[]"
 
 
+def test_every_traced_boundary_resolves():
+    """The benchmark tracer wraps each (module, attribute) in its BOUNDARIES;
+    each must name a function that exists where the tracer looks it up."""
+    import importlib
+    import runpy
+    from pathlib import Path
+
+    spans = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+    boundaries = runpy.run_path(str(spans))["BOUNDARIES"]
+    missing = [f"{module}.{attr}" for module, attr, _ in boundaries
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert len(boundaries) >= 30 and not missing
+
+
 def test_ingest_writes_manifest(scratch_config, tmp_path, capsys):
     config = write_config_with_url(scratch_config, "http://127.0.0.1:1/v1")
     rc = run_cli("ingest", "--config", str(config), "--run-id", "t")
@@ -246,6 +260,27 @@ def test_evaluate_em_only_marks_ex_na(scratch_config, tmp_path, gold_stub, capsy
     out = capsys.readouterr().out
     ex_line = [l for l in out.splitlines() if l.startswith("ex")][0]
     assert "n/a" in ex_line
+
+
+def test_evaluate_skips_mistyped_prediction_fields(scratch_config, tmp_path, bundle, caplog):
+    """A prediction line whose fields have the wrong types is skipped with a
+    warning and scored as a missing prediction, not a crash."""
+    dev = bundle.splits["dev"]
+    lines = [json.dumps({"example_index": 0, "extracted_sql": 5}),
+             json.dumps({"example_index": 1, "extracted_sql": None})]
+    lines += [json.dumps({"example_index": ex.index, "extracted_sql": ex.gold_sql})
+              for ex in dev[2:]]
+    pred_file = tmp_path / "preds.jsonl"
+    pred_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = write_config_with_url(scratch_config, "http://127.0.0.1:1/v1")
+    with caplog.at_level("WARNING"):
+        assert run_cli("evaluate", "--config", str(config), "--run-id", "t",
+                       "--split", "dev", "--predictions", str(pred_file)) == 0
+    assert sum("undecodable" in rec.message for rec in caplog.records) == 2
+    records = [json.loads(line) for line in
+               (tmp_path / "runs" / "t" / "eval" / "dev_records.jsonl").read_text().splitlines()]
+    assert [(r["em"], r["ex"]) for r in records[:2]] == [(False, False)] * 2
+    assert all(r["ex"] for r in records[2:])
 
 
 def test_compare_identical_runs(scratch_config, tmp_path, gold_stub, capsys):
@@ -505,7 +540,7 @@ def test_target_over_budget_is_an_errored_prediction(scratch_config, tmp_path, f
                                                      gold_stub, capsys):
     """A target whose prompt exceeds the budget even at k=0 is recorded as an
     error without a request; the others are predicted, evaluate scores it as a
-    prediction error, and a rerun writes the same bytes."""
+    prediction error, and a rerun finds the run complete: no rerun can send it."""
     spider = fixtures_dir / "spider"
     tables = json.loads((spider / "tables.json").read_text(encoding="utf-8"))
     columns = [[0, f"reading_{i:03d}_value"] for i in range(300)]
@@ -523,8 +558,11 @@ def test_target_over_budget_is_an_errored_prediction(scratch_config, tmp_path, f
     argv = ["--config", str(config), "--run-id", "t", "--split", "dev"]
     out = tmp_path / "runs" / "t" / "predictions" / "dev_shots0.jsonl"
 
+    capsys.readouterr()
     assert run_cli("predict", *argv) == 0
     assert gold_stub.request_count == 2
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        f"3 predictions written to {out} (1 over budget at k=0)"
     predictions = read_predictions(out)
     assert [p.error is None for p in predictions.values()] == [True, True, False]
     assert re.fullmatch(r"prompt exceeds token budget by \d+ tokens at k=0", predictions[2].error)
@@ -532,6 +570,19 @@ def test_target_over_budget_is_an_errored_prediction(scratch_config, tmp_path, f
     first = out.read_bytes()
     assert run_cli("predict", *argv) == 0
     assert out.read_bytes() == first and gold_stub.request_count == 2
+    assert capsys.readouterr().out == f"predictions already complete at {out}\n"
+
+    # with a retryable error beside it, a rerun requests only the retryable one
+    lines = out.read_text(encoding="utf-8").splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), "error": "http 500"})
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run_cli("predict", *argv) == 0
+    assert gold_stub.request_count == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "resuming: 2 predictions already recorded, 1 errored ones requested again",
+        f"3 predictions written to {out} (1 over budget at k=0)",
+    ]
+    assert out.read_bytes() == first
 
     capsys.readouterr()
     assert run_cli("evaluate", *argv, "--predictions", str(out)) == 0

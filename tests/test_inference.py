@@ -453,10 +453,20 @@ def test_read_predictions_tolerates_truncated_line(tmp_path, caplog):
     """A truncated line, or JSON that is not a record, is skipped with a warning."""
     path = tmp_path / "preds.jsonl"
     good = Prediction(0, "raw", "SELECT 1", 1.0, 1)
-    not_records = ["[1]", "null", '{"example_index": "2", "raw_text": "x"}', '{"raw_text": "x"}']
+    not_records = [
+        "[1]", "null", '{"example_index": "2", "raw_text": "x"}', '{"raw_text": "x"}',
+        '{"example_index": 3, "raw_text": 5}',
+        '{"example_index": 4, "extracted_sql": 5}',
+        '{"example_index": 5, "extracted_sql": null}',
+        '{"example_index": 6, "latency_ms": "1.0"}',
+        '{"example_index": 7, "latency_ms": true}',
+        '{"example_index": 8, "attempt_count": 1.0}',
+        '{"example_index": 9, "attempt_count": false}',
+        '{"example_index": 10, "error": 500}',
+    ]
     path.write_text("\n".join([good.to_json(), *not_records, '{"example_index": 1, "raw_te']),
                     encoding="utf-8")
     with caplog.at_level("WARNING"):
         loaded = read_predictions(path)
     assert set(loaded) == {0}
-    assert sum("undecodable" in rec.message for rec in caplog.records) == 5
+    assert sum("undecodable" in rec.message for rec in caplog.records) == len(not_records) + 1

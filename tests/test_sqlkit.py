@@ -6,16 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqlbench.sqlkit import (
-    SqlParseError,
-    classify_difficulty,
-    clause_signature,
-    component_counts,
-    em_match,
-    parse_sql,
-)
-
-from helpers import canon
+from sqlbench.sqlkit import SqlParseError, classify_difficulty, em_match, parse_sql
 
 
 @pytest.fixture(scope="module")
@@ -26,12 +17,7 @@ def schemas(bundle):
 def test_distinct_where_decomposition(schemas):
     unit = parse_sql("SELECT DISTINCT country FROM singer WHERE age > 20",
                      schemas["concert_singer"])
-    assert unit.select_distinct
-    assert unit.select_items == ("singer.country",)
-    assert unit.from_tables == ("singer",)
-    assert len(unit.where_preds) == 1
-    pred = unit.where_preds[0]
-    assert (pred.lhs, pred.op, pred.value.kind) == ("singer.age", ">", "masked")
+    assert unit.signature == "select distinct{singer.country} from{singer} where[]{singer.age > ?}"
 
 
 def test_alias_resolution_across_join(schemas):
@@ -40,31 +26,58 @@ def test_alias_resolution_across_join(schemas):
         " T1.course_id = T2.course_id GROUP BY T2.course_id HAVING count(*) = 2",
         schemas["college_2"],
     )
-    assert unit.select_items == ("course.title",)
-    assert unit.from_tables == ("course", "prereq")
-    assert unit.group_by == ("prereq.course_id",)
-    having = unit.having_preds[0]
-    assert (having.lhs, having.op, having.value.kind) == ("count(*)", "=", "masked")
+    assert unit.signature == (
+        "select{course.title} from{course|prereq} on{course.course_id = prereq.course_id}"
+        " group{prereq.course_id} having[]{count(*) = ?}"
+    )
 
 
 def test_parse_determinism(schemas):
     sql = "SELECT name , age FROM singer WHERE age > 20 ORDER BY age DESC LIMIT 3"
-    a = parse_sql(sql, schemas["concert_singer"])
-    b = parse_sql(sql, schemas["concert_singer"])
-    assert a == b
-    assert clause_signature(a) == clause_signature(b)
+    assert parse_sql(sql, schemas["concert_singer"]) == parse_sql(sql, schemas["concert_singer"])
 
 
-def test_canonicalization_idempotent(schemas):
-    for sql in [
-        "SELECT name FROM singer WHERE age > 20 OR country = 'France'",
-        "SELECT country FROM singer GROUP BY country HAVING count(*) > 1",
-        "SELECT name FROM singer UNION SELECT name FROM stadium",
-        "SELECT song_name FROM singer WHERE age > (SELECT avg(age) FROM singer)",
-    ]:
-        unit = parse_sql(sql, schemas["concert_singer"])
-        assert canon(unit) == unit
-        assert canon(canon(unit)) == canon(unit)
+def test_reordered_clauses_give_one_signature(schemas):
+    schema = schemas["college_2"]
+    variants = [
+        "SELECT T1.title , T2.prereq_id FROM course AS T1 JOIN prereq AS T2"
+        " ON T1.course_id = T2.course_id WHERE T1.credits > 3 AND T1.dept_name = 'Math'"
+        " GROUP BY T1.title , T2.prereq_id",
+        "SELECT T2.prereq_id , T1.title FROM prereq AS T2 JOIN course AS T1"
+        " ON T2.course_id = T1.course_id WHERE T1.dept_name = 'Physics' AND T1.credits > 4"
+        " GROUP BY T2.prereq_id , T1.title",
+    ]
+    units = [parse_sql(sql, schema) for sql in variants]
+    assert units[0] == units[1]
+    assert units[0].signature == (
+        "select{course.title|prereq.prereq_id} from{course|prereq}"
+        " on{course.course_id = prereq.course_id}"
+        " where[and]{course.credits > ?|course.dept_name = ?}"
+        " group{course.title|prereq.prereq_id}"
+    )
+
+
+def test_golden_parses(schemas, bird_bundle, fixtures_dir):
+    """Every fixture SQL string and two seeded token mutations of each parse
+    to the pinned signature, hardness counts and label, or fail with the
+    pinned reason at the pinned position."""
+    all_schemas = {**schemas, **bird_bundle.schemas}
+    rows = [json.loads(line) for line in
+            (fixtures_dir / "golden" / "sql_parses.jsonl").read_text("utf-8").splitlines()]
+    assert len(rows) > 500
+    failures = []
+    for row in rows:
+        try:
+            unit = parse_sql(row["sql"], all_schemas[row["db"]])
+        except SqlParseError as exc:
+            got = {"reason": exc.reason, "pos": exc.pos}
+        else:
+            got = {"signature": unit.signature, "components": list(unit.components),
+                   "label": classify_difficulty(unit).label}
+        want = {k: v for k, v in row.items() if k not in ("db", "sql")}
+        if got != want:
+            failures.append(f"{row['sql']!r}: got {got}, pinned {want}")
+    assert not failures, "\n".join(failures[:20])
 
 
 def test_parse_failures_carry_position_and_reason(schemas):
@@ -196,7 +209,7 @@ class TestHardness:
         seen_labels = set()
         for row in rows:
             unit = parse_sql(row["query"], schemas[row["db"]])
-            comp1, comp2, others = component_counts(unit)
+            comp1, comp2, others = unit.components
             label = classify_difficulty(unit).label
             seen_labels.add(label)
             if (comp1, comp2, others, label) != (
