@@ -151,7 +151,7 @@ def cmd_build_corpus(args) -> int:
     if args.random_shot and not args.choices:
         raise ConfigError(["--choices must name at least one shot count for --random-shot"])
     config = _load_config(args)
-    bundle = load_bundle(config.dataset)
+    bundle = load_bundle(config.dataset, splits=(args.split,))
     split = _split(bundle, args.split)
     run_dir = _run_dir(config, args)
     corpus_dir = run_dir / "corpus"
@@ -185,7 +185,9 @@ def cmd_predict(args) -> int:
         raise ConfigError([f"selection.strategy {DUAL_SIMILARITY!r} ranks exemplars by a draft"
                            " SQL per target, which predict does not take; use"
                            " question-similarity or random"])
-    bundle = load_bundle(config.dataset)
+    # the pool is read only when exemplars are drawn from it
+    pool_split = (config.selection.pool,) if policy.k else ()
+    bundle = load_bundle(config.dataset, splits=(args.split, *pool_split))
     targets = _split(bundle, args.split)
     pool = _split(bundle, config.selection.pool, "selection.pool split") if policy.k else []
     run_dir = _run_dir(config, args)
@@ -245,7 +247,7 @@ def cmd_evaluate(args) -> int:
     if not predictions_path.is_file():
         raise ConfigError([f"--predictions: no file at {predictions_path}"])
     config = _load_config(args)
-    bundle = load_bundle(config.dataset)
+    bundle = load_bundle(config.dataset, splits=(args.split,))
     examples = _split(bundle, args.split)
     predictions = read_predictions(predictions_path)
     records = score_run(examples, predictions, bundle, config.metrics)

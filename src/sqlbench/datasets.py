@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 SPIDER = "spider"
@@ -81,6 +82,12 @@ class DatabaseSchema:
     def has_column(self, table: str, column: str) -> bool:
         columns = self._columns.get(table.lower())
         return columns is not None and column.lower() in columns
+
+    @cached_property
+    def rendered(self) -> dict[str, str]:
+        """This schema's prompt text by style, kept by ``prompts``: a schema
+        never changes, so each style is rendered once."""
+        return {}
 
     def primary_key_of(self, table: str) -> str | None:
         """First declared primary-key column of a table, original casing."""
@@ -303,8 +310,11 @@ def validate_dataset(source: DatasetSource) -> tuple[DatasetBundle | None, list[
     return bundle, errors
 
 
-def load_bundle(source: DatasetSource) -> DatasetBundle:
-    """``validate_dataset`` that raises one DatasetError listing every problem."""
+def load_bundle(source: DatasetSource, splits: tuple[str, ...] | None = None) -> DatasetBundle:
+    """``validate_dataset`` that raises one DatasetError listing every problem.
+    With ``splits``, only those split files are read; the catalog always is."""
+    if splits is not None:
+        source = replace(source, splits={k: v for k, v in source.splits.items() if k in splits})
     bundle, errors = validate_dataset(source)
     if errors:
         raise DatasetError(*errors)

@@ -49,22 +49,16 @@ class ExecOutcome:
 def has_top_level_order_by(sql: str) -> bool:
     """Whether the query orders its final result (ORDER BY at paren depth 0)."""
     try:
-        toks = tokenize(sql)
+        kinds, texts = tokenize(sql)
     except SqlParseError:
         return False
     depth = 0
-    for i, tok in enumerate(toks):
-        if tok.kind == "op" and tok.text == "(":
+    for i, kind in enumerate(kinds):
+        if kind == "op" and texts[i] == "(":
             depth += 1
-        elif tok.kind == "op" and tok.text == ")":
+        elif kind == "op" and texts[i] == ")":
             depth -= 1
-        elif (
-            depth == 0
-            and tok.kind == "word"
-            and tok.text == "order"
-            and i + 1 < len(toks)
-            and toks[i + 1].text == "by"
-        ):
+        elif depth == 0 and kind == "word" and texts[i] == "order" and texts[i + 1] == "by":
             return True
     return False
 

@@ -113,6 +113,14 @@ def render_schema(schema: DatabaseSchema, style: str) -> str:
     return "\n".join(lines)
 
 
+def _schema_text(schema: DatabaseSchema, style: str) -> str:
+    """``render_schema``, once per schema object and style."""
+    text = schema.rendered.get(style)
+    if text is None:
+        text = schema.rendered[style] = render_schema(schema, style)
+    return text
+
+
 def _oneline(text: str) -> str:
     return " ".join(text.split("\n"))
 
@@ -140,7 +148,7 @@ def _assemble(
     parts = [
         header,
         "\n",
-        render_schema(schemas[target.db_id], template.schema_style),
+        _schema_text(schemas[target.db_id], template.schema_style),
         "\n\n",
         preamble,
         "\n\n",
@@ -148,7 +156,7 @@ def _assemble(
     for exemplar in exemplars:
         if exemplar.db_id != target.db_id:
             # cross-domain exemplars carry their own schema, compactly
-            parts.append(render_schema(schemas[exemplar.db_id], COMPACT_STYLE))
+            parts.append(_schema_text(schemas[exemplar.db_id], COMPACT_STYLE))
             parts.append("\n\n")
         parts.append(_question_block(exemplar, template, exemplar.gold_sql))
         parts.append("\n\n")

@@ -14,7 +14,6 @@ literals masked, and set-valued clauses sorted.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from ..datasets import DatabaseSchema
@@ -51,13 +50,6 @@ class SqlParseError(Exception):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "word" | "num" | "str" | "op" | "end"
-    text: str
-    pos: int
-
-
 _TWO_CHAR_OPS = ("<>", "!=", ">=", "<=")
 _ONE_CHAR_OPS = "=<>(),;.*+-/%"
 
@@ -71,9 +63,60 @@ RESERVED = {
 
 _MAX_DEPTH = 40
 
+# One match per token of ASCII text, after any whitespace. Each token
+# alternative takes its longest match with nothing after it, so none gives
+# characters back to a shorter token. Where no token starts (a block comment,
+# a quoted identifier, a ".5" number, a stray character, an unterminated
+# string), the last group takes the whole remainder at once, so no later
+# character is tried again, and the string goes through the loop instead.
+_TOKEN_RE = re.compile(
+    r"\s*(?:--[^\n]*\n?"  # line comment: no group
+    r"|([A-Za-z_][A-Za-z0-9_]*)"
+    r"|([0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)"
+    r"""|('[^']*(?:''[^']*)*'(?!')|"[^"]*(?:""[^"]*)*"(?!"))"""
+    r"|(<>|!=|>=|<=|[=<>(),;*+%-]|/(?!\*)|\.(?![0-9]))"
+    r"|(\S[\s\S]*)"
+    r"|\Z)"
+)
 
-def tokenize(sql: str) -> list[Token]:
-    out: list[Token] = []
+
+def tokenize(sql: str) -> tuple[list[str], list[str]]:
+    """The kinds ("word", "num", "str", "op", then one "end") and texts of
+    the tokens of ``sql``, as two parallel lists.
+
+    Words are lowercased and ``<>`` reads as ``!=``. ASCII text is scanned by
+    one regex; any other text, and ASCII text the regex leaves to it, goes
+    whole through ``_scan``, the character loop, which alone raises lexical
+    errors. Both give the same tokens.
+    """
+    if sql.isascii():
+        kinds: list[str] = []
+        texts: list[str] = []
+        for word, num, string, op, rest in _TOKEN_RE.findall(sql):
+            if word or num or string or op:
+                kinds.append("word" if word else "op" if op else "str" if string else "num")
+                texts.append(word.lower() or ("!=" if op == "<>" else op) or string or num)
+            elif rest:
+                break
+        else:
+            kinds.append("end")
+            texts.append("")
+            return kinds, texts
+    kinds, texts, _ = _scan(sql)
+    return kinds, texts
+
+
+def _scan(sql: str) -> tuple[list[str], list[str], list[int]]:
+    """``tokenize`` one character at a time, with each token's position."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    positions: list[int] = []
+
+    def emit(kind: str, text: str, pos: int) -> None:
+        kinds.append(kind)
+        texts.append(text)
+        positions.append(pos)
+
     i, n = 0, len(sql)
     while i < n:
         c = sql[i]
@@ -98,20 +141,20 @@ def tokenize(sql: str) -> list[Token]:
                     j += 2
                     continue
                 break
-            out.append(Token("str", sql[i : j + 1], i))
+            emit("str", sql[i : j + 1], i)
             i = j + 1
         elif c == "`" or c == "[":
             closing = "`" if c == "`" else "]"
             j = sql.find(closing, i + 1)
             if j < 0:
                 raise SqlParseError("unterminated quoted identifier", i)
-            out.append(Token("word", sql[i + 1 : j].lower(), i))
+            emit("word", sql[i + 1 : j].lower(), i)
             i = j + 1
         elif c.isdigit() or (
             c == "."
             and i + 1 < n
             and sql[i + 1].isdigit()
-            and (not out or out[-1].kind not in ("word",) and out[-1].text != ")")
+            and (not kinds or kinds[-1] != "word" and texts[-1] != ")")
         ):
             j = i
             seen_dot = False
@@ -127,25 +170,25 @@ def tokenize(sql: str) -> list[Token]:
                     while k < n and sql[k].isdigit():
                         k += 1
                     j = k
-            out.append(Token("num", sql[i:j], i))
+            emit("num", sql[i:j], i)
             i = j
         elif c.isalpha() or c == "_":
             j = i
             while j < n and (sql[j].isalnum() or sql[j] == "_"):
                 j += 1
-            out.append(Token("word", sql[i:j].lower(), i))
+            emit("word", sql[i:j].lower(), i)
             i = j
         elif sql.startswith(_TWO_CHAR_OPS, i):
             op = sql[i : i + 2]
-            out.append(Token("op", "!=" if op == "<>" else op, i))
+            emit("op", "!=" if op == "<>" else op, i)
             i += 2
         elif c in _ONE_CHAR_OPS:
-            out.append(Token("op", c, i))
+            emit("op", c, i)
             i += 1
         else:
             raise SqlParseError(f"unexpected character {c!r}", i)
-    out.append(Token("end", "", n))
-    return out
+    emit("end", "", n)
+    return kinds, texts, positions
 
 
 # --- raw parse tree (aliases unresolved) ---------------------------------
@@ -186,72 +229,69 @@ _JOIN_MODIFIERS = {"inner", "left", "right", "full", "outer", "cross"}
 
 
 class _Parser:
-    def __init__(self, toks: list[Token]):
-        self.toks = toks
+    """Recursive descent over ``tokenize``'s lists. ``i`` indexes the current
+    token and never passes the "end" token, so ``i + 1`` is in range while
+    the current token is any other."""
+
+    def __init__(self, sql: str, kinds: list[str], texts: list[str]):
+        self.sql = sql
+        self.kinds = kinds
+        self.texts = texts
+        self.positions: list[int] | None = None
         self.i = 0
         self.depth = 0
 
     # -- token helpers --
-    def peek(self, ahead: int = 0) -> Token:
-        j = min(self.i + ahead, len(self.toks) - 1)
-        return self.toks[j]
-
-    def advance(self) -> Token:
-        tok = self.toks[self.i]
-        if tok.kind != "end":
+    def accept_word(self, word: str) -> bool:
+        if self.texts[self.i] == word and self.kinds[self.i] == "word":
             self.i += 1
-        return tok
-
-    def at_word(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "word" and tok.text in words
-
-    def accept_word(self, *words: str) -> bool:
-        if self.at_word(*words):
-            self.advance()
             return True
         return False
 
     def accept_op(self, op: str) -> bool:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == op:
-            self.advance()
+        if self.texts[self.i] == op and self.kinds[self.i] == "op":
+            self.i += 1
             return True
         return False
 
     def expect_word(self, word: str) -> None:
-        tok = self.peek()
-        if not (tok.kind == "word" and tok.text == word):
-            raise SqlParseError(f"expected {word.upper()}, found {tok.text!r}", tok.pos)
-        self.advance()
+        if not self.accept_word(word):
+            raise self.error(f"expected {word.upper()}, found {self.texts[self.i]!r}")
 
     def expect_op(self, op: str) -> None:
-        tok = self.peek()
-        if not (tok.kind == "op" and tok.text == op):
-            raise SqlParseError(f"expected {op!r}, found {tok.text!r}", tok.pos)
-        self.advance()
+        if not self.accept_op(op):
+            raise self.error(f"expected {op!r}, found {self.texts[self.i]!r}")
 
-    def fail(self, reason: str) -> SqlParseError:
-        return SqlParseError(reason, self.peek().pos)
+    def starts_subquery(self) -> bool:
+        i = self.i
+        return (self.kinds[i] == "op" and self.texts[i] == "("
+                and self.kinds[i + 1] == "word" and self.texts[i + 1] == "select")
+
+    def error(self, reason: str) -> SqlParseError:
+        """The failure at the current token. Positions are scanned only here:
+        most parses never need one."""
+        if self.positions is None:
+            self.positions = _scan(self.sql)[2]
+        return SqlParseError(reason, self.positions[self.i])
 
     # -- grammar --
     def parse(self) -> _RawQuery:
         query = self.parse_query()
         while self.accept_op(";"):
             pass
-        tok = self.peek()
-        if tok.kind != "end":
-            raise SqlParseError(f"trailing input {tok.text!r}", tok.pos)
+        if self.kinds[self.i] != "end":
+            raise self.error(f"trailing input {self.texts[self.i]!r}")
         return query
 
     def parse_query(self) -> _RawQuery:
         self.depth += 1
         if self.depth > _MAX_DEPTH:
-            raise self.fail("query nesting too deep")
+            raise self.error("query nesting too deep")
         try:
             query = self.parse_query_operand()
-            if self.peek().kind == "word" and self.peek().text in SET_OPS:
-                kind = self.advance().text
+            kind = self.texts[self.i]
+            if kind in SET_OPS and self.kinds[self.i] == "word":
+                self.i += 1
                 if kind == "union":
                     self.accept_word("all")
                 query.set_op = (kind, self.parse_query())
@@ -291,12 +331,11 @@ class _Parser:
             while self.accept_op(","):
                 query.order.append(self.parse_order_item())
         if self.accept_word("limit"):
-            tok = self.peek()
-            if tok.kind != "num":
-                raise SqlParseError("LIMIT expects a number", tok.pos)
-            self.advance()
+            if self.kinds[self.i] != "num":
+                raise self.error("LIMIT expects a number")
+            self.i += 1
             if self.accept_word("offset") or self.accept_op(","):
-                raise self.fail("unsupported construct: LIMIT with offset")
+                raise self.error("unsupported construct: LIMIT with offset")
             query.limit = True
         return query
 
@@ -308,11 +347,11 @@ class _Parser:
         while True:
             if self.accept_op(","):
                 self.parse_from_item(query)
-            elif self.peek().kind == "word" and (
-                self.peek().text == "join" or self.peek().text in _JOIN_MODIFIERS
+            elif self.kinds[self.i] == "word" and (
+                self.texts[self.i] == "join" or self.texts[self.i] in _JOIN_MODIFIERS
             ):
-                while self.peek().text in _JOIN_MODIFIERS:
-                    self.advance()
+                while self.texts[self.i] in _JOIN_MODIFIERS:
+                    self.i += 1
                 self.expect_word("join")
                 self.parse_from_item(query)
                 if self.accept_word("on"):
@@ -330,34 +369,34 @@ class _Parser:
             self.expect_op(")")
             query.subqueries.append((sub, self.parse_optional_alias()))
             return
-        tok = self.peek()
-        if tok.kind != "word" or tok.text in RESERVED:
-            raise SqlParseError(f"expected table name, found {tok.text!r}", tok.pos)
-        name = self.advance().text
+        name = self.texts[self.i]
+        if self.kinds[self.i] != "word" or name in RESERVED:
+            raise self.error(f"expected table name, found {name!r}")
+        self.i += 1
         query.tables.append((name, self.parse_optional_alias()))
 
     def parse_optional_alias(self) -> str | None:
-        if self.accept_word("as"):
-            tok = self.peek()
-            if tok.kind != "word":
-                raise SqlParseError("expected alias name after AS", tok.pos)
-            return self.advance().text
-        tok = self.peek()
-        if tok.kind == "word" and tok.text not in RESERVED:
-            return self.advance().text
+        explicit = self.accept_word("as")
+        alias = self.texts[self.i]
+        if self.kinds[self.i] == "word" and (explicit or alias not in RESERVED):
+            self.i += 1
+            return alias
+        if explicit:
+            raise self.error("expected alias name after AS")
         return None
 
     def parse_condition(self) -> tuple[list[tuple], list[str]]:
         preds: list[tuple] = []
         conns: list[str] = []
         self.parse_cond_atom(preds, conns)
-        while self.at_word("and", "or"):
-            conns.append(self.advance().text)
+        while self.texts[self.i] in ("and", "or") and self.kinds[self.i] == "word":
+            conns.append(self.texts[self.i])
+            self.i += 1
             self.parse_cond_atom(preds, conns)
         return preds, conns
 
     def parse_cond_atom(self, preds: list[tuple], conns: list[str]) -> None:
-        if self.peek().kind == "op" and self.peek().text == "(" and not self.starts_subquery():
+        if self.texts[self.i] == "(" and self.kinds[self.i] == "op" and not self.starts_subquery():
             # parenthesized condition group: flatten, keeping connectors; a
             # failure here means the parens wrapped an expression instead
             saved = self.i
@@ -378,20 +417,14 @@ class _Parser:
             pred = (lhs, _NEGATED[op], value)
         preds.append(pred)
 
-    def starts_subquery(self) -> bool:
-        tok = self.peek(1)
-        return self.peek().kind == "op" and self.peek().text == "(" and (
-            tok.kind == "word" and tok.text == "select"
-        )
-
     def parse_predicate(self) -> tuple:
-        if self.at_word("exists"):
-            raise self.fail("unsupported construct: EXISTS")
+        if self.texts[self.i] == "exists" and self.kinds[self.i] == "word":
+            raise self.error("unsupported construct: EXISTS")
         lhs = self.parse_expr()
         negate = self.accept_word("not")
-        tok = self.peek()
-        if tok.kind == "word" and tok.text == "between":
-            self.advance()
+        kind, text = self.kinds[self.i], self.texts[self.i]
+        if kind == "word" and text == "between":
+            self.i += 1
             low = self.parse_value()
             self.expect_word("and")
             high = self.parse_value()
@@ -401,10 +434,11 @@ class _Parser:
                 value = ("range", low, high)
             op = "not between" if negate else "between"
             return (lhs, op, value)
-        if tok.kind == "word" and tok.text == "in":
-            self.advance()
+        if kind == "word" and text == "in":
+            self.i += 1
             self.expect_op("(")
-            if self.at_word("select") or self.starts_subquery():
+            if (self.texts[self.i] == "select" and self.kinds[self.i] == "word"
+                    or self.starts_subquery()):
                 sub = self.parse_query()
                 self.expect_op(")")
                 value = ("sub", sub)
@@ -415,35 +449,35 @@ class _Parser:
                 self.expect_op(")")
                 value = ("masked",)
             return (lhs, "not in" if negate else "in", value)
-        if tok.kind == "word" and tok.text == "like":
-            self.advance()
+        if kind == "word" and text == "like":
+            self.i += 1
             return (lhs, "not like" if negate else "like", self.parse_value())
         if negate:
-            raise SqlParseError("expected BETWEEN, IN or LIKE after NOT", tok.pos)
-        if tok.kind == "word" and tok.text == "is":
-            self.advance()
+            raise self.error("expected BETWEEN, IN or LIKE after NOT")
+        if kind == "word" and text == "is":
+            self.i += 1
             negated = self.accept_word("not")
             self.expect_word("null")
             return (lhs, "is not null" if negated else "is null", ("masked",))
-        if tok.kind == "op" and tok.text in _COMPARE_OPS:
-            self.advance()
-            return (lhs, tok.text, self.parse_value())
-        raise SqlParseError(f"expected comparison operator, found {tok.text!r}", tok.pos)
+        if kind == "op" and text in _COMPARE_OPS:
+            self.i += 1
+            return (lhs, text, self.parse_value())
+        raise self.error(f"expected comparison operator, found {text!r}")
 
     def parse_literal(self) -> None:
-        tok = self.peek()
-        if tok.kind in ("num", "str") or (tok.kind == "word" and tok.text == "null"):
-            self.advance()
+        i = self.i
+        kind = self.kinds[i]
+        if kind in ("num", "str") or (kind == "word" and self.texts[i] == "null"):
+            self.i = i + 1
             return
-        if tok.kind == "op" and tok.text in "+-" and self.peek(1).kind == "num":
-            self.advance()
-            self.advance()
+        if kind == "op" and self.texts[i] in "+-" and self.kinds[i + 1] == "num":
+            self.i = i + 2
             return
-        raise SqlParseError(f"expected literal, found {tok.text!r}", tok.pos)
+        raise self.error(f"expected literal, found {self.texts[i]!r}")
 
     def parse_value(self) -> tuple:
         if self.starts_subquery():
-            self.expect_op("(")
+            self.i += 1
             sub = self.parse_query()
             self.expect_op(")")
             return ("sub", sub)
@@ -454,59 +488,65 @@ class _Parser:
 
     # -- expressions --
     def parse_expr(self) -> tuple:
+        kinds, texts = self.kinds, self.texts
         expr = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in "+-*/%":
-            op = self.advance().text
+        while kinds[self.i] == "op" and texts[self.i] in "+-*/%":
+            op = texts[self.i]
+            self.i += 1
             expr = ("bin", op, expr, self.parse_term())
         return expr
 
     def parse_term(self) -> tuple:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "(":
-            if self.starts_subquery():
-                raise self.fail("unsupported construct: scalar subquery in expression")
-            self.advance()
-            expr = self.parse_expr()
-            self.expect_op(")")
-            return expr
-        if tok.kind in ("num", "str"):
-            self.advance()
+        kinds, texts = self.kinds, self.texts
+        i = self.i
+        kind, text = kinds[i], texts[i]
+        if kind == "word":
+            if text == "null":
+                self.i = i + 1
+                return ("lit",)
+            if text in AGG_FUNCS and texts[i + 1] == "(" and kinds[i + 1] == "op":
+                self.i = i + 2
+                distinct = self.accept_word("distinct")
+                if texts[self.i] == "*" and kinds[self.i] == "op":
+                    self.i += 1
+                    arg = ("star", None)
+                else:
+                    arg = self.parse_expr()
+                self.expect_op(")")
+                return ("agg", text, distinct, arg)
+            if text in RESERVED:
+                raise self.error(f"unsupported construct: {text.upper()}")
+            i += 1
+            if texts[i] == "." and kinds[i] == "op":
+                i += 1
+                if texts[i] == "*" and kinds[i] == "op":
+                    self.i = i + 1
+                    return ("star", text)
+                if kinds[i] != "word":
+                    self.i = i
+                    raise self.error(f"expected column after {text}.")
+                self.i = i + 1
+                return ("col", text, texts[i])
+            self.i = i
+            return ("col", None, text)
+        if kind == "op":
+            if text == "(":
+                if self.starts_subquery():
+                    raise self.error("unsupported construct: scalar subquery in expression")
+                self.i = i + 1
+                expr = self.parse_expr()
+                self.expect_op(")")
+                return expr
+            if text in "+-" and kinds[i + 1] == "num":
+                self.i = i + 2
+                return ("lit",)
+            if text == "*":
+                self.i = i + 1
+                return ("star", None)
+        elif kind == "num" or kind == "str":
+            self.i = i + 1
             return ("lit",)
-        if tok.kind == "op" and tok.text in "+-" and self.peek(1).kind == "num":
-            self.advance()
-            self.advance()
-            return ("lit",)
-        if tok.kind == "op" and tok.text == "*":
-            self.advance()
-            return ("star", None)
-        if tok.kind != "word":
-            raise SqlParseError(f"unexpected token {tok.text!r}", tok.pos)
-        if tok.text == "null":
-            self.advance()
-            return ("lit",)
-        if tok.text in AGG_FUNCS and self.peek(1).kind == "op" and self.peek(1).text == "(":
-            func = self.advance().text
-            self.expect_op("(")
-            distinct = self.accept_word("distinct")
-            if self.peek().kind == "op" and self.peek().text == "*":
-                self.advance()
-                arg = ("star", None)
-            else:
-                arg = self.parse_expr()
-            self.expect_op(")")
-            return ("agg", func, distinct, arg)
-        if tok.text in RESERVED:
-            raise SqlParseError(f"unsupported construct: {tok.text.upper()}", tok.pos)
-        name = self.advance().text
-        if self.accept_op("."):
-            nxt = self.peek()
-            if nxt.kind == "op" and nxt.text == "*":
-                self.advance()
-                return ("star", name)
-            if nxt.kind != "word":
-                raise SqlParseError(f"expected column after {name}.", nxt.pos)
-            return ("col", name, self.advance().text)
-        return ("col", None, name)
+        raise self.error(f"unexpected token {text!r}")
 
     def parse_order_item(self) -> tuple[tuple, str]:
         expr = self.parse_expr()
@@ -686,7 +726,8 @@ def parse_sql(sql: str, schema: DatabaseSchema) -> SqlUnit:
     if not sql or not sql.strip():
         raise SqlParseError("empty SQL", 0)
     try:
-        raw = _Parser(tokenize(sql)).parse()
+        kinds, texts = tokenize(sql)
+        raw = _Parser(sql, kinds, texts).parse()
         return _resolve_query(raw, schema, None)
     except SqlParseError:
         raise

@@ -117,6 +117,24 @@ def test_ingest_malformed_dataset_json_is_a_dataset_error(
     assert all(line.startswith("dataset: ") for line in err.splitlines()), err
 
 
+def test_stages_read_only_the_splits_they_use(scratch_config, tmp_path, gold_stub, capsys):
+    """A malformed split file leaves the stages that do not use it running;
+    ingest, which checks every split, still reports it."""
+    bad = tmp_path / "test.json"
+    bad.write_text("[{not json")
+    scratch_config.write_text(
+        scratch_config.read_text().replace("    dev:", f"    test: {bad}\n    dev:"))
+    config = write_config_with_url(scratch_config, gold_stub.base_url)
+    common = ("--config", str(config), "--run-id", "t")
+    assert run_cli("build-corpus", *common, "--split", "train", "--k", "1") == 0
+    assert run_cli("predict", *common, "--split", "dev", "--shots", "1") == 0
+    predictions = tmp_path / "runs" / "t" / "predictions" / "dev_shots1.jsonl"
+    assert run_cli("evaluate", *common, "--split", "dev", "--predictions", str(predictions)) == 0
+    capsys.readouterr()
+    assert run_cli("ingest", *common) == 1
+    assert capsys.readouterr().err.startswith(f"dataset: split test ({bad}): ")
+
+
 def test_ingest_parses_each_distinct_gold_once(bundle, monkeypatch):
     """The grammar check reports every example of an unparseable gold, and
     parses each distinct (db_id, gold_sql) once."""

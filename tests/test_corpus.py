@@ -51,6 +51,37 @@ def test_export_deterministic_bytes(bundle, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_each_schema_is_rendered_once_per_style(fixtures_dir, tmp_path, monkeypatch):
+    """A corpus renders each (database, style) once, and writes the bytes that
+    rendering the schema afresh for every prompt writes."""
+    import sqlbench.prompts as prompts
+    from sqlbench.datasets import DatasetSource, load_bundle
+
+    def fresh_bundle():
+        spider = fixtures_dir / "spider"
+        return load_bundle(DatasetSource("spider-fixture", "spider", spider / "tables.json",
+                                         {"train": spider / "train.json"}))
+
+    kept, afresh = tmp_path / "kept.jsonl", tmp_path / "afresh.jsonl"
+    rendered = []
+    render = prompts.render_schema
+
+    def counted(schema, style):
+        rendered.append((schema.db_id, style))
+        return render(schema, style)
+
+    monkeypatch.setattr(prompts, "render_schema", counted)
+    bundle = fresh_bundle()
+    export_corpus(bundle.splits["train"], bundle, TRP_SENTENCE, policy(), (0, 1, 3), kept)
+    assert {style for _, style in rendered} == {"sentence", "compact"}
+    assert len(rendered) == len(set(rendered)) < len(bundle.splits["train"])
+
+    monkeypatch.setattr(prompts, "_schema_text", render)
+    bundle = fresh_bundle()
+    export_corpus(bundle.splits["train"], bundle, TRP_SENTENCE, policy(), (0, 1, 3), afresh)
+    assert kept.read_bytes() == afresh.read_bytes()
+
+
 def test_export_seed_changes_bytes(bundle, tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     export_corpus(bundle.splits["train"], bundle, TRP_SENTENCE, policy(seed=1), (3,), a)

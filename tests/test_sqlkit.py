@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import json
+import random
+import subprocess
+import sys
 
 import pytest
+import sql_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqlbench.datasets import DatabaseSchema, TableDef
 from sqlbench.sqlkit import SqlParseError, classify_difficulty, em_match, parse_sql
+from sqlbench.sqlkit import parser as sql_parser
 
 
 @pytest.fixture(scope="module")
@@ -112,21 +118,115 @@ def test_parser_never_escapes_structured_failure(schemas):
             parse_sql(sql, schema)
 
 
+_TINY_SCHEMA = DatabaseSchema(
+    db_id="t", tables=(TableDef(name="t", columns=("a",)),), primary_keys=(), foreign_keys=(),
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.text(max_size=80))
 def test_parser_total_over_arbitrary_text(text):
-    from sqlbench.datasets import DatabaseSchema, TableDef
+    """SqlParseError is the only failure, and the outcome is the oracle's."""
+    assert_same_as_oracle(text, _TINY_SCHEMA)
 
-    schema = DatabaseSchema(
-        db_id="t",
-        tables=(TableDef(name="t", columns=("a",)),),
-        primary_keys=(),
-        foreign_keys=(),
-    )
+
+# --- the scanner and parser against tests/sql_oracle.py -------------------
+
+
+def _outcome(module, sql: str, schema) -> tuple:
     try:
-        parse_sql(text, schema)
-    except SqlParseError:
-        pass  # the only acceptable failure mode
+        unit = module.parse_sql(sql, schema)
+    except module.SqlParseError as exc:
+        return ("error", exc.reason, exc.pos)
+    return (unit.signature, tuple(unit.components))
+
+
+def _tokens(sql: str) -> tuple:
+    """(kinds, texts) from both scanners, or their lexical errors."""
+    try:
+        new = sql_parser.tokenize(sql)
+    except SqlParseError as exc:
+        new = ("error", exc.reason, exc.pos)
+    try:
+        toks = sql_oracle.tokenize(sql)
+        old = ([t.kind for t in toks], [t.text for t in toks])
+    except sql_oracle.SqlParseError as exc:
+        old = ("error", exc.reason, exc.pos)
+    return new, old
+
+
+def assert_same_as_oracle(sql: str, schema) -> None:
+    """The same (signature, components) or (reason, pos), and the same tokens."""
+    assert _outcome(sql_parser, sql, schema) == _outcome(sql_oracle, sql, schema), repr(sql)
+    new, old = _tokens(sql)
+    assert new == old, repr(sql)
+
+
+@pytest.fixture(scope="module")
+def fixture_sql(fixtures_dir) -> list[tuple[str, str]]:
+    """(db_id, sql) for every SQL string among the fixtures (spider train and
+    dev, bird dev, both sides of em_pairs, hardness_pinned) and two seeded
+    token mutations of each: the strings the golden parse file pins."""
+    golden = (fixtures_dir / "golden" / "sql_parses.jsonl").read_text("utf-8").splitlines()
+    return [(row["db"], row["sql"]) for row in map(json.loads, golden)]
+
+
+# what the regex scanner leaves to the character loop, and what borders it
+_EDIT_ALPHABET = ("'", '"', "''", "`", "[", "]", "--", "/*", "*/", ".", ".5", "0", "7", "e",
+                  "E", "e+", "<>", "<", ">", "!", "\n", " ", "_", "é", "İ", "٣", "²",
+                  "\u00a0", "\u3000", "\x1c", "\x0b", "\x00")
+
+
+def _edit(sql: str, edits) -> str:
+    for insert, at, piece in edits:
+        at %= len(sql) + 1
+        sql = sql[:at] + piece + sql[at:] if insert else sql[:at] + sql[at + len(piece):]
+    return sql
+
+
+def test_parser_matches_oracle_on_fixture_sql_and_seeded_edits(schemas, bird_bundle, fixture_sql):
+    all_schemas = {**schemas, **bird_bundle.schemas}
+    assert len(fixture_sql) > 500
+    rng = random.Random(15)
+    edited = []
+    for _ in range(3000):
+        db, sql = rng.choice(fixture_sql)
+        edits = [(rng.random() < 0.6, rng.randrange(len(sql) + 1), rng.choice(_EDIT_ALPHABET))
+                 for _ in range(rng.randint(1, 3))]
+        edited.append((db, _edit(sql, edits)))
+    for db, sql in fixture_sql + edited:
+        assert_same_as_oracle(sql, all_schemas[db])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parser_matches_oracle_under_edits(schemas, bird_bundle, fixture_sql, data):
+    db, sql = data.draw(st.sampled_from(fixture_sql))
+    edits = data.draw(st.lists(
+        st.tuples(st.booleans(), st.integers(0, 400), st.sampled_from(_EDIT_ALPHABET)),
+        min_size=1, max_size=4,
+    ))
+    assert_same_as_oracle(_edit(sql, edits), {**schemas, **bird_bundle.schemas}[db])
+
+
+def test_long_runs_scan_in_linear_time():
+    """Runs of 20,000 characters before a character the regex does not take.
+    A scanner that retries such a run from each of its characters is
+    quadratic and takes several seconds per string here; these take
+    milliseconds."""
+    script = (
+        "import sys\n"
+        f"sys.path[:0] = {sys.path!r}\n"
+        "import test_sqlkit as t\n"
+        "for sql in ('SELECT ' + 'a' * 20000 + 'é', 'SELECT ' + '9' * 20000 + 'é',\n"
+        "            'SELECT ' + '9' * 20000 + '.' + '9' * 20000 + 'e',\n"
+        "            \"SELECT '\" + \"''\" * 10000, 'SELECT 1' + ' ' * 20000 + '[',\n"
+        "            'SELECT ' + 'a' * 20000 + '[', 'SELECT ' + '-' * 20000):\n"
+        "    t.assert_same_as_oracle(sql, t._TINY_SCHEMA)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=10)
+    assert done.returncode == 0, done.stderr
 
 
 class TestEmConformance:
