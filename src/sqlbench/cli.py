@@ -9,13 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 import time
 import typing
 from dataclasses import fields
 from pathlib import Path
 
+from .artifacts import log_path, write_text
 from .corpus import TrainProfile, emit_train_profile, export_corpus, plan_prompts
 from .datasets import DatasetBundle, DatasetError, ExampleTriple, load_bundle
 from .inference import (
@@ -64,9 +64,7 @@ def _run_id(config: RunConfig, override: str | None) -> str:
 
 def _run_dir(config: RunConfig, args) -> Path:
     output_dir = Path(args.output_dir) if args.output_dir else config.output_dir
-    run_dir = output_dir / _run_id(config, args.run_id)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    return run_dir
+    return output_dir / _run_id(config, args.run_id)
 
 
 def _load_config(args) -> RunConfig:
@@ -74,12 +72,6 @@ def _load_config(args) -> RunConfig:
     if args.seed is not None:
         config.seed = args.seed
     return config
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    partial = path.with_name(path.name + ".partial")
-    partial.write_text(text, encoding="utf-8")
-    os.replace(partial, path)
 
 
 def _check_counts(**counts) -> None:
@@ -104,7 +96,7 @@ def cmd_ingest(args) -> int:
     manifest = dict(bundle.manifest())
     manifest["config_fingerprint"] = config.fingerprint()
     path = run_dir / "manifest.json"
-    _atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"manifest written to {path}")
     for split, rows in sorted(bundle.splits.items()):
         print(f"  split {split}: {len(rows)} examples")
@@ -154,8 +146,6 @@ def cmd_build_corpus(args) -> int:
     bundle = load_bundle(config.dataset, splits=(args.split,))
     split = _split(bundle, args.split)
     run_dir = _run_dir(config, args)
-    corpus_dir = run_dir / "corpus"
-    corpus_dir.mkdir(exist_ok=True)
     # one similarity index serves every job; only a job with some k > 0 uses it
     index = None
     if config.selection.strategy != RANDOM and any(any(choices) for _, choices in jobs):
@@ -163,14 +153,12 @@ def cmd_build_corpus(args) -> int:
     # the plan sets each target's k, so one policy serves every job
     policy = config.selection.policy(default_seed=config.seed)
     for filename, choices in jobs:
-        out = corpus_dir / filename
-        partial = out.with_name(out.name + ".partial")
+        out = run_dir / "corpus" / filename
         summary = export_corpus(
-            split, bundle, config.prompt, policy, choices, partial, index=index
+            split, bundle, config.prompt, policy, choices, out, index=index
         )
-        os.replace(partial, out)
         summary_path = out.with_suffix(".summary.json")
-        _atomic_write(
+        write_text(
             summary_path, json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n"
         )
         print(f"corpus {out}: {summary.records} records, skipped {len(summary.skipped)}")
@@ -190,17 +178,15 @@ def cmd_predict(args) -> int:
     bundle = load_bundle(config.dataset, splits=(args.split, *pool_split))
     targets = _split(bundle, args.split)
     pool = _split(bundle, config.selection.pool, "selection.pool split") if policy.k else []
-    run_dir = _run_dir(config, args)
-    pred_dir = run_dir / "predictions"
-    pred_dir.mkdir(exist_ok=True)
-    out = pred_dir / f"{args.split}_shots{policy.k}.jsonl"
-    partial = out.with_name(out.name + ".partial")
+    out = _run_dir(config, args) / "predictions" / f"{args.split}_shots{policy.k}.jsonl"
+    log = log_path(out)
     # the finished file, then the append log of a rerun that retries its errors
-    recorded = read_predictions(*(path for path in (out, partial) if path.is_file()))
+    recorded = read_predictions(*(path for path in (out, log) if path.is_file()))
     # a record that sent no request was over budget at k=0: no rerun can change it
     done = {index: p for index, p in recorded.items() if p.error is None or not p.attempt_count}
+    todo = [target for target in targets if target.index not in done]
     # a leftover append log means the last run did not rewrite the final file
-    if out.is_file() and not partial.is_file() and len(done) == len(recorded):
+    if out.is_file() and not log.is_file() and not todo:
         print(f"predictions already complete at {out}")
         return EXIT_OK
     if recorded:
@@ -210,9 +196,8 @@ def cmd_predict(args) -> int:
     def sink(prediction) -> None:
         if not config.endpoint.record_latency:
             prediction.latency_ms = 0.0
-        append_prediction(partial, prediction)
+        append_prediction(log, prediction)
 
-    todo = [target for target in targets if target.index not in done]
     envelopes = []
     for target, envelope in plan_prompts(
         todo, pool, policy, mix_shots(policy, todo, (policy.k,)), bundle.schemas,
@@ -226,12 +211,8 @@ def cmd_predict(args) -> int:
         envelopes.append(envelope)
 
     predict_batch(envelopes, config.endpoint, on_result=sink)
-    merged = read_predictions(*(path for path in (out, partial) if path.is_file()))
-    # the final file appears whole or not at all; the append log goes last
-    writing = out.with_name(out.name + ".writing")
-    write_predictions(writing, merged)
-    os.replace(writing, out)
-    partial.unlink(missing_ok=True)
+    merged = read_predictions(*(path for path in (out, log) if path.is_file()))
+    write_predictions(out, merged)
     errors = [p for p in merged.values() if p.error is not None]
     over_budget = sum(1 for p in errors if not p.attempt_count)
     errored = len(errors) - over_budget
@@ -252,14 +233,9 @@ def cmd_evaluate(args) -> int:
     predictions = read_predictions(predictions_path)
     records = score_run(examples, predictions, bundle, config.metrics)
     run_dir = _run_dir(config, args)
-    eval_dir = run_dir / "eval"
     reports_dir = run_dir / "reports"
-    eval_dir.mkdir(exist_ok=True)
-    reports_dir.mkdir(exist_ok=True)
-    records_path = eval_dir / f"{args.split}_records.jsonl"
-    partial = records_path.with_name(records_path.name + ".partial")
-    write_eval_records(records, partial)
-    os.replace(partial, records_path)
+    records_path = run_dir / "eval" / f"{args.split}_records.jsonl"
+    write_eval_records(records, records_path)
 
     labeled = [r for r in records if r.difficulty is not None]
     dropped = len(records) - len(labeled)
@@ -269,9 +245,9 @@ def cmd_evaluate(args) -> int:
         labeled, run_id=run_dir.name, config_fingerprint=config.fingerprint(),
         scheme=config.scheme(),
     )
-    _atomic_write(reports_dir / f"{args.split}_summary.txt", render_summary(summary, PLAIN))
-    _atomic_write(reports_dir / f"{args.split}_summary.csv", render_summary(summary, CSV))
-    _atomic_write(reports_dir / f"{args.split}_summary.json", render_summary(summary, STRUCTURED))
+    write_text(reports_dir / f"{args.split}_summary.txt", render_summary(summary, PLAIN))
+    write_text(reports_dir / f"{args.split}_summary.csv", render_summary(summary, CSV))
+    write_text(reports_dir / f"{args.split}_summary.json", render_summary(summary, STRUCTURED))
     print(render_summary(summary, PLAIN), end="")
     print(f"records: {records_path}")
     print(f"reports: {reports_dir}")
@@ -293,7 +269,7 @@ def cmd_compare(args) -> int:
         return EXIT_CONFIG
     print(render_delta(report, PLAIN), end="")
     if args.out:
-        _atomic_write(Path(args.out), render_delta(report, STRUCTURED))
+        write_text(Path(args.out), render_delta(report, STRUCTURED))
         print(f"delta report: {args.out}")
     return EXIT_OK
 

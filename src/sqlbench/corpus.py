@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterator
 
 import yaml
 
+from .artifacts import writing
 from .datasets import DatabaseSchema, DatasetBundle, ExampleTriple
 from .prompts import (
     BudgetExceededError,
@@ -126,7 +126,7 @@ def export_corpus(
     histogram: dict[int, int] = {}
     token_estimates: list[int] = []
     skipped: list[dict] = []
-    with open(out, "w", encoding="utf-8") as fp:
+    with writing(out) as fp:
         for example, envelope in plan:
             if isinstance(envelope, BudgetExceededError):
                 skipped.append(
@@ -186,9 +186,6 @@ class TrainProfile:
 def emit_train_profile(profile: TrainProfile, out: str | Path) -> Path:
     """Write the profile as a flat key-value file for external trainers; it
     appears whole or not at all."""
-    path = Path(out)
-    partial = path.with_name(path.name + ".partial")
-    with open(partial, "w", encoding="utf-8") as fp:
+    with writing(out) as fp:
         yaml.safe_dump(asdict(profile), fp, sort_keys=True)
-    os.replace(partial, path)
-    return path
+    return Path(out)

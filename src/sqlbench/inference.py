@@ -19,6 +19,7 @@ from typing import Callable
 from urllib.parse import unquote, urlsplit
 from urllib.request import getproxies, proxy_bypass
 
+from .artifacts import append_line, writing
 from .prompts import PromptEnvelope
 
 logger = logging.getLogger(__name__)
@@ -320,10 +321,7 @@ def predict_batch(
 
 
 def append_prediction(path: str | Path, prediction: Prediction) -> None:
-    with open(path, "a", encoding="utf-8") as fp:
-        fp.write(prediction.to_json())
-        fp.write("\n")
-        fp.flush()
+    append_line(path, prediction.to_json())
 
 
 def read_predictions(*paths: str | Path) -> dict[int, Prediction]:
@@ -357,7 +355,7 @@ def read_predictions(*paths: str | Path) -> dict[int, Prediction]:
 
 def write_predictions(path: str | Path, predictions: dict[int, Prediction]) -> None:
     """Write one record per example, ordered by example index."""
-    with open(path, "w", encoding="utf-8") as fp:
+    with writing(path) as fp:
         for index in sorted(predictions):
             fp.write(predictions[index].to_json())
             fp.write("\n")

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
+from .artifacts import writing
 from .datasets import BIRD, DatabaseSchema, DatasetBundle, DifficultyLabel, ExampleTriple
 from .execution import (
     DB_UNAVAILABLE,
@@ -252,7 +253,7 @@ def score_run(
 
 
 def write_eval_records(records: list[EvalRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
+    with writing(path) as fp:
         for record in records:
             fp.write(record.to_json())
             fp.write("\n")

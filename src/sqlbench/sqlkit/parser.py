@@ -14,7 +14,7 @@ literals masked, and set-valued clauses sorted.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from typing import Callable, NamedTuple, TypeVar
 
 from ..datasets import DatabaseSchema
 
@@ -62,6 +62,7 @@ RESERVED = {
 } | set(AGG_FUNCS)
 
 _MAX_DEPTH = 40
+_T = TypeVar("_T")
 
 # One match per token of ASCII text, after any whitespace. Each token
 # alternative takes its longest match with nothing after it, so none gives
@@ -283,21 +284,30 @@ class _Parser:
             raise self.error(f"trailing input {self.texts[self.i]!r}")
         return query
 
-    def parse_query(self) -> _RawQuery:
+    def nested(self, parse: Callable[[], _T], what: str) -> _T:
+        """``parse()`` one level deeper. Nested queries and parenthesized
+        expressions and conditions share one depth bound, so how deep a parse
+        recurses depends only on the SQL, never on the caller's stack."""
+        if self.depth == _MAX_DEPTH:
+            raise self.error(f"{what} nesting too deep")
         self.depth += 1
-        if self.depth > _MAX_DEPTH:
-            raise self.error("query nesting too deep")
         try:
-            query = self.parse_query_operand()
-            kind = self.texts[self.i]
-            if kind in SET_OPS and self.kinds[self.i] == "word":
-                self.i += 1
-                if kind == "union":
-                    self.accept_word("all")
-                query.set_op = (kind, self.parse_query())
-            return query
+            return parse()
         finally:
             self.depth -= 1
+
+    def parse_query(self) -> _RawQuery:
+        return self.nested(self.parse_compound, "query")
+
+    def parse_compound(self) -> _RawQuery:
+        query = self.parse_query_operand()
+        kind = self.texts[self.i]
+        if kind in SET_OPS and self.kinds[self.i] == "word":
+            self.i += 1
+            if kind == "union":
+                self.accept_word("all")
+            query.set_op = (kind, self.parse_query())
+        return query
 
     def parse_query_operand(self) -> _RawQuery:
         if self.accept_op("("):
@@ -402,7 +412,7 @@ class _Parser:
             saved = self.i
             try:
                 self.expect_op("(")
-                inner_preds, inner_conns = self.parse_condition()
+                inner_preds, inner_conns = self.nested(self.parse_condition, "expression")
                 self.expect_op(")")
             except SqlParseError:
                 self.i = saved
@@ -511,7 +521,7 @@ class _Parser:
                     self.i += 1
                     arg = ("star", None)
                 else:
-                    arg = self.parse_expr()
+                    arg = self.nested(self.parse_expr, "expression")
                 self.expect_op(")")
                 return ("agg", text, distinct, arg)
             if text in RESERVED:
@@ -534,7 +544,7 @@ class _Parser:
                 if self.starts_subquery():
                     raise self.error("unsupported construct: scalar subquery in expression")
                 self.i = i + 1
-                expr = self.parse_expr()
+                expr = self.nested(self.parse_expr, "expression")
                 self.expect_op(")")
                 return expr
             if text in "+-" and kinds[i + 1] == "num":

@@ -1,12 +1,18 @@
-"""Readers that only tests use: the inverses of the files the pipeline writes."""
+"""Readers that only tests use, the inverses of the files the pipeline
+writes, and a fault injector for the one module that writes them."""
 
 from __future__ import annotations
 
+import errno
 import json
+import os
+import random
+import types
 from pathlib import Path
 
 import yaml
 
+from sqlbench import artifacts
 from sqlbench.corpus import TrainProfile
 from sqlbench.datasets import DifficultyLabel
 from sqlbench.metrics import EvalRecord
@@ -34,3 +40,75 @@ def read_eval_records(path: str | Path) -> list[EvalRecord]:
 def load_train_profile(path: str | Path) -> TrainProfile:
     with open(path, encoding="utf-8") as fp:
         return TrainProfile(**yaml.safe_load(fp))
+
+
+class Killed(BaseException):
+    """A kill at an injected fault: nothing in the program catches it."""
+
+
+class Faults:
+    """Counts the artifact writer's whole-file writes, renames and appends
+    once installed, and fails the ``n``-th call of ``kind``. In mode
+    ``"oserror"`` a write or append puts a seeded prefix of its bytes on disk
+    and raises OSError, as a full disk does, and a rename raises OSError
+    before renaming. In mode ``"kill"`` a write or append puts a seeded prefix
+    on disk and a rename completes, and then the run stops with ``Killed``."""
+
+    def __init__(self, kind: str | None = None, n: int = 0, mode: str = "oserror",
+                 seed: object = 0) -> None:
+        self.counts = {"write": 0, "rename": 0, "append": 0}
+        self.kind, self.n, self.mode = kind, n, mode
+        self.rng = random.Random(seed)
+
+    def install(self, monkeypatch) -> None:
+        monkeypatch.setattr(artifacts, "open", self._open, raising=False)
+        monkeypatch.setattr(artifacts, "os",
+                            types.SimpleNamespace(replace=self._replace, SEEK_END=os.SEEK_END))
+
+    def _due(self, kind: str) -> bool:
+        self.counts[kind] += 1
+        return kind == self.kind and self.counts[kind] == self.n
+
+    def fail(self) -> None:
+        if self.mode == "kill":
+            raise Killed(f"killed at {self.kind} {self.n}")
+        raise OSError(errno.ENOSPC, f"injected fault at {self.kind} {self.n}")
+
+    def _open(self, file, mode="r", **kwargs):
+        fp = open(file, mode, **kwargs)
+        kind = "append" if "a" in mode else "write" if "w" in mode else None
+        return _Torn(fp, self) if kind is not None and self._due(kind) else fp
+
+    def _replace(self, src, dst) -> None:
+        due = self._due("rename")
+        if due and self.mode == "oserror":
+            self.fail()
+        os.replace(src, dst)
+        if due:
+            self.fail()
+
+
+class _Torn:
+    """A file that holds back what is written to it; on a clean close it puts
+    a seeded prefix of those bytes on disk and fails."""
+
+    def __init__(self, fp, faults: Faults) -> None:
+        self.fp, self.faults, self.chunks = fp, faults, []
+
+    def __getattr__(self, name):
+        return getattr(self.fp, name)
+
+    def write(self, data) -> int:
+        self.chunks.append(data.encode("utf-8") if isinstance(data, str) else data)
+        return len(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        with self.fp:
+            if exc_type is None:
+                data = b"".join(self.chunks)
+                getattr(self.fp, "buffer", self.fp).write(
+                    data[:self.faults.rng.randrange(len(data) + 1)])
+                self.faults.fail()

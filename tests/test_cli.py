@@ -14,6 +14,7 @@ from sqlbench.inference import read_predictions
 from sqlbench.stub import StubBehavior, StubServer
 
 from conftest import answers_from_examples, cli_child_env, write_config_with_url
+from helpers import Faults
 
 
 @pytest.fixture()
@@ -178,7 +179,7 @@ def test_build_corpus_k_list(scratch_config, tmp_path):
     corpus_dir = tmp_path / "runs" / "t" / "corpus"
     files = sorted(p.name for p in corpus_dir.glob("*.jsonl"))
     assert files == ["train_k0.jsonl", "train_k1.jsonl", "train_k3.jsonl", "train_k5.jsonl"]
-    assert not list(corpus_dir.glob("*.partial"))
+    assert not list(corpus_dir.glob("*.partial")) and not list(corpus_dir.glob("*.writing"))
 
 
 def test_build_corpus_random_shot(scratch_config, tmp_path):
@@ -527,6 +528,44 @@ def test_leftover_append_log_is_merged_into_the_final_file(scratch_config, tmp_p
     assert all(p.error is None and p.extracted_sql == "SELECT 'retried'"
                for p in predictions.values())
     assert not partial.is_file()
+
+
+def test_torn_last_line_of_the_append_log_loses_no_record(scratch_config, tmp_path, gold_stub,
+                                                         capsys):
+    """A kill mid-append leaves a torn last line in the log; the rerun's first
+    record must not join it, and the file is complete only with every target."""
+    from sqlbench.inference import Prediction
+
+    out = tmp_path / "runs" / "t" / "predictions" / "dev_shots0.jsonl"
+    out.parent.mkdir(parents=True)
+    partial = out.with_name(out.name + ".partial")
+    records = [Prediction(index, "", "SELECT 'kept'", 0.0, 1).to_json() for index in range(3)]
+    partial.write_text(records[0] + "\n" + records[1] + "\n" + records[2][:25], encoding="utf-8")
+    config = write_config_with_url(scratch_config, gold_stub.base_url)
+    argv = ["predict", "--config", str(config), "--run-id", "t", "--split", "dev",
+            "--shots", "0"]
+    assert run_cli(*argv) == 0
+    assert sorted(read_predictions(out)) == list(range(20))
+    assert gold_stub.request_count == 18
+    assert not partial.exists()
+    capsys.readouterr()
+    assert run_cli(*argv) == 0
+    assert "already complete" in capsys.readouterr().out
+    assert gold_stub.request_count == 18
+
+
+def test_final_file_without_every_target_is_not_complete(scratch_config, tmp_path, gold_stub):
+    """Complete means a record for every target, not merely no errored record."""
+    from sqlbench.inference import Prediction, write_predictions
+
+    out = tmp_path / "runs" / "t" / "predictions" / "dev_shots0.jsonl"
+    out.parent.mkdir(parents=True)
+    write_predictions(out, {i: Prediction(i, "", "SELECT 'kept'", 0.0, 1) for i in range(0, 20, 2)})
+    config = write_config_with_url(scratch_config, gold_stub.base_url)
+    assert run_cli("predict", "--config", str(config), "--run-id", "t", "--split", "dev",
+                   "--shots", "0") == 0
+    assert gold_stub.request_count == 10
+    assert sorted(read_predictions(out)) == list(range(20))
 
 
 def test_errored_records_in_the_append_log_are_retried(scratch_config, tmp_path, bundle):
@@ -917,22 +956,15 @@ def test_emit_train_profile_cut_midway_leaves_nothing_at_out(tmp_path, monkeypat
 
 def test_interrupted_final_write_is_redone(scratch_config, tmp_path, gold_stub, monkeypatch):
     """A predictions file cut off while being written is never taken as complete."""
-    import sqlbench.cli
-
     config = write_config_with_url(scratch_config, gold_stub.base_url)
     argv = ["predict", "--config", str(config), "--run-id", "t", "--split", "dev",
             "--shots", "0"]
-
-    def dies_midway(path, predictions):
-        with open(path, "w", encoding="utf-8") as fp:
-            fp.write(predictions[0].to_json() + "\n")
-        raise OSError("disk full")
-
-    monkeypatch.setattr(sqlbench.cli, "write_predictions", dies_midway)
+    out = tmp_path / "runs" / "t" / "predictions" / "dev_shots0.jsonl"
+    Faults("write", 1, seed="final predictions").install(monkeypatch)
     assert run_cli(*argv) == 2
     monkeypatch.undo()
+    assert not out.exists()
     assert run_cli(*argv) == 0
-    out = tmp_path / "runs" / "t" / "predictions" / "dev_shots0.jsonl"
     assert sorted(read_predictions(out)) == list(range(20))
     assert gold_stub.request_count == 20  # the rerun reused the append log
     assert not out.with_name(out.name + ".partial").exists()

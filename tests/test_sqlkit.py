@@ -209,6 +209,28 @@ def test_parser_matches_oracle_under_edits(schemas, bird_bundle, fixture_sql, da
     assert_same_as_oracle(_edit(sql, edits), {**schemas, **bird_bundle.schemas}[db])
 
 
+def _at_depth(frames: int, call):
+    return call() if frames == 0 else _at_depth(frames - 1, call)
+
+
+@pytest.mark.parametrize("sql, parses", [
+    ("SELECT " + "(" * 39 + "1" + ")" * 39, True),  # 40 levels with the query itself
+    ("SELECT " + "(" * 40 + "1" + ")" * 40, False),
+    ("SELECT " + "(" * 450 + "1" + ")" * 450, False),
+    ("SELECT a FROM t WHERE " + "(" * 450 + "a = 1" + ")" * 450, False),
+    ("SELECT " + "count(" * 450 + "a" + ")" * 450 + " FROM t", False),
+], ids=["39-parens", "40-parens", "450-parens", "450-condition-groups", "450-aggregates"])
+def test_expression_nesting_is_bounded_by_the_sql_alone(sql, parses):
+    """Parenthesized expressions, conditions and aggregate arguments count
+    toward the nesting bound, so a parse ends the same way however deep in
+    the stack it is called."""
+    top = _outcome(sql_parser, sql, _TINY_SCHEMA)
+    assert _at_depth(100, lambda: _outcome(sql_parser, sql, _TINY_SCHEMA)) == top
+    assert (top[0] != "error") == parses
+    if not parses:
+        assert top[1] == "expression nesting too deep"
+
+
 def test_long_runs_scan_in_linear_time():
     """Runs of 20,000 characters before a character the regex does not take.
     A scanner that retries such a run from each of its characters is
