@@ -295,9 +295,11 @@ def predict_batch(
 
     Requests run with at most ``concurrency_limit`` in flight, each worker
     thread over one kept-alive connection that is closed when the batch
-    returns or raises; all failures are per-example records, never batch
-    aborts. ``on_result`` is invoked from the calling thread as each
-    prediction completes (single-writer sink).
+    returns or raises; all request failures are per-example records, never
+    batch aborts. ``on_result`` is invoked from the calling thread as each
+    prediction completes (single-writer sink); if it raises, the requests
+    not yet started are never sent, those under way finish, and the
+    exception propagates.
     """
     if not envelopes:
         return []
@@ -309,12 +311,16 @@ def predict_batch(
                 pool.submit(_predict_one, client, endpoint, env, sleep): pos
                 for pos, env in enumerate(envelopes)
             }
-            for future in as_completed(futures):
-                pos = futures[future]
-                prediction = future.result()
-                results[pos] = prediction
-                if on_result is not None:
-                    on_result(prediction)
+            try:
+                for future in as_completed(futures):
+                    pos = futures[future]
+                    prediction = future.result()
+                    results[pos] = prediction
+                    if on_result is not None:
+                        on_result(prediction)
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
     finally:
         client.close()
     return [results[pos] for pos in range(len(envelopes))]

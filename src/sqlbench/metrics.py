@@ -233,22 +233,24 @@ def score_run(
     and its rows are dropped when its last example has been scored.
     Predictions always execute. Scoring runs on the calling thread, over one
     read-only connection kept open to the database it used last until the
-    run ends.
+    run ends; a database's groups are scored together, so each database is
+    opened once.
     """
     options = options or ScoreOptions()
-    groups: dict[tuple[str, str], list[int]] = {}
+    groups: dict[str, dict[str, list[int]]] = {}  # db_id -> gold_sql -> positions
     for position, example in enumerate(examples):
-        groups.setdefault((example.db_id, example.gold_sql), []).append(position)
+        groups.setdefault(example.db_id, {}).setdefault(example.gold_sql, []).append(position)
     records: list[EvalRecord | None] = [None] * len(examples)
     with ReusedConnection() as connection:
-        for (db_id, gold_sql), positions in groups.items():
-            gold = _Gold(gold_sql, bundle.schemas[db_id], bundle.db_files.get(db_id),
-                         options.timeout_s, connection)
-            for position in positions:
-                example = examples[position]
-                records[position] = _score_one(
-                    example, predictions.get(example.index), gold, bundle, options
-                )
+        for db_id, golds in groups.items():
+            for gold_sql, positions in golds.items():
+                gold = _Gold(gold_sql, bundle.schemas[db_id], bundle.db_files.get(db_id),
+                             options.timeout_s, connection)
+                for position in positions:
+                    example = examples[position]
+                    records[position] = _score_one(
+                        example, predictions.get(example.index), gold, bundle, options
+                    )
     return records
 
 

@@ -14,6 +14,7 @@ import re
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,27 +60,48 @@ class _Buckets(dict):
         return bucket
 
 
+class _Chunk(NamedTuple):
+    """The sparse rows of one build chunk: each row's ``(bucket, count)``
+    pairs sorted by bucket, the pairs of all rows in row order."""
+
+    buckets: np.ndarray  # int16: every bucket is below EMBED_DIM
+    counts: np.ndarray  # int32
+    starts: np.ndarray  # each row's first pair, then the end of the last
+    filled: np.ndarray  # the rows with at least one pair, numbered in the whole index
+    heads: np.ndarray  # the first pair of each filled row
+
+    def dots(self, vec: np.ndarray) -> np.ndarray:
+        """The dot product of ``vec`` with each filled row. The products are
+        widened to float64 here, one chunk at a time, and freed on return;
+        int32 to float64 is exact."""
+        products = vec.take(self.buckets)
+        products *= self.counts.astype(np.float64)
+        return np.add.reduceat(products, self.heads)
+
+
 class TrigramRows:
     """The hashed character-trigram frequency vectors of many texts as sparse rows.
 
-    Each row holds its text's ``(bucket, count)`` pairs sorted by bucket; the
-    pairs of all rows lie in flat arrays in row order, beside each row's L2
-    norm. Counts are integers, so every dot product and squared norm is exact
-    in float64 whatever the order of summation, and a score equals the cosine
-    of the two dense vectors bit for bit. Memory is 16 bytes per distinct
-    trigram of a text, where a dense row takes 32 KiB.
-
     The rows are built ``_CHUNK_ROWS`` texts at a time with array operations,
-    and each distinct gram is hashed once.
+    each distinct gram hashed once, and kept in the chunks they were built
+    in: each chunk holds its rows' ``(bucket, count)`` pairs as int16 buckets
+    and int32 counts, 6 bytes per distinct trigram of a text where a dense
+    row takes 32 KiB. The rows' L2 norms lie in one array. No array spans
+    chunks, so neither the build nor a scoring pass holds a copy of every
+    row's pairs at once: ``cosines`` scores the rows one chunk at a time.
+
+    Counts are integers, so every dot product and squared norm is exact in
+    float64 whatever the order of summation, and a score equals the cosine
+    of the two dense vectors bit for bit.
     """
 
     def __init__(self, texts: list[str]) -> None:
         bucket = _Buckets()
-        # per chunk: each row's buckets, their counts, its pair count and squared norm
-        buckets, counts = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
-        sizes, squares = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
-        for lo in range(0, len(texts), _CHUNK_ROWS):
-            chunk = texts[lo : lo + _CHUNK_ROWS]
+        self.chunk_rows = _CHUNK_ROWS
+        self.chunks: list[_Chunk] = []
+        squares = [np.zeros(0)]  # per chunk: each row's squared norm
+        for lo in range(0, len(texts), self.chunk_rows):
+            chunk = texts[lo : lo + self.chunk_rows]
             codes, rows = _gram_codes(chunk)
             # asked for counts, np.unique sorts; for values alone, numpy 2.4
             # hashes instead and imports numpy.ma, about 1 MB
@@ -87,35 +109,39 @@ class TrigramRows:
             table = np.array([bucket[code] for code in distinct.tolist()], dtype=np.int64)
             keys = rows * EMBED_DIM + table[np.searchsorted(distinct, codes)]
             pairs, count = np.unique(keys, return_counts=True)
-            rows, count = pairs // EMBED_DIM, count.astype(np.float64)
-            buckets.append((pairs % EMBED_DIM).astype(np.intp))
-            counts.append(count)
-            sizes.append(np.bincount(rows, minlength=len(chunk)))
+            rows = pairs // EMBED_DIM
+            sizes = np.bincount(rows, minlength=len(chunk))
+            starts = np.concatenate(([0], np.cumsum(sizes)))
+            filled = np.flatnonzero(sizes)
+            self.chunks.append(_Chunk(
+                buckets=(pairs % EMBED_DIM).astype(np.int16),
+                counts=count.astype(np.int32),
+                starts=starts,
+                filled=lo + filled,
+                heads=starts[filled],
+            ))
             squares.append(np.bincount(rows, count * count, minlength=len(chunk)))
-        self.buckets = np.concatenate(buckets)
-        self.counts = np.concatenate(counts)
-        self.starts = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
         self.norms = np.sqrt(np.concatenate(squares))
-        self._filled = np.flatnonzero(self.norms)  # rows with at least one pair
 
     def __len__(self) -> int:
         return len(self.norms)
 
     def dense(self, row: int) -> tuple[np.ndarray, float]:
         """One row as a dense vector, with its norm."""
-        lo, hi = self.starts[row], self.starts[row + 1]
+        chunk = self.chunks[row // self.chunk_rows]
+        local = row % self.chunk_rows
+        lo, hi = chunk.starts[local], chunk.starts[local + 1]
         vec = np.zeros(EMBED_DIM)
-        vec[self.buckets[lo:hi]] = self.counts[lo:hi]
+        vec.put(chunk.buckets[lo:hi], chunk.counts[lo:hi])
         return vec, float(self.norms[row])
 
     def cosines(self, vec: np.ndarray, norm: float) -> np.ndarray:
-        """The cosine of ``vec`` with every row, from one sparse mat-vec:
-        ``dot / (norm * row_norm)``, and 0.0 where that product is 0."""
-        products = np.take(vec, self.buckets)
-        products *= self.counts
+        """The cosine of ``vec`` with every row, one chunk's sparse mat-vec at
+        a time: ``dot / (norm * row_norm)``, and 0.0 where that product is 0."""
         dots = np.zeros(len(self))
-        if len(self._filled):
-            dots[self._filled] = np.add.reduceat(products, self.starts[self._filled])
+        for chunk in self.chunks:
+            if len(chunk.filled):
+                dots[chunk.filled] = chunk.dots(vec)
         denom = norm * self.norms
         out = np.zeros(len(self))
         np.divide(dots, denom, out=out, where=denom != 0.0)
@@ -157,9 +183,12 @@ class SimilarityIndex:
         order; ``pool`` must be the list the index was built over."""
         if pool is not self.examples:
             raise ValueError("similarity index was built over another pool")
-        rows = np.arange(len(pool))
         row = self.row(exclude)
-        return rows if row is None else np.delete(rows, row)
+        if row is None:
+            return np.arange(len(pool))
+        rows = np.arange(len(pool) - 1)
+        rows[row:] += 1
+        return rows
 
     def question_vector(self, example: ExampleTriple) -> tuple[np.ndarray, float]:
         row = self.row(example)

@@ -569,14 +569,13 @@ class _Parser:
 
 
 def _expr_has_column(expr: tuple) -> bool:
-    kind = expr[0]
-    if kind in ("col", "star"):
-        return True
-    if kind == "agg":
-        return True
-    if kind == "bin":
-        return _expr_has_column(expr[2]) or _expr_has_column(expr[3])
-    return False
+    # an operator chain's left spine is walked in a loop: only parenthesized
+    # operands, which the parse's depth bound counts, recurse
+    while expr[0] == "bin":
+        if _expr_has_column(expr[3]):
+            return True
+        expr = expr[2]
+    return expr[0] in ("col", "star", "agg")
 
 
 # --- alias/column resolution ----------------------------------------------
@@ -642,8 +641,16 @@ def _resolve_expr(expr: tuple, scope: _Scope, allow_select_alias: bool = False) 
         _, func, distinct, arg = expr
         inner = _resolve_expr(arg, scope, allow_select_alias)
         return f"{func}({'distinct ' if distinct else ''}{inner})"
-    _, op, left, right = expr
-    return f"({_resolve_expr(left, scope, allow_select_alias)} {op} {_resolve_expr(right, scope, allow_select_alias)})"
+    # an operator chain is a left-deep tree: walk its left spine in a loop, so
+    # only parenthesized operands, which the parse's depth bound counts, recurse
+    rights = []
+    while expr[0] == "bin":
+        _, op, expr, right = expr
+        rights.append((op, right))
+    text = _resolve_expr(expr, scope, allow_select_alias)
+    for op, right in reversed(rights):
+        text = f"({text} {op} {_resolve_expr(right, scope, allow_select_alias)})"
+    return text
 
 
 def _resolve_value(value: tuple, scope: _Scope, schema: DatabaseSchema) -> tuple[str, int]:

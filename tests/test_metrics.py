@@ -457,6 +457,33 @@ def test_score_run_analyses_each_gold_once(bundle, monkeypatch):
     assert sorted(sql for sql in parsed if sql not in golds) == sorted(pred_sqls)
 
 
+def test_score_run_opens_each_database_once(bundle, db_file, tmp_path, monkeypatch):
+    """Dev examples alternate between the fixture database and a copy of it
+    under another db_id: each database is opened once, and every record is
+    the record of its example, in example order."""
+    import shutil
+    from dataclasses import replace
+
+    import sqlbench.execution as execution
+
+    copy = shutil.copy(db_file, tmp_path / "copy.sqlite")
+    twin = replace(bundle, schemas={**bundle.schemas, "twin": bundle.schemas["concert_singer"]},
+                   db_files={**bundle.db_files, "twin": copy})
+    examples = [replace(ex, db_id="twin") if position % 2 else ex
+                for position, ex in enumerate(bundle.splits["dev"])]
+    predictions = {ex.index: prediction(ex.index, "SELECT count(*) FROM singer")
+                   for ex in examples}
+    opened = []
+    connect_readonly = execution.connect_readonly
+    monkeypatch.setattr(execution, "connect_readonly",
+                        lambda path: opened.append(path) or connect_readonly(path))
+    records = score_run(examples, predictions, twin, ScoreOptions(timeout_s=10))
+    assert sorted(map(str, opened)) == sorted(map(str, [db_file, copy]))
+    monkeypatch.undo()
+    expected = score_run(bundle.splits["dev"], predictions, bundle, ScoreOptions(timeout_s=10))
+    assert records == expected
+
+
 def test_em_off_on_bird_parses_no_gold(bird_bundle, monkeypatch):
     import sqlbench.metrics as metrics
 

@@ -343,19 +343,36 @@ _ODD_TEXTS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(texts=st.lists(_ODD_TEXTS, max_size=12))
 def test_array_build_matches_dense_oracle(texts):
-    """Rows built three texts at a time, so rows meet chunk boundaries,
-    equal the dense oracle bit for bit."""
+    """Rows built three texts at a time, so rows meet chunk boundaries, and
+    read after the chunk size is restored, equal the dense oracle bit for
+    bit, and so do their cosines."""
     with mock.patch("sqlbench.selection._CHUNK_ROWS", 3):
         rows = TrigramRows(texts)
     assert len(rows) == len(texts)
-    for i, text in enumerate(texts):
+    oracle = [trigram_vector(text) for text in texts]
+    for i, (text, expected) in enumerate(zip(texts, oracle)):
         vec, norm = rows.dense(i)
-        expected = trigram_vector(text)
         assert vec.tobytes() == expected.tobytes(), text
         assert norm == float(np.linalg.norm(expected)), text
+        assert rows.cosines(vec, norm).tolist() == [cosine(vec, other) for other in oracle]
 
 
 def test_empty_trigram_rows():
     rows = TrigramRows([])
-    assert len(rows) == 0 and rows.starts.tolist() == [0]
+    assert len(rows) == 0 and rows.norms.shape == (0,)
+    with pytest.raises(IndexError):
+        rows.dense(0)
     assert rows.cosines(np.zeros(EMBED_DIM), 0.0).shape == (0,)
+
+
+def test_trigram_count_beyond_int16():
+    """One trigram 69,998 times: a count that int16 would wrap, which the
+    int32 counts hold exactly."""
+    text = "a" * 70_000
+    rows = TrigramRows([text, "abc"])
+    vec, norm = rows.dense(0)
+    expected = trigram_vector(text)
+    assert vec.tobytes() == expected.tobytes()
+    assert norm == float(np.linalg.norm(expected))
+    assert rows.cosines(expected, norm).tolist() == [
+        cosine(expected, trigram_vector(other)) for other in (text, "abc")]

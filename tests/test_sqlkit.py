@@ -219,11 +219,15 @@ def _at_depth(frames: int, call):
     ("SELECT " + "(" * 450 + "1" + ")" * 450, False),
     ("SELECT a FROM t WHERE " + "(" * 450 + "a = 1" + ")" * 450, False),
     ("SELECT " + "count(" * 450 + "a" + ")" * 450 + " FROM t", False),
-], ids=["39-parens", "40-parens", "450-parens", "450-condition-groups", "450-aggregates"])
+    ("SELECT " + " + ".join(["a"] * 900) + " FROM t", True),
+    ("SELECT a FROM t WHERE a = " + " + ".join(["1"] * 900), True),
+], ids=["39-parens", "40-parens", "450-parens", "450-condition-groups", "450-aggregates",
+        "900-term-chain", "900-term-value"])
 def test_expression_nesting_is_bounded_by_the_sql_alone(sql, parses):
     """Parenthesized expressions, conditions and aggregate arguments count
-    toward the nesting bound, so a parse ends the same way however deep in
-    the stack it is called."""
+    toward the nesting bound, and an operator chain of any length is no
+    nesting, so a parse ends the same way however deep in the stack it is
+    called."""
     top = _outcome(sql_parser, sql, _TINY_SCHEMA)
     assert _at_depth(100, lambda: _outcome(sql_parser, sql, _TINY_SCHEMA)) == top
     assert (top[0] != "error") == parses
