@@ -42,8 +42,12 @@ def append_line(path: str | Path, line: str) -> None:
     with a newline rather than cut: if the tear fell just before its
     newline, the line is a whole record that a reader already counts."""
     data = line.encode("utf-8") + b"\n"
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a+b") as fp:
+    try:
+        fp = open(path, "a+b")
+    except FileNotFoundError:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        fp = open(path, "a+b")
+    with fp:
         if fp.tell():
             fp.seek(-1, os.SEEK_END)
             if fp.read(1) != b"\n":

@@ -5,13 +5,18 @@ and corpus export. Corpora are line-delimited instruction/output records in
 the prompt format, each with a shot count drawn from a choice set; training
 profiles are flat key-value files handed to external fine-tuning tooling. No
 training happens here.
+
+A corpus line is exactly ``json.dumps(record, ensure_ascii=False)``, but it
+is written from the prompt's fragments: the parts many prompts share are
+escaped once (``PromptEnvelope.json_text``), and only each record's own text
+is escaped per record.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import asdict, dataclass, replace
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterator
 
@@ -101,6 +106,16 @@ def plan_prompts(
         yield target, envelope
 
 
+def record_line(example: ExampleTriple, envelope: PromptEnvelope) -> str:
+    """``json.dumps(record, ensure_ascii=False)`` of the example's corpus
+    record, with the instruction escaped from its fragments."""
+    ids = ", ".join(map(str, envelope.exemplar_ids))
+    return (f'{{"instruction": "{envelope.json_text()}",'
+            f' "output": {encode_basestring(example.gold_sql)},'
+            f' "meta": {{"example_index": {example.index}, "shots": {envelope.shots},'
+            f' "exemplar_ids": [{ids}]}}}}')
+
+
 def export_corpus(
     split: list[ExampleTriple],
     bundle: DatasetBundle,
@@ -136,16 +151,7 @@ def export_corpus(
                     }
                 )
                 continue
-            record = {
-                "instruction": envelope.text,
-                "output": example.gold_sql,
-                "meta": {
-                    "example_index": example.index,
-                    "shots": envelope.shots,
-                    "exemplar_ids": list(envelope.exemplar_ids),
-                },
-            }
-            fp.write(json.dumps(record, ensure_ascii=False))
+            fp.write(record_line(example, envelope))
             fp.write("\n")
             histogram[envelope.shots] = histogram.get(envelope.shots, 0) + 1
             token_estimates.append(envelope.token_estimate)

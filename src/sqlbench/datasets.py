@@ -84,9 +84,9 @@ class DatabaseSchema:
         return columns is not None and column.lower() in columns
 
     @cached_property
-    def rendered(self) -> dict[str, str]:
-        """This schema's prompt text by style, kept by ``prompts``: a schema
-        never changes, so each style is rendered once."""
+    def rendered(self) -> dict:
+        """This schema's prompt fragment by style, kept by ``prompts``: a
+        schema never changes, so each style is rendered once."""
         return {}
 
     def primary_key_of(self, table: str) -> str | None:

@@ -7,13 +7,15 @@ import http.client
 import json
 import logging
 import os
+import queue
 import re
 import socket
 import ssl
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Callable
 from urllib.parse import unquote, urlsplit
@@ -297,30 +299,32 @@ def predict_batch(
     thread over one kept-alive connection that is closed when the batch
     returns or raises; all request failures are per-example records, never
     batch aborts. ``on_result`` is invoked from the calling thread as each
-    prediction completes (single-writer sink); if it raises, the requests
-    not yet started are never sent, those under way finish, and the
-    exception propagates.
+    prediction completes (single-writer sink). An envelope is submitted only
+    while fewer than ``concurrency_limit`` predictions are submitted and not
+    yet taken by the sink, so if the sink raises, at most that many requests
+    have been sent; those under way finish, and the exception propagates.
     """
     if not envelopes:
         return []
     client = _Client(endpoint)
     results: dict[int, Prediction] = {}
+    queued = iter(enumerate(envelopes))
+    finished: queue.SimpleQueue = queue.SimpleQueue()
     try:
         with ThreadPoolExecutor(max_workers=endpoint.concurrency_limit) as pool:
-            futures = {
-                pool.submit(_predict_one, client, endpoint, env, sleep): pos
-                for pos, env in enumerate(envelopes)
-            }
-            try:
-                for future in as_completed(futures):
-                    pos = futures[future]
-                    prediction = future.result()
-                    results[pos] = prediction
-                    if on_result is not None:
-                        on_result(prediction)
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
+
+            def submit(count: int) -> None:
+                for pos, env in islice(queued, count):
+                    future = pool.submit(_predict_one, client, endpoint, env, sleep)
+                    future.add_done_callback(lambda done, pos=pos: finished.put((pos, done)))
+
+            submit(endpoint.concurrency_limit)
+            for _ in envelopes:
+                pos, future = finished.get()
+                results[pos] = prediction = future.result()
+                if on_result is not None:
+                    on_result(prediction)
+                submit(1)
     finally:
         client.close()
     return [results[pos] for pos in range(len(envelopes))]

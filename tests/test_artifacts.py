@@ -124,19 +124,17 @@ def test_a_fault_at_any_write_reruns_to_the_same_bytes(stage, scratch_config, tm
 
 
 def test_a_failed_append_stops_the_batch(scratch_config, tmp_path, bundle, monkeypatch):
-    """The first append fails: predict exits 2 without sending the requests
-    still queued. With one worker, the stub sees the first request and at
-    most the one the worker took up as the first answer came back; with
-    more, workers answered together could each take up another before the
-    queue is cancelled."""
+    """The first append fails: predict exits 2 having sent no more requests
+    than it may have in flight, for one worker and for several."""
     dev = bundle.splits["dev"]
     behavior = StubBehavior(answers=answers_from_examples(dev), delay_s=0.2)
-    with StubServer(behavior) as stub:
-        config = write_config_with_url(scratch_config, stub.base_url)
-        text = config.read_text(encoding="utf-8")
-        config.write_text(text.replace("concurrency_limit: 4", "concurrency_limit: 1"),
-                          encoding="utf-8")
-        Faults("append", 1).install(monkeypatch)
-        assert main([*STAGES["predict"], "--config", str(config), "--run-id", "t",
-                     "--output-dir", str(tmp_path)]) == 2
-        assert stub.request_count in (1, 2)
+    for limit in (1, 4):
+        with StubServer(behavior) as stub, monkeypatch.context() as patch:
+            config = write_config_with_url(scratch_config, stub.base_url)
+            text = config.read_text(encoding="utf-8")
+            config.write_text(text.replace("concurrency_limit: 4", f"concurrency_limit: {limit}"),
+                              encoding="utf-8")
+            Faults("append", 1).install(patch)
+            assert main([*STAGES["predict"], "--config", str(config), "--run-id", f"t{limit}",
+                         "--output-dir", str(tmp_path)]) == 2
+            assert 1 <= stub.request_count <= limit, limit
