@@ -100,7 +100,7 @@ def cmd_ingest(args) -> int:
     print(f"manifest written to {path}")
     for split, rows in sorted(bundle.splits.items()):
         print(f"  split {split}: {len(rows)} examples")
-        unparseable = _unparseable_golds(bundle, rows)
+        unparseable = _unparseable_golds(rows)
         if unparseable:
             logger.warning(
                 "split %s: %d gold queries outside the clause grammar"
@@ -112,22 +112,23 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def _unparseable_golds(bundle: DatasetBundle, rows) -> list[int]:
-    """Indexes of the examples whose gold is outside the clause grammar;
-    each distinct (db_id, gold_sql) is parsed once."""
-    from .sqlkit import SqlParseError, parse_sql
+def _unparseable_golds(rows: list[ExampleTriple]) -> list[int]:
+    """Indexes of the examples whose gold is outside the clause grammar.
+    Parseability does not depend on the schema, so each distinct gold text
+    is checked once, whatever databases it is asked of."""
+    from .sqlkit import SqlParseError, check_sql
 
-    parses: dict[tuple[str, str], bool] = {}
+    parses: dict[str, bool] = {}
     bad = []
     for example in rows:
-        key = (example.db_id, example.gold_sql)
-        if key not in parses:
+        sql = example.gold_sql
+        if sql not in parses:
             try:
-                parse_sql(example.gold_sql, bundle.schemas[example.db_id])
-                parses[key] = True
+                check_sql(sql)
+                parses[sql] = True
             except SqlParseError:
-                parses[key] = False
-        if not parses[key]:
+                parses[sql] = False
+        if not parses[sql]:
             bad.append(example.index)
     return bad
 

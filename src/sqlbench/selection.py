@@ -1,8 +1,11 @@
 """Exemplar selection for few-shot prompting and corpus construction.
 
 Strategies: uniform random, question similarity, and dual similarity, which
-re-ranks question-similar candidates by how close their gold SQL skeleton is
-to a draft SQL for the target. Questions and skeletons are embedded as
+ranks candidates by how close their gold SQL skeleton is to a draft SQL for
+the target, breaking ties by question similarity. DAIL-SQL (Gao et al. 2023,
+arXiv 2308.15363) orders by question similarity instead, and gives priority
+to the candidates whose skeleton similarity passes a threshold; dual
+similarity here has no threshold. Questions and skeletons are embedded as
 hashed character-trigram frequency vectors, deterministic across runs and
 platforms; a pool's vectors are kept as sparse rows in a ``SimilarityIndex``.
 """
@@ -305,8 +308,9 @@ def select(
     elif draft_sql is None and not corpus_mode:
         raise ValueError("dual-similarity selection needs a draft SQL outside corpus mode")
     else:
-        # dual similarity: re-rank question-similar candidates by how close
-        # their SQL skeleton is to the draft's (in corpus mode, the target's gold)
+        # dual similarity: rank by how close a candidate's SQL skeleton is to
+        # the draft's (in corpus mode, the target's gold), ties broken by
+        # question similarity
         draft = index.skeleton_vector(target, draft_sql)
         skel_sim = index.skeletons.cosines(*draft)[rows]
         top = _top_k(policy.k, ids, skel_sim, q_sim)

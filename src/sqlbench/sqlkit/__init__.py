@@ -2,11 +2,12 @@
 
 from .hardness import classify_difficulty
 from .match import em_match
-from .parser import SqlParseError, SqlUnit, parse_sql, tokenize
+from .parser import SqlParseError, SqlUnit, check_sql, parse_sql, tokenize
 
 __all__ = [
     "SqlParseError",
     "SqlUnit",
+    "check_sql",
     "classify_difficulty",
     "em_match",
     "parse_sql",

@@ -5,6 +5,11 @@ BY/HAVING, ORDER BY/LIMIT, UNION/INTERSECT/EXCEPT, the five aggregates,
 DISTINCT, BETWEEN, IN, LIKE and NOT. Anything beyond the subset is rejected
 with a structured parse failure rather than half-parsed.
 
+Parseability never depends on the schema: a parse fails or succeeds on the
+SQL text alone, and the schema only resolves the columns of a parse that
+succeeded. ``check_sql`` is that schema-free check; ``parse_sql`` runs the
+same parse and then resolves it.
+
 A parsed query is its canonical signature plus the Spider hardness counts.
 The signature is normalized aggressively, so that exact-set match reduces to
 string equality: identifiers case-folded, table aliases resolved away,
@@ -734,19 +739,36 @@ def _resolve_query(raw: _RawQuery, schema: DatabaseSchema, parent: _Scope | None
     return SqlUnit(" ".join(parts), (comp1, comp2, others))
 
 
-def parse_sql(sql: str, schema: DatabaseSchema) -> SqlUnit:
-    """Parse SQL into its canonical signature and hardness counts.
-
-    Raises SqlParseError on lexical errors, unsupported constructs, or
-    unbalanced input; never anything else.
-    """
+def _parse_raw(sql: str) -> _RawQuery:
     if not sql or not sql.strip():
         raise SqlParseError("empty SQL", 0)
     try:
         kinds, texts = tokenize(sql)
-        raw = _Parser(sql, kinds, texts).parse()
+        return _Parser(sql, kinds, texts).parse()
+    except RecursionError:
+        raise SqlParseError("query nesting too deep", 0) from None
+
+
+def check_sql(sql: str) -> None:
+    """Check SQL against the clause grammar without a schema.
+
+    Raises the SqlParseError, with the same reason and position, that
+    ``parse_sql`` raises on ``sql`` with any schema, and returns None where
+    ``parse_sql`` returns a unit.
+    """
+    _parse_raw(sql)
+
+
+def parse_sql(sql: str, schema: DatabaseSchema) -> SqlUnit:
+    """Parse SQL into its canonical signature and hardness counts.
+
+    Raises SqlParseError on lexical errors, unsupported constructs, or
+    unbalanced input; never anything else. Whether it raises, and with what,
+    never depends on ``schema``: the schema only resolves the columns of a
+    parse that succeeded, so ``check_sql`` answers the same without one.
+    """
+    raw = _parse_raw(sql)
+    try:
         return _resolve_query(raw, schema, None)
-    except SqlParseError:
-        raise
     except RecursionError:
         raise SqlParseError("query nesting too deep", 0) from None

@@ -136,28 +136,104 @@ def test_stages_read_only_the_splits_they_use(scratch_config, tmp_path, gold_stu
     assert capsys.readouterr().err.startswith(f"dataset: split test ({bad}): ")
 
 
+_EXISTS_GOLD = "SELECT name FROM singer WHERE EXISTS (SELECT 1)"
+
+
 def test_ingest_parses_each_distinct_gold_once(bundle, monkeypatch):
     """The grammar check reports every example of an unparseable gold, and
-    parses each distinct (db_id, gold_sql) once."""
+    checks each distinct gold text once, even where two databases share it;
+    it never resolves a gold against a schema."""
     from dataclasses import replace
 
     import sqlbench.sqlkit
     from sqlbench.cli import _unparseable_golds
 
     dev = bundle.splits["dev"]
-    outside = "SELECT name FROM singer WHERE EXISTS (SELECT 1)"
     rows = dev + [replace(ex, index=100 + ex.index) for ex in dev]
-    rows += [replace(dev[0], index=200 + i, gold_sql=outside) for i in range(3)]
-    parsed = []
+    rows += [replace(dev[0], index=200 + i, gold_sql=_EXISTS_GOLD) for i in range(3)]
+    rows += [replace(dev[0], index=300, db_id="college_2", gold_sql=_EXISTS_GOLD),
+             replace(dev[1], index=301, db_id="college_2")]
+    checked, parsed = [], []
 
-    def counted(sql, schema):
-        parsed.append(sql)
-        return parse_sql(sql, schema)
+    def counted(sql):
+        checked.append(sql)
+        return check_sql(sql)
 
-    parse_sql = sqlbench.sqlkit.parse_sql
-    monkeypatch.setattr(sqlbench.sqlkit, "parse_sql", counted)
-    assert _unparseable_golds(bundle, rows) == [200, 201, 202]
-    assert sorted(parsed) == sorted({ex.gold_sql for ex in rows})
+    check_sql = sqlbench.sqlkit.check_sql
+    monkeypatch.setattr(sqlbench.sqlkit, "check_sql", counted)
+    monkeypatch.setattr(sqlbench.sqlkit, "parse_sql", lambda sql, schema: parsed.append(sql))
+    assert _unparseable_golds(rows) == [200, 201, 202, 300]
+    assert sorted(checked) == sorted({ex.gold_sql for ex in rows})
+    assert parsed == []
+
+
+# ingest's output on the fixture dataset with _EXISTS_GOLD added to both
+# splits in both databases; MANIFEST stands for the manifest's path and
+# FINGERPRINT for the run config's fingerprint, which hold the temporary paths
+_PINNED_INGEST_STDERR = (
+    "WARNING sqlbench: split dev: 2 gold queries outside the clause grammar"
+    " (excluded from EM, kept for EX): [3, 21]\n"
+    "WARNING sqlbench: split train: 3 gold queries outside the clause grammar"
+    " (excluded from EM, kept for EX): [0, 7, 21]\n"
+)
+_PINNED_INGEST_STDOUT = (
+    "manifest written to MANIFEST\n"
+    "  split dev: 22 examples\n"
+    "  split train: 22 examples\n"
+    "  databases: 1 of 2 files found\n"
+)
+_PINNED_MANIFEST = """{
+  "config_fingerprint": "FINGERPRINT",
+  "databases": {
+    "college_2": {
+      "has_file": false,
+      "tables": 11
+    },
+    "concert_singer": {
+      "has_file": true,
+      "tables": 4
+    }
+  },
+  "dialect": "spider",
+  "name": "spider-fixture",
+  "splits": {
+    "dev": 22,
+    "train": 22
+  }
+}
+"""
+
+
+def test_ingest_output_is_pinned(scratch_config, tmp_path, fixtures_dir):
+    """Ingest's warning lines, its stdout and the manifest's bytes, from a
+    real CLI process, on golds outside the grammar in both splits and in a
+    database with and one without a database file."""
+    from sqlbench.runconfig import load_run_config
+
+    spider = fixtures_dir / "spider"
+    config = write_config_with_url(scratch_config, "http://127.0.0.1:1/v1")
+    text = config.read_text()
+    for split, spots in (("dev", (3, None)), ("train", (0, 7, None))):
+        rows = json.loads((spider / f"{split}.json").read_text())
+        for n, at in enumerate(spots):
+            db_id = ("concert_singer", "college_2")[n % 2]
+            row = {"db_id": db_id, "question": f"Is there a {split} singer {n}?",
+                   "query": _EXISTS_GOLD}
+            rows.insert(len(rows) if at is None else at, row)
+        path = tmp_path / f"{split}.json"
+        path.write_text(json.dumps(rows))
+        text = text.replace(str(spider / f"{split}.json"), str(path))
+    config.write_text(text)
+    done = subprocess.run(
+        [sys.executable, "-m", "sqlbench.cli", "ingest", "--config", str(config),
+         "--run-id", "pin"],
+        env=cli_child_env(), cwd=str(tmp_path), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    manifest = tmp_path / "runs" / "pin" / "manifest.json"
+    assert done.stderr == _PINNED_INGEST_STDERR
+    assert done.stdout == _PINNED_INGEST_STDOUT.replace("MANIFEST", str(manifest))
+    fingerprint = load_run_config(config).fingerprint()
+    assert manifest.read_bytes() == _PINNED_MANIFEST.replace("FINGERPRINT", fingerprint).encode()
 
 
 def test_ingest_deterministic(scratch_config, tmp_path):

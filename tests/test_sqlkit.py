@@ -155,9 +155,22 @@ def _tokens(sql: str) -> tuple:
     return new, old
 
 
+def _checked(sql: str, parsed: tuple) -> tuple:
+    """``check_sql``'s outcome, written as ``parsed`` would be if the two agree."""
+    try:
+        sql_parser.check_sql(sql)
+    except SqlParseError as exc:
+        return ("error", exc.reason, exc.pos)
+    return parsed if parsed[0] != "error" else ("parsed",)
+
+
 def assert_same_as_oracle(sql: str, schema) -> None:
-    """The same (signature, components) or (reason, pos), and the same tokens."""
-    assert _outcome(sql_parser, sql, schema) == _outcome(sql_oracle, sql, schema), repr(sql)
+    """The same (signature, components) or (reason, pos), and the same tokens;
+    and ``check_sql`` raises exactly where ``parse_sql`` does, with the same
+    reason and pos."""
+    parsed = _outcome(sql_parser, sql, schema)
+    assert parsed == _outcome(sql_oracle, sql, schema), repr(sql)
+    assert _checked(sql, parsed) == parsed, repr(sql)
     new, old = _tokens(sql)
     assert new == old, repr(sql)
 
@@ -233,6 +246,41 @@ def test_expression_nesting_is_bounded_by_the_sql_alone(sql, parses):
     assert (top[0] != "error") == parses
     if not parses:
         assert top[1] == "expression nesting too deep"
+
+
+def _nested_query(levels: int) -> str:
+    """A query with ``levels`` query levels, counting itself."""
+    sql = "SELECT a FROM t"
+    for _ in range(levels - 1):
+        sql = f"SELECT a FROM t WHERE a IN ({sql})"
+    return sql
+
+
+def test_check_sql_agrees_with_parse_sql_on_empty_and_deepest_sql():
+    """Empty SQL, and nesting at the bound and one past it, end the same
+    under ``check_sql`` as under ``parse_sql``, at the top of the stack and
+    deep in it. Near the recursion limit even the deepest parse that fits
+    the bound raises, and both map that to the same failure."""
+    for sql in ("", " ", "\n\t ", "\u3000"):
+        parsed = _outcome(sql_parser, sql, _TINY_SCHEMA)
+        assert parsed == ("error", "empty SQL", 0)
+        assert _checked(sql, parsed) == parsed, repr(sql)
+    depth = sql_parser._MAX_DEPTH
+    cases = [(_nested_query(depth), True), (_nested_query(depth + 1), False),
+             ("SELECT " + "(" * (depth - 1) + "a" + ")" * (depth - 1) + " FROM t", True),
+             ("SELECT " + "(" * depth + "a" + ")" * depth + " FROM t", False)]
+    frame, stack = sys._getframe(), 0
+    while frame is not None:
+        frame, stack = frame.f_back, stack + 1
+    near_limit = sys.getrecursionlimit() - stack - 50  # too few frames for _MAX_DEPTH levels
+    for sql, parses in cases:
+        parsed = _outcome(sql_parser, sql, _TINY_SCHEMA)
+        assert (parsed[0] != "error") == parses
+        for frames in (0, 100):
+            assert _at_depth(frames, lambda: _checked(sql, parsed)) == parsed
+        deep = _at_depth(near_limit, lambda: _outcome(sql_parser, sql, _TINY_SCHEMA))
+        assert deep == ("error", "query nesting too deep", 0)
+        assert _at_depth(near_limit, lambda: _checked(sql, deep)) == deep
 
 
 def test_long_runs_scan_in_linear_time():
