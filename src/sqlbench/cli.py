@@ -82,6 +82,18 @@ def _check_counts(**counts) -> None:
             raise ConfigError([f"--{flag} must be non-negative, got {min(values)}"])
 
 
+def _check_pool(targets: list[ExampleTriple], pool: list[ExampleTriple],
+                counts: dict[str, typing.Iterable[int]]) -> None:
+    """Shot counts are checked against the pool once it is loaded, before any
+    request or file: a target is never its own exemplar, so a pool that is
+    the target split offers one candidate fewer than its size."""
+    candidates = len(pool) - (pool is targets)
+    for name, values in counts.items():
+        if max(values, default=0) > candidates:
+            raise ConfigError([f"{name} {max(values)} exceeds the {candidates} exemplar"
+                               " candidates in the pool"])
+
+
 def _split(bundle: DatasetBundle, name: str, what: str = "split") -> list[ExampleTriple]:
     """The named split's examples; a split the dataset lacks is a dataset error."""
     if name not in bundle.splits:
@@ -146,6 +158,8 @@ def cmd_build_corpus(args) -> int:
     config = _load_config(args)
     bundle = load_bundle(config.dataset, splits=(args.split,))
     split = _split(bundle, args.split)
+    _check_pool(split, split,
+                {"--k": args.k, "--choices": args.choices if args.random_shot else ()})
     run_dir = _run_dir(config, args)
     # one similarity index serves every job; only a job with some k > 0 uses it
     index = None
@@ -179,6 +193,7 @@ def cmd_predict(args) -> int:
     bundle = load_bundle(config.dataset, splits=(args.split, *pool_split))
     targets = _split(bundle, args.split)
     pool = _split(bundle, config.selection.pool, "selection.pool split") if policy.k else []
+    _check_pool(targets, pool, {"selection.k" if args.shots is None else "--shots": [policy.k]})
     out = _run_dir(config, args) / "predictions" / f"{args.split}_shots{policy.k}.jsonl"
     log = log_path(out)
     # the finished file, then the append log of a rerun that retries its errors
@@ -287,7 +302,8 @@ def cmd_emit_train_profile(args) -> int:
 
 def _canned_answers(path: str) -> dict[str, str]:
     """question -> gold SQL from an examples file: a JSON list of records, each
-    with a ``question`` and a Spider ``query`` or a BIRD ``SQL``."""
+    with a ``question`` and a Spider ``query`` or a BIRD ``SQL``. A record
+    without a string gold is left out, so the fallback answers its question."""
     try:
         with open(path, encoding="utf-8") as fp:
             records = json.load(fp)
@@ -297,7 +313,8 @@ def _canned_answers(path: str) -> dict[str, str]:
         isinstance(rec, dict) and isinstance(rec.get("question"), str) for rec in records
     ):
         raise ConfigError([f"--examples {path}: not a JSON list of records with a question"])
-    return {rec["question"]: rec.get("query", rec.get("SQL", "SELECT 1")) for rec in records}
+    golds = ((rec["question"], rec.get("query", rec.get("SQL"))) for rec in records)
+    return {question: sql for question, sql in golds if isinstance(sql, str)}
 
 
 def cmd_stub(args) -> int:
@@ -305,7 +322,9 @@ def cmd_stub(args) -> int:
     behavior = StubBehavior(answers=answers, fallback_sql=args.fallback)
     server = StubServer(behavior, host=args.host, port=args.port)
     server.start()
-    print(f"stub endpoint serving at {server.base_url} ({len(answers)} canned answers)")
+    # flushed: a parent reading a pipe waits on this line for the URL
+    print(f"stub endpoint serving at {server.base_url} ({len(answers)} canned answers)",
+          flush=True)
     try:
         while True:
             time.sleep(3600)

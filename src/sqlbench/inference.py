@@ -119,12 +119,6 @@ def extract_sql(raw: str) -> str:
     return " ".join(text.replace("\r", "\n").split("\n")).strip()
 
 
-def _classify_status(status: int) -> str:
-    if status == 429 or status >= 500:
-        return "transient"
-    return "permanent"
-
-
 class _Client:
     """A batch's way to the chat URL, resolved once: the proxy from
     ``HTTP_PROXY``/``HTTPS_PROXY``/``NO_PROXY``, the TLS context from the
@@ -225,20 +219,23 @@ class _Client:
                 conn.close()
 
 
-def _request_once(client: _Client, body: bytes) -> tuple[str | None, str | None, str]:
-    """Returns (content, error, classification)."""
+def _request_once(client: _Client, body: bytes) -> tuple[str | None, str | None, bool]:
+    """(content, error, whether a retry can help): the completion's text and
+    no error, or no text and the error."""
     try:
         status, data = client.post(body)
     except (OSError, http.client.HTTPException) as exc:
-        return None, f"request failed: {exc}", "transient"
+        return None, f"request failed: {exc}", True
     if status != 200:
         text = data.decode("utf-8", errors="replace")
-        return None, f"status {status}: {text[:200]}", _classify_status(status)
+        return None, f"status {status}: {text[:200]}", status == 429 or status >= 500
     try:
         content = json.loads(data)["choices"][0]["message"]["content"]
+        if not isinstance(content, str):
+            raise TypeError(f"content is not a string: {json.dumps(content)[:200]}")
     except (ValueError, KeyError, IndexError, TypeError) as exc:
-        return None, f"malformed response: {exc}", "permanent"
-    return content, None, "ok"
+        return None, f"malformed response: {exc}", False
+    return content, None, False
 
 
 def _predict_one(
@@ -255,36 +252,19 @@ def _predict_one(
     }).encode("utf-8")
     attempts = 0
     start = time.perf_counter()
-    error = None
-    content = None
-    while attempts <= endpoint.max_retries:
+    while True:
         attempts += 1
-        content, error, classification = _request_once(client, body)
-        if content is not None:
-            break
-        if classification == "permanent" or attempts > endpoint.max_retries:
+        content, error, retryable = _request_once(client, body)
+        if not retryable or attempts > endpoint.max_retries:
             break
         delay = endpoint.backoff_base_s * (2 ** (attempts - 1))
         logger.debug("retrying example %d in %.2fs: %s", envelope.target_index, delay, error)
         sleep(delay)
     latency_ms = (time.perf_counter() - start) * 1000.0
-    extracted = extract_sql(content) if content is not None else ""
-    if content is None or not extracted:
-        return Prediction(
-            example_index=envelope.target_index,
-            raw_text=content or "",
-            extracted_sql="",
-            latency_ms=latency_ms,
-            attempt_count=attempts,
-            error=error or ("empty completion" if content is not None else "no content"),
-        )
-    return Prediction(
-        example_index=envelope.target_index,
-        raw_text=content,
-        extracted_sql=extracted,
-        latency_ms=latency_ms,
-        attempt_count=attempts,
-    )
+    extracted = "" if content is None else extract_sql(content)
+    if error is None and not extracted:
+        error = "empty completion"
+    return Prediction(envelope.target_index, content or "", extracted, latency_ms, attempts, error)
 
 
 def predict_batch(

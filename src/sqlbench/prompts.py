@@ -108,20 +108,18 @@ TRP_COMPACT = PromptTemplate(COMPACT_STYLE)
 
 @dataclass(frozen=True)
 class PromptEnvelope:
+    """A rendered prompt and the exemplars it kept, in prompt order."""
+
     text: str
-    shots: int
     exemplar_ids: tuple[int, ...]
     token_estimate: int
-    budget: TokenBudget
     target_index: int
     # where in ``text`` each shared fragment starts, in order
     shared: tuple[tuple[int, Fragment], ...] = field(default=(), compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.shots != len(self.exemplar_ids):
-            raise ValueError("shots must equal the number of exemplars")
-        if self.token_estimate > self.budget.available:
-            raise ValueError("envelope exceeds its own budget")
+    @property
+    def shots(self) -> int:
+        return len(self.exemplar_ids)
 
     def json_text(self) -> str:
         """``json.dumps(self.text, ensure_ascii=False)`` without its quotes,
@@ -264,10 +262,8 @@ def build_prompt(
     text, shared = _join(head, shots[:keep], question)
     return PromptEnvelope(
         text=text,
-        shots=keep,
         exemplar_ids=tuple(e.index for e in exemplars[:keep]),
         token_estimate=estimate,
-        budget=budget,
         target_index=target.index,
         shared=shared,
     )

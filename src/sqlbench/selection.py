@@ -161,7 +161,8 @@ class SimilarityIndex:
     Rows follow pool order. The index answers only for the pool list it was
     built over: a target that is not one of its example objects, such as a
     dev example scored against a train pool, is embedded from its own
-    question even if a pool member shares its index. The rows of the pool's
+    question even if a pool member shares its index; ``select`` masks only
+    a member's own row in its full-pool scores. The rows of the pool's
     gold-SQL skeletons, each rendered with its own database's schema from
     ``schemas``, are built on first use: only dual similarity reads them, so
     a question-similarity pool never parses any SQL.
@@ -180,18 +181,6 @@ class SimilarityIndex:
         """The row of ``example`` if it is a pool member, else None."""
         row = self.row_of.get(example.index)
         return row if row is not None and self.examples[row] is example else None
-
-    def rows_for(self, pool: list[ExampleTriple], exclude: ExampleTriple) -> np.ndarray:
-        """The rows of the members of ``pool`` other than ``exclude``, in pool
-        order; ``pool`` must be the list the index was built over."""
-        if pool is not self.examples:
-            raise ValueError("similarity index was built over another pool")
-        row = self.row(exclude)
-        if row is None:
-            return np.arange(len(pool))
-        rows = np.arange(len(pool) - 1)
-        rows[row:] += 1
-        return rows
 
     def question_vector(self, example: ExampleTriple) -> tuple[np.ndarray, float]:
         row = self.row(example)
@@ -279,10 +268,12 @@ def select(
     """Choose the k exemplars for one target.
 
     The target itself is never its own exemplar; any other pool member may
-    be, whatever its index. Similarity strategies return the selection
-    ordered most-similar-last, so the nearest exemplar sits adjacent to the
-    target question in the prompt. Dual similarity needs ``draft_sql``
-    outside corpus mode, where the target's gold stands in for it.
+    be, whatever its index. Similarity strategies score every row of the
+    index built over ``pool``, with the target's own row, if any, at -inf
+    in the first ranking score, and return the selection ordered
+    most-similar-last, so the nearest exemplar sits adjacent to the target
+    question in the prompt. Dual similarity needs ``draft_sql`` outside
+    corpus mode, where the target's gold stands in for it.
     """
     if policy.k == 0:
         return []
@@ -299,23 +290,20 @@ def select(
 
     if index is None:
         raise ValueError("similarity strategies require a similarity index")
-    rows = index.rows_for(pool, target)
-    ids = index.ids[rows]
-    q_sim = index.questions.cosines(*index.question_vector(target))[rows]
-
-    if policy.strategy == QUESTION_SIMILARITY:
-        top = _top_k(policy.k, ids, q_sim)
-    elif draft_sql is None and not corpus_mode:
-        raise ValueError("dual-similarity selection needs a draft SQL outside corpus mode")
-    else:
-        # dual similarity: rank by how close a candidate's SQL skeleton is to
-        # the draft's (in corpus mode, the target's gold), ties broken by
-        # question similarity
-        draft = index.skeleton_vector(target, draft_sql)
-        skel_sim = index.skeletons.cosines(*draft)[rows]
-        top = _top_k(policy.k, ids, skel_sim, q_sim)
-    # most similar last; a pool member is the index's own example object
-    return [index.examples[rows[i]] for i in reversed(top)]
+    if pool is not index.examples:
+        raise ValueError("similarity index was built over another pool")
+    scores = [index.questions.cosines(*index.question_vector(target))]
+    if policy.strategy == DUAL_SIMILARITY:
+        if draft_sql is None and not corpus_mode:
+            raise ValueError("dual-similarity selection needs a draft SQL outside corpus mode")
+        # rank by how close a candidate's SQL skeleton is to the draft's (in
+        # corpus mode, the target's gold), ties broken by question similarity
+        scores.insert(0, index.skeletons.cosines(*index.skeleton_vector(target, draft_sql)))
+    row = index.row(target)
+    if row is not None:  # masked: the target ranks below every candidate
+        scores[0][row] = -np.inf
+    # most similar last
+    return [pool[i] for i in reversed(_top_k(policy.k, index.ids, *scores))]
 
 
 def mix_shots(

@@ -5,6 +5,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -236,6 +237,46 @@ def test_ingest_output_is_pinned(scratch_config, tmp_path, fixtures_dir):
     assert manifest.read_bytes() == _PINNED_MANIFEST.replace("FINGERPRINT", fingerprint).encode()
 
 
+def test_default_run_id_is_utc_stamp_and_fingerprint(scratch_config, tmp_path):
+    """Without --run-id a run is named ``<UTC %Y%m%dT%H%M%SZ>-<fingerprint[:8]>``."""
+    from sqlbench.runconfig import load_run_config
+
+    config = write_config_with_url(scratch_config, "http://127.0.0.1:1/v1")
+    before = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
+    assert run_cli("ingest", "--config", str(config)) == 0
+    after = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
+    [run] = (tmp_path / "runs").iterdir()
+    stamp, fingerprint = run.name.split("-")
+    assert re.fullmatch(r"\d{8}T\d{6}Z", stamp) and before <= stamp <= after
+    assert fingerprint == load_run_config(config).fingerprint()[:8]
+    assert (run / "manifest.json").is_file()
+
+
+def test_seed_flag_overrides_the_config_seed(scratch_config, tmp_path):
+    """--seed replaces the config's seed: it is in the fingerprint, and it
+    draws the random exemplars."""
+    from dataclasses import replace as replaced
+
+    from sqlbench.runconfig import load_run_config
+
+    config = write_config_with_url(scratch_config, "http://127.0.0.1:1/v1")
+    corpora = {}
+    for seed in ("42", "7", None):
+        run_id = f"seed-{seed}"
+        argv = ["build-corpus", "--config", str(config), "--run-id", run_id, "--k", "1"]
+        assert run_cli(*argv, *(["--seed", seed] if seed else [])) == 0
+        run_cli("ingest", "--config", str(config), "--run-id", run_id,
+                *(["--seed", seed] if seed else []))
+        manifest = json.loads((tmp_path / "runs" / run_id / "manifest.json").read_text())
+        corpora[seed] = (manifest["config_fingerprint"],
+                         (tmp_path / "runs" / run_id / "corpus" / "train_k1.jsonl").read_bytes())
+    base = load_run_config(config)
+    assert base.seed == 42
+    assert corpora[None] == corpora["42"]
+    assert corpora["7"][0] == replaced(base, seed=7).fingerprint() != corpora["42"][0]
+    assert corpora["7"][1] != corpora["42"][1]
+
+
 def test_ingest_deterministic(scratch_config, tmp_path):
     config = write_config_with_url(scratch_config, "http://127.0.0.1:1/v1")
     run_cli("ingest", "--config", str(config), "--run-id", "a")
@@ -378,6 +419,37 @@ def test_evaluate_skips_mistyped_prediction_fields(scratch_config, tmp_path, bun
     assert all(r["ex"] for r in records[2:])
 
 
+def test_gold_outside_the_grammar_is_in_the_records_not_the_summary(
+        scratch_config, tmp_path, fixtures_dir, caplog, capsys):
+    """A gold outside the clause grammar keeps its EX result in the records
+    file, with no difficulty label, and evaluate warns that no summary
+    bucket counts it."""
+    spider = fixtures_dir / "spider"
+    rows = json.loads((spider / "dev.json").read_text())[:3]
+    rows.append({"db_id": "concert_singer", "question": "Is there a singer?",
+                 "query": _EXISTS_GOLD})
+    dev = tmp_path / "dev.json"
+    dev.write_text(json.dumps(rows))
+    config = write_config_with_url(scratch_config, "http://127.0.0.1:1/v1")
+    config.write_text(config.read_text().replace(str(spider / "dev.json"), str(dev)))
+    predictions = tmp_path / "preds.jsonl"
+    predictions.write_text("".join(
+        json.dumps({"example_index": n, "extracted_sql": row["query"]}) + "\n"
+        for n, row in enumerate(rows)))
+    with caplog.at_level("WARNING"):
+        assert run_cli("evaluate", "--config", str(config), "--run-id", "t", "--split", "dev",
+                       "--predictions", str(predictions)) == 0
+    assert [rec.message for rec in caplog.records] == [
+        "1 records lack a difficulty label; excluded from summary"]
+    records = [json.loads(line) for line in
+               (tmp_path / "runs" / "t" / "eval" / "dev_records.jsonl").read_text().splitlines()]
+    assert len(records) == 4
+    assert (records[3]["ex"], records[3]["difficulty"]) == (True, None)
+    summary = json.loads((tmp_path / "runs" / "t" / "reports" / "dev_summary.json").read_text())
+    assert summary["buckets"]["overall"]["n"] == 3
+    assert summary["buckets"]["overall"]["ex_correct"] == 3
+
+
 def test_compare_identical_runs(scratch_config, tmp_path, gold_stub, capsys):
     config = write_config_with_url(scratch_config, gold_stub.base_url)
     run_cli("predict", "--config", str(config), "--run-id", "t", "--split", "dev",
@@ -390,6 +462,19 @@ def test_compare_identical_runs(scratch_config, tmp_path, gold_stub, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "+0.000" in out
+
+
+def test_compare_out_writes_the_structured_delta(fixtures_dir, tmp_path, capsys):
+    from sqlbench.reporting import STRUCTURED, compare, parse_summary_csv, render_delta
+
+    summary = fixtures_dir / "golden" / "summary_spider4.csv"
+    out = tmp_path / "delta" / "report.json"
+    assert run_cli("compare", "--base", str(summary), "--target", str(summary),
+                   "--out", str(out)) == 0
+    assert capsys.readouterr().out.endswith(f"delta report: {out}\n")
+    parsed = parse_summary_csv(summary.read_text(encoding="utf-8"))
+    assert out.read_text(encoding="utf-8") == render_delta(compare(parsed, parsed), STRUCTURED)
+    assert json.loads(out.read_text(encoding="utf-8"))
 
 
 def test_compare_scheme_mismatch_exits_nonzero(fixtures_dir, capsys):
@@ -438,6 +523,59 @@ def test_stub_examples_that_are_not_records_are_a_config_error(tmp_path, capsys,
     assert run_cli("stub", "--examples", str(path), "--port", "0") == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config: --examples {path}: ") and len(err.splitlines()) == 1, err
+
+
+def test_stub_serves_gold_from_examples_and_the_fallback_otherwise(tmp_path):
+    """``sqlbench stub --examples``, as a process: a Spider ``query`` and a
+    BIRD ``SQL`` come back for their questions; a record without a string
+    gold, and a question not in the file, get ``--fallback``. SIGINT stops it
+    with exit 0."""
+    import http.client
+    from urllib.parse import urlsplit
+
+    examples = tmp_path / "examples.json"
+    examples.write_text(json.dumps([
+        {"question": "How many singers?", "query": "SELECT count(*) FROM singer"},
+        {"question": "Which schools?", "SQL": "SELECT name FROM school"},
+        {"question": "No gold here?", "SQL": None},
+    ]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sqlbench.cli", "stub", "--examples", str(examples),
+         "--port", "0", "--fallback", "SELECT 'fallback'"],
+        env=cli_child_env(), cwd=str(tmp_path), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True)
+    # a banner that never arrives ends in a kill, which ends the read
+    watchdog = threading.Timer(30, proc.kill)
+    watchdog.start()
+    try:
+        banner = proc.stdout.readline()
+        # no banner: the child has exited, so its stderr ends
+        assert banner.endswith(" (2 canned answers)\n"), banner or proc.stderr.read()
+        url = urlsplit(banner.split()[4])
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+
+        def ask(question: str) -> str:
+            body = {"messages": [{"role": "user", "content": f"Q: {question}\nResponse: "}]}
+            conn.request("POST", url.path + "/chat/completions", json.dumps(body),
+                         {"Content-Type": "application/json"})
+            return json.loads(conn.getresponse().read())["choices"][0]["message"]["content"]
+
+        try:
+            assert [ask(q) for q in ("How many singers?", "Which schools?", "No gold here?",
+                                     "Who?")] == [
+                "SELECT count(*) FROM singer", "SELECT name FROM school",
+                "SELECT 'fallback'", "SELECT 'fallback'"]
+        finally:
+            conn.close()
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=10) == 0
+    finally:
+        watchdog.cancel()
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+        proc.stdout.close()
+        proc.stderr.close()
 
 
 @pytest.mark.parametrize("argv", [["predict", "--config", "x", "--shots", "abc"], ["predict"],
@@ -976,11 +1114,49 @@ def test_negative_count_flag_is_refused_before_any_work(scratch_config, tmp_path
     def no_data(source):
         raise AssertionError("dataset read")
 
-    monkeypatch.setattr(sqlbench.cli, "load_bundle", no_data)
     config = write_config_with_url(scratch_config, gold_stub.base_url)
-    assert run_cli(*argv, "--config", str(config), "--run-id", "t") == 1
+    with monkeypatch.context() as patched:
+        patched.setattr(sqlbench.cli, "load_bundle", no_data)
+        assert run_cli(*argv, "--config", str(config), "--run-id", "t") == 1
     err = capsys.readouterr().err
     assert f"{flag} must be non-negative" in err and "Traceback" not in err
+    # a count past the pool's candidates is refused once the pool is read:
+    # the 19-example train pool offers 18 to its own targets, 19 to dev's
+    argv = [arg.replace("-1", "50") for arg in argv]
+    assert run_cli(*argv, "--config", str(config), "--run-id", "t") == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("config:")]
+    assert errors == [f"config: {flag} 50 exceeds the {19 if flag == '--shots' else 18}"
+                      " exemplar candidates in the pool"], err
+    assert not (tmp_path / "runs").exists()
+    assert gold_stub.request_count == 0
+
+
+@pytest.mark.parametrize("argv, config_k, refused", [
+    (["predict", "--split", "train", "--shots", "18"], None, False),
+    (["predict", "--split", "train", "--shots", "19"], None, True),
+    (["predict", "--split", "dev", "--shots", "19"], None, False),
+    (["predict", "--split", "dev"], 20, True),
+    (["build-corpus", "--k", "0,18"], None, False),
+    (["build-corpus", "--k", "0,19"], None, True),
+    (["build-corpus", "--random-shot", "--choices", "1,19"], None, True),
+], ids=["own-pool-all", "own-pool-over", "other-pool-all", "selection-k-over", "corpus-all",
+        "corpus-over", "choices-over"])
+def test_shot_count_is_bounded_by_the_pool_candidates(scratch_config, tmp_path, gold_stub,
+                                                      capsys, argv, config_k, refused):
+    """A target is never its own exemplar: the 19-example train pool offers
+    18 candidates to a train target and 19 to a dev target."""
+    if config_k is not None:
+        scratch_config.write_text(scratch_config.read_text().replace("k: 0", f"k: {config_k}"))
+    config = write_config_with_url(scratch_config, gold_stub.base_url)
+    rc = run_cli(*argv, "--config", str(config), "--run-id", "t")
+    err = capsys.readouterr().err
+    if not refused:
+        assert rc == 0, err
+        return
+    assert rc == 1 and "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("config:")]
+    assert len(errors) == 1 and "exceeds the" in errors[0], err
     assert not (tmp_path / "runs").exists()
     assert gold_stub.request_count == 0
 

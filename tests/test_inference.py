@@ -449,6 +449,27 @@ def test_empty_completion_is_an_error(bundle):
     assert predictions[0].extracted_sql == ""
 
 
+@pytest.mark.parametrize("content, shown", [(None, "null"), (123, "123"),
+                                            (["SELECT 1"], '["SELECT 1"]')],
+                         ids=["null", "number", "list"])
+def test_content_that_is_not_a_string_is_one_errored_record(bundle, content, shown):
+    """A 200 reply whose message content is not a string is malformed: one
+    attempt, no backoff, one errored record, and the rest of the batch goes on."""
+    dev = bundle.splits["dev"][:3]
+    answers = {**answers_from_examples(dev), dev[1].question: content}
+    slept = []
+    with StubServer(StubBehavior(answers=answers)) as server:
+        predictions = predict_batch(envelopes_for(bundle, 3),
+                                    endpoint_for(server, max_retries=2), sleep=slept.append)
+        assert server.request_count == 3
+    bad = predictions[1]
+    assert bad.error == f"malformed response: content is not a string: {shown}"
+    assert (bad.attempt_count, bad.raw_text, bad.extracted_sql) == (1, "", "")
+    assert slept == []
+    assert [(p.error, p.extracted_sql) for p in (predictions[0], predictions[2])] == [
+        (None, dev[0].gold_sql), (None, dev[2].gold_sql)]
+
+
 def test_read_predictions_tolerates_truncated_line(tmp_path, caplog):
     """A truncated line, or JSON that is not a record, is skipped with a warning."""
     path = tmp_path / "preds.jsonl"

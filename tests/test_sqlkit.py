@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlbench.datasets import DatabaseSchema, TableDef
-from sqlbench.sqlkit import SqlParseError, classify_difficulty, em_match, parse_sql
+from sqlbench.sqlkit import SqlParseError, check_sql, classify_difficulty, em_match, parse_sql
 from sqlbench.sqlkit import parser as sql_parser
 
 
@@ -220,6 +220,75 @@ def test_parser_matches_oracle_under_edits(schemas, bird_bundle, fixture_sql, da
         min_size=1, max_size=4,
     ))
     assert_same_as_oracle(_edit(sql, edits), {**schemas, **bird_bundle.schemas}[db])
+
+
+@pytest.mark.parametrize("sql, outcome", [
+    ("SELECT name FROM singer;", "parses"),
+    ("(SELECT name FROM singer) UNION (SELECT name FROM singer WHERE age > 20)", "parses"),
+    ("SELECT T1.name FROM singer AS T1 , concert AS T2", "parses"),
+    ("SELECT T1.name FROM singer AS T1 LEFT JOIN singer_in_concert AS T2"
+     " ON T1.singer_id = T2.singer_id", "parses"),
+    ("SELECT T1.name FROM singer AS T1 INNER JOIN singer_in_concert AS T2"
+     " ON T1.singer_id = T2.singer_id", "parses"),
+    ("SELECT name FROM singer WHERE (age > 20 OR country = 'France') AND age < 50", "parses"),
+    ("SELECT name FROM singer WHERE NOT age = 20", "parses"),
+    ("SELECT name FROM singer WHERE NOT country IS NULL", "parses"),
+    ("SELECT name FROM singer WHERE age NOT = 20", "expected BETWEEN, IN or LIKE after NOT"),
+    ("SELECT name FROM singer WHERE age BETWEEN 20 AND singer_id", "parses"),
+    ("SELECT name FROM singer WHERE country IS NULL", "parses"),
+    ("SELECT name FROM singer WHERE country IS NOT NULL", "parses"),
+    ("SELECT name FROM singer WHERE age IN (-1, +2, 3)", "parses"),
+    ("SELECT age + -1 FROM singer WHERE age > -5", "parses"),
+    ("SELECT name FROM singer WHERE country = NULL", "parses"),
+    ("SELECT name FROM singer WHERE country IN (NULL, 'France')", "parses"),
+    ("SELECT T1.* FROM singer AS T1", "parses"),
+    ("SELECT name FROM stadium JOIN singer", "parses"),
+    ("SELECT T.name FROM (SELECT name FROM singer) AS T WHERE T.name = 'x'", "parses"),
+    ("SELECT (SELECT max(age) FROM singer) FROM singer",
+     "unsupported construct: scalar subquery in expression"),
+    ("SELECT name FROM singer WHERE age > 1 + (SELECT min(age) FROM singer)",
+     "unsupported construct: scalar subquery in expression"),
+], ids=["trailing-semicolon", "parenthesized-set-operand", "comma-from", "left-join",
+        "inner-join", "condition-group", "not-predicate", "not-is-null", "not-without-operator",
+        "between-column-bound", "is-null", "is-not-null", "signed-in-list", "signed-expression",
+        "null-value", "null-in-list", "qualified-star", "ambiguous-column",
+        "subquery-alias-qualifier", "scalar-subquery", "scalar-subquery-in-value"])
+def test_grammar_corners_match_the_oracle(schemas, sql, outcome):
+    """Grammar that neither the fixture SQL nor its seeded edits reach."""
+    assert_same_as_oracle(sql, schemas["concert_singer"])
+    try:
+        check_sql(sql)
+    except SqlParseError as exc:
+        assert exc.reason == outcome
+    else:
+        assert outcome == "parses"
+
+
+@pytest.mark.parametrize("sql, same", [
+    ("SELECT name FROM singer WHERE age > 20;", "SELECT name FROM singer WHERE age > 20"),
+    ("SELECT T1.name FROM singer AS T1 LEFT JOIN singer_in_concert AS T2"
+     " ON T1.singer_id = T2.singer_id",
+     "SELECT T1.name FROM singer AS T1 JOIN singer_in_concert AS T2"
+     " ON T1.singer_id = T2.singer_id"),
+    ("SELECT name FROM singer WHERE NOT age = 1", "SELECT name FROM singer WHERE age != 1"),
+    ("SELECT name FROM singer WHERE NOT country IS NULL",
+     "SELECT name FROM singer WHERE country IS NOT NULL"),
+], ids=["semicolon-ignored", "left-join-is-join", "not-equals", "not-is-null"])
+def test_em_equivalences_of_grammar_corners(schemas, sql, same):
+    schema = schemas["concert_singer"]
+    assert em_match(parse_sql(sql, schema), parse_sql(same, schema))
+
+
+def test_is_null_masks_its_value(schemas):
+    """IS [NOT] NULL renders its NULL as the masked ``?`` a literal renders
+    as, so it matches no literal comparison and the two forms differ."""
+    schema = schemas["concert_singer"]
+    is_null = parse_sql("SELECT name FROM singer WHERE country IS NULL", schema)
+    assert is_null.signature == (
+        "select{singer.name} from{singer} where[]{singer.country is null ?}")
+    assert not em_match(is_null, parse_sql("SELECT name FROM singer WHERE country = NULL", schema))
+    assert not em_match(is_null, parse_sql(
+        "SELECT name FROM singer WHERE country IS NOT NULL", schema))
 
 
 def _at_depth(frames: int, call):
