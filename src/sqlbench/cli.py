@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import signal
 import sys
 import time
 import typing
@@ -322,6 +323,8 @@ def cmd_stub(args) -> int:
     behavior = StubBehavior(answers=answers, fallback_sql=args.fallback)
     server = StubServer(behavior, host=args.host, port=args.port)
     server.start()
+    # `kill` stops it as Ctrl-C does: a stub a script starts with `&` ignores SIGINT
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     # flushed: a parent reading a pipe waits on this line for the URL
     print(f"stub endpoint serving at {server.base_url} ({len(answers)} canned answers)",
           flush=True)
@@ -330,6 +333,8 @@ def cmd_stub(args) -> int:
             time.sleep(3600)
     except KeyboardInterrupt:
         server.stop()
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     return EXIT_OK
 
 

@@ -1,5 +1,8 @@
 """Tokenizer and parser for the SQL subset used by the benchmark gold queries.
 
+One token regex defines every token; ``tokenize`` reads text with it into
+kind and text lists, and the parser walks those by index.
+
 Covers SELECT with joins, nested subqueries in FROM/WHERE/HAVING, GROUP
 BY/HAVING, ORDER BY/LIMIT, UNION/INTERSECT/EXCEPT, the five aggregates,
 DISTINCT, BETWEEN, IN, LIKE and NOT. Anything beyond the subset is rejected
@@ -18,6 +21,7 @@ literals masked, and set-valued clauses sorted.
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Callable, NamedTuple, TypeVar
 
@@ -55,9 +59,6 @@ class SqlParseError(Exception):
         self.pos = pos
 
 
-_TWO_CHAR_OPS = ("<>", "!=", ">=", "<=")
-_ONE_CHAR_OPS = "=<>(),;.*+-/%"
-
 RESERVED = {
     "select", "distinct", "from", "where", "group", "by", "having", "order",
     "limit", "join", "inner", "left", "right", "full", "outer", "cross", "on",
@@ -69,131 +70,118 @@ RESERVED = {
 _MAX_DEPTH = 40
 _T = TypeVar("_T")
 
-# One match per token of ASCII text, after any whitespace. Each token
-# alternative takes its longest match with nothing after it, so none gives
-# characters back to a shorter token. Where no token starts (a block comment,
-# a quoted identifier, a ".5" number, a stray character, an unterminated
-# string), the last group takes the whole remainder at once, so no later
-# character is tried again, and the string goes through the loop instead.
-_TOKEN_RE = re.compile(
-    r"\s*(?:--[^\n]*\n?"  # line comment: no group
-    r"|([A-Za-z_][A-Za-z0-9_]*)"
-    r"|([0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)"
+# One match per token, after any whitespace; a comment and the end match
+# with no group. Each token alternative takes its longest match with nothing
+# after it, so none gives characters back to a shorter one. The last group
+# holds what only ``_scan`` reads: a quoted identifier, a ".5" number (read
+# by the token before it), and a character no token starts with (a stray
+# one, or an unclosed quote or comment). It takes the rest of the text with
+# it, so ``findall`` stops there. {alpha}, {alnum} and {digit} match what
+# str.isalpha() or "_", str.isalnum() or "_" and str.isdigit() accept.
+_TOKEN_TEMPLATE = (
+    r"\s*(?:--[^\n]*\n?|/(?=\*).*?\*/"
+    r"|({alpha}{alnum}*)"
+    r"|({digit}+(?:\.{digit}*)?(?:[eE][+-]?{digit}+)?)"
     r"""|('[^']*(?:''[^']*)*'(?!')|"[^"]*(?:""[^"]*)*"(?!"))"""
-    r"|(<>|!=|>=|<=|[=<>(),;*+%-]|/(?!\*)|\.(?![0-9]))"
-    r"|(\S[\s\S]*)"
+    r"|(<>|!=|>=|<=|[=<>(),;*+%-]|/(?!\*)|\.(?!{digit}))"
+    r"|(`[^`]*`|\[[^\]]*\]|\.{digit}+(?:[eE][+-]?{digit}+)?|\S).*"
     r"|\Z)"
 )
+# explicit classes, which findall reads about 20 % faster than \w and [^\W\d];
+# not re.ASCII, whose \s leaves out "\x1c"-"\x1f", which str.isspace() takes
+_ASCII_TOKEN_RE = re.compile(
+    _TOKEN_TEMPLATE.format(alpha="[A-Za-z_]", alnum="[A-Za-z0-9_]", digit="[0-9]"), re.S)
+
+
+@functools.lru_cache(maxsize=16)
+def _unicode_token_re(numerals: str) -> re.Pattern:
+    r"""The token pattern for text whose numerals that are neither letters
+    nor decimal digits are ``numerals``. Over all of Unicode, \w is isalnum()
+    or "_", \d is isdecimal() and \s is isspace(), and [^\W\d] is isalpha()
+    or "_" but for such numerals ("½", "²"). Those of them that are isdigit()
+    ("²", "①") are the only isdigit() characters that \d leaves out."""
+    digits = "".join(c for c in numerals if c.isdigit())
+    return re.compile(_TOKEN_TEMPLATE.format(
+        alpha=rf"[^\W\d{numerals}]", alnum=r"\w", digit=rf"[\d{digits}]"), re.S)
+
+
+def _token_re(sql: str) -> re.Pattern:
+    if sql.isascii():
+        return _ASCII_TOKEN_RE
+    # from the text's own characters: listing Unicode's numerals takes 0.27 s
+    return _unicode_token_re("".join(sorted(
+        c for c in set(sql) if c.isnumeric() and not c.isdecimal() and not c.isalpha())))
 
 
 def tokenize(sql: str) -> tuple[list[str], list[str]]:
     """The kinds ("word", "num", "str", "op", then one "end") and texts of
     the tokens of ``sql``, as two parallel lists.
 
-    Words are lowercased and ``<>`` reads as ``!=``. ASCII text is scanned by
-    one regex; any other text, and ASCII text the regex leaves to it, goes
-    whole through ``_scan``, the character loop, which alone raises lexical
-    errors. Both give the same tokens.
+    Words, quoted identifiers among them, are lowercased, and ``<>`` reads as
+    ``!=``. One ``findall`` of the token pattern reads the text, unless it
+    reaches the pattern's last group: then ``_scan`` reads the text again,
+    one match at a time.
     """
-    if sql.isascii():
-        kinds: list[str] = []
-        texts: list[str] = []
-        for word, num, string, op, rest in _TOKEN_RE.findall(sql):
-            if word or num or string or op:
-                kinds.append("word" if word else "op" if op else "str" if string else "num")
-                texts.append(word.lower() or ("!=" if op == "<>" else op) or string or num)
-            elif rest:
-                break
-        else:
-            kinds.append("end")
-            texts.append("")
-            return kinds, texts
-    kinds, texts, _ = _scan(sql)
+    kinds: list[str] = []
+    texts: list[str] = []
+    for word, num, string, op, rare in _token_re(sql).findall(sql):
+        if word or num or string or op:
+            kinds.append("word" if word else "op" if op else "str" if string else "num")
+            texts.append(word.lower() or ("!=" if op == "<>" else op) or string or num)
+        elif rare:
+            return _scan(sql)[:2]
+    kinds.append("end")
+    texts.append("")
     return kinds, texts
 
 
+_KINDS = (None, "word", "num", "str", "op")
+_UNCLOSED = {"'": "unterminated string literal", '"': "unterminated string literal",
+             "`": "unterminated quoted identifier", "[": "unterminated quoted identifier",
+             "/": "unterminated comment"}
+
+
 def _scan(sql: str) -> tuple[list[str], list[str], list[int]]:
-    """``tokenize`` one character at a time, with each token's position."""
+    """``tokenize`` one match at a time, with each token's position, its
+    match offset. Only here are lexical errors raised."""
+    match = _token_re(sql).match
     kinds: list[str] = []
     texts: list[str] = []
     positions: list[int] = []
-
-    def emit(kind: str, text: str, pos: int) -> None:
+    pos = 0
+    while True:
+        m = match(sql, pos)
+        group = m.lastindex
+        pos = m.end(group or 0)
+        if group is None:  # a comment, or the end
+            if pos == len(sql):
+                break
+            continue
+        text, start = m[group], m.start(group)
+        if group < 5:
+            kind = _KINDS[group]
+            if group == 1:
+                text = text.lower()
+            elif text == "<>":
+                text = "!="
+        elif text[0] == ".":
+            # a number, but after a word or ")" a "." and then a number read
+            # from the digit on
+            if kinds and (kinds[-1] == "word" or texts[-1] == ")"):
+                kind, text, pos = "op", ".", start + 1
+            else:
+                kind = "num"
+        elif text[0] in "`[" and len(text) > 1:
+            kind, text = "word", text[1:-1].lower()
+        else:
+            reason = _UNCLOSED.get(text) or f"unexpected character {text!r}"
+            raise SqlParseError(reason, start)
         kinds.append(kind)
         texts.append(text)
-        positions.append(pos)
-
-    i, n = 0, len(sql)
-    while i < n:
-        c = sql[i]
-        if c.isspace():
-            i += 1
-        elif sql.startswith("--", i):
-            j = sql.find("\n", i)
-            i = n if j < 0 else j + 1
-        elif sql.startswith("/*", i):
-            j = sql.find("*/", i)
-            if j < 0:
-                raise SqlParseError("unterminated comment", i)
-            i = j + 2
-        elif c in "'\"":
-            # both quote styles carry literal values in these datasets
-            j = i + 1
-            while True:
-                j = sql.find(c, j)
-                if j < 0:
-                    raise SqlParseError("unterminated string literal", i)
-                if j + 1 < n and sql[j + 1] == c:  # doubled-quote escape
-                    j += 2
-                    continue
-                break
-            emit("str", sql[i : j + 1], i)
-            i = j + 1
-        elif c == "`" or c == "[":
-            closing = "`" if c == "`" else "]"
-            j = sql.find(closing, i + 1)
-            if j < 0:
-                raise SqlParseError("unterminated quoted identifier", i)
-            emit("word", sql[i + 1 : j].lower(), i)
-            i = j + 1
-        elif c.isdigit() or (
-            c == "."
-            and i + 1 < n
-            and sql[i + 1].isdigit()
-            and (not kinds or kinds[-1] != "word" and texts[-1] != ")")
-        ):
-            j = i
-            seen_dot = False
-            while j < n and (sql[j].isdigit() or (sql[j] == "." and not seen_dot)):
-                if sql[j] == ".":
-                    seen_dot = True
-                j += 1
-            if j < n and sql[j] in "eE":
-                k = j + 1
-                if k < n and sql[k] in "+-":
-                    k += 1
-                if k < n and sql[k].isdigit():
-                    while k < n and sql[k].isdigit():
-                        k += 1
-                    j = k
-            emit("num", sql[i:j], i)
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (sql[j].isalnum() or sql[j] == "_"):
-                j += 1
-            emit("word", sql[i:j].lower(), i)
-            i = j
-        elif sql.startswith(_TWO_CHAR_OPS, i):
-            op = sql[i : i + 2]
-            emit("op", "!=" if op == "<>" else op, i)
-            i += 2
-        elif c in _ONE_CHAR_OPS:
-            emit("op", c, i)
-            i += 1
-        else:
-            raise SqlParseError(f"unexpected character {c!r}", i)
-    emit("end", "", n)
+        positions.append(start)
+    kinds.append("end")
+    texts.append("")
+    positions.append(len(sql))
     return kinds, texts, positions
 
 

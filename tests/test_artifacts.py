@@ -4,9 +4,17 @@ after a fault at any of its writes, renames or appends."""
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sqlbench
 from sqlbench.artifacts import log_path, write_text, writing
@@ -14,7 +22,7 @@ from sqlbench.cli import main
 from sqlbench.inference import Prediction, append_prediction, read_predictions, write_predictions
 from sqlbench.stub import StubBehavior, StubServer
 
-from conftest import answers_from_examples, write_config_with_url
+from conftest import answers_from_examples, cli_child_env, write_config_with_url
 from helpers import Faults, Killed
 
 
@@ -121,6 +129,54 @@ def test_a_fault_at_any_write_reruns_to_the_same_bytes(stage, scratch_config, tm
                 assert _files(output_dir) == clean, (kind, n, mode)
                 if stage == "predict":
                     assert stub.request_count - requests == len(dev) - final, (kind, n, mode)
+
+
+def test_build_corpus_killed_for_real_reruns_to_the_same_bytes(scratch_config, tmp_path):
+    """A ``build-corpus`` child gets SIGKILL at a time hypothesis picks, from
+    the appearance of its corpus directory to twice as long after it as a
+    clean child took to make its last file; a rerun then leaves a clean run's
+    bytes and no ``.writing`` file."""
+    config = write_config_with_url(scratch_config, "http://127.0.0.1:9")
+    argv = [sys.executable, "-m", "sqlbench.cli", *STAGES["build-corpus"],
+            "--config", str(config), "--run-id", "t"]
+
+    def start(output_dir: Path) -> tuple[subprocess.Popen, float]:
+        """The child, and when its first write began (or it ended)."""
+        proc = subprocess.Popen([*argv, "--output-dir", str(output_dir)], env=cli_child_env(),
+                                cwd=str(tmp_path), stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL)
+        deadline = time.monotonic() + 60
+        while (not (output_dir / "t" / "corpus").is_dir() and proc.poll() is None
+               and time.monotonic() < deadline):
+            time.sleep(0.0005)
+        return proc, time.monotonic()
+
+    proc, began = start(tmp_path / "clean")
+    corpus, listing, last = tmp_path / "clean" / "t" / "corpus", [], began
+    while proc.poll() is None:
+        if (now := sorted(os.listdir(corpus))) != listing:
+            listing, last = now, time.monotonic()
+        time.sleep(0.0005)
+    assert proc.wait(timeout=60) == 0
+    window = last - began
+    clean = _files(tmp_path / "clean")
+    assert clean and not [name for name in clean if name.endswith(".writing")]
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.floats(0, 2))
+    def killed_then_rerun(fraction: float) -> None:
+        output_dir = Path(tempfile.mkdtemp(dir=tmp_path))
+        proc, began = start(output_dir)
+        time.sleep(max(0.0, began + fraction * window - time.monotonic()))
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=10)
+        assert main([*STAGES["build-corpus"], "--config", str(config), "--run-id", "t",
+                     "--output-dir", str(output_dir)]) == 0
+        rerun = _files(output_dir)
+        assert not [name for name in rerun if name.endswith(".writing")], fraction
+        assert rerun == clean, fraction
+
+    killed_then_rerun()
 
 
 def test_a_failed_append_stops_the_batch(scratch_config, tmp_path, bundle, monkeypatch):

@@ -528,8 +528,8 @@ def test_stub_examples_that_are_not_records_are_a_config_error(tmp_path, capsys,
 def test_stub_serves_gold_from_examples_and_the_fallback_otherwise(tmp_path):
     """``sqlbench stub --examples``, as a process: a Spider ``query`` and a
     BIRD ``SQL`` come back for their questions; a record without a string
-    gold, and a question not in the file, get ``--fallback``. SIGINT stops it
-    with exit 0."""
+    gold, and a question not in the file, get ``--fallback``. SIGINT, and
+    SIGTERM as ``kill`` sends, each stop it with exit 0."""
     import http.client
     from urllib.parse import urlsplit
 
@@ -539,43 +539,44 @@ def test_stub_serves_gold_from_examples_and_the_fallback_otherwise(tmp_path):
         {"question": "Which schools?", "SQL": "SELECT name FROM school"},
         {"question": "No gold here?", "SQL": None},
     ]))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "sqlbench.cli", "stub", "--examples", str(examples),
-         "--port", "0", "--fallback", "SELECT 'fallback'"],
-        env=cli_child_env(), cwd=str(tmp_path), stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, text=True)
-    # a banner that never arrives ends in a kill, which ends the read
-    watchdog = threading.Timer(30, proc.kill)
-    watchdog.start()
-    try:
-        banner = proc.stdout.readline()
-        # no banner: the child has exited, so its stderr ends
-        assert banner.endswith(" (2 canned answers)\n"), banner or proc.stderr.read()
-        url = urlsplit(banner.split()[4])
-        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
-
-        def ask(question: str) -> str:
-            body = {"messages": [{"role": "user", "content": f"Q: {question}\nResponse: "}]}
-            conn.request("POST", url.path + "/chat/completions", json.dumps(body),
-                         {"Content-Type": "application/json"})
-            return json.loads(conn.getresponse().read())["choices"][0]["message"]["content"]
-
+    for stop in (signal.SIGINT, signal.SIGTERM):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sqlbench.cli", "stub", "--examples", str(examples),
+             "--port", "0", "--fallback", "SELECT 'fallback'"],
+            env=cli_child_env(), cwd=str(tmp_path), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True)
+        # a banner that never arrives ends in a kill, which ends the read
+        watchdog = threading.Timer(30, proc.kill)
+        watchdog.start()
         try:
-            assert [ask(q) for q in ("How many singers?", "Which schools?", "No gold here?",
-                                     "Who?")] == [
-                "SELECT count(*) FROM singer", "SELECT name FROM school",
-                "SELECT 'fallback'", "SELECT 'fallback'"]
+            banner = proc.stdout.readline()
+            # no banner: the child has exited, so its stderr ends
+            assert banner.endswith(" (2 canned answers)\n"), banner or proc.stderr.read()
+            url = urlsplit(banner.split()[4])
+            conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+
+            def ask(question: str) -> str:
+                body = {"messages": [{"role": "user", "content": f"Q: {question}\nResponse: "}]}
+                conn.request("POST", url.path + "/chat/completions", json.dumps(body),
+                             {"Content-Type": "application/json"})
+                return json.loads(conn.getresponse().read())["choices"][0]["message"]["content"]
+
+            try:
+                assert [ask(q) for q in ("How many singers?", "Which schools?", "No gold here?",
+                                         "Who?")] == [
+                    "SELECT count(*) FROM singer", "SELECT name FROM school",
+                    "SELECT 'fallback'", "SELECT 'fallback'"]
+            finally:
+                conn.close()
+            proc.send_signal(stop)
+            assert proc.wait(timeout=10) == 0, (stop, proc.stderr.read())
         finally:
-            conn.close()
-        proc.send_signal(signal.SIGINT)
-        assert proc.wait(timeout=10) == 0
-    finally:
-        watchdog.cancel()
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=10)
-        proc.stdout.close()
-        proc.stderr.close()
+            watchdog.cancel()
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+            proc.stdout.close()
+            proc.stderr.close()
 
 
 @pytest.mark.parametrize("argv", [["predict", "--config", "x", "--shots", "abc"], ["predict"],

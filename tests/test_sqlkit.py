@@ -222,6 +222,45 @@ def test_parser_matches_oracle_under_edits(schemas, bird_bundle, fixture_sql, da
     assert_same_as_oracle(_edit(sql, edits), {**schemas, **bird_bundle.schemas}[db])
 
 
+@pytest.mark.parametrize("sql", [
+    "SELECT a /*/ FROM t",
+    "SELECT a /*//*/ FROM t",
+    "SELECT t.5.3 FROM t",
+    "SELECT (a).5 FROM t",
+    "SELECT `a`.5e2 FROM t",
+    "SELECT a FROM t WHERE a > .5e-3 AND b < 1.5.5",
+    "SELECT İd , İ.x FROM İ",
+    "SELECT a½ FROM t",
+    "SELECT ½ FROM t",
+    "SELECT xⅫ FROM t",
+    "SELECT 一 FROM t",
+    "SELECT a FROM t WHERE a = ٣.٥ OR b = ²3",
+    "SELECT\x1ca\x1fFROM\x1ct",
+    "SELECT T1.`Free Meal Count (K-12)` FROM frpm AS T1 WHERE T1.`County Name` = 'Alameda'",
+    "SELECT [a b] FROM t",
+    "SELECT a FROM t WHERE b = 'it''s",
+    "SELECT `a FROM t",
+    "SELECT a FROM t /* b",
+], ids=["comment-closes-itself", "comments-back-to-back", "dot-number-after-word",
+        "dot-number-after-paren", "dot-number-after-quoted", "dot-numbers", "dotted-capital-i",
+        "numeral-in-word", "numeral-alone", "roman-numeral", "cjk-numeral-is-a-letter",
+        "non-ascii-digits", "separator-controls", "bird-backticks", "brackets",
+        "unterminated-string", "unterminated-identifier", "unterminated-comment"])
+def test_scanner_corners_match_the_oracle(sql):
+    """The tokens, or the lexical error, and each token's position, at the
+    corners of the token pattern."""
+    assert_same_as_oracle(sql, _TINY_SCHEMA)
+    try:
+        positions = sql_parser._scan(sql)[2]
+    except SqlParseError as exc:
+        positions = ("error", exc.reason, exc.pos)
+    try:
+        expected = [token.pos for token in sql_oracle.tokenize(sql)]
+    except sql_oracle.SqlParseError as exc:
+        expected = ("error", exc.reason, exc.pos)
+    assert positions == expected
+
+
 @pytest.mark.parametrize("sql, outcome", [
     ("SELECT name FROM singer;", "parses"),
     ("(SELECT name FROM singer) UNION (SELECT name FROM singer WHERE age > 20)", "parses"),
