@@ -88,7 +88,7 @@ def _check_pool(targets: list[ExampleTriple], pool: list[ExampleTriple],
     """Shot counts are checked against the pool once it is loaded, before any
     request or file: a target is never its own exemplar, so a pool that is
     the target split offers one candidate fewer than its size."""
-    candidates = len(pool) - (pool is targets)
+    candidates = max(len(pool) - (pool is targets), 0)
     for name, values in counts.items():
         if max(values, default=0) > candidates:
             raise ConfigError([f"{name} {max(values)} exceeds the {candidates} exemplar"

@@ -7,9 +7,9 @@ profiles are flat key-value files handed to external fine-tuning tooling. No
 training happens here.
 
 A corpus line is exactly ``json.dumps(record, ensure_ascii=False)``, but it
-is written from the prompt's fragments: the parts many prompts share are
-escaped once (``PromptEnvelope.json_text``), and only each record's own text
-is escaped per record.
+is written from the prompt's parts without joining the prompt text: the
+fragments many prompts share are escaped once (``PromptEnvelope.json_text``),
+and only each record's own text is escaped per record.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def plan_prompts(
 
 def record_line(example: ExampleTriple, envelope: PromptEnvelope) -> str:
     """``json.dumps(record, ensure_ascii=False)`` of the example's corpus
-    record, with the instruction escaped from its fragments."""
+    record, with the instruction escaped from the prompt's parts."""
     ids = ", ".join(map(str, envelope.exemplar_ids))
     return (f'{{"instruction": "{envelope.json_text()}",'
             f' "output": {encode_basestring(example.gold_sql)},'

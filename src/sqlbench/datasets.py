@@ -85,8 +85,8 @@ class DatabaseSchema:
 
     @cached_property
     def rendered(self) -> dict:
-        """This schema's prompt fragment by style, kept by ``prompts``: a
-        schema never changes, so each style is rendered once."""
+        """This schema's block by style, a ``Fragment`` kept by ``prompts``
+        and shared by every prompt part that holds it: rendered once."""
         return {}
 
     def primary_key_of(self, table: str) -> str | None:
@@ -165,6 +165,8 @@ class DatasetBundle:
 
 def _catalog_entry_to_schema(entry: dict) -> DatabaseSchema:
     db_id = entry["db_id"]
+    if not isinstance(db_id, str) or not db_id:
+        raise DatasetError("db_id must be a non-empty string")
     table_names = entry["table_names_original"]
     raw_columns = entry["column_names_original"]
 

@@ -233,11 +233,8 @@ def results_match(gold_rows: list[tuple], pred_rows: list[tuple], ordered: bool)
         return False
     if ordered:
         return all(_rows_equal(g, p) for g, p in zip(gold_rows, pred_rows))
-    try:
-        if Counter(gold_rows) == Counter(pred_rows):
-            return True
-    except TypeError:
-        pass
+    if Counter(gold_rows) == Counter(pred_rows):
+        return True
     gold_sorted = sorted(gold_rows, key=_row_key)
     pred_sorted = sorted(pred_rows, key=_row_key)
     return all(_rows_equal(g, p) for g, p in zip(gold_sorted, pred_sorted))

@@ -327,12 +327,13 @@ def read_predictions(*paths: str | Path) -> dict[int, Prediction]:
     """
     out: dict[int, Prediction] = {}
     for path in paths:
-        with open(path, encoding="utf-8") as fp:
-            for lineno, line in enumerate(fp, start=1):
-                line = line.strip()
-                if not line:
-                    continue
+        # each line decoded by itself: one torn inside a character is skipped
+        with open(path, "rb") as fp:
+            for lineno, raw in enumerate(fp, start=1):
                 try:
+                    line = raw.decode("utf-8").strip()
+                    if not line:
+                        continue
                     prediction = Prediction.from_json(line)
                 except (ValueError, TypeError):
                     logger.warning("%s:%d: skipping undecodable prediction line", path, lineno)

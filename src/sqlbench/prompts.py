@@ -6,20 +6,22 @@ Q/Response pairs, and the target question followed by an unanswered response
 prefix. Two schema renderings are supported: full sentences and a compact
 one-line-per-table form.
 
-A prompt is built from fragments. Every prompt on one schema starts with the
-same header, schema block and preamble, and a cross-domain exemplar carries
-its schema's compact block; each is a ``Fragment``, made once per schema and
-style, that works out its UTF-8 size and its JSON escape once. A prompt's
-token estimate adds up the sizes of its pieces, and
-``PromptEnvelope.json_text`` escapes only the text the prompt does not share:
-JSON escapes one character at a time, so the escape of a concatenation is the
-concatenation of the escapes.
+A prompt is kept as its parts, in prompt order. Every prompt on one schema
+starts with the same header, schema block and preamble, and a cross-domain
+exemplar carries its schema's compact block; each is a ``Fragment``, made
+once (the schema block once per schema and style), that works out its UTF-8
+size and its JSON escape once. The prompt's own text (exemplar and question
+blocks) is plain strings between them. A prompt's token estimate adds up the
+sizes of its parts, ``PromptEnvelope.text`` joins them, and
+``PromptEnvelope.json_text`` joins their escapes: JSON escapes one character
+at a time, so the escape of a concatenation is the concatenation of the
+escapes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring
 
@@ -58,14 +60,14 @@ class Fragment:
 # preamble, with the blank lines around it
 _HEADER_AND_PREAMBLE = {
     SENTENCE_STYLE: (
-        "I want you to act as a SQL terminal in front of a database and below is"
-        " an description of the database schema. Write a response that"
-        " appropriately completes the request.\n\n/* Instruction */\n",
-        "\n\nPlease give SQL statement to answer the following question:\n\n",
+        Fragment("I want you to act as a SQL terminal in front of a database and below is"
+                 " an description of the database schema. Write a response that"
+                 " appropriately completes the request.\n\n/* Instruction */\n"),
+        Fragment("\n\nPlease give SQL statement to answer the following question:\n\n"),
     ),
     COMPACT_STYLE: (
-        "Given the following database schema :\n\n",
-        "\n\nPlease write queries to answer the following questions:\n\n",
+        Fragment("Given the following database schema :\n\n"),
+        Fragment("\n\nPlease write queries to answer the following questions:\n\n"),
     ),
 }
 _QUESTION_PREFIX = "Q:"
@@ -106,16 +108,28 @@ TRP_SENTENCE = PromptTemplate(SENTENCE_STYLE)
 TRP_COMPACT = PromptTemplate(COMPACT_STYLE)
 
 
+def _text(parts: tuple[Fragment | str, ...]) -> str:
+    return "".join(part if isinstance(part, str) else part.text for part in parts)
+
+
+def _size(parts: tuple[Fragment | str, ...]) -> int:
+    """The UTF-8 size of the joined parts."""
+    return sum(_nbytes(part) if isinstance(part, str) else part.nbytes for part in parts)
+
+
 @dataclass(frozen=True)
 class PromptEnvelope:
-    """A rendered prompt and the exemplars it kept, in prompt order."""
+    """A rendered prompt, as its parts, and the exemplars it kept, in prompt
+    order."""
 
-    text: str
+    parts: tuple[Fragment | str, ...]
     exemplar_ids: tuple[int, ...]
     token_estimate: int
     target_index: int
-    # where in ``text`` each shared fragment starts, in order
-    shared: tuple[tuple[int, Fragment], ...] = field(default=(), compare=False, repr=False)
+
+    @property
+    def text(self) -> str:
+        return _text(self.parts)
 
     @property
     def shots(self) -> int:
@@ -123,15 +137,9 @@ class PromptEnvelope:
 
     def json_text(self) -> str:
         """``json.dumps(self.text, ensure_ascii=False)`` without its quotes,
-        reusing each shared fragment's escape."""
-        pieces, pos = [], 0
-        for start, fragment in self.shared:
-            if start > pos:
-                pieces.append(_json_escape(self.text[pos:start]))
-            pieces.append(fragment.escaped)
-            pos = start + len(fragment.text)
-        pieces.append(_json_escape(self.text[pos:]))
-        return "".join(pieces)
+        reusing each fragment's escape."""
+        return "".join(_json_escape(part) if isinstance(part, str) else part.escaped
+                       for part in self.parts)
 
 
 def _tokens(nbytes: int) -> int:
@@ -168,21 +176,13 @@ def render_schema(schema: DatabaseSchema, style: str) -> str:
     return "\n".join(lines)
 
 
-def _render_fragments(schema: DatabaseSchema, style: str) -> tuple[Fragment, Fragment]:
-    """The schema block in ``style``: alone, as a cross-domain exemplar
-    carries it, and between the header and the preamble, as a prompt on
-    this schema starts."""
-    text = render_schema(schema, style)
-    header, preamble = _HEADER_AND_PREAMBLE[style]
-    return Fragment(text), Fragment(header + text + preamble)
-
-
-def _schema_fragments(schema: DatabaseSchema, style: str) -> tuple[Fragment, Fragment]:
-    """``_render_fragments``, once per schema object and style."""
-    fragments = schema.rendered.get(style)
-    if fragments is None:
-        fragments = schema.rendered[style] = _render_fragments(schema, style)
-    return fragments
+def _schema_fragment(schema: DatabaseSchema, style: str) -> Fragment:
+    """The schema block in ``style``, rendered once per schema object and
+    style."""
+    fragment = schema.rendered.get(style)
+    if fragment is None:
+        fragment = schema.rendered[style] = Fragment(render_schema(schema, style))
+    return fragment
 
 
 def _oneline(text: str) -> str:
@@ -202,22 +202,6 @@ def _question_block(
     return "\n".join(lines)
 
 
-def _join(
-    head: Fragment, shots: list[tuple[Fragment | None, str]], question: str
-) -> tuple[str, tuple[tuple[int, Fragment], ...]]:
-    """The prompt text, and where in it each shared fragment starts."""
-    texts, shared, offset = [head.text], [(0, head)], len(head.text)
-    for schema, block in shots:
-        if schema is not None:
-            shared.append((offset, schema))
-            texts.append(schema.text)
-            offset += len(schema.text)
-        texts.append(block)
-        offset += len(block)
-    texts.append(question)
-    return "".join(texts), tuple(shared)
-
-
 def build_prompt(
     target: ExampleTriple,
     exemplars: list[ExampleTriple],
@@ -229,27 +213,27 @@ def build_prompt(
 
     The target schema and question are never dropped: if the zero-shot form
     still overflows, the caller gets a BudgetExceededError with the overflow.
-    The estimate adds up the sizes of the prompt's pieces, so the number of
-    exemplars kept is found before the text is joined, once.
+    The estimate adds up the sizes of the prompt's parts, so the number of
+    exemplars kept is found without joining any text.
     """
-    head = _schema_fragments(schemas[target.db_id], template.schema_style)[1]
-    shots: list[tuple[Fragment | None, str]] = []  # (own schema, question block)
+    header, preamble = _HEADER_AND_PREAMBLE[template.schema_style]
+    head = (header, _schema_fragment(schemas[target.db_id], template.schema_style), preamble)
+    shots: list[tuple[Fragment | str, ...]] = []
     for exemplar in exemplars:
         block = _question_block(exemplar, template, exemplar.gold_sql) + "\n\n"
         if exemplar.db_id == target.db_id:
-            shots.append((None, block))
+            shots.append((block,))
         else:
             # cross-domain exemplars carry their own schema, compactly
-            schema = _schema_fragments(schemas[exemplar.db_id], COMPACT_STYLE)[0]
+            schema = _schema_fragment(schemas[exemplar.db_id], COMPACT_STYLE)
             shots.append((schema, "\n\n" + block))
     question = _question_block(target, template, None)
     try:
-        size = head.nbytes + _nbytes(question)
-        sizes = [(0 if schema is None else schema.nbytes) + _nbytes(block)
-                 for schema, block in shots]
+        size = _size(head) + _nbytes(question)
+        sizes = [_size(shot) for shot in shots]
     except UnicodeEncodeError:
         # raised as encoding the whole prompt raises it
-        estimate_tokens(_join(head, shots, question)[0])
+        estimate_tokens(_text((*head, *(part for shot in shots for part in shot), question)))
         raise
     keep = len(shots)
     size += sum(sizes)
@@ -259,11 +243,9 @@ def build_prompt(
     estimate = _tokens(size)
     if estimate > budget.available:
         raise BudgetExceededError(overflow=estimate - budget.available)
-    text, shared = _join(head, shots[:keep], question)
     return PromptEnvelope(
-        text=text,
+        parts=(*head, *(part for shot in shots[:keep] for part in shot), question),
         exemplar_ids=tuple(e.index for e in exemplars[:keep]),
         token_estimate=estimate,
         target_index=target.index,
-        shared=shared,
     )

@@ -80,11 +80,13 @@ def load_run_config(path: str | Path) -> RunConfig:
     config_path = Path(path)
     if not config_path.is_file():
         raise ConfigError([f"config file not found: {config_path}"])
-    with open(config_path, encoding="utf-8") as fp:
-        try:
+    try:
+        with open(config_path, encoding="utf-8") as fp:
             raw = yaml.safe_load(fp) or {}
-        except yaml.YAMLError as exc:
-            raise ConfigError([f"config is not valid YAML: {exc}"]) from exc
+    except yaml.YAMLError as exc:
+        raise ConfigError([f"config is not valid YAML: {exc}"]) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"cannot read config file {config_path}: {exc}"]) from exc
     base = config_path.parent
     errors: list[str] = []
     paths: dict[str, Path] = {}  # dotted key -> resolved path

@@ -85,6 +85,8 @@ def _malform(case: str, tables: list, dev: list):
         tables[0]["column_names_original"][1] = [0, 5]
     elif case == "table-name":
         tables[0]["table_names_original"][0] = 7
+    elif case == "catalog-db-id":
+        tables[0]["db_id"] = 7  # beside string ones, which it cannot be sorted with
     else:
         dev[0][case] = [dev[0][case]]
     return tables, dev
@@ -96,11 +98,12 @@ def _malform(case: str, tables: list, dev: list):
     ("record-not-object", "split dev: record 0: not a JSON object"),
     ("column-name", "catalog entry 0: column names of table 'stadium' must be non-empty strings"),
     ("table-name", "catalog entry 0: table name must be a non-empty string"),
+    ("catalog-db-id", "catalog entry 0: db_id must be a non-empty string"),
     ("db_id", "split dev: record 0: unknown db_id ['concert_singer']"),
     ("question", "split dev: record 0: question must be a non-empty string"),
     ("query", "split dev: record 0: SQL query must be a non-empty string"),
 ], ids=["catalog-object", "split-object", "record-not-object", "column-name", "table-name",
-        "db-id", "question", "query"])
+        "catalog-db-id", "db-id", "question", "query"])
 def test_ingest_malformed_dataset_json_is_a_dataset_error(
         scratch_config, tmp_path, fixtures_dir, capsys, case, named):
     tables, dev = _malform(
@@ -337,6 +340,23 @@ def test_build_corpus_builds_one_index_for_all_jobs(scratch_config, tmp_path, bu
                       reference)
         assert (corpus_dir / name).read_bytes() == reference.read_bytes(), name
     assert len(builds) == 3
+
+
+def test_build_corpus_k0_on_an_empty_split_writes_an_empty_corpus(scratch_config, tmp_path,
+                                                                  fixtures_dir, capsys):
+    """An empty split offers no exemplar candidate, not -1: ``--k 0`` writes
+    an empty corpus, and ``--k 1`` is still refused."""
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    config = write_config_with_url(scratch_config, "http://127.0.0.1:1/v1")
+    config.write_text(config.read_text().replace(
+        str(fixtures_dir / "spider" / "train.json"), str(empty)))
+    assert run_cli("build-corpus", "--config", str(config), "--run-id", "t", "--k", "0") == 0
+    assert (tmp_path / "runs" / "t" / "corpus" / "train_k0.jsonl").read_bytes() == b""
+    capsys.readouterr()
+    assert run_cli("build-corpus", "--config", str(config), "--run-id", "u", "--k", "1") == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config: --k 1 exceeds the 0 exemplar candidates in the pool"]
 
 
 def test_build_corpus_at_k0_builds_no_index(scratch_config, monkeypatch):
@@ -747,26 +767,31 @@ def test_leftover_append_log_is_merged_into_the_final_file(scratch_config, tmp_p
 
 def test_torn_last_line_of_the_append_log_loses_no_record(scratch_config, tmp_path, gold_stub,
                                                          capsys):
-    """A kill mid-append leaves a torn last line in the log; the rerun's first
-    record must not join it, and the file is complete only with every target."""
+    """A kill mid-append leaves a torn last line in the log, torn inside an
+    ASCII character or inside the two bytes of "é"; the rerun's first record
+    must not join it, and the file is complete only with every target."""
     from sqlbench.inference import Prediction
 
-    out = tmp_path / "runs" / "t" / "predictions" / "dev_shots0.jsonl"
-    out.parent.mkdir(parents=True)
-    partial = out.with_name(out.name + ".partial")
-    records = [Prediction(index, "", "SELECT 'kept'", 0.0, 1).to_json() for index in range(3)]
-    partial.write_text(records[0] + "\n" + records[1] + "\n" + records[2][:25], encoding="utf-8")
     config = write_config_with_url(scratch_config, gold_stub.base_url)
-    argv = ["predict", "--config", str(config), "--run-id", "t", "--split", "dev",
-            "--shots", "0"]
-    assert run_cli(*argv) == 0
-    assert sorted(read_predictions(out)) == list(range(20))
-    assert gold_stub.request_count == 18
-    assert not partial.exists()
-    capsys.readouterr()
-    assert run_cli(*argv) == 0
-    assert "already complete" in capsys.readouterr().out
-    assert gold_stub.request_count == 18
+    for run_id, sql in (("t", "SELECT 'kept'"), ("u", "SELECT 'café'")):
+        out = tmp_path / "runs" / run_id / "predictions" / "dev_shots0.jsonl"
+        out.parent.mkdir(parents=True)
+        partial = out.with_name(out.name + ".partial")
+        records = [Prediction(index, "", sql, 0.0, 1).to_json().encode("utf-8")
+                   for index in range(3)]
+        tear = records[2].index("é".encode("utf-8")) + 1 if "é" in sql else 25
+        partial.write_bytes(records[0] + b"\n" + records[1] + b"\n" + records[2][:tear])
+        argv = ["predict", "--config", str(config), "--run-id", run_id, "--split", "dev",
+                "--shots", "0"]
+        requests = gold_stub.request_count
+        assert run_cli(*argv) == 0, run_id
+        assert sorted(read_predictions(out)) == list(range(20))
+        assert gold_stub.request_count == requests + 18
+        assert not partial.exists()
+        capsys.readouterr()
+        assert run_cli(*argv) == 0
+        assert "already complete" in capsys.readouterr().out
+        assert gold_stub.request_count == requests + 18
 
 
 def test_final_file_without_every_target_is_not_complete(scratch_config, tmp_path, gold_stub):
@@ -879,6 +904,14 @@ prompt: sentence
     rc = run_cli("ingest", "--config", str(config), "--run-id", "t")
     assert rc == 1
     assert "expected a mapping" in capsys.readouterr().err
+
+
+def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "latin1.yaml"
+    config.write_bytes(b"dataset:\n  name: caf\xe9\n")
+    assert run_cli("ingest", "--config", str(config), "--run-id", "t") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config: cannot read config file {config}: "), err
 
 
 def test_bird_dialect_end_to_end(tmp_path, fixtures_dir, bird_bundle, capsys):

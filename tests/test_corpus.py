@@ -95,7 +95,8 @@ def test_each_schema_is_rendered_once_per_style(fixtures_dir, tmp_path, monkeypa
     assert len(rendered) == len(set(rendered)) < len(bundle.splits["train"])
 
     # fresh fragments for every prompt: nothing is kept between prompts
-    monkeypatch.setattr(prompts, "_schema_fragments", prompts._render_fragments)
+    monkeypatch.setattr(prompts, "_schema_fragment",
+                        lambda schema, style: prompts.Fragment(render(schema, style)))
     bundle = fresh_bundle()
     export_corpus(bundle.splits["train"], bundle, TRP_SENTENCE, policy(), (0, 1, 3), afresh)
     assert kept.read_bytes() == afresh.read_bytes()
