@@ -218,7 +218,7 @@ def cmd_predict(args) -> int:
     envelopes = []
     for target, envelope in plan_prompts(
         todo, pool, policy, mix_shots(policy, todo, (policy.k,)), bundle.schemas,
-        config.prompt, TokenBudget(),
+        config.prompt, TokenBudget(reserved_response=config.endpoint.max_response_tokens),
     ):
         if isinstance(envelope, BudgetExceededError):
             # no request can hold this prompt: the example errors, the run goes on

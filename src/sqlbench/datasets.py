@@ -252,19 +252,12 @@ def _example_from_record(ordinal: int, rec: dict, bundle: DatasetBundle) -> Exam
 
 
 def discover_db_files(db_dir: str | Path, db_ids: list[str]) -> dict[str, Path]:
-    """Find SQLite files under the datasets' ``{db_dir}/{db_id}/{db_id}.sqlite`` layout.
-
-    A flat ``{db_dir}/{db_id}.sqlite`` layout is accepted too. Missing files are
-    simply absent from the result; EX scoring reports them as unavailable.
+    """Find SQLite files at the datasets' ``{db_dir}/{db_id}/{db_id}.sqlite``,
+    the only layout read. Missing files are simply absent from the result; EX
+    scoring reports them as unavailable.
     """
-    root = Path(db_dir)
-    found: dict[str, Path] = {}
-    for db_id in db_ids:
-        for candidate in (root / db_id / f"{db_id}.sqlite", root / f"{db_id}.sqlite"):
-            if candidate.is_file():
-                found[db_id] = candidate
-                break
-    return found
+    paths = {db_id: Path(db_dir) / db_id / f"{db_id}.sqlite" for db_id in db_ids}
+    return {db_id: path for db_id, path in paths.items() if path.is_file()}
 
 
 def validate_dataset(source: DatasetSource) -> tuple[DatasetBundle | None, list[str]]:

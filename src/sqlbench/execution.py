@@ -12,7 +12,6 @@ import statistics
 import time
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from math import isclose
 from pathlib import Path
 
@@ -38,12 +37,6 @@ class ExecutionFailure(Exception):
 class ExecOutcome:
     rows: list[tuple]
     elapsed: float
-    sql: str
-
-    @cached_property
-    def ordered(self) -> bool:
-        """Whether the query orders its rows; worked out on first use only."""
-        return has_top_level_order_by(self.sql)
 
 
 def has_top_level_order_by(sql: str) -> bool:
@@ -119,7 +112,7 @@ def execute_sql(sql: str, conn: sqlite3.Connection, timeout_s: float) -> ExecOut
         if cursor is not None:
             cursor.close()
         conn.set_progress_handler(None, 0)
-    return ExecOutcome(rows=rows, elapsed=max(elapsed, _MIN_ELAPSED_S), sql=sql)
+    return ExecOutcome(rows=rows, elapsed=max(elapsed, _MIN_ELAPSED_S))
 
 
 # authorizer actions of statements that can leave state on a connection

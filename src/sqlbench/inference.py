@@ -26,8 +26,12 @@ from .prompts import PromptEnvelope
 
 logger = logging.getLogger(__name__)
 
-_FENCE_RE = re.compile(r"^```[^\n]*$", re.MULTILINE)
+_FENCE_RE = re.compile(r"^[^\S\n]*```[^\n]*$", re.MULTILINE)
+_BLOCK_RE = re.compile(r"^[^\S\n]*```[^\n]*\n(.*?)^[^\S\n]*```", re.MULTILINE | re.DOTALL)
+_LINE_START_RE = re.compile(r"^[^\S\n]*(select|with|insert)\b", re.IGNORECASE | re.MULTILINE)
 _SQL_START_RE = re.compile(r"\b(select|with|insert)\b", re.IGNORECASE)
+# text up to the first semicolon outside a quoted string; an unclosed one runs to the end
+_STATEMENT_RE = re.compile(r"(?:[^;'\"]+|'[^']*'?|\"[^\"]*\"?)*")
 
 
 @dataclass(frozen=True)
@@ -104,18 +108,18 @@ class Prediction:
 def extract_sql(raw: str) -> str:
     """Normalize a raw generation down to one SQL statement.
 
-    Drops code-fence markers and any chatter before the first SQL-initial
-    keyword, truncates at the first semicolon, and collapses newlines. When
-    no SQL keyword is found the trimmed text is returned unchanged so that
-    scoring fails it honestly.
+    Reads only the first closed code-fenced block if there is one, and
+    drops stray fence lines. The statement starts at the first SQL-initial
+    keyword that begins a line, or else at the first one anywhere, and ends
+    at the first semicolon outside a quoted string; newlines collapse to
+    spaces. When no SQL keyword is found the trimmed text is returned
+    unchanged so that scoring fails it honestly.
     """
-    text = _FENCE_RE.sub("", raw)
-    match = _SQL_START_RE.search(text)
+    block = _BLOCK_RE.search(raw)
+    text = _FENCE_RE.sub("", block[1] if block else raw)
+    match = _LINE_START_RE.search(text) or _SQL_START_RE.search(text)
     if match:
-        text = text[match.start() :]
-        semi = text.find(";")
-        if semi >= 0:
-            text = text[:semi]
+        text = _STATEMENT_RE.match(text, match.start(1))[0]
     return " ".join(text.replace("\r", "\n").split("\n")).strip()
 
 

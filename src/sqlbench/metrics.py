@@ -16,6 +16,7 @@ from .execution import (
     ExecutionFailure,
     ReusedConnection,
     execute_sql,
+    has_top_level_order_by,
     median_elapsed,
     results_match,
 )
@@ -125,6 +126,11 @@ class _Gold:
         return None if self.unit is None else classify_difficulty(self.unit)
 
     @cached_property
+    def ordered(self) -> bool:
+        """Whether the gold orders its rows, so that EX compares sequences."""
+        return has_top_level_order_by(self.sql)
+
+    @cached_property
     def db_available(self) -> bool:
         return _db_available(self.db_file)
 
@@ -153,7 +159,7 @@ def _judge(gold: _Gold, pred_sql: str, ves: bool) -> ExScore:
         pred_out = execute_sql(pred_sql, gold.connection.get(gold.db_file), gold.timeout_s)
     except ExecutionFailure as failure:
         return ExScore(ex=False, ves_ratio=None, failure=failure.kind)
-    ex = results_match(gold.result.rows, pred_out.rows, gold.result.ordered)
+    ex = results_match(gold.result.rows, pred_out.rows, gold.ordered)
     ves_ratio = None
     if ex and ves and gold.elapsed is not None:
         try:

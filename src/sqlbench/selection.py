@@ -158,14 +158,13 @@ def _text_vector(text: str) -> tuple[np.ndarray, float]:
 class SimilarityIndex:
     """Sparse trigram rows of a pool's questions, built once per pool.
 
-    Rows follow pool order. The index answers only for the pool list it was
-    built over: a target that is not one of its example objects, such as a
-    dev example scored against a train pool, is embedded from its own
-    question even if a pool member shares its index; ``select`` masks only
-    a member's own row in its full-pool scores. The rows of the pool's
-    gold-SQL skeletons, each rendered with its own database's schema from
-    ``schemas``, are built on first use: only dual similarity reads them, so
-    a question-similarity pool never parses any SQL.
+    Rows follow pool order; ``rows`` maps each member, by identity, to its
+    row. A target that is not one of the pool's objects, such as a dev
+    example scored against a train pool, has no row even if a member shares
+    its index. The rows of the pool's gold-SQL skeletons, each rendered with
+    its own database's schema from ``schemas``, are built on first use: only
+    dual similarity reads them, so a question-similarity pool never parses
+    any SQL.
     """
 
     def __init__(
@@ -173,20 +172,9 @@ class SimilarityIndex:
     ) -> None:
         self.examples = pool
         self.schemas = schemas or {}
-        self.row_of = {ex.index: row for row, ex in enumerate(pool)}
+        self.rows = {id(ex): row for row, ex in enumerate(pool)}
         self.ids = np.array([ex.index for ex in pool], dtype=np.int64)
         self.questions = TrigramRows([ex.question for ex in pool])
-
-    def row(self, example: ExampleTriple) -> int | None:
-        """The row of ``example`` if it is a pool member, else None."""
-        row = self.row_of.get(example.index)
-        return row if row is not None and self.examples[row] is example else None
-
-    def question_vector(self, example: ExampleTriple) -> tuple[np.ndarray, float]:
-        row = self.row(example)
-        if row is None:
-            return _text_vector(example.question)
-        return self.questions.dense(row)
 
     @cached_property
     def skeletons(self) -> TrigramRows:
@@ -195,18 +183,6 @@ class SimilarityIndex:
         return TrigramRows(
             [sql_skeleton(ex.gold_sql, self.schemas.get(ex.db_id)) for ex in self.examples]
         )
-
-    def skeleton_vector(
-        self, example: ExampleTriple, sql: str | None = None
-    ) -> tuple[np.ndarray, float]:
-        """The skeleton vector of ``sql``, by default the example's gold,
-        rendered with the example's schema; a pool member's gold is its row."""
-        if sql is None:
-            row = self.row(example)
-            if row is not None:
-                return self.skeletons.dense(row)
-            sql = example.gold_sql
-        return _text_vector(sql_skeleton(sql, self.schemas.get(example.db_id)))
 
 
 def build_index(
@@ -273,7 +249,8 @@ def select(
     in the first ranking score, and return the selection ordered
     most-similar-last, so the nearest exemplar sits adjacent to the target
     question in the prompt. Dual similarity needs ``draft_sql`` outside
-    corpus mode, where the target's gold stands in for it.
+    corpus mode, where the target's gold stands in for it; a member's row
+    gives its question vector, and its skeleton vector when there is no draft.
     """
     if policy.k == 0:
         return []
@@ -292,14 +269,20 @@ def select(
         raise ValueError("similarity strategies require a similarity index")
     if pool is not index.examples:
         raise ValueError("similarity index was built over another pool")
-    scores = [index.questions.cosines(*index.question_vector(target))]
+    row = index.rows.get(id(target))
+    question = _text_vector(target.question) if row is None else index.questions.dense(row)
+    scores = [index.questions.cosines(*question)]
     if policy.strategy == DUAL_SIMILARITY:
         if draft_sql is None and not corpus_mode:
             raise ValueError("dual-similarity selection needs a draft SQL outside corpus mode")
         # rank by how close a candidate's SQL skeleton is to the draft's (in
         # corpus mode, the target's gold), ties broken by question similarity
-        scores.insert(0, index.skeletons.cosines(*index.skeleton_vector(target, draft_sql)))
-    row = index.row(target)
+        if draft_sql is None and row is not None:
+            skeleton = index.skeletons.dense(row)
+        else:
+            sql = target.gold_sql if draft_sql is None else draft_sql
+            skeleton = _text_vector(sql_skeleton(sql, index.schemas.get(target.db_id)))
+        scores.insert(0, index.skeletons.cosines(*skeleton))
     if row is not None:  # masked: the target ranks below every candidate
         scores[0][row] = -np.inf
     # most similar last

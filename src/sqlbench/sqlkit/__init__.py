@@ -1,8 +1,7 @@
 """SQL tokenizing, clause-set parsing, exact-set matching and difficulty bucketing."""
 
-from .hardness import classify_difficulty
-from .match import em_match
-from .parser import SqlParseError, SqlUnit, check_sql, parse_sql, tokenize
+from .parser import SqlParseError, SqlUnit, check_sql, classify_difficulty, em_match
+from .parser import parse_sql, tokenize
 
 __all__ = [
     "SqlParseError",

@@ -1,4 +1,5 @@
-"""Tokenizer and parser for the SQL subset used by the benchmark gold queries.
+"""Tokenizer and parser for the SQL subset used by the benchmark gold queries,
+with the exact-set match and Spider hardness rules over what it parses.
 
 One token regex defines every token; ``tokenize`` reads text with it into
 kind and text lists, and the parser walks those by index.
@@ -25,7 +26,7 @@ import functools
 import re
 from typing import Callable, NamedTuple, TypeVar
 
-from ..datasets import DatabaseSchema
+from ..datasets import DatabaseSchema, DifficultyLabel
 
 AGG_FUNCS = ("count", "sum", "avg", "min", "max")
 SET_OPS = ("union", "intersect", "except")
@@ -50,6 +51,34 @@ class SqlUnit(NamedTuple):
 
     signature: str
     components: tuple[int, int, int]
+
+
+def em_match(pred: SqlUnit, gold: SqlUnit) -> bool:
+    """True iff every clause set of ``pred`` equals the corresponding clause
+    set of ``gold``: the signatures are canonical, so this is string equality."""
+    return pred.signature == gold.signature
+
+
+def classify_difficulty(unit: SqlUnit) -> DifficultyLabel:
+    """The Spider hardness label of a parsed query, in the ``spider4``
+    scheme, the only scheme that is computed: BIRD's ``bird3`` labels are
+    dataset-supplied."""
+    comp1, comp2, others = unit.components
+    if comp1 <= 1 and others == 0 and comp2 == 0:
+        label = "easy"
+    elif (others <= 2 and comp1 <= 1 and comp2 == 0) or (
+        comp1 <= 2 and others < 2 and comp2 == 0
+    ):
+        label = "medium"
+    elif (
+        (others > 2 and comp1 <= 2 and comp2 == 0)
+        or (2 < comp1 <= 3 and others <= 2 and comp2 == 0)
+        or (comp1 <= 1 and others == 0 and comp2 <= 1)
+    ):
+        label = "hard"
+    else:
+        label = "extra"
+    return DifficultyLabel(scheme="spider4", label=label)
 
 
 class SqlParseError(Exception):

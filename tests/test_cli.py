@@ -887,6 +887,23 @@ def test_target_over_budget_is_an_errored_prediction(scratch_config, tmp_path, f
     assert [json.loads(line)["failure"] for line in records][2] == "prediction-error"
 
 
+def test_predict_budget_reserves_the_response_it_asks_for(scratch_config, tmp_path, gold_stub,
+                                                         capsys):
+    """Each prompt leaves room for ``endpoint.max_response_tokens``: with 1900
+    of the 2048-token context asked for the response, no fixture prompt fits."""
+    config = write_config_with_url(scratch_config, gold_stub.base_url)
+    config.write_text(config.read_text().replace("endpoint:\n",
+                                                 "endpoint:\n  max_response_tokens: 1900\n"))
+    out = tmp_path / "runs" / "t" / "predictions" / "dev_shots0.jsonl"
+    capsys.readouterr()
+    assert run_cli("predict", "--config", str(config), "--run-id", "t", "--split", "dev") == 0
+    assert gold_stub.request_count == 0
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        f"20 predictions written to {out} (20 over budget at k=0)"
+    predictions = read_predictions(out).values()
+    assert all(p.error.endswith(" at k=0") and p.attempt_count == 0 for p in predictions)
+
+
 def test_scalar_config_section_is_a_config_error(tmp_path, capsys, fixtures_dir):
     config = tmp_path / "scalar.yaml"
     config.write_text(

@@ -7,6 +7,7 @@ import pytest
 from sqlbench.datasets import (
     DatasetError,
     DatasetSource,
+    discover_db_files,
     load_bundle,
     validate_dataset,
 )
@@ -119,6 +120,15 @@ def test_referential_closure(bundle):
     for rows in bundle.splits.values():
         for example in rows:
             assert example.db_id in bundle.schemas
+
+
+def test_db_files_are_found_only_in_their_own_folder(tmp_path):
+    """``{db_dir}/{db_id}/{db_id}.sqlite`` is the one layout; a flat file is not read."""
+    (tmp_path / "nested").mkdir()
+    (tmp_path / "nested" / "nested.sqlite").write_bytes(b"")
+    (tmp_path / "flat.sqlite").write_bytes(b"")
+    found = discover_db_files(tmp_path, ["flat", "missing", "nested"])
+    assert found == {"nested": tmp_path / "nested" / "nested.sqlite"}
 
 
 def test_load_determinism(db_root, fixtures_dir):

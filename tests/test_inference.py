@@ -106,6 +106,20 @@ def test_extract_sql_strips_chatter_and_truncates():
     assert extract_sql(raw) == "SELECT a FROM t"
 
 
+def test_extract_sql_reads_only_the_fenced_block():
+    raw = "Here is the query, with a join:\n```sql\nSELECT a FROM t;\n```"
+    assert extract_sql(raw) == "SELECT a FROM t"
+
+
+def test_extract_sql_starts_at_a_keyword_that_begins_a_line():
+    assert extract_sql("To answer, select the rows:\nSELECT a FROM t") == "SELECT a FROM t"
+
+
+def test_extract_sql_keeps_a_semicolon_inside_a_string():
+    assert extract_sql("SELECT a FROM t WHERE b = 'x;y'") == "SELECT a FROM t WHERE b = 'x;y'"
+    assert extract_sql('SELECT a FROM t WHERE b = "x;y"; -- done') == 'SELECT a FROM t WHERE b = "x;y"'
+
+
 def test_extract_sql_no_keyword_returns_trimmed_text():
     assert extract_sql("  I refuse to answer.  ") == "I refuse to answer."
 

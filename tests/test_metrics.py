@@ -46,7 +46,6 @@ class TestExecute:
         outcome = run_sql("SELECT 1", db_file)
         assert outcome.rows == [(1,)]
         assert outcome.elapsed > 0
-        assert outcome.ordered is False
 
     def test_error_on_unknown_table(self, db_file):
         with pytest.raises(ExecutionFailure) as err:

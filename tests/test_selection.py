@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sqlbench.datasets import ExampleTriple
@@ -15,6 +15,7 @@ from sqlbench.selection import (
     EMBED_DIM,
     SelectionPolicy,
     TrigramRows,
+    _text_vector,
     build_index,
     mix_shots,
     select,
@@ -143,7 +144,7 @@ def test_trigram_embedder_disjoint_questions():
 def test_empty_pool_index():
     index = build_index([])
     assert index.questions.norms.shape == (0,)
-    assert index.questions.cosines(*index.question_vector(make_pool(1)[0])).shape == (0,)
+    assert index.questions.cosines(*_text_vector(make_pool(1)[0].question)).shape == (0,)
 
 
 def test_dual_similarity_prefers_matching_sql_shape(bundle):
@@ -317,6 +318,30 @@ def test_dual_similarity_corpus_mode_matches_brute_force(bundle, data):
         return sql_skeleton(ex.gold_sql, bundle.schemas[ex.db_id])
 
     expected = oracle_select(target, pool, k, own_skeleton)
+    assert [ex.index for ex in chosen] == [ex.index for ex in expected]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_dual_similarity_member_with_draft_ranks_by_the_draft(bundle, data):
+    """A pool member's draft, not its own skeleton row, is what candidates'
+    skeletons are ranked against; the member is still excluded."""
+    train = bundle.splits["train"]
+    pool, _, _ = data.draw(selection_cases(train))
+    target = data.draw(st.sampled_from(pool))
+    k = data.draw(st.integers(1, len(pool) - 1))
+    draft = data.draw(st.sampled_from([ex.gold_sql for ex in train]))
+    schema = bundle.schemas[target.db_id]
+    assume(sql_skeleton(draft, schema) != sql_skeleton(target.gold_sql, schema))
+    policy = SelectionPolicy(strategy=DUAL_SIMILARITY, k=k, seed=0)
+    chosen = select(target, pool, policy, index=build_index(pool, bundle.schemas),
+                    draft_sql=draft)
+
+    def draft_skeleton(ex):
+        sql = draft if ex is target else ex.gold_sql
+        return sql_skeleton(sql, bundle.schemas[ex.db_id])
+
+    expected = oracle_select(target, pool, k, draft_skeleton)
     assert [ex.index for ex in chosen] == [ex.index for ex in expected]
 
 
