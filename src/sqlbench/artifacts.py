@@ -3,9 +3,9 @@
 A whole file is written as ``<name>.writing``, in a directory made for it if
 need be, and renamed over ``<name>`` once complete, so a kill at any point
 leaves the old file or the new one, never part of either. The rename retires
-``<name>.partial``, the append log whose records the file now holds. Each
-append to a log first ends a torn last line, so every record starts on a
-line boundary.
+``<name>.partial``, the append log whose records the file now holds. A log
+is opened once for a batch of records, and opening it ends a torn last
+line, so every record starts on a line boundary.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Callable, Iterator, TextIO
 
 
 def log_path(path: str | Path) -> Path:
@@ -37,11 +37,14 @@ def write_text(path: str | Path, text: str) -> None:
         fp.write(text)
 
 
-def append_line(path: str | Path, line: str) -> None:
-    """Append one record line to an append log. A torn last line is ended
-    with a newline rather than cut: if the tear fell just before its
-    newline, the line is a whole record that a reader already counts."""
-    data = line.encode("utf-8") + b"\n"
+@contextmanager
+def appending(path: str | Path) -> Iterator[Callable[[str], None]]:
+    """An append log held open for a batch: yields the function that appends
+    one record line. A torn last line is ended once, on open, with a newline
+    rather than cut: if the tear fell just before its newline, the line is a
+    whole record that a reader already counts. Each record is written and
+    flushed by itself, so a kill leaves only whole lines and perhaps a torn
+    last one."""
     try:
         fp = open(path, "a+b")
     except FileNotFoundError:
@@ -51,5 +54,10 @@ def append_line(path: str | Path, line: str) -> None:
         if fp.tell():
             fp.seek(-1, os.SEEK_END)
             if fp.read(1) != b"\n":
-                data = b"\n" + data
-        fp.write(data)
+                fp.write(b"\n")
+
+        def append(line: str) -> None:
+            fp.write(line.encode("utf-8") + b"\n")
+            fp.flush()
+
+        yield append

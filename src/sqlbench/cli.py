@@ -16,7 +16,7 @@ import typing
 from dataclasses import fields
 from pathlib import Path
 
-from .artifacts import log_path, write_text
+from .artifacts import appending, log_path, write_text
 from .corpus import TrainProfile, emit_train_profile, export_corpus, plan_prompts
 from .datasets import DatasetBundle, DatasetError, ExampleTriple, load_bundle
 from .inference import (
@@ -27,7 +27,7 @@ from .inference import (
     write_predictions,
 )
 from .metrics import score_run, write_eval_records
-from .prompts import BudgetExceededError, TokenBudget
+from .prompts import BudgetExceededError, PromptEnvelope, TokenBudget
 from .reporting import (
     CSV,
     PLAIN,
@@ -213,21 +213,23 @@ def cmd_predict(args) -> int:
     def sink(prediction) -> None:
         if not config.endpoint.record_latency:
             prediction.latency_ms = 0.0
-        append_prediction(log, prediction)
+        append_prediction(append, prediction)  # the log the batch below holds open
 
-    envelopes = []
-    for target, envelope in plan_prompts(
-        todo, pool, policy, mix_shots(policy, todo, (policy.k,)), bundle.schemas,
-        config.prompt, TokenBudget(reserved_response=config.endpoint.max_response_tokens),
-    ):
-        if isinstance(envelope, BudgetExceededError):
-            # no request can hold this prompt: the example errors, the run goes on
-            logger.warning("example %d: %s at k=0", target.index, envelope)
-            sink(Prediction(target.index, attempt_count=0, error=f"{envelope} at k=0"))
-            continue
-        envelopes.append(envelope)
+    def planned() -> typing.Iterator[PromptEnvelope]:
+        """Each target's prompt, planned as the batch has room for it."""
+        for target, envelope in plan_prompts(
+            todo, pool, policy, mix_shots(policy, todo, (policy.k,)), bundle.schemas,
+            config.prompt, TokenBudget(reserved_response=config.endpoint.max_response_tokens),
+        ):
+            if isinstance(envelope, BudgetExceededError):
+                # no request can hold this prompt: the example errors, the run goes on
+                logger.warning("example %d: %s at k=0", target.index, envelope)
+                sink(Prediction(target.index, attempt_count=0, error=f"{envelope} at k=0"))
+                continue
+            yield envelope
 
-    predict_batch(envelopes, config.endpoint, on_result=sink)
+    with appending(log) as append:
+        predict_batch(planned(), config.endpoint, on_result=sink)
     merged = read_predictions(*(path for path in (out, log) if path.is_file()))
     write_predictions(out, merged)
     errors = [p for p in merged.values() if p.error is not None]

@@ -111,7 +111,7 @@ class DifficultyLabel:
             raise ValueError(f"label {self.label!r} not in scheme {self.scheme}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExampleTriple:
     index: int
     question: str
@@ -119,6 +119,10 @@ class ExampleTriple:
     db_id: str
     difficulty: DifficultyLabel | None = None
     evidence: str | None = None
+
+
+# one label object per BIRD difficulty, shared by every record that names it
+_BIRD_DIFFICULTY = {label: DifficultyLabel("bird3", label) for label in BIRD_LABELS}
 
 
 @dataclass(frozen=True)
@@ -215,42 +219,6 @@ def _catalog_entry_to_schema(entry: dict) -> DatabaseSchema:
     )
 
 
-def _example_from_record(ordinal: int, rec: dict, bundle: DatasetBundle) -> ExampleTriple:
-    if not isinstance(rec, dict):
-        raise DatasetError(f"record {ordinal}: not a JSON object")
-    db_id = rec.get("db_id")
-    question = rec.get("question")
-    # BIRD releases carry the gold query under "SQL"
-    sql = rec.get("query", rec.get("SQL"))
-    if not isinstance(db_id, str) or db_id not in bundle.schemas:
-        raise DatasetError(f"record {ordinal}: unknown db_id {db_id!r}")
-    if not question or not isinstance(question, str):
-        raise DatasetError(f"record {ordinal}: question must be a non-empty string")
-    if not sql or not isinstance(sql, str):
-        raise DatasetError(f"record {ordinal}: SQL query must be a non-empty string")
-    difficulty = None
-    evidence = None
-    if bundle.dialect == BIRD:
-        evidence = rec.get("evidence") or None
-        if not isinstance(evidence, (str, type(None))):
-            raise DatasetError(f"record {ordinal}: evidence must be a string")
-        raw_label = rec.get("difficulty")
-        if raw_label:
-            if raw_label not in BIRD_LABELS:
-                raise DatasetError(
-                    f"record {ordinal}: difficulty {raw_label!r} not in {BIRD_LABELS}"
-                )
-            difficulty = DifficultyLabel(scheme="bird3", label=raw_label)
-    return ExampleTriple(
-        index=ordinal,
-        question=question,
-        gold_sql=sql,
-        db_id=db_id,
-        difficulty=difficulty,
-        evidence=evidence,
-    )
-
-
 def discover_db_files(db_dir: str | Path, db_ids: list[str]) -> dict[str, Path]:
     """Find SQLite files at the datasets' ``{db_dir}/{db_id}/{db_id}.sqlite``,
     the only layout read. Missing files are simply absent from the result; EX
@@ -283,6 +251,7 @@ def validate_dataset(source: DatasetSource) -> tuple[DatasetBundle | None, list[
             errors.append(f"catalog entry {pos}: {exc}")
     # each file's raw JSON is dropped before the next is read, to bound the peak
     del entries
+    bird = bundle.dialect == BIRD
     for split, path in source.splits.items():
         try:
             with open(path, encoding="utf-8") as fp:
@@ -292,13 +261,30 @@ def validate_dataset(source: DatasetSource) -> tuple[DatasetBundle | None, list[
         except (OSError, ValueError) as exc:
             errors.append(f"split {split} ({path}): {exc}")
             continue
-        rows = []
+        bundle.splits[split] = rows = []
         for ordinal, rec in enumerate(records):
-            try:
-                rows.append(_example_from_record(ordinal, rec, bundle))
-            except DatasetError as exc:
-                errors.append(f"split {split}: {exc}")
-        bundle.splits[split] = rows
+            # each record is checked in this order and reports only the first failure
+            if not isinstance(rec, dict):
+                problem = "not a JSON object"
+            elif not isinstance(db_id := rec.get("db_id"), str) or db_id not in bundle.schemas:
+                problem = f"unknown db_id {db_id!r}"
+            elif not (question := rec.get("question")) or not isinstance(question, str):
+                problem = "question must be a non-empty string"
+            # BIRD releases carry the gold query under "SQL"
+            elif not (sql := rec.get("query", rec.get("SQL"))) or not isinstance(sql, str):
+                problem = "SQL query must be a non-empty string"
+            elif not bird:
+                rows.append(ExampleTriple(ordinal, question, sql, db_id))
+                continue
+            elif not isinstance(evidence := rec.get("evidence") or None, (str, type(None))):
+                problem = "evidence must be a string"
+            elif (label := rec.get("difficulty")) and label not in BIRD_LABELS:
+                problem = f"difficulty {label!r} not in {BIRD_LABELS}"
+            else:
+                rows.append(ExampleTriple(ordinal, question, sql, db_id,
+                                          _BIRD_DIFFICULTY[label] if label else None, evidence))
+                continue
+            errors.append(f"split {split}: record {ordinal}: {problem}")
         del records
     if source.db_dir is not None:
         bundle.db_files = discover_db_files(source.db_dir, sorted(bundle.schemas))

@@ -17,19 +17,22 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 from urllib.parse import unquote, urlsplit
 from urllib.request import getproxies, proxy_bypass
 
-from .artifacts import append_line, writing
+from .artifacts import writing
 from .prompts import PromptEnvelope
 
 logger = logging.getLogger(__name__)
 
 _FENCE_RE = re.compile(r"^[^\S\n]*```[^\n]*$", re.MULTILINE)
 _BLOCK_RE = re.compile(r"^[^\S\n]*```[^\n]*\n(.*?)^[^\S\n]*```", re.MULTILINE | re.DOTALL)
-_LINE_START_RE = re.compile(r"^[^\S\n]*(select|with|insert)\b", re.IGNORECASE | re.MULTILINE)
-_SQL_START_RE = re.compile(r"\b(select|with|insert)\b", re.IGNORECASE)
+# a statement's first keyword; WITH only as a CTE head, WITH [RECURSIVE] name [(cols)] AS (
+_SQL_KEYWORD = (r"(select\b|insert\b|with\s+(?:recursive\s+)?"
+                r"(?:\w+|\"[^\"]*\"|`[^`]*`|\[[^\]]*\])\s*(?:\([^()]*\)\s*)?as\s*\()")
+_LINE_START_RE = re.compile(r"^[^\S\n]*" + _SQL_KEYWORD, re.IGNORECASE | re.MULTILINE)
+_SQL_START_RE = re.compile(r"\b" + _SQL_KEYWORD, re.IGNORECASE)
 # text up to the first semicolon outside a quoted string; an unclosed one runs to the end
 _STATEMENT_RE = re.compile(r"(?:[^;'\"]+|'[^']*'?|\"[^\"]*\"?)*")
 
@@ -110,7 +113,8 @@ def extract_sql(raw: str) -> str:
 
     Reads only the first closed code-fenced block if there is one, and
     drops stray fence lines. The statement starts at the first SQL-initial
-    keyword that begins a line, or else at the first one anywhere, and ends
+    keyword that begins a line, or else at the first one anywhere (``WITH``
+    only when a common-table-expression head follows it), and ends
     at the first semicolon outside a quoted string; newlines collapse to
     spaces. When no SQL keyword is found the trimmed text is returned
     unchanged so that scoring fails it honestly.
@@ -272,7 +276,7 @@ def _predict_one(
 
 
 def predict_batch(
-    envelopes: list[PromptEnvelope],
+    envelopes: Iterable[PromptEnvelope],
     endpoint: ModelEndpoint,
     on_result: Callable[[Prediction], None] | None = None,
     sleep: Callable[[float], None] = time.sleep,
@@ -282,40 +286,46 @@ def predict_batch(
     Requests run with at most ``concurrency_limit`` in flight, each worker
     thread over one kept-alive connection that is closed when the batch
     returns or raises; all request failures are per-example records, never
-    batch aborts. ``on_result`` is invoked from the calling thread as each
-    prediction completes (single-writer sink). An envelope is submitted only
-    while fewer than ``concurrency_limit`` predictions are submitted and not
-    yet taken by the sink, so if the sink raises, at most that many requests
-    have been sent; those under way finish, and the exception propagates.
+    batch aborts. ``envelopes`` is read lazily on the calling thread, one
+    envelope each time a slot is free, so prompts are planned while earlier
+    requests are in flight. ``on_result`` is invoked from the calling thread
+    as each prediction completes (single-writer sink). An envelope is drawn
+    and submitted only while fewer than ``concurrency_limit`` predictions are
+    submitted and not yet taken by the sink, so if the sink or the iterable
+    raises, at most that many requests have been sent; those under way
+    finish, and the exception propagates.
     """
-    if not envelopes:
-        return []
     client = _Client(endpoint)
-    results: dict[int, Prediction] = {}
-    queued = iter(enumerate(envelopes))
+    results: list[Prediction | None] = []
+    queued = iter(envelopes)
     finished: queue.SimpleQueue = queue.SimpleQueue()
     try:
         with ThreadPoolExecutor(max_workers=endpoint.concurrency_limit) as pool:
 
             def submit(count: int) -> None:
-                for pos, env in islice(queued, count):
+                for env in islice(queued, count):
                     future = pool.submit(_predict_one, client, endpoint, env, sleep)
-                    future.add_done_callback(lambda done, pos=pos: finished.put((pos, done)))
+                    future.add_done_callback(
+                        lambda done, pos=len(results): finished.put((pos, done)))
+                    results.append(None)
 
             submit(endpoint.concurrency_limit)
-            for _ in envelopes:
+            taken = 0
+            while taken < len(results):
                 pos, future = finished.get()
                 results[pos] = prediction = future.result()
+                taken += 1
                 if on_result is not None:
                     on_result(prediction)
                 submit(1)
     finally:
         client.close()
-    return [results[pos] for pos in range(len(envelopes))]
+    return results
 
 
-def append_prediction(path: str | Path, prediction: Prediction) -> None:
-    append_line(path, prediction.to_json())
+def append_prediction(log: Callable[[str], None], prediction: Prediction) -> None:
+    """Append one record to an append log opened by ``artifacts.appending``."""
+    log(prediction.to_json())
 
 
 def read_predictions(*paths: str | Path) -> dict[int, Prediction]:

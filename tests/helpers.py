@@ -48,7 +48,9 @@ class Killed(BaseException):
 
 class Faults:
     """Counts the artifact writer's whole-file writes, renames and appends
-    once installed, and fails the ``n``-th call of ``kind``. In mode
+    once installed, and fails the ``n``-th call of ``kind``. A whole-file
+    write counts once per file; an append counts once per write to an append
+    log, which is one record, however long the log is held open. In mode
     ``"oserror"`` a write or append puts a seeded prefix of its bytes on disk
     and raises OSError, as a full disk does, and a rename raises OSError
     before renaming. In mode ``"kill"`` a write or append puts a seeded prefix
@@ -76,8 +78,9 @@ class Faults:
 
     def _open(self, file, mode="r", **kwargs):
         fp = open(file, mode, **kwargs)
-        kind = "append" if "a" in mode else "write" if "w" in mode else None
-        return _Torn(fp, self) if kind is not None and self._due(kind) else fp
+        if "a" in mode:
+            return _Appends(fp, self)
+        return _Torn(fp, self) if "w" in mode and self._due("write") else fp
 
     def _replace(self, src, dst) -> None:
         due = self._due("rename")
@@ -112,3 +115,27 @@ class _Torn:
                 getattr(self.fp, "buffer", self.fp).write(
                     data[:self.faults.rng.randrange(len(data) + 1)])
                 self.faults.fail()
+
+
+class _Appends:
+    """An append log each of whose writes is one append; the due one puts a
+    seeded prefix of its bytes on disk and fails."""
+
+    def __init__(self, fp, faults: Faults) -> None:
+        self.fp, self.faults = fp, faults
+
+    def __getattr__(self, name):
+        return getattr(self.fp, name)
+
+    def write(self, data: bytes) -> int:
+        if not self.faults._due("append"):
+            return self.fp.write(data)
+        self.fp.write(data[:self.faults.rng.randrange(len(data) + 1)])
+        self.fp.flush()
+        self.faults.fail()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.fp.close()

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sqlbench
-from sqlbench.artifacts import log_path, write_text, writing
+from sqlbench.artifacts import appending, log_path, write_text, writing
 from sqlbench.cli import main
 from sqlbench.inference import Prediction, append_prediction, read_predictions, write_predictions
 from sqlbench.stub import StubBehavior, StubServer
@@ -52,17 +52,29 @@ def test_a_whole_file_replaces_the_old_one_only_when_complete(tmp_path):
 
 
 def test_an_append_ends_a_torn_last_line_first(tmp_path):
+    """Opening the log ends a torn last line once; the records appended
+    while it is held open each take one line."""
     log = tmp_path / "log.jsonl.partial"
-    records = [Prediction(index, "", f"SELECT {index}", 0.0, 1).to_json() for index in range(4)]
+    records = [Prediction(index, "", f"SELECT {index}", 0.0, 1).to_json() for index in range(5)]
     log.write_text(records[0] + "\n" + records[1][:25], encoding="utf-8")
-    append_prediction(log, Prediction.from_json(records[2]))
-    assert sorted(read_predictions(log)) == [0, 2]
+    with appending(log) as append:
+        append_prediction(append, Prediction.from_json(records[2]))
+        append_prediction(append, Prediction.from_json(records[3]))
+    assert sorted(read_predictions(log)) == [0, 2, 3]
+    assert log.read_text(encoding="utf-8") == "\n".join(
+        [records[0], records[1][:25], records[2], records[3], ""])
     # torn just before its newline, a line is a whole record the reader
     # already counts; ending it rather than cutting it keeps that record
     log.write_text(records[0] + "\n" + records[1], encoding="utf-8")
     assert sorted(read_predictions(log)) == [0, 1]
-    append_prediction(log, Prediction.from_json(records[3]))
-    assert sorted(read_predictions(log)) == [0, 1, 3]
+    with appending(log) as append:
+        append_prediction(append, Prediction.from_json(records[4]))
+    assert sorted(read_predictions(log)) == [0, 1, 4]
+    # a log opened with nothing appended still ends its torn line
+    log.write_text(records[0] + "\n" + records[1][:25], encoding="utf-8")
+    with appending(log):
+        pass
+    assert log.read_text(encoding="utf-8").endswith(records[1][:25] + "\n")
 
 
 STAGES = {

@@ -741,6 +741,7 @@ def test_leftover_append_log_is_merged_into_the_final_file(scratch_config, tmp_p
     """A rerun killed after retrying every error but before replacing the
     final file leaves the successes in the append log; the next run must
     rewrite the final file from it, not call the stale file complete."""
+    from sqlbench.artifacts import appending
     from sqlbench.inference import Prediction, append_prediction, write_predictions
 
     out = tmp_path / "runs" / "t" / "predictions" / "dev_shots0.jsonl"
@@ -749,8 +750,9 @@ def test_leftover_append_log_is_merged_into_the_final_file(scratch_config, tmp_p
     write_predictions(out, {
         index: Prediction(index, "", "", 0.0, 1, error="HTTP 500") for index in range(20)
     })
-    for index in range(20):
-        append_prediction(partial, Prediction(index, "", "SELECT 'retried'", 0.0, 1))
+    with appending(partial) as log:
+        for index in range(20):
+            append_prediction(log, Prediction(index, "", "SELECT 'retried'", 0.0, 1))
     with StubServer(StubBehavior(answers={})) as server:
         config = write_config_with_url(scratch_config, server.base_url)
         capsys.readouterr()
@@ -810,16 +812,18 @@ def test_final_file_without_every_target_is_not_complete(scratch_config, tmp_pat
 
 def test_errored_records_in_the_append_log_are_retried(scratch_config, tmp_path, bundle):
     """Resuming from an append log re-requests its errored records only."""
+    from sqlbench.artifacts import appending
     from sqlbench.inference import Prediction, append_prediction
 
     out = tmp_path / "runs" / "t" / "predictions" / "dev_shots0.jsonl"
     out.parent.mkdir(parents=True)
     partial = out.with_name(out.name + ".partial")
-    for index in range(15):
-        failed = index % 3 == 0  # 0, 3, 6, 9, 12
-        append_prediction(partial, Prediction(
-            index, "", "" if failed else "SELECT 'kept'", 0.0, 1,
-            error="HTTP 503" if failed else None))
+    with appending(partial) as log:
+        for index in range(15):
+            failed = index % 3 == 0  # 0, 3, 6, 9, 12
+            append_prediction(log, Prediction(
+                index, "", "" if failed else "SELECT 'kept'", 0.0, 1,
+                error="HTTP 503" if failed else None))
     answers = answers_from_examples(bundle.splits["dev"])
     with StubServer(StubBehavior(answers=answers)) as server:
         config = write_config_with_url(scratch_config, server.base_url)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from sqlbench.datasets import (
     DatasetError,
     DatasetSource,
+    ExampleTriple,
     discover_db_files,
     load_bundle,
     validate_dataset,
@@ -182,3 +184,103 @@ def test_manifest_shape(bundle):
     assert manifest["splits"] == {"dev": 20, "train": 19}
     assert manifest["databases"]["concert_singer"]["has_file"] is True
     assert manifest["databases"]["college_2"]["has_file"] is False
+
+
+# one record for each way a record can fail, and the good ones around them
+_BAD_AND_GOOD_RECORDS = [
+    ["not", "an", "object"],
+    7,
+    {"db_id": "nope", "question": "q", "query": "SELECT 1"},
+    {"db_id": 3, "question": "q", "query": "SELECT 1"},
+    {"db_id": ["d"], "question": "q", "query": "SELECT 1"},
+    {"db_id": "nope", "question": "", "query": ""},
+    {"db_id": "d", "question": "", "query": "SELECT 1"},
+    {"db_id": "d", "query": "SELECT 1"},
+    {"db_id": "d", "question": "q", "query": ""},
+    {"db_id": "d", "question": "q"},
+    {"db_id": "d", "question": "q", "SQL": "SELECT 1", "evidence": 5},
+    {"db_id": "d", "question": "q", "SQL": "SELECT 1", "evidence": ["e"]},
+    {"db_id": "d", "question": "q", "SQL": "SELECT 1", "difficulty": "impossible"},
+    {"db_id": "d", "question": "q", "SQL": "SELECT 1", "difficulty": ["simple"]},
+    {"db_id": "d", "question": "q", "SQL": "SELECT 1", "difficulty": 3},
+    {"db_id": "d", "question": "q", "SQL": "SELECT 1", "difficulty": {}},
+    {"db_id": "d", "question": "q1", "SQL": "SELECT 1", "difficulty": "simple", "evidence": "e"},
+    {"db_id": "d", "question": "q2", "query": "SELECT 2", "difficulty": "moderate"},
+    {"db_id": "d", "question": "q3", "SQL": "SELECT 3", "difficulty": "simple", "evidence": ""},
+    {"db_id": "d", "question": "q4", "SQL": "SELECT 4", "difficulty": "challenge"},
+]
+
+# the problem each bad record above is reported with, by its position
+_SPIDER_PROBLEMS = {
+    0: "not a JSON object",
+    1: "not a JSON object",
+    2: "unknown db_id 'nope'",
+    3: "unknown db_id 3",
+    4: "unknown db_id ['d']",
+    5: "unknown db_id 'nope'",
+    6: "question must be a non-empty string",
+    7: "question must be a non-empty string",
+    8: "SQL query must be a non-empty string",
+    9: "SQL query must be a non-empty string",
+}
+_BIRD_PROBLEMS = {
+    **_SPIDER_PROBLEMS,
+    10: "evidence must be a string",
+    11: "evidence must be a string",
+    12: "difficulty 'impossible' not in ('simple', 'moderate', 'challenge')",
+    13: "difficulty ['simple'] not in ('simple', 'moderate', 'challenge')",
+    14: "difficulty 3 not in ('simple', 'moderate', 'challenge')",
+}
+
+
+def _bad_and_good_splits(tmp_path, dialect: str) -> DatasetSource:
+    """A one-table catalog and two splits: train holds the records above,
+    dev the same in reverse."""
+    tables = tmp_path / "tables.json"
+    tables.write_text(json.dumps([{"db_id": "d", "table_names_original": ["t"],
+                                   "column_names_original": [[-1, "*"], [0, "a"]]}]),
+                      encoding="utf-8")
+    splits = {}
+    for name, records in (("train", _BAD_AND_GOOD_RECORDS), ("dev", _BAD_AND_GOOD_RECORDS[::-1])):
+        splits[name] = tmp_path / f"{name}.json"
+        splits[name].write_text(json.dumps(records), encoding="utf-8")
+    return DatasetSource("x", dialect, tables, splits)
+
+
+@pytest.mark.parametrize("dialect, problems", [("spider", _SPIDER_PROBLEMS),
+                                               ("bird", _BIRD_PROBLEMS)])
+def test_every_record_error_keeps_its_text_and_place(tmp_path, dialect, problems):
+    """The exact problems, in order, of two splits that hit every record
+    error, as the per-record loader reported them: one per bad record, the
+    first check it fails, train's before dev's."""
+    last = len(_BAD_AND_GOOD_RECORDS) - 1
+    expected = [f"split train: record {pos}: {text}" for pos, text in problems.items()]
+    expected += [f"split dev: record {last - pos}: {text}"
+                 for pos, text in reversed(problems.items())]
+    with pytest.raises(DatasetError) as err:
+        load_bundle(_bad_and_good_splits(tmp_path, dialect))
+    assert list(err.value.args) == expected
+    bundle, errors = validate_dataset(_bad_and_good_splits(tmp_path, dialect))
+    assert errors == expected
+    good = len(_BAD_AND_GOOD_RECORDS) - len(problems)
+    assert [len(rows) for rows in bundle.splits.values()] == [good, good]
+
+
+def test_example_records_are_frozen_values_sharing_their_labels(tmp_path):
+    bundle, errors = validate_dataset(_bad_and_good_splits(tmp_path, "bird"))
+    train, dev = bundle.splits["train"], bundle.splits["dev"]
+    first = train[-5]
+    assert (first.index, first.question, first.gold_sql, first.db_id, first.evidence) == (
+        15, "q", "SELECT 1", "d", None)
+    assert first.difficulty is None  # an empty object is no label
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.question = "changed"
+    twin = ExampleTriple(15, "q", "SELECT 1", "d")
+    assert twin == first and hash(twin) == hash(first)
+    assert ExampleTriple(16, "q", "SELECT 1", "d") != first
+    assert dataclasses.replace(train[-4], index=3) == dev[3]
+    labels = [ex.difficulty for ex in train + dev if ex.difficulty is not None]
+    assert sorted({label.label for label in labels}) == ["challenge", "moderate", "simple"]
+    for label in labels:
+        assert label is next(other for other in labels if other.label == label.label)
+        assert vars(label) == {"scheme": "bird3", "label": label.label}

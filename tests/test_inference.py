@@ -7,6 +7,7 @@ import select
 import socket
 import ssl
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqlbench.cli import main
 from sqlbench.inference import (
     ModelEndpoint,
     Prediction,
@@ -26,7 +28,7 @@ from sqlbench.inference import (
 from sqlbench.prompts import TRP_SENTENCE, TokenBudget, build_prompt
 from sqlbench.stub import StubBehavior, StubServer, _Handler
 
-from conftest import answers_from_examples
+from conftest import answers_from_examples, write_config_with_url
 
 PROXY_VARIABLES = ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
 TLS = Path(__file__).parent / "fixtures" / "tls"
@@ -128,6 +130,15 @@ def test_extract_sql_collapses_newlines():
     assert extract_sql("SELECT a,\n       b\nFROM t") == "SELECT a,        b FROM t"
 
 
+def test_extract_sql_takes_with_for_sql_only_before_a_cte_head():
+    assert extract_sql("With this join:\nSELECT a FROM t") == "SELECT a FROM t"
+    assert extract_sql("with the table below\nWITH x AS (SELECT 1) SELECT * FROM x") == \
+        "WITH x AS (SELECT 1) SELECT * FROM x"
+    assert extract_sql("Answer, with a CTE:\nWITH RECURSIVE c(n) AS (SELECT 1 UNION ALL"
+                       " SELECT n + 1 FROM c WHERE n < 3)\nSELECT n FROM c;") == \
+        "WITH RECURSIVE c(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM c WHERE n < 3) SELECT n FROM c"
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.text(max_size=120))
 def test_extract_sql_idempotent(raw):
@@ -194,6 +205,128 @@ def test_predict_batch_respects_concurrency_limit(bundle):
     with StubServer(StubBehavior(fallback_sql="SELECT 1", delay_s=0.05)) as server:
         predict_batch(envelopes_for(bundle, 8), endpoint_for(server, concurrency_limit=2))
         assert server.max_in_flight <= 2
+
+
+def test_predict_batch_plans_while_requests_are_in_flight(bundle):
+    """The envelopes are drawn lazily: before the third is planned, the
+    first request has reached the stub."""
+    counted = []
+    with StubServer(StubBehavior(fallback_sql="SELECT 1")) as server:
+
+        def planned():
+            for pos, envelope in enumerate(envelopes_for(bundle, 6)):
+                if pos == 2:
+                    deadline = time.monotonic() + 10
+                    while not server.request_count and time.monotonic() < deadline:
+                        time.sleep(0.001)
+                    counted.append(server.request_count)
+                yield envelope
+
+        predictions = predict_batch(planned(), endpoint_for(server))
+    assert counted[0] >= 1
+    assert [p.example_index for p in predictions] == list(range(6))
+
+
+@pytest.mark.parametrize("limit", [1, 3])
+def test_predict_batch_draws_an_envelope_only_into_a_free_slot(bundle, limit):
+    """At every draw, fewer than ``concurrency_limit`` envelopes are
+    submitted and not yet taken by the sink."""
+    sunk, unsunk_at_draw = [], []
+
+    def planned():
+        for drawn, envelope in enumerate(envelopes_for(bundle, 10)):
+            unsunk_at_draw.append(drawn - len(sunk))
+            yield envelope
+
+    with StubServer(StubBehavior(fallback_sql="SELECT 1", delay_s=0.01)) as server:
+        predict_batch(planned(), endpoint_for(server, concurrency_limit=limit),
+                      on_result=sunk.append)
+        assert server.max_in_flight <= limit
+    assert len(sunk) == 10 and max(unsunk_at_draw) == limit - 1
+
+
+def test_predict_batch_raises_what_the_iterable_raises_once_requests_finish(bundle):
+    """The fifth draw fails: the requests already sent are answered before
+    the error propagates, and no further one is sent."""
+    behavior = StubBehavior(fallback_sql="SELECT 1", delay_s=0.05)
+    answered = []
+    lookup = behavior.lookup
+    behavior.lookup = lambda text: answered.append(text) or lookup(text)
+
+    def planned():
+        yield from envelopes_for(bundle, 4)
+        raise RuntimeError("planning failed")
+
+    with StubServer(behavior) as server:
+        with pytest.raises(RuntimeError, match="planning failed"):
+            predict_batch(planned(), endpoint_for(server, concurrency_limit=3))
+        assert len(answered) == server.request_count == 4
+
+
+def _predict(config: Path, output_dir: Path) -> int:
+    return main(["predict", "--config", str(config), "--run-id", "t", "--split", "dev",
+                 "--shots", "0", "--output-dir", str(output_dir)])
+
+
+def test_predict_cut_by_a_planning_failure_reruns_to_the_same_bytes(scratch_config, tmp_path,
+                                                                    bundle, monkeypatch):
+    """Planning fails after five prompts: predict exits 2, its append log
+    holds only whole records, and a rerun writes the clean run's bytes."""
+    import sqlbench.cli
+
+    out = Path("t", "predictions", "dev_shots0.jsonl")
+    behavior = StubBehavior(answers=answers_from_examples(bundle.splits["dev"]), delay_s=0.02)
+    with StubServer(behavior) as server:
+        config = write_config_with_url(scratch_config, server.base_url)
+        assert _predict(config, tmp_path / "clean") == 0
+        plan = sqlbench.cli.plan_prompts
+
+        def failing(*args, **kwargs):
+            for drawn, planned in enumerate(plan(*args, **kwargs)):
+                if drawn == 5:
+                    raise RuntimeError("planning failed")
+                yield planned
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sqlbench.cli, "plan_prompts", failing)
+            assert _predict(config, tmp_path / "cut") == 2
+        log = (tmp_path / "cut" / out).with_suffix(".jsonl.partial")
+        *records, last = log.read_text(encoding="utf-8").split("\n")
+        assert last == "" and 1 <= len(records) <= 5
+        assert all(Prediction.from_json(line).error is None for line in records)
+        assert _predict(config, tmp_path / "cut") == 0
+    assert (tmp_path / "cut" / out).read_bytes() == (tmp_path / "clean" / out).read_bytes()
+    assert not log.exists()
+
+
+def test_predict_with_over_budget_targets_mixed_in_writes_the_same_file(scratch_config,
+                                                                       tmp_path, bundle):
+    """A response budget that leaves room for some prompts and not others:
+    the final file holds the over-budget records and, for every other
+    target, the record a run with room for all of them writes."""
+    from sqlbench.prompts import BudgetExceededError
+
+    dev = bundle.splits["dev"]
+    budget = TokenBudget(reserved_response=1672)
+    over = {}
+    for target in dev:
+        try:
+            build_prompt(target, [], TRP_SENTENCE, budget, bundle.schemas)
+        except BudgetExceededError as exc:
+            over[target.index] = Prediction(target.index, attempt_count=0,
+                                            error=f"{exc} at k=0")
+    assert 0 < len(over) < len(dev)
+    out = Path("t", "predictions", "dev_shots0.jsonl")
+    with StubServer(StubBehavior(answers=answers_from_examples(dev), delay_s=0.01)) as server:
+        config = write_config_with_url(scratch_config, server.base_url)
+        assert _predict(config, tmp_path / "roomy") == 0
+        config.write_text(config.read_text(encoding="utf-8").replace(
+            "endpoint:\n", "endpoint:\n  max_response_tokens: 1672\n"), encoding="utf-8")
+        assert _predict(config, tmp_path / "mixed") == 0
+        assert server.request_count == 2 * len(dev) - len(over)
+    expected = tmp_path / "expected.jsonl"
+    write_predictions(expected, {**read_predictions(tmp_path / "roomy" / out), **over})
+    assert (tmp_path / "mixed" / out).read_bytes() == expected.read_bytes()
 
 
 def test_predict_batch_unreachable_endpoint_records_error(bundle):
