@@ -276,13 +276,15 @@ def validate_dataset(source: DatasetSource) -> tuple[DatasetBundle | None, list[
             elif not bird:
                 rows.append(ExampleTriple(ordinal, question, sql, db_id))
                 continue
-            elif not isinstance(evidence := rec.get("evidence") or None, (str, type(None))):
+            elif not isinstance(evidence := rec.get("evidence"), (str, type(None))):
                 problem = "evidence must be a string"
-            elif (label := rec.get("difficulty")) and label not in BIRD_LABELS:
+            # null, absent or "" is no label, as it is no evidence
+            elif (label := rec.get("difficulty")) not in (None, "") and label not in BIRD_LABELS:
                 problem = f"difficulty {label!r} not in {BIRD_LABELS}"
             else:
                 rows.append(ExampleTriple(ordinal, question, sql, db_id,
-                                          _BIRD_DIFFICULTY[label] if label else None, evidence))
+                                          _BIRD_DIFFICULTY[label] if label else None,
+                                          evidence or None))
                 continue
             errors.append(f"split {split}: record {ordinal}: {problem}")
         del records

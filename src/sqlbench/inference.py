@@ -7,15 +7,12 @@ import http.client
 import json
 import logging
 import os
-import queue
 import re
 import socket
 import ssl
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable
 from urllib.parse import unquote, urlsplit
@@ -130,7 +127,7 @@ def extract_sql(raw: str) -> str:
 class _Client:
     """A batch's way to the chat URL, resolved once: the proxy from
     ``HTTP_PROXY``/``HTTPS_PROXY``/``NO_PROXY``, the TLS context from the
-    system CA store, and the request headers. Each worker thread keeps one
+    system CA store, and the request headers. Each thread keeps one
     connection alive for every call it makes, opened on first use.
 
     Plain HTTP goes to a proxy in absolute form; HTTPS goes through a
@@ -283,43 +280,77 @@ def predict_batch(
 ) -> list[Prediction]:
     """One Prediction per envelope, order-preserving.
 
-    Requests run with at most ``concurrency_limit`` in flight, each worker
-    thread over one kept-alive connection that is closed when the batch
-    returns or raises; all request failures are per-example records, never
-    batch aborts. ``envelopes`` is read lazily on the calling thread, one
-    envelope each time a slot is free, so prompts are planned while earlier
-    requests are in flight. ``on_result`` is invoked from the calling thread
-    as each prediction completes (single-writer sink). An envelope is drawn
-    and submitted only while fewer than ``concurrency_limit`` predictions are
-    submitted and not yet taken by the sink, so if the sink or the iterable
-    raises, at most that many requests have been sent; those under way
-    finish, and the exception propagates.
+    ``concurrency_limit`` request slots run one loop each: the calling
+    thread is one slot and each other slot is a thread of its own, so a
+    limit of 1 starts no thread. Under one lock, a slot stores the
+    prediction it just received, passes it to ``on_result`` and draws the
+    next envelope from ``envelopes``; it then sends that request over its
+    own kept-alive connection, which is closed when the batch returns or
+    raises. So prompts are planned while other requests are in flight, and
+    ``on_result`` and the iterable are never entered by two threads at
+    once (single-writer sink), though either may run on any slot's thread.
+    All request failures are per-example records, never batch aborts.
+
+    An envelope is drawn only while fewer than ``concurrency_limit``
+    predictions are drawn and not yet taken by the sink. If the sink or the
+    iterable raises on any slot, or an exception such as
+    ``KeyboardInterrupt`` reaches the calling thread, no further envelope is
+    drawn; the requests already sent finish, and the exception is raised on
+    the calling thread.
     """
     client = _Client(endpoint)
     results: list[Prediction | None] = []
     queued = iter(envelopes)
-    finished: queue.SimpleQueue = queue.SimpleQueue()
+    lock = threading.Lock()
+    failures: list[BaseException] = []  # appended under the lock: once set, no slot draws
+
+    def run_slot() -> None:
+        pos, prediction = 0, None
+        while True:
+            with lock:
+                if failures:
+                    return
+                try:
+                    if prediction is not None:
+                        results[pos] = prediction
+                        if on_result is not None:
+                            on_result(prediction)
+                    envelope = next(queued, None)
+                except BaseException as exc:  # raised on the calling thread once every slot ends
+                    failures.append(exc)
+                    return
+                if envelope is None:
+                    return
+                pos = len(results)
+                results.append(None)
+            prediction = _predict_one(client, endpoint, envelope, sleep)
+
+    def run_worker() -> None:
+        try:
+            run_slot()
+        except BaseException as exc:  # as in run_slot: never let it end the thread unseen
+            with lock:
+                failures.append(exc)
+
+    workers: list[threading.Thread] = []
     try:
-        with ThreadPoolExecutor(max_workers=endpoint.concurrency_limit) as pool:
-
-            def submit(count: int) -> None:
-                for env in islice(queued, count):
-                    future = pool.submit(_predict_one, client, endpoint, env, sleep)
-                    future.add_done_callback(
-                        lambda done, pos=len(results): finished.put((pos, done)))
-                    results.append(None)
-
-            submit(endpoint.concurrency_limit)
-            taken = 0
-            while taken < len(results):
-                pos, future = finished.get()
-                results[pos] = prediction = future.result()
-                taken += 1
-                if on_result is not None:
-                    on_result(prediction)
-                submit(1)
+        try:
+            for _ in range(endpoint.concurrency_limit - 1):
+                worker = threading.Thread(target=run_worker, name="sqlbench-predict")
+                worker.start()
+                workers.append(worker)
+            run_slot()
+        except BaseException as exc:
+            with lock:
+                failures.append(exc)
+            raise
+        finally:
+            for worker in workers:
+                worker.join()
     finally:
         client.close()
+    if failures:
+        raise failures[0]
     return results
 
 

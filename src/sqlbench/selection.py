@@ -30,7 +30,15 @@ DUAL_SIMILARITY = "dual-similarity"
 STRATEGIES = (RANDOM, QUESTION_SIMILARITY, DUAL_SIMILARITY)
 
 EMBED_DIM = 4096
-_CHUNK_ROWS = 1024  # texts embedded at a time: bounds the build's working arrays
+# texts embedded at a time. A chunk's working arrays, several int64 words per
+# gram, set the build's high-water mark: over 9,400 BIRD-style questions, 512
+# rows raised it 8.1 MB for a 4.5 MB index and built fastest; 1024 rows raised
+# it 10.6 MB, and 256 rows 5.8 MB but built 8 % slower
+_CHUNK_ROWS = 512
+# a chunk keeps the positions of its repeated pairs while at most 1 pair in
+# this many repeats, as in questions (4 % over 9,400 BIRD-style ones); past
+# that, as in SQL skeletons (32 %), one multiply over every pair is faster
+_REPEATS_SPARSE = 8
 # normalized text holds no tab: tabs separate texts and pad short grams
 _TAB = ord("\t")
 _SHIFT = 1 << 21  # above every code point: a gram code packs three 21-bit fields
@@ -72,13 +80,15 @@ class _Chunk(NamedTuple):
     starts: np.ndarray  # each row's first pair, then the end of the last
     filled: np.ndarray  # the rows with at least one pair, numbered in the whole index
     heads: np.ndarray  # the first pair of each filled row
+    repeated: np.ndarray | slice  # the pairs counted more than once, or all pairs
+    repeats: np.ndarray  # their counts as float64, exact for int32
 
     def dots(self, vec: np.ndarray) -> np.ndarray:
-        """The dot product of ``vec`` with each filled row. The products are
-        widened to float64 here, one chunk at a time, and freed on return;
-        int32 to float64 is exact."""
+        """The dot product of ``vec`` with each filled row. A pair counted
+        once contributes its bucket's entry of ``vec`` as it is, so only the
+        ``repeated`` pairs are multiplied by their counts."""
         products = vec.take(self.buckets)
-        products *= self.counts.astype(np.float64)
+        products[self.repeated] *= self.repeats
         return np.add.reduceat(products, self.heads)
 
 
@@ -89,9 +99,13 @@ class TrigramRows:
     each distinct gram hashed once, and kept in the chunks they were built
     in: each chunk holds its rows' ``(bucket, count)`` pairs as int16 buckets
     and int32 counts, 6 bytes per distinct trigram of a text where a dense
-    row takes 32 KiB. The rows' L2 norms lie in one array. No array spans
-    chunks, so neither the build nor a scoring pass holds a copy of every
-    row's pairs at once: ``cosines`` scores the rows one chunk at a time.
+    row takes 32 KiB. A chunk also holds float64 counts for scoring: with
+    their positions, 16 bytes more, for the pairs counted more than once,
+    or, in a chunk where many pairs repeat, 8 bytes more for every pair.
+    The rows' L2 norms lie in one array. No array spans chunks, so the
+    build's working arrays hold one chunk's grams at a time, and a scoring
+    pass one chunk's products: ``cosines`` scores the rows one chunk at a
+    time.
 
     Counts are integers, so every dot product and squared norm is exact in
     float64 whatever the order of summation, and a score equals the cosine
@@ -116,12 +130,17 @@ class TrigramRows:
             sizes = np.bincount(rows, minlength=len(chunk))
             starts = np.concatenate(([0], np.cumsum(sizes)))
             filled = np.flatnonzero(sizes)
+            repeated = np.flatnonzero(count > 1)
+            if len(repeated) * _REPEATS_SPARSE > len(count):
+                repeated = slice(None)
             self.chunks.append(_Chunk(
                 buckets=(pairs % EMBED_DIM).astype(np.int16),
                 counts=count.astype(np.int32),
                 starts=starts,
                 filled=lo + filled,
                 heads=starts[filled],
+                repeated=repeated,
+                repeats=count[repeated].astype(np.float64),
             ))
             squares.append(np.bincount(rows, count * count, minlength=len(chunk)))
         self.norms = np.sqrt(np.concatenate(squares))

@@ -118,6 +118,28 @@ def test_bird_evidence_that_is_not_a_string(tmp_path, fixtures_dir):
         load_split(fixtures_dir, records, tmp_path, dialect="bird")
 
 
+@pytest.mark.parametrize("field, value", [
+    *(("difficulty", value) for value in ({}, [], 0, False)),
+    *(("evidence", value) for value in (0, [], {})),
+])
+def test_bird_falsy_label_that_is_not_a_string_is_a_record_error(tmp_path, fixtures_dir,
+                                                                  field, value):
+    records = [{"db_id": "movie_platform", "question": "q", "SQL": "SELECT 1", field: value}]
+    problem = ("evidence must be a string" if field == "evidence"
+               else f"difficulty {value!r} not in ('simple', 'moderate', 'challenge')")
+    with pytest.raises(DatasetError) as err:
+        load_split(fixtures_dir, records, tmp_path, dialect="bird")
+    assert f"record 0: {problem}" in str(err.value)
+
+
+def test_bird_null_absent_or_empty_label_is_none(tmp_path, fixtures_dir):
+    records = [{"db_id": "movie_platform", "question": "q", "SQL": "SELECT 1", **fields}
+               for fields in ({}, {"difficulty": None, "evidence": None},
+                              {"difficulty": "", "evidence": ""})]
+    rows = load_split(fixtures_dir, records, tmp_path, dialect="bird")
+    assert [(row.difficulty, row.evidence) for row in rows] == [(None, None)] * 3
+
+
 def test_referential_closure(bundle):
     for rows in bundle.splits.values():
         for example in rows:
@@ -204,6 +226,7 @@ _BAD_AND_GOOD_RECORDS = [
     {"db_id": "d", "question": "q", "SQL": "SELECT 1", "difficulty": ["simple"]},
     {"db_id": "d", "question": "q", "SQL": "SELECT 1", "difficulty": 3},
     {"db_id": "d", "question": "q", "SQL": "SELECT 1", "difficulty": {}},
+    {"db_id": "d", "question": "q", "SQL": "SELECT 1", "difficulty": None},
     {"db_id": "d", "question": "q1", "SQL": "SELECT 1", "difficulty": "simple", "evidence": "e"},
     {"db_id": "d", "question": "q2", "query": "SELECT 2", "difficulty": "moderate"},
     {"db_id": "d", "question": "q3", "SQL": "SELECT 3", "difficulty": "simple", "evidence": ""},
@@ -230,6 +253,7 @@ _BIRD_PROBLEMS = {
     12: "difficulty 'impossible' not in ('simple', 'moderate', 'challenge')",
     13: "difficulty ['simple'] not in ('simple', 'moderate', 'challenge')",
     14: "difficulty 3 not in ('simple', 'moderate', 'challenge')",
+    15: "difficulty {} not in ('simple', 'moderate', 'challenge')",
 }
 
 
@@ -271,13 +295,13 @@ def test_example_records_are_frozen_values_sharing_their_labels(tmp_path):
     train, dev = bundle.splits["train"], bundle.splits["dev"]
     first = train[-5]
     assert (first.index, first.question, first.gold_sql, first.db_id, first.evidence) == (
-        15, "q", "SELECT 1", "d", None)
-    assert first.difficulty is None  # an empty object is no label
+        16, "q", "SELECT 1", "d", None)
+    assert first.difficulty is None  # a null is no label
     with pytest.raises(dataclasses.FrozenInstanceError):
         first.question = "changed"
-    twin = ExampleTriple(15, "q", "SELECT 1", "d")
+    twin = ExampleTriple(16, "q", "SELECT 1", "d")
     assert twin == first and hash(twin) == hash(first)
-    assert ExampleTriple(16, "q", "SELECT 1", "d") != first
+    assert ExampleTriple(17, "q", "SELECT 1", "d") != first
     assert dataclasses.replace(train[-4], index=3) == dev[3]
     labels = [ex.difficulty for ex in train + dev if ex.difficulty is not None]
     assert sorted({label.label for label in labels}) == ["challenge", "moderate", "simple"]

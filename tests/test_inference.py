@@ -263,6 +263,95 @@ def test_predict_batch_raises_what_the_iterable_raises_once_requests_finish(bund
         assert len(answered) == server.request_count == 4
 
 
+@pytest.fixture()
+def silent_listener():
+    """A listening socket that nothing accepts from: the kernel completes
+    each connection and takes the request, no reply ever comes, and no
+    thread of this process serves it."""
+    with socket.create_server(("127.0.0.1", 0), backlog=16) as listener:
+        yield listener
+
+
+def silent_endpoint(listener: socket.socket, limit: int) -> ModelEndpoint:
+    port = listener.getsockname()[1]
+    return ModelEndpoint(base_url=f"http://127.0.0.1:{port}/v1", model_name="stub",
+                         max_retries=0, timeout_s=0.2, concurrency_limit=limit)
+
+
+def connections_made(listener: socket.socket) -> int:
+    listener.setblocking(False)
+    made = 0
+    while True:
+        try:
+            conn, _ = listener.accept()
+        except BlockingIOError:
+            return made
+        conn.close()
+        made += 1
+
+
+@pytest.mark.parametrize("limit", [1, 3])
+def test_predict_batch_runs_one_slot_on_the_calling_thread(bundle, silent_listener, limit):
+    """A limit of 1 starts no thread and draws and sinks on the calling
+    thread; a limit of n starts at most n - 1 threads."""
+    caller, before = threading.current_thread(), threading.active_count()
+    seen = []  # (thread, threads alive) at every draw and every sink
+
+    def look(*_) -> None:
+        seen.append((threading.current_thread(), threading.active_count()))
+
+    def planned():
+        for envelope in envelopes_for(bundle, 2 * limit):
+            look()
+            yield envelope
+
+    predictions = predict_batch(planned(), silent_endpoint(silent_listener, limit),
+                                on_result=look)
+    assert len(predictions) == 2 * limit and all(p.error for p in predictions)
+    assert len(seen) == 4 * limit
+    assert max(alive for _, alive in seen) - before <= limit - 1
+    if limit == 1:
+        assert all(thread is caller for thread, _ in seen)
+    assert threading.active_count() == before
+
+
+def test_predict_batch_raises_what_the_sink_raises_on_another_thread(bundle):
+    """The sink fails only off the calling thread: the error reaches the
+    caller, and no envelope is drawn after it."""
+    caller = threading.current_thread()
+    drawn, drawn_at_failure = [], []
+
+    def planned():
+        for envelope in envelopes_for(bundle, 12):
+            drawn.append(envelope)
+            yield envelope
+
+    def sink(prediction) -> None:
+        if threading.current_thread() is not caller:
+            drawn_at_failure.append(len(drawn))
+            raise RuntimeError("sink failed")
+
+    with StubServer(StubBehavior(fallback_sql="SELECT 1", delay_s=0.01)) as server:
+        with pytest.raises(RuntimeError, match="sink failed"):
+            predict_batch(planned(), endpoint_for(server, concurrency_limit=3), on_result=sink)
+    assert drawn_at_failure == [len(drawn)] and len(drawn) < 12
+
+
+def test_predict_batch_raises_an_interrupt_once_every_thread_ends(bundle, silent_listener):
+    """The fifth draw raises KeyboardInterrupt: it reaches the caller with
+    no further request sent, and no thread of the batch outlives it."""
+    before = threading.active_count()
+
+    def planned():
+        yield from envelopes_for(bundle, 4)
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        predict_batch(planned(), silent_endpoint(silent_listener, 3))
+    assert threading.active_count() == before
+    assert connections_made(silent_listener) == 4
+
+
 def _predict(config: Path, output_dir: Path) -> int:
     return main(["predict", "--config", str(config), "--run-id", "t", "--split", "dev",
                  "--shots", "0", "--output-dir", str(output_dir)])

@@ -354,6 +354,20 @@ def test_sparse_rows_score_bit_identical_to_cosine(bundle):
         assert scores.tolist() == [cosine(vec, trigram_vector(other)) for other in texts]
 
 
+@pytest.mark.parametrize("sparse", [1, 10**9], ids=["repeated-positions", "every-pair"])
+def test_both_ways_to_weigh_repeated_pairs_score_bit_identical_to_cosine(bundle, sparse):
+    """Chunks that multiply only their repeated pairs and chunks that
+    multiply every pair score alike."""
+    texts = [ex.question for ex in bundle.splits["train"]] + list(EDGE_QUESTIONS)
+    with mock.patch("sqlbench.selection._REPEATS_SPARSE", sparse):
+        rows = TrigramRows(texts)
+    assert all(isinstance(chunk.repeated, np.ndarray) == (sparse == 1) for chunk in rows.chunks)
+    for text in texts:
+        vec = trigram_vector(text)
+        scores = rows.cosines(vec, float(np.linalg.norm(vec)))
+        assert scores.tolist() == [cosine(vec, trigram_vector(other)) for other in texts]
+
+
 # texts the array build must cut into trigrams exactly as the oracle does:
 # whitespace runs of every kind, 0-2 character texts, astral characters and
 # characters whose lower case is longer than they are
