@@ -11,9 +11,19 @@ line, so every record starts on a line boundary.
 from __future__ import annotations
 
 import os
+import re
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterator, TextIO
+
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
+
+def is_text(value: object) -> bool:
+    """Whether ``value`` is a string that encodes to UTF-8, as every artifact
+    does: one with a lone surrogate is refused where it enters, be it a
+    dataset or config field, a model reply or a predictions line."""
+    return isinstance(value, str) and (value.isascii() or not _SURROGATE_RE.search(value))
 
 
 def log_path(path: str | Path) -> Path:

@@ -214,6 +214,7 @@ def cmd_predict(args) -> int:
         if not config.endpoint.record_latency:
             prediction.latency_ms = 0.0
         append_prediction(append, prediction)  # the log the batch below holds open
+        recorded[prediction.example_index] = prediction  # over one absent or errored
 
     def planned() -> typing.Iterator[PromptEnvelope]:
         """Each target's prompt, planned as the batch has room for it."""
@@ -230,15 +231,14 @@ def cmd_predict(args) -> int:
 
     with appending(log) as append:
         predict_batch(planned(), config.endpoint, on_result=sink)
-    merged = read_predictions(*(path for path in (out, log) if path.is_file()))
-    write_predictions(out, merged)
-    errors = [p for p in merged.values() if p.error is not None]
+    write_predictions(out, recorded)
+    errors = [p for p in recorded.values() if p.error is not None]
     over_budget = sum(1 for p in errors if not p.attempt_count)
     errored = len(errors) - over_budget
     notes = [f"{over_budget} over budget at k=0"] if over_budget else []
     if errored:
         notes.append(f"{errored} errored; rerun predict to retry them")
-    print(f"{len(merged)} predictions written to {out}" + (f" ({'; '.join(notes)})" if notes else ""))
+    print(f"{len(recorded)} predictions written to {out}" + (f" ({'; '.join(notes)})" if notes else ""))
     return EXIT_OK
 
 

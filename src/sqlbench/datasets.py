@@ -8,6 +8,8 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
+from .artifacts import is_text
+
 SPIDER = "spider"
 BIRD = "bird"
 DIALECTS = (SPIDER, BIRD)
@@ -187,6 +189,9 @@ def _catalog_entry_to_schema(entry: dict) -> DatabaseSchema:
     tables = tuple(
         TableDef(name=name, columns=tuple(cols)) for name, cols in zip(table_names, per_table)
     )
+    for name in (db_id, *table_names, *(column for cols in per_table for column in cols)):
+        if not (name.isascii() or is_text(name)):  # isascii() inline, as for records below
+            raise DatasetError(f"name {name!r} does not encode to UTF-8")
 
     def column_ref(col_idx: int, what: str) -> KeyRef:
         if not 0 <= col_idx < len(raw_columns) or raw_columns[col_idx][0] == -1:
@@ -273,11 +278,18 @@ def validate_dataset(source: DatasetSource) -> tuple[DatasetBundle | None, list[
             # BIRD releases carry the gold query under "SQL"
             elif not (sql := rec.get("query", rec.get("SQL"))) or not isinstance(sql, str):
                 problem = "SQL query must be a non-empty string"
+            # isascii() inline: the common case makes no call per field
+            elif not (question.isascii() or is_text(question)):
+                problem = "question does not encode to UTF-8"
+            elif not (sql.isascii() or is_text(sql)):
+                problem = "SQL query does not encode to UTF-8"
             elif not bird:
                 rows.append(ExampleTriple(ordinal, question, sql, db_id))
                 continue
             elif not isinstance(evidence := rec.get("evidence"), (str, type(None))):
                 problem = "evidence must be a string"
+            elif evidence is not None and not (evidence.isascii() or is_text(evidence)):
+                problem = "evidence does not encode to UTF-8"
             # null, absent or "" is no label, as it is no evidence
             elif (label := rec.get("difficulty")) not in (None, "") and label not in BIRD_LABELS:
                 problem = f"difficulty {label!r} not in {BIRD_LABELS}"

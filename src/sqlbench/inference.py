@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 from urllib.parse import unquote, urlsplit
 from urllib.request import getproxies, proxy_bypass
 
-from .artifacts import writing
+from .artifacts import is_text, writing
 from .prompts import PromptEnvelope
 
 logger = logging.getLogger(__name__)
@@ -88,16 +88,16 @@ class Prediction:
 
     @classmethod
     def from_json(cls, line: str) -> "Prediction":
-        """The record a line holds; TypeError if it is JSON but not a record
-        or a field has the wrong type."""
+        """The record a line holds; TypeError if it is JSON but not a record,
+        a field has the wrong type or a text field does not encode to UTF-8."""
         p = cls(**json.loads(line))
         valid = {
             "example_index": type(p.example_index) is int,
-            "raw_text": isinstance(p.raw_text, str),
-            "extracted_sql": isinstance(p.extracted_sql, str),
+            "raw_text": is_text(p.raw_text),
+            "extracted_sql": is_text(p.extracted_sql),
             "latency_ms": type(p.latency_ms) in (int, float),
             "attempt_count": type(p.attempt_count) is int,
-            "error": p.error is None or isinstance(p.error, str),
+            "error": p.error is None or is_text(p.error),
         }
         wrong = [name for name, ok in valid.items() if not ok]
         if wrong:
@@ -127,8 +127,8 @@ def extract_sql(raw: str) -> str:
 class _Client:
     """A batch's way to the chat URL, resolved once: the proxy from
     ``HTTP_PROXY``/``HTTPS_PROXY``/``NO_PROXY``, the TLS context from the
-    system CA store, and the request headers. Each thread keeps one
-    connection alive for every call it makes, opened on first use.
+    system CA store, and the request headers. It holds no connection: each
+    request slot opens and closes its own, made by ``new_connection``.
 
     Plain HTTP goes to a proxy in absolute form; HTTPS goes through a
     ``CONNECT`` tunnel. Credentials in the proxy URL become a
@@ -165,9 +165,6 @@ class _Client:
                 self.target = endpoint.chat_url
                 self.headers.update(self._proxy_headers)
             self.address = (via.hostname, via.port or 80)
-        self._local = threading.local()
-        self._lock = threading.Lock()
-        self._opened: list[http.client.HTTPConnection] = []
 
     def new_connection(self) -> http.client.HTTPConnection:
         """An unopened connection to the endpoint, or to its proxy."""
@@ -181,22 +178,13 @@ class _Client:
             conn.set_tunnel(*self._tunnel, headers=self._proxy_headers)
         return conn
 
-    def _connection(self) -> http.client.HTTPConnection:
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = self._local.conn = self.new_connection()
-            with self._lock:
-                self._opened.append(conn)
-        return conn
-
-    def post(self, body: bytes) -> tuple[int, bytes]:
-        """Status and body of one POST on the calling thread's connection.
+    def post(self, conn: http.client.HTTPConnection, body: bytes) -> tuple[int, bytes]:
+        """Status and body of one POST on ``conn``, connected if it is not.
 
         A kept-alive connection that the server closed while it sat idle fails
         before a status line arrives; it is reopened and the request sent
         once more. Any other failure closes the connection and raises.
         """
-        conn = self._connection()
         reused = conn.sock is not None
         try:
             try:
@@ -218,17 +206,13 @@ class _Client:
         conn.request("POST", self.target, body, self.headers)
         return conn.getresponse()
 
-    def close(self) -> None:
-        with self._lock:
-            for conn in self._opened:
-                conn.close()
 
-
-def _request_once(client: _Client, body: bytes) -> tuple[str | None, str | None, bool]:
+def _request_once(client: _Client, conn: http.client.HTTPConnection,
+                  body: bytes) -> tuple[str | None, str | None, bool]:
     """(content, error, whether a retry can help): the completion's text and
     no error, or no text and the error."""
     try:
-        status, data = client.post(body)
+        status, data = client.post(conn, body)
     except (OSError, http.client.HTTPException) as exc:
         return None, f"request failed: {exc}", True
     if status != 200:
@@ -238,6 +222,8 @@ def _request_once(client: _Client, body: bytes) -> tuple[str | None, str | None,
         content = json.loads(data)["choices"][0]["message"]["content"]
         if not isinstance(content, str):
             raise TypeError(f"content is not a string: {json.dumps(content)[:200]}")
+        if not is_text(content):
+            raise ValueError(f"content is not UTF-8 text: {json.dumps(content)[:200]}")
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         return None, f"malformed response: {exc}", False
     return content, None, False
@@ -245,6 +231,7 @@ def _request_once(client: _Client, body: bytes) -> tuple[str | None, str | None,
 
 def _predict_one(
     client: _Client,
+    conn: http.client.HTTPConnection,
     endpoint: ModelEndpoint,
     envelope: PromptEnvelope,
     sleep: Callable[[float], None],
@@ -259,7 +246,7 @@ def _predict_one(
     start = time.perf_counter()
     while True:
         attempts += 1
-        content, error, retryable = _request_once(client, body)
+        content, error, retryable = _request_once(client, conn, body)
         if not retryable or attempts > endpoint.max_retries:
             break
         delay = endpoint.backoff_base_s * (2 ** (attempts - 1))
@@ -275,83 +262,68 @@ def _predict_one(
 def predict_batch(
     envelopes: Iterable[PromptEnvelope],
     endpoint: ModelEndpoint,
-    on_result: Callable[[Prediction], None] | None = None,
+    on_result: Callable[[Prediction], None],
     sleep: Callable[[float], None] = time.sleep,
-) -> list[Prediction]:
-    """One Prediction per envelope, order-preserving.
+) -> None:
+    """Request one Prediction per envelope and pass each to ``on_result``,
+    the batch's only output, as the answers arrive.
 
-    ``concurrency_limit`` request slots run one loop each: the calling
-    thread is one slot and each other slot is a thread of its own, so a
-    limit of 1 starts no thread. Under one lock, a slot stores the
-    prediction it just received, passes it to ``on_result`` and draws the
-    next envelope from ``envelopes``; it then sends that request over its
-    own kept-alive connection, which is closed when the batch returns or
-    raises. So prompts are planned while other requests are in flight, and
-    ``on_result`` and the iterable are never entered by two threads at
-    once (single-writer sink), though either may run on any slot's thread.
-    All request failures are per-example records, never batch aborts.
+    Each of the ``concurrency_limit`` request slots runs ``run_slot``: the
+    calling thread is one, each other is a thread of its own. A slot owns
+    one kept-alive connection and closes it when it ends. Under one lock it
+    sinks the prediction it just received and draws its next envelope, so
+    prompts are planned while other requests are in flight, and neither the
+    sink nor the iterable is entered by two threads at once. A request
+    failure is a per-example record, never a batch abort.
 
-    An envelope is drawn only while fewer than ``concurrency_limit``
-    predictions are drawn and not yet taken by the sink. If the sink or the
-    iterable raises on any slot, or an exception such as
+    If the sink or the iterable raises on any slot, or an exception such as
     ``KeyboardInterrupt`` reaches the calling thread, no further envelope is
-    drawn; the requests already sent finish, and the exception is raised on
-    the calling thread.
+    drawn; the requests already sent finish, and the first such exception,
+    an interrupt or exit before any error, is raised on the calling thread.
     """
     client = _Client(endpoint)
-    results: list[Prediction | None] = []
     queued = iter(envelopes)
     lock = threading.Lock()
     failures: list[BaseException] = []  # appended under the lock: once set, no slot draws
 
     def run_slot() -> None:
-        pos, prediction = 0, None
-        while True:
-            with lock:
-                if failures:
-                    return
-                try:
-                    if prediction is not None:
-                        results[pos] = prediction
-                        if on_result is not None:
+        conn, prediction = client.new_connection(), None
+        try:
+            while True:
+                with lock:
+                    try:
+                        if failures:
+                            return
+                        if prediction is not None:
                             on_result(prediction)
-                    envelope = next(queued, None)
-                except BaseException as exc:  # raised on the calling thread once every slot ends
-                    failures.append(exc)
-                    return
+                        envelope = next(queued, None)
+                    except BaseException as exc:  # in the lock hold it arose in
+                        failures.append(exc)
+                        return
                 if envelope is None:
                     return
-                pos = len(results)
-                results.append(None)
-            prediction = _predict_one(client, endpoint, envelope, sleep)
-
-    def run_worker() -> None:
-        try:
-            run_slot()
-        except BaseException as exc:  # as in run_slot: never let it end the thread unseen
+                prediction = _predict_one(client, conn, endpoint, envelope, sleep)
+        except BaseException as exc:  # never let it end a thread unseen
             with lock:
                 failures.append(exc)
+        finally:
+            conn.close()
 
     workers: list[threading.Thread] = []
     try:
-        try:
-            for _ in range(endpoint.concurrency_limit - 1):
-                worker = threading.Thread(target=run_worker, name="sqlbench-predict")
-                worker.start()
-                workers.append(worker)
-            run_slot()
-        except BaseException as exc:
-            with lock:
-                failures.append(exc)
-            raise
-        finally:
-            for worker in workers:
-                worker.join()
+        for _ in range(endpoint.concurrency_limit - 1):
+            worker = threading.Thread(target=run_slot, name="sqlbench-predict")
+            worker.start()
+            workers.append(worker)
+        run_slot()
+    except BaseException as exc:  # a slot that could not start: none draws after it
+        with lock:
+            failures.append(exc)
     finally:
-        client.close()
+        for worker in workers:
+            worker.join()
     if failures:
-        raise failures[0]
-    return results
+        raise next((exc for exc in failures if not isinstance(exc, Exception)), failures[0])
 
 
 def append_prediction(log: Callable[[str], None], prediction: Prediction) -> None:

@@ -20,6 +20,7 @@ from urllib.parse import urlsplit
 
 import yaml
 
+from .artifacts import is_text
 from .datasets import DatasetSource
 from .inference import ModelEndpoint
 from .metrics import ScoreOptions
@@ -130,6 +131,9 @@ def load_run_config(path: str | Path) -> RunConfig:
                 return None
             (hint,) = (arg for arg in args if arg is not type(None))
             return build(hint, value, key)
+        if isinstance(value, str) and not is_text(value):
+            errors.append(f"{key} does not encode to UTF-8: {value!r}")
+            return None
         if origin is dict:
             if isinstance(value, dict):
                 return {k: build(args[1], v, f"{key}.{k}") for k, v in value.items()}

@@ -87,6 +87,15 @@ def _malform(case: str, tables: list, dev: list):
         tables[0]["table_names_original"][0] = 7
     elif case == "catalog-db-id":
         tables[0]["db_id"] = 7  # beside string ones, which it cannot be sorted with
+    # a lone surrogate: a string with no UTF-8 form
+    elif case == "column-name-text":
+        tables[0]["column_names_original"][1][1] += "\ud800"
+    elif case == "table-name-text":
+        tables[0]["table_names_original"][0] += "\ud800"
+    elif case == "catalog-db-id-text":
+        tables[0]["db_id"] += "\ud800"
+    elif case.endswith("-text"):
+        dev[0][case.removesuffix("-text")] += "\ud800"
     else:
         dev[0][case] = [dev[0][case]]
     return tables, dev
@@ -102,10 +111,20 @@ def _malform(case: str, tables: list, dev: list):
     ("db_id", "split dev: record 0: unknown db_id ['concert_singer']"),
     ("question", "split dev: record 0: question must be a non-empty string"),
     ("query", "split dev: record 0: SQL query must be a non-empty string"),
+    ("column-name-text", "catalog entry 0: name 'Stadium_ID\\ud800' does not encode to UTF-8"),
+    ("table-name-text", "catalog entry 0: name 'stadium\\ud800' does not encode to UTF-8"),
+    ("catalog-db-id-text",
+     "catalog entry 0: name 'concert_singer\\ud800' does not encode to UTF-8"),
+    ("db_id-text", "split dev: record 0: unknown db_id 'concert_singer\\ud800'"),
+    ("question-text", "split dev: record 0: question does not encode to UTF-8"),
+    ("query-text", "split dev: record 0: SQL query does not encode to UTF-8"),
 ], ids=["catalog-object", "split-object", "record-not-object", "column-name", "table-name",
-        "catalog-db-id", "db-id", "question", "query"])
+        "catalog-db-id", "db-id", "question", "query", "column-name-text", "table-name-text",
+        "catalog-db-id-text", "db-id-text", "question-text", "query-text"])
 def test_ingest_malformed_dataset_json_is_a_dataset_error(
         scratch_config, tmp_path, fixtures_dir, capsys, case, named):
+    """Each problem is one ``dataset:`` line, from ingest and from every stage
+    that reads the dataset, before any request or file."""
     tables, dev = _malform(
         case, json.loads((fixtures_dir / "spider" / "tables.json").read_text()),
         json.loads((fixtures_dir / "spider" / "dev.json").read_text()))
@@ -116,10 +135,36 @@ def test_ingest_malformed_dataset_json_is_a_dataset_error(
     text = config.read_text()
     text = text.replace(str(fixtures_dir / "spider" / "tables.json"), str(tables_path))
     config.write_text(text.replace(str(fixtures_dir / "spider" / "dev.json"), str(dev_path)))
-    assert run_cli("ingest", "--config", str(config), "--run-id", "t") == 1
-    err = capsys.readouterr().err
-    assert f"dataset: {named.format(tables=tables_path, dev=dev_path)}" in err.splitlines(), err
-    assert all(line.startswith("dataset: ") for line in err.splitlines()), err
+    for stage in (("ingest",), ("predict", "--split", "dev", "--shots", "1"),
+                  ("build-corpus", "--split", "dev", "--k", "1")):
+        assert run_cli(*stage, "--config", str(config), "--run-id", "t") == 1, stage
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert f"dataset: {named.format(tables=tables_path, dev=dev_path)}" in lines, err
+        assert all(line.startswith("dataset: ") for line in lines), err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_a_predictions_line_that_does_not_encode_to_utf8_is_a_prediction_error(
+        scratch_config, tmp_path, gold_stub, caplog):
+    """With EX on, a record whose SQL holds a lone surrogate is skipped as it
+    is read, and its example scores as a prediction error."""
+    config = write_config_with_url(scratch_config, gold_stub.base_url)
+    common = ("--config", str(config), "--run-id", "t", "--split", "dev")
+    assert run_cli("predict", *common, "--shots", "0") == 0
+    out = tmp_path / "runs" / "t" / "predictions" / "dev_shots0.jsonl"
+    lines = out.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[3])
+    lines[3] = json.dumps({**record, "extracted_sql": record["extracted_sql"] + " -- \ud800"})
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with caplog.at_level("WARNING"):
+        assert run_cli("evaluate", *common, "--predictions", str(out)) == 0
+    assert [r.message for r in caplog.records if "undecodable" in r.message] == [
+        f"{out}:4: skipping undecodable prediction line"]
+    records = tmp_path / "runs" / "t" / "eval" / "dev_records.jsonl"
+    failures = [json.loads(line)["failure"]
+                for line in records.read_text(encoding="utf-8").splitlines()]
+    assert failures == [None] * 3 + ["prediction-error"] + [None] * 16
 
 
 def test_stages_read_only_the_splits_they_use(scratch_config, tmp_path, gold_stub, capsys):
@@ -1140,6 +1185,10 @@ def test_predict_to_a_url_that_is_not_http_is_a_config_error(scratch_config, tmp
     ("k: 0", "k: three", "selection.k must be"),
     ("timeout_s: 10", "timeout_s: soon", "metrics.timeout_s must be"),
     ("pool: train", "pool: 7", "selection.pool must be"),
+    # a lone surrogate: a string with no UTF-8 form; the old value becomes a comment
+    ("output_dir: ", 'output_dir: "\\ud800"  # ', "output_dir does not encode to UTF-8"),
+    ("name: spider-fixture", 'name: "x\\ud800"', "dataset.name does not encode to UTF-8"),
+    ("model_name: stub", 'model_name: "\\ud800"', "endpoint.model_name does not encode to UTF-8"),
 ])
 def test_misspelt_key_or_wrong_type_is_a_config_error(scratch_config, tmp_path, gold_stub,
                                                       capsys, replaced, replacement, named):

@@ -132,6 +132,20 @@ def test_bird_falsy_label_that_is_not_a_string_is_a_record_error(tmp_path, fixtu
     assert f"record 0: {problem}" in str(err.value)
 
 
+@pytest.mark.parametrize("field, named", [("question", "question"), ("SQL", "SQL query"),
+                                          ("evidence", "evidence")])
+def test_bird_text_that_does_not_encode_to_utf8_is_a_record_error(tmp_path, fixtures_dir,
+                                                                  field, named):
+    """A lone surrogate is refused; other text beyond ASCII, astral too, loads."""
+    good = {"db_id": "movie_platform", "question": "café 😀?", "SQL": "SELECT 'é'",
+            "evidence": "naïve"}
+    assert load_split(fixtures_dir, [good], tmp_path, dialect="bird")[0].question == "café 😀?"
+    with pytest.raises(DatasetError) as err:
+        load_split(fixtures_dir, [{**good, field: good[field] + "\ud800"}], tmp_path,
+                   dialect="bird")
+    assert str(err.value) == f"split dev: record 0: {named} does not encode to UTF-8"
+
+
 def test_bird_null_absent_or_empty_label_is_none(tmp_path, fixtures_dir):
     records = [{"db_id": "movie_platform", "question": "q", "SQL": "SELECT 1", **fields}
                for fields in ({}, {"difficulty": None, "evidence": None},
