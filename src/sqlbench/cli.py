@@ -26,15 +26,13 @@ from .inference import (
     read_predictions,
     write_predictions,
 )
-from .metrics import score_run, write_eval_records
+from .metrics import read_eval_records, score_run, write_eval_records
 from .prompts import BudgetExceededError, PromptEnvelope, TokenBudget
 from .reporting import (
     CSV,
     PLAIN,
     STRUCTURED,
-    RunSummary,
-    compare,
-    parse_summary_csv,
+    compare_records,
     render_delta,
     render_summary,
     summarize,
@@ -184,6 +182,10 @@ def cmd_build_corpus(args) -> int:
 def cmd_predict(args) -> int:
     _check_counts(shots=[] if args.shots is None else [args.shots])
     config = _load_config(args)
+    try:  # the key is checked before any data is read or file made
+        config.endpoint.api_key()
+    except ValueError as exc:
+        raise ConfigError([f"endpoint.api_key_env: {exc}"]) from None
     policy = config.selection.policy(default_seed=config.seed, k=args.shots)
     if policy.k and policy.strategy == DUAL_SIMILARITY:
         raise ConfigError([f"selection.strategy {DUAL_SIMILARITY!r} ranks exemplars by a draft"
@@ -273,17 +275,11 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _read_summary(path: str) -> RunSummary:
-    try:
-        return parse_summary_csv(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
 def cmd_compare(args) -> int:
     try:
-        report = compare(_read_summary(args.base), _read_summary(args.target))
-    except ValueError as exc:
+        report = compare_records(read_eval_records(args.base), read_eval_records(args.target),
+                                 args.base, args.target)
+    except (OSError, ValueError) as exc:
         print(f"cannot compare: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(render_delta(report, PLAIN), end="")
@@ -344,6 +340,12 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part != ""]
 
 
+def _port(text: str) -> int:
+    if not (text.isascii() and text.isdigit() and int(text) <= 65535):
+        raise argparse.ArgumentTypeError(f"port must be 0-65535, got {text!r}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument error is a config error: usage and one line, exit 1.
     Subparsers are made of this class too."""
@@ -393,9 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", required=True)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("compare", help="delta report between two run summaries")
-    p.add_argument("--base", required=True, help="baseline summary CSV")
-    p.add_argument("--target", required=True, help="target summary CSV")
+    p = sub.add_parser("compare", help="delta report between two runs on the same examples")
+    p.add_argument("--base", required=True, help="baseline run's eval records (JSONL)")
+    p.add_argument("--target", required=True, help="target run's eval records (JSONL)")
     p.add_argument("--out", default=None, help="write the structured delta report here")
     p.set_defaults(func=cmd_compare)
 
@@ -411,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--examples", default=None, help="examples file for gold-echo answers")
     p.add_argument("--fallback", default="SELECT 1")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8181)
+    p.add_argument("--port", type=_port, default=8181, help="0-65535; 0 picks a free port")
     p.set_defaults(func=cmd_stub)
 
     return parser

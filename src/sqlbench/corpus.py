@@ -15,6 +15,7 @@ and only each record's own text is escaped per record.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import asdict, dataclass, replace
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -185,8 +186,8 @@ class TrainProfile:
             raise ValueError(f"unknown tuning method {self.method!r}")
         for name in ("lora_rank", "lora_alpha", "learning_rate", "epochs",
                      "max_source_length", "max_target_length"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 def emit_train_profile(profile: TrainProfile, out: str | Path) -> Path:

@@ -32,6 +32,7 @@ _LINE_START_RE = re.compile(r"^[^\S\n]*" + _SQL_KEYWORD, re.IGNORECASE | re.MULT
 _SQL_START_RE = re.compile(r"\b" + _SQL_KEYWORD, re.IGNORECASE)
 # text up to the first semicolon outside a quoted string; an unclosed one runs to the end
 _STATEMENT_RE = re.compile(r"(?:[^;'\"]+|'[^']*'?|\"[^\"]*\"?)*")
+_BEARER_RE = re.compile(r"[!-~]+")  # visible ASCII, the characters of a Bearer token
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,16 @@ class ModelEndpoint:
             raise ValueError("max_retries must be non-negative")
         if self.backoff_base_s < 0:
             raise ValueError("backoff_base_s must be non-negative")
+
+    def api_key(self) -> str | None:
+        """The key in the environment variable ``api_key_env``, or None if it
+        is unset or empty. ValueError, naming the variable and never the key,
+        if it holds anything but visible ASCII, as a Bearer token does."""
+        key = os.environ.get(self.api_key_env)
+        if key and not _BEARER_RE.fullmatch(key):
+            raise ValueError(f"{self.api_key_env} holds an API key that is not all visible"
+                             " ASCII (U+0021-U+007E)")
+        return key or None
 
     @property
     def chat_url(self) -> str:
@@ -141,7 +152,7 @@ class _Client:
             raise ValueError(f"endpoint URL must be http(s)://host/...: {endpoint.chat_url!r}")
         self.timeout_s = endpoint.timeout_s
         self.headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(endpoint.api_key_env)
+        api_key = endpoint.api_key()
         if api_key:
             self.headers["Authorization"] = f"Bearer {api_key}"
         self._tls = ssl.create_default_context() if url.scheme == "https" else None

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .artifacts import writing
+from .artifacts import is_text, writing
 from .datasets import BIRD, DatabaseSchema, DatasetBundle, DifficultyLabel, ExampleTriple
 from .execution import (
     DB_UNAVAILABLE,
@@ -87,6 +87,26 @@ class EvalRecord:
         """The fields in order; a difficulty is its scheme and label."""
         difficulty = None if self.difficulty is None else vars(self.difficulty)
         return json.dumps({**vars(self), "difficulty": difficulty}, ensure_ascii=False)
+
+    @classmethod
+    def from_json(cls, line: str | bytes) -> "EvalRecord":
+        """The record a line holds; TypeError if it is JSON but not a record
+        or a field has the wrong type, ValueError if it is not JSON or its
+        difficulty is not a label of a known scheme."""
+        r = cls(**json.loads(line))
+        if r.difficulty is not None:
+            r.difficulty = DifficultyLabel(**r.difficulty)
+        valid = {
+            "example_index": type(r.example_index) is int,
+            "em": type(r.em) in (bool, type(None)),
+            "ex": type(r.ex) in (bool, type(None)),
+            "ves_ratio": type(r.ves_ratio) in (int, float, type(None)),
+            "failure": r.failure is None or is_text(r.failure),
+        }
+        wrong = [name for name, ok in valid.items() if not ok]
+        if wrong:
+            raise TypeError(f"wrong type of {', '.join(wrong)}")
+        return r
 
 
 @dataclass
@@ -266,3 +286,17 @@ def write_eval_records(records: list[EvalRecord], path: str | Path) -> None:
             fp.write(record.to_json())
             fp.write("\n")
 
+
+def read_eval_records(path: str | Path) -> list[EvalRecord]:
+    """The records ``write_eval_records`` wrote, in order. ValueError names
+    the first line that is not a record or repeats an example index."""
+    records: dict[int, EvalRecord] = {}
+    with open(path, "rb") as fp:
+        for lineno, line in enumerate(fp, start=1):
+            try:
+                record = EvalRecord.from_json(line)
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"{path}:{lineno}: not an evaluation record: {exc}") from None
+            if records.setdefault(record.example_index, record) is not record:
+                raise ValueError(f"{path}:{lineno}: example {record.example_index} recorded twice")
+    return list(records.values())

@@ -40,11 +40,6 @@ class BucketCounts:
         return Fraction(self.ex_correct, self.ex_scored) if self.ex_scored else None
 
 
-def _buckets(scheme: str) -> dict[str, BucketCounts]:
-    """Empty counts for the scheme's labels in order, then ``OVERALL``."""
-    return {label: BucketCounts() for label in (*SCHEME_LABELS[scheme], OVERALL)}
-
-
 @dataclass
 class RunSummary:
     run_id: str
@@ -66,7 +61,7 @@ def summarize(
     three decimals. The VES mean covers every record whose execution verdict
     was computed, counting incorrect predictions as zero efficiency.
     """
-    buckets = _buckets(scheme)
+    buckets = {label: BucketCounts() for label in (*SCHEME_LABELS[scheme], OVERALL)}
     ves_total = 0.0
     ves_n = 0
     ves_seen = False
@@ -126,6 +121,28 @@ def compare(base: RunSummary, target: RunSummary) -> DeltaReport:
     return report
 
 
+def compare_records(base: list[EvalRecord], target: list[EvalRecord],
+                    base_run: str, target_run: str) -> DeltaReport:
+    """``compare`` of two runs of the same examples, each summarized as
+    ``evaluate`` does: its labeled records under their scheme. ValueError if
+    the runs score different examples, label one differently, or label none."""
+    labels, other = ({r.example_index: r.difficulty for r in run} for run in (base, target))
+    if labels.keys() != other.keys():
+        raise ValueError(f"{base_run} and {target_run} score different examples:"
+                         f" {len(labels.keys() - other.keys())} only in the first,"
+                         f" {len(other.keys() - labels.keys())} only in the second")
+    for index, label in labels.items():
+        if other[index] != label:
+            first, second = (d.label if d else "unlabeled" for d in (label, other[index]))
+            raise ValueError(f"example {index} is {first} in {base_run}"
+                             f" but {second} in {target_run}")
+    schemes = [d.scheme for d in labels.values() if d is not None]
+    if not schemes:
+        raise ValueError(f"no example of {base_run} or {target_run} carries a difficulty label")
+    return compare(*(summarize([r for r in run if r.difficulty is not None], name, "", schemes[0])
+                     for run, name in ((base, base_run), (target, target_run))))
+
+
 def format_rate(value: Fraction | float | None, signed: bool = False) -> str:
     """Round half-up to three decimals, the precision used in reports."""
     if value is None:
@@ -143,8 +160,8 @@ PLAIN = "plain-table"
 CSV = "csv"
 STRUCTURED = "structured"
 
-_COUNT_COLUMNS = ("n", "em_scored", "em_correct", "ex_scored", "ex_correct")
-_CSV_COLUMNS = ("run_id", "config_fingerprint", "scheme", "bucket", *_COUNT_COLUMNS, "ves_mean")
+_CSV_COLUMNS = ("run_id", "config_fingerprint", "scheme", "bucket",
+                "n", "em_scored", "em_correct", "ex_scored", "ex_correct", "ves_mean")
 
 
 def _plain_table(labels, rows: dict[str, list[str]]) -> list[str]:
@@ -195,64 +212,6 @@ def render_summary(summary: RunSummary, fmt: str = PLAIN) -> str:
         }
         return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")
-
-
-def parse_summary_csv(text: str) -> RunSummary:
-    """Inverse of the CSV rendering, at full precision. Text that is not a
-    summary CSV raises ValueError: a column missing, an unknown scheme, an
-    unknown or repeated bucket, a row of another run, fingerprint or scheme
-    than the first, a count that is not an integer, counts outside
-    ``0 <= correct <= scored <= n``, a VES mean on a label row, a missing
-    bucket, or an overall row that is not the sum of the label rows."""
-    reader = csv.DictReader(io.StringIO(text))
-    missing = [name for name in _CSV_COLUMNS if name not in (reader.fieldnames or ())]
-    if missing:
-        raise ValueError(f"not a summary csv: missing columns {missing}")
-    rows = list(reader)
-    if not rows:
-        raise ValueError("empty summary csv")
-    first = rows[0]
-    scheme = first["scheme"]
-    if scheme not in SCHEME_LABELS:
-        raise ValueError(f"unknown difficulty scheme {scheme!r}")
-    summary = RunSummary(
-        run_id=first["run_id"],
-        scheme=scheme,
-        buckets=_buckets(scheme),
-        ves_mean=None,
-        config_fingerprint=first["config_fingerprint"],
-    )
-    seen = set()
-    for row in rows:
-        bucket = row["bucket"]
-        if bucket not in summary.buckets:
-            raise ValueError(f"unknown bucket {bucket!r} for scheme {scheme}")
-        if bucket in seen:
-            raise ValueError(f"bucket {bucket!r} appears more than once")
-        seen.add(bucket)
-        for column in ("run_id", "config_fingerprint", "scheme"):
-            if row[column] != first[column]:
-                raise ValueError(f"bucket {bucket!r}: {column} {row[column]!r}"
-                                 f" differs from the first row's {first[column]!r}")
-        try:
-            c = BucketCounts(*(int(row[name]) for name in _COUNT_COLUMNS))
-        except (TypeError, ValueError):
-            raise ValueError(f"bucket {bucket!r}: counts must be integers") from None
-        if not (0 <= c.em_correct <= c.em_scored <= c.n
-                and 0 <= c.ex_correct <= c.ex_scored <= c.n):
-            raise ValueError(f"bucket {bucket!r}: counts break 0 <= correct <= scored <= n")
-        summary.buckets[bucket] = c
-        if row["ves_mean"]:
-            if bucket != OVERALL:
-                raise ValueError(f"bucket {bucket!r}: ves_mean is written on the overall row")
-            summary.ves_mean = float(row["ves_mean"])
-    missing = [label for label in summary.buckets if label not in seen]
-    if missing:
-        raise ValueError(f"missing buckets {missing}")
-    *labels, overall = summary.buckets.values()
-    if BucketCounts(*map(sum, zip(*map(astuple, labels)))) != overall:
-        raise ValueError(f"bucket {OVERALL!r}: counts are not the sum of the label rows")
-    return summary
 
 
 def render_delta(report: DeltaReport, fmt: str = PLAIN) -> str:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -145,7 +146,10 @@ def load_run_config(path: str | Path) -> RunConfig:
         # an int is a number too, but a bool is not an int
         elif (isinstance(value, (int, float) if hint is float else hint)
               and isinstance(value, bool) == (hint is bool)):
-            return value
+            if hint is not float or -math.inf < value < math.inf:  # NaN compares false
+                return value
+            errors.append(f"{key} must be a finite number, got {value!r}")
+            return None
         errors.append(f"{key} must be {(origin or hint).__name__}, got {value!r}")
         return None
 

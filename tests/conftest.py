@@ -5,11 +5,18 @@ import sqlite3
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import sqlbench
 from sqlbench.datasets import DatasetSource, load_bundle
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# CI (GitHub Actions sets CI) draws the same examples on every run, so a
+# failure there recurs, and prints the blob that replays it; local runs draw anew
+settings.register_profile("ci", derandomize=True, database=None, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def build_fixture_db(target: Path) -> Path:

@@ -522,61 +522,127 @@ def test_compare_identical_runs(scratch_config, tmp_path, gold_stub, capsys):
     pred_file = tmp_path / "runs" / "t" / "predictions" / "dev_shots0.jsonl"
     run_cli("evaluate", "--config", str(config), "--run-id", "t",
             "--split", "dev", "--predictions", str(pred_file))
-    summary = tmp_path / "runs" / "t" / "reports" / "dev_summary.csv"
-    rc = run_cli("compare", "--base", str(summary), "--target", str(summary))
+    records = tmp_path / "runs" / "t" / "eval" / "dev_records.jsonl"
+    rc = run_cli("compare", "--base", str(records), "--target", str(records))
     assert rc == 0
     out = capsys.readouterr().out
     assert "+0.000" in out
 
 
-def test_compare_out_writes_the_structured_delta(fixtures_dir, tmp_path, capsys):
-    from sqlbench.reporting import STRUCTURED, compare, parse_summary_csv, render_delta
+def test_compare_gives_the_delta_of_the_summaries_evaluate_wrote(scratch_config, tmp_path,
+                                                                 bundle, gold_stub, capsys):
+    """The records of a gold-echo run and of a run that echoes only half the
+    golds compare as the difference of the rates in their summaries."""
+    from fractions import Fraction
 
-    summary = fixtures_dir / "golden" / "summary_spider4.csv"
+    from sqlbench.reporting import format_rate
+
+    half = answers_from_examples(bundle.splits["dev"][::2])
+    with StubServer(StubBehavior(answers=half)) as half_stub:
+        for run_id, stub in (("gold", gold_stub), ("half", half_stub)):
+            config = write_config_with_url(scratch_config, stub.base_url)
+            run_cli("predict", "--config", str(config), "--run-id", run_id, "--split", "dev")
+            run_cli("evaluate", "--config", str(config), "--run-id", run_id, "--split", "dev",
+                    "--predictions", str(tmp_path / "runs" / run_id / "predictions"
+                                         / "dev_shots0.jsonl"))
+    runs = {run_id: tmp_path / "runs" / run_id for run_id in ("gold", "half")}
+    out = tmp_path / "delta.json"
+    assert run_cli("compare", "--base", str(runs["gold"] / "eval" / "dev_records.jsonl"),
+                   "--target", str(runs["half"] / "eval" / "dev_records.jsonl"),
+                   "--out", str(out)) == 0
+    summaries = {run_id: json.loads((run / "reports" / "dev_summary.json").read_text())
+                 for run_id, run in runs.items()}
+    delta = json.loads(out.read_text())
+    assert delta["scheme"] == "spider4" and delta["base_run"].endswith("dev_records.jsonl")
+
+    def rate(counts: dict, metric: str):
+        scored = counts[f"{metric}_scored"]
+        return Fraction(counts[f"{metric}_correct"], scored) if scored else None
+
+    for metric in ("em", "ex"):
+        expected = {}
+        for label, counts in summaries["gold"]["buckets"].items():
+            base, target = rate(counts, metric), rate(summaries["half"]["buckets"][label], metric)
+            expected[label] = "n/a" if None in (base, target) else format_rate(target - base,
+                                                                               signed=True)
+        assert delta[f"{metric}_deltas"] == expected
+    assert delta["ex_deltas"]["overall"].startswith("-")
+    assert capsys.readouterr().out.endswith(f"delta report: {out}\n")
+
+
+def _records_file(path, labels):
+    """A records file of one correct record per difficulty label, indexed
+    from 0; a label is a (scheme, label) pair or None."""
+    from sqlbench.datasets import DifficultyLabel
+    from sqlbench.metrics import EvalRecord, write_eval_records
+
+    write_eval_records([
+        EvalRecord(n, True, True, None,
+                   None if label is None else DifficultyLabel(*label), None)
+        for n, label in enumerate(labels)], path)
+    return path
+
+
+_SPIDER_RUN = [("spider4", "easy"), ("spider4", "hard"), None]
+
+
+def test_compare_out_writes_the_structured_delta(tmp_path, capsys):
+    from sqlbench.metrics import read_eval_records
+    from sqlbench.reporting import STRUCTURED, compare_records, render_delta
+
+    records = _records_file(tmp_path / "records.jsonl", _SPIDER_RUN)
     out = tmp_path / "delta" / "report.json"
-    assert run_cli("compare", "--base", str(summary), "--target", str(summary),
+    assert run_cli("compare", "--base", str(records), "--target", str(records),
                    "--out", str(out)) == 0
     assert capsys.readouterr().out.endswith(f"delta report: {out}\n")
-    parsed = parse_summary_csv(summary.read_text(encoding="utf-8"))
-    assert out.read_text(encoding="utf-8") == render_delta(compare(parsed, parsed), STRUCTURED)
+    read = read_eval_records(records)
+    assert out.read_text(encoding="utf-8") == render_delta(
+        compare_records(read, read, str(records), str(records)), STRUCTURED)
     assert json.loads(out.read_text(encoding="utf-8"))
 
 
-def test_compare_scheme_mismatch_exits_nonzero(fixtures_dir, capsys):
-    spider_csv = fixtures_dir / "golden" / "summary_spider4.csv"
-    bird_csv = fixtures_dir / "golden" / "summary_bird3.csv"
-    rc = run_cli("compare", "--base", str(spider_csv), "--target", str(bird_csv))
+def test_compare_scheme_mismatch_exits_nonzero(tmp_path, capsys):
+    """A Spider run and a BIRD run of as many examples label each example
+    differently."""
+    spider = _records_file(tmp_path / "spider.jsonl", _SPIDER_RUN)
+    bird = _records_file(tmp_path / "bird.jsonl", [("bird3", "simple")] * 3)
+    rc = run_cli("compare", "--base", str(spider), "--target", str(bird))
     assert rc == 1
-    assert "scheme" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"cannot compare: example 0 is easy in {spider} but simple in {bird}\n")
 
 
-@pytest.mark.parametrize("rows, named", [
+_GOOD_LINE = '{"example_index": 0, "em": true, "ex": true, "ves_ratio": null,' \
+             ' "difficulty": {"scheme": "spider4", "label": "easy"}, "failure": null}\n'
+
+
+@pytest.mark.parametrize("content, named", [
     (None, "No such file"),
-    ("a,b\n1,2\n", "missing columns"),
-    ("r,f,spider4,simple,1,1,1,1,1,\n", "unknown bucket"),
-    ("r,f,spider4,overall,1,1,x,1,1,\n", "counts must be integers"),
-    ("r,f,spider4,overall,1,1,1,1,1,\nr,f,spider4,overall,5,5,0,5,0,\n", "more than once"),
-    ("r,f,spider4,overall,1,1,3,1,1,\n", "correct <= scored"),
-    ("r,f,spider4,easy,1,1,1,2,0,\n", "scored <= n"),
-    ("r,f,spider4,overall,1,1,1,1,1,\n", "missing buckets"),
-    ("r,f,spider4,easy,1,1,1,1,1,\nq,f,bird3,overall,1,1,1,1,1,\n", "run_id 'q' differs"),
-    ("r,f,spider4,easy,1,1,1,1,1,\nr,f,spider4,medium,0,0,0,0,0,\nr,f,spider4,hard,0,0,0,0,0,\n"
-     "r,f,spider4,extra,0,0,0,0,0,\nr,f,spider4,overall,10,10,0,10,0,\n", "not the sum"),
-], ids=["missing-file", "columns", "bucket", "count", "repeated-bucket", "correct-over-scored",
-        "scored-over-n", "only-overall", "other-run", "overall-not-sum"])
-def test_compare_on_what_is_not_a_summary_is_one_line(tmp_path, fixtures_dir, capsys, rows,
-                                                      named):
-    header = ("run_id,config_fingerprint,scheme,bucket,n,em_scored,em_correct,"
-              "ex_scored,ex_correct,ves_mean\n")
-    good = fixtures_dir / "golden" / "summary_spider4.csv"
-    bad = tmp_path / "bad.csv"
-    if rows is not None:
-        bad.write_text(rows if rows.startswith("a,b") else header + rows)
+    ("SELECT 1\n", ":1: not an evaluation record: Expecting value"),
+    ("[0]\n", ":1: not an evaluation record: "),
+    (_GOOD_LINE.replace('"failure"', '"reason"'), ":1: not an evaluation record: "),
+    (_GOOD_LINE.replace('"em": true', '"em": "true"'), ":1: not an evaluation record: wrong"),
+    (_GOOD_LINE.replace('"easy"', '"trivial"'), ":1: not an evaluation record: label"),
+    (_GOOD_LINE * 2, ":2: example 0 recorded twice"),
+    ([("spider4", "easy"), ("spider4", "hard")], "score different examples"),
+    ([("spider4", "easy"), ("spider4", "extra"), None], "example 1 is "),
+    ([None] * 3, "carries a difficulty label"),
+], ids=["missing-file", "not-json", "not-an-object", "unknown-key", "wrong-type",
+        "unknown-label", "repeated-index", "other-examples", "other-difficulty", "no-label"])
+def test_compare_refusal_is_one_line(tmp_path, capsys, content, named):
+    good = _records_file(tmp_path / "good.jsonl", _SPIDER_RUN)
+    bad = tmp_path / "bad.jsonl"
+    if isinstance(content, str):
+        bad.write_text(content, encoding="utf-8")
+    elif content is not None:
+        _records_file(bad, content)
+    if content == [None] * 3:  # neither run labels an example
+        _records_file(good, content)
     for base, target in ((bad, good), (good, bad)):
         assert run_cli("compare", "--base", str(base), "--target", str(target)) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"cannot compare: {bad}: ") and named in err, err
-        assert len(err.splitlines()) == 1, err
+        assert err.startswith("cannot compare: ") and named in err, err
+        assert len(err.splitlines()) == 1 and str(bad) in err, err
 
 
 @pytest.mark.parametrize("examples", ['{"question": "q", "query": "SELECT 1"}', "[1, 2]",
@@ -645,8 +711,10 @@ def test_stub_serves_gold_from_examples_and_the_fallback_otherwise(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [["predict", "--config", "x", "--shots", "abc"], ["predict"],
-                                  ["compare", "--base", "a.csv"], []],
-                         ids=["bad-int", "no-config", "no-target", "no-command"])
+                                  ["compare", "--base", "a.jsonl"], [],
+                                  ["stub", "--port", "70000"], ["stub", "--port", "-1"]],
+                         ids=["bad-int", "no-config", "no-target", "no-command",
+                              "port-over", "port-negative"])
 def test_argument_errors_exit_one(capsys, argv):
     with pytest.raises(SystemExit) as exit_info:
         run_cli(*argv)
@@ -679,10 +747,16 @@ def test_train_profile_flags_are_the_profile_fields(capsys):
 
 
 def test_unknown_train_profile_method_is_refused(tmp_path, capsys):
+    """So is a learning rate that is not a finite number."""
     out = tmp_path / "profile.yaml"
-    assert run_cli("emit-train-profile", "--method", "foo", "--out", str(out)) == 1
-    assert capsys.readouterr().err.startswith("config: invalid profile:")
-    assert list(tmp_path.iterdir()) == []
+    for flag, value, named in (("--method", "foo", "unknown tuning method 'foo'"),
+                               ("--learning-rate", "nan", "learning_rate must be positive"),
+                               ("--learning-rate", "inf", "learning_rate must be positive"),
+                               ("--learning-rate", "-inf", "learning_rate must be positive")):
+        assert run_cli("emit-train-profile", f"{flag}={value}", "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"config: invalid profile: {named}" + (
+            " and finite\n" if flag == "--learning-rate" else "\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_config_error_lists_all_problems(tmp_path, capsys):
@@ -1189,6 +1263,14 @@ def test_predict_to_a_url_that_is_not_http_is_a_config_error(scratch_config, tmp
     ("output_dir: ", 'output_dir: "\\ud800"  # ', "output_dir does not encode to UTF-8"),
     ("name: spider-fixture", 'name: "x\\ud800"', "dataset.name does not encode to UTF-8"),
     ("model_name: stub", 'model_name: "\\ud800"', "endpoint.model_name does not encode to UTF-8"),
+    # YAML's spellings of a float that is not finite
+    ("endpoint:\n", "endpoint:\n  timeout_s: .nan\n",
+     "endpoint.timeout_s must be a finite number, got nan"),
+    ("backoff_base_s: 0.01", "backoff_base_s: .inf",
+     "endpoint.backoff_base_s must be a finite number, got inf"),
+    ("endpoint:\n", "endpoint:\n  temperature: .NaN\n",
+     "endpoint.temperature must be a finite number, got nan"),
+    ("timeout_s: 10", "timeout_s: -.inf", "metrics.timeout_s must be a finite number, got -inf"),
 ])
 def test_misspelt_key_or_wrong_type_is_a_config_error(scratch_config, tmp_path, gold_stub,
                                                       capsys, replaced, replacement, named):
@@ -1202,6 +1284,22 @@ def test_misspelt_key_or_wrong_type_is_a_config_error(scratch_config, tmp_path, 
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("config:")]
     assert len(errors) == 1 and named in errors[0], errors
+    assert not (tmp_path / "runs").exists()
+    assert gold_stub.request_count == 0
+
+
+@pytest.mark.parametrize("key", ["k\udcff", "\u20acuro", "a\nb"],
+                         ids=["undecodable-byte", "not-ascii", "newline"])
+def test_an_api_key_that_is_not_a_header_value_is_a_config_error(
+        scratch_config, tmp_path, gold_stub, monkeypatch, capsys, key):
+    """A Bearer token is visible ASCII. Any other key is refused before a
+    file is made or a request sent, and the error names the variable, never
+    the key."""
+    monkeypatch.setenv("SQLBENCH_API_KEY", key)
+    config = write_config_with_url(scratch_config, gold_stub.base_url)
+    assert run_cli("predict", "--config", str(config), "--run-id", "t", "--split", "dev") == 1
+    assert capsys.readouterr().err == ("config: endpoint.api_key_env: SQLBENCH_API_KEY holds an"
+                                       " API key that is not all visible ASCII (U+0021-U+007E)\n")
     assert not (tmp_path / "runs").exists()
     assert gold_stub.request_count == 0
 

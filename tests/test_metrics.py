@@ -20,11 +20,10 @@ from sqlbench.metrics import (
     ScoreOptions,
     score_em,
     score_ex,
+    read_eval_records,
     score_run,
     write_eval_records,
 )
-
-from helpers import read_eval_records
 
 
 def sha256(path) -> str:
@@ -268,6 +267,45 @@ def test_eval_record_roundtrip(tmp_path, bundle):
     path = tmp_path / "records.jsonl"
     write_eval_records(records, path)
     assert read_eval_records(path) == records
+
+
+_RECORD = {"example_index": 1, "em": True, "ex": False, "ves_ratio": None,
+           "difficulty": {"scheme": "spider4", "label": "hard"}, "failure": None}
+
+
+@pytest.mark.parametrize("line, named", [
+    (b"not json", "Expecting value"),
+    (b"\xff", "can't decode"),
+    (b"[1, 2]", "must be a mapping"),
+    (json.dumps({**_RECORD, "hardness": "hard"}).encode(), "'hardness'"),
+    (json.dumps({k: v for k, v in _RECORD.items() if k != "em"}).encode(), "'em'"),
+    (json.dumps({**_RECORD, "example_index": "1"}).encode(), "wrong type of example_index"),
+    (json.dumps({**_RECORD, "example_index": True}).encode(), "wrong type of example_index"),
+    (json.dumps({**_RECORD, "em": 1, "ex": "no"}).encode(), "wrong type of em, ex"),
+    (json.dumps({**_RECORD, "ves_ratio": "1.5"}).encode(), "wrong type of ves_ratio"),
+    (json.dumps({**_RECORD, "failure": 3}).encode(), "wrong type of failure"),
+    (json.dumps({**_RECORD, "failure": "\ud800"}).encode(), "wrong type of failure"),
+    (json.dumps({**_RECORD, "difficulty": "hard"}).encode(), "must be a mapping"),
+    (json.dumps({**_RECORD, "difficulty": {"scheme": "spider4"}}).encode(), "'label'"),
+    (json.dumps({**_RECORD, "difficulty": {"scheme": "spider4", "label": "simple"}}).encode(),
+     "label 'simple' not in scheme spider4"),
+    (json.dumps({**_RECORD, "difficulty": {"scheme": "spider5", "label": "hard"}}).encode(),
+     "unknown difficulty scheme"),
+    (json.dumps({**_RECORD, "example_index": 0}).encode(), "example 0 recorded twice"),
+    (b"", "Expecting value"),
+], ids=["not-json", "not-utf8", "not-an-object", "unknown-key", "missing-key", "index-text",
+        "index-bool", "verdicts", "ves-text", "failure-number", "failure-surrogate",
+        "difficulty-text", "difficulty-no-label", "difficulty-label", "difficulty-scheme",
+        "repeated-index", "blank"])
+def test_read_eval_records_names_the_line_that_is_not_a_record(tmp_path, line, named):
+    path = tmp_path / "records.jsonl"
+    first = EvalRecord(0, None, True, 1.5, None, None).to_json().encode()
+    path.write_bytes(first + b"\n" + line + b"\n")
+    with pytest.raises(ValueError) as exc_info:
+        read_eval_records(path)
+    assert str(exc_info.value).startswith(f"{path}:2: ") and named in str(exc_info.value)
+    path.write_bytes(first + b"\n")
+    assert read_eval_records(path) == [EvalRecord(0, None, True, 1.5, None, None)]
 
 
 class TestBirdScheme:

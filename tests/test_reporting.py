@@ -3,8 +3,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sqlbench.datasets import DifficultyLabel
 from sqlbench.metrics import EvalRecord
@@ -16,8 +14,8 @@ from sqlbench.reporting import (
     BucketCounts,
     RunSummary,
     compare,
+    compare_records,
     format_rate,
-    parse_summary_csv,
     render_delta,
     render_summary,
     summarize,
@@ -94,67 +92,6 @@ def test_plain_table_layout():
     assert header == ["metric", "Easy", "Medium", "Hard", "Extra", "Overall"]
     ex_line = [l for l in lines if l.startswith("ex")][0]
     assert ex_line.split()[1:] == ["0.900", "0.700", "0.500", "0.300", "0.600"]
-
-
-def test_csv_roundtrip_exact():
-    summary = summarize(graded_bucket_records(), "run-a", "cafe")
-    summary.ves_mean = 1.2345678901234567
-    parsed = parse_summary_csv(render_summary(summary, CSV))
-    assert parsed == summary
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 30), st.integers(0, 30), st.integers(0, 30)),
-        min_size=4, max_size=4,
-    )
-)
-def test_csv_roundtrip_randomized(cells):
-    buckets = {}
-    for label, (n_extra, em_c, ex_c) in zip(SPIDER, cells):
-        n = n_extra + max(em_c, ex_c)  # keep correct <= scored
-        buckets[label] = BucketCounts(n=n, em_scored=n, em_correct=em_c, ex_scored=n,
-                                      ex_correct=ex_c)
-    buckets[OVERALL] = BucketCounts(*(sum(getattr(c, name) for c in buckets.values())
-                                      for name in ("n", "em_scored", "em_correct", "ex_scored",
-                                                   "ex_correct")))
-    summary = RunSummary(
-        run_id="rand", scheme="spider4", buckets=buckets, ves_mean=None, config_fingerprint="fp",
-    )
-    assert parse_summary_csv(render_summary(summary, CSV)) == summary
-
-
-_HEADER = ("run_id,config_fingerprint,scheme,bucket,n,em_scored,em_correct,"
-           "ex_scored,ex_correct,ves_mean\n")
-_LABEL_ROWS = ("r,f,spider4,easy,1,1,1,1,1,\nr,f,spider4,medium,0,0,0,0,0,\n"
-               "r,f,spider4,hard,0,0,0,0,0,\nr,f,spider4,extra,0,0,0,0,0,\n")
-
-
-@pytest.mark.parametrize("text, named", [
-    ("a,b\n1,2\n", "missing columns"),
-    (_HEADER + "r,f,spider5,overall,1,1,1,1,1,\n", "unknown difficulty scheme"),
-    (_HEADER + "r,f,spider4,simple,1,1,1,1,1,\n", "unknown bucket 'simple'"),
-    (_HEADER + "r,f,spider4,easy,1,1,one,1,1,\n", "counts must be integers"),
-    (_HEADER + "r,f,spider4,easy,1,1\n", "counts must be integers"),
-    (_HEADER + "r,f,spider4,easy,1,1,1,1,1,\nr,f,spider4,easy,1,1,0,1,0,\n", "more than once"),
-    (_HEADER + "r,f,spider4,overall,1,1,3,1,1,\n", "correct <= scored"),
-    (_HEADER + "r,f,spider4,hard,1,1,0,1,2,\n", "correct <= scored"),
-    (_HEADER + "r,f,spider4,easy,1,2,0,1,1,\n", "scored <= n"),
-    (_HEADER + "r,f,spider4,easy,-1,0,0,0,0,\n", "0 <= correct"),
-    (_HEADER + _LABEL_ROWS + "q,f,bird3,overall,1,1,1,1,1,\n", "run_id 'q' differs"),
-    (_HEADER + _LABEL_ROWS + "r,g,spider4,overall,1,1,1,1,1,\n", "config_fingerprint 'g'"),
-    (_HEADER + _LABEL_ROWS + "r,f,bird3,overall,1,1,1,1,1,\n", "scheme 'bird3' differs"),
-    (_HEADER + "r,f,spider4,easy,1,1,1,1,1,0.5\n", "ves_mean is written on the overall row"),
-    (_HEADER + "r,f,spider4,overall,1,1,1,1,1,\n", "missing buckets"),
-    (_HEADER + _LABEL_ROWS + "r,f,spider4,overall,10,10,0,10,0,\n", "not the sum"),
-], ids=["columns", "scheme", "bucket", "count", "short-row", "repeated-bucket",
-        "em-correct-over-scored", "ex-correct-over-scored", "scored-over-n", "negative",
-        "other-run", "other-fingerprint", "other-scheme", "ves-on-label-row",
-        "only-overall", "overall-not-sum"])
-def test_parse_summary_csv_refuses_what_is_not_a_summary(text, named):
-    with pytest.raises(ValueError, match=named):
-        parse_summary_csv(text)
 
 
 def test_compare_zero_on_identical():
@@ -278,3 +215,39 @@ def test_delta_report_matches_golden(fixtures_dir, fmt, suffix):
     rendered = render_delta(compare(_pinned_summaries()["spider4"], target), fmt)
     assert rendered == (fixtures_dir / "golden" / f"delta_spider4.{suffix}").read_text(
         encoding="utf-8")
+
+
+def test_compare_records_summarizes_each_run_as_evaluate_does():
+    """The labeled records of each run, under their scheme: the same report
+    as ``compare`` of the summaries ``evaluate`` derives from them."""
+    unlabeled = EvalRecord(99, False, False, None, None, "gold-error")
+    target = [EvalRecord(r.example_index, not r.em, True, None, r.difficulty, None)
+              for r in PINNED_SPIDER]
+    report = compare_records([*PINNED_SPIDER, unlabeled], [unlabeled, *target], "a", "b")
+    assert report == compare(summarize(PINNED_SPIDER, "a", ""), summarize(target, "b", ""))
+    bird = compare_records(PINNED_BIRD, PINNED_BIRD, "a", "a")
+    assert bird.scheme == "bird3" and set(bird.ex_deltas.values()) == {0, None}
+
+
+@pytest.mark.parametrize("target, named", [
+    (PINNED_SPIDER[:-1], "a and b score different examples: 1 only in the first, 0 only"),
+    ([*PINNED_SPIDER, EvalRecord(10, True, True, None, None, None)], "0 only in the first, 1"),
+    ([EvalRecord(r.example_index, r.em, r.ex, None, DifficultyLabel("bird3", "simple"), None)
+      for r in PINNED_SPIDER], "example 0 is easy in a but simple in b"),
+    ([*PINNED_SPIDER[:-1], EvalRecord(9, None, False, None, None, None)],
+     "example 9 is extra in a but unlabeled in b"),
+], ids=["fewer", "more", "other-scheme", "other-label"])
+def test_compare_records_refuses_runs_of_other_examples(target, named):
+    with pytest.raises(ValueError) as exc_info:
+        compare_records(PINNED_SPIDER, target, "a", "b")
+    assert named in str(exc_info.value)
+    with pytest.raises(ValueError):
+        compare_records(target, PINNED_SPIDER, "b", "a")
+
+
+def test_compare_records_refuses_runs_with_no_label():
+    unlabeled = [EvalRecord(0, True, True, None, None, None)]
+    with pytest.raises(ValueError, match="no example of a or b carries a difficulty label"):
+        compare_records(unlabeled, unlabeled, "a", "b")
+    with pytest.raises(ValueError, match="no example"):
+        compare_records([], [], "a", "b")

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import typing
 from pathlib import Path
 
 import pytest
+import yaml
 
 from sqlbench.datasets import DatasetSource
 from sqlbench.inference import ModelEndpoint
@@ -119,3 +121,31 @@ def test_readme_quickstart_config_loads(tmp_path):
         load_run_config(config)
     errors = exc_info.value.errors
     assert errors and all(" not found: " in error for error in errors), errors
+
+
+@pytest.mark.parametrize("spelling", [".nan", ".inf", "-.inf"])
+def test_a_float_that_is_not_finite_is_one_config_error(scratch_config, spelling):
+    """Every float field of the config, whether its section names it or not."""
+    config = fixture_run_config()
+    keys = []
+    for path in _leaves(config):
+        section = config
+        for name in path[:-1]:
+            section = getattr(section, name)
+        if typing.get_type_hints(type(section))[path[-1]] is float:
+            keys.append(path)
+    assert {".".join(path) for path in keys} == {
+        "endpoint.temperature", "endpoint.timeout_s", "endpoint.backoff_base_s",
+        "metrics.timeout_s"}
+    value = yaml.safe_load(spelling)
+    for path in keys:
+        raw = yaml.safe_load(scratch_config.read_text(encoding="utf-8").replace(
+            "BASE_URL", "http://127.0.0.1:9/v1"))
+        raw[path[0]][path[1]] = value
+        bad = scratch_config.with_name("not_finite.yaml")
+        bad.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        assert f"{path[1]}: {spelling}\n" in bad.read_text(encoding="utf-8")
+        with pytest.raises(ConfigError) as exc_info:
+            load_run_config(bad)
+        assert exc_info.value.errors == [f"{'.'.join(path)} must be a finite number,"
+                                         f" got {value!r}"]
