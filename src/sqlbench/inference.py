@@ -33,6 +33,9 @@ _SQL_START_RE = re.compile(r"\b" + _SQL_KEYWORD, re.IGNORECASE)
 # text up to the first semicolon outside a quoted string; an unclosed one runs to the end
 _STATEMENT_RE = re.compile(r"(?:[^;'\"]+|'[^']*'?|\"[^\"]*\"?)*")
 _BEARER_RE = re.compile(r"[!-~]+")  # visible ASCII, the characters of a Bearer token
+# seconds in a day, the longest wait a config may ask for: time.sleep, a socket
+# timeout and a query deadline overflow long before a float or an int does
+MAX_WAIT_S = 86_400
 
 
 @dataclass(frozen=True)
@@ -59,12 +62,13 @@ class ModelEndpoint:
             raise ValueError("concurrency_limit must be positive")
         if self.max_response_tokens < 1:
             raise ValueError("max_response_tokens must be positive")
-        if self.timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
+        if not 0 < self.timeout_s <= MAX_WAIT_S:
+            raise ValueError(f"timeout_s must be positive and at most {MAX_WAIT_S} (one day)")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.backoff_base_s < 0:
-            raise ValueError("backoff_base_s must be non-negative")
+        if not 0 <= self.backoff_base_s <= MAX_WAIT_S:
+            raise ValueError(f"backoff_base_s must be non-negative and at most {MAX_WAIT_S}"
+                             " (one day)")
 
     def api_key(self) -> str | None:
         """The key in the environment variable ``api_key_env``, or None if it

@@ -12,7 +12,6 @@ from .artifacts import is_text, writing
 from .datasets import BIRD, DatabaseSchema, DatasetBundle, DifficultyLabel, ExampleTriple
 from .execution import (
     DB_UNAVAILABLE,
-    ExecOutcome,
     ExecutionFailure,
     ReusedConnection,
     execute_sql,
@@ -20,58 +19,12 @@ from .execution import (
     median_elapsed,
     results_match,
 )
+from .inference import MAX_WAIT_S
 from .sqlkit import SqlParseError, SqlUnit, classify_difficulty, em_match, parse_sql
 
 PREDICTION_ERROR = "prediction-error"
 PARSE_ERROR = "parse-error"
 GOLD_ERROR = "gold-error"
-
-class GoldExecutionError(Exception):
-    """The gold query itself failed to execute: a dataset error, not a score."""
-
-
-def score_em(pred_sql: str, gold_sql: str, schema: DatabaseSchema) -> bool:
-    """Clause-set match; a prediction that fails to parse is a non-match."""
-    gold_unit = parse_sql(gold_sql, schema)
-    try:
-        pred_unit = parse_sql(pred_sql, schema)
-    except SqlParseError:
-        return False
-    return em_match(pred_unit, gold_unit)
-
-
-@dataclass
-class ExScore:
-    ex: bool | None
-    ves_ratio: float | None
-    failure: str | None
-
-
-def score_ex(
-    pred_sql: str,
-    gold_sql: str,
-    db_file: str | Path | None,
-    timeout_s: float = 30.0,
-    ves: bool = False,
-) -> ExScore:
-    """Execute both queries and compare result sets.
-
-    The gold result is compared as an ordered sequence when the gold query
-    has a top-level ORDER BY, as a multiset of tuples otherwise. On a correct
-    prediction with ``ves`` set, the efficiency ratio
-    sqrt(gold_elapsed / pred_elapsed) is computed from median-of-3 timings.
-    """
-    if not _db_available(db_file):
-        return ExScore(ex=None, ves_ratio=None, failure=DB_UNAVAILABLE)
-    with ReusedConnection() as connection:
-        gold = _Gold(gold_sql, None, db_file, timeout_s, connection)
-        if isinstance(gold.result, GoldExecutionError):
-            raise gold.result
-        return _judge(gold, pred_sql, ves)
-
-
-def _db_available(db_file: str | Path | None) -> bool:
-    return db_file is not None and Path(db_file).is_file()
 
 
 @dataclass
@@ -117,15 +70,15 @@ class ScoreOptions:
     timeout_s: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
+        if not 0 < self.timeout_s <= MAX_WAIT_S:
+            raise ValueError(f"timeout_s must be positive and at most {MAX_WAIT_S} (one day)")
 
 
 class _Gold:
     """One distinct (db_id, gold_sql) of a run. Each fact about it is worked
     out on first use and then shared by every example with this gold."""
 
-    def __init__(self, sql: str, schema: DatabaseSchema | None, db_file: str | Path | None,
+    def __init__(self, sql: str, schema: DatabaseSchema, db_file: str | Path | None,
                  timeout_s: float, connection: ReusedConnection) -> None:
         self.sql = sql
         self.schema = schema
@@ -152,15 +105,15 @@ class _Gold:
 
     @cached_property
     def db_available(self) -> bool:
-        return _db_available(self.db_file)
+        return self.db_file is not None and Path(self.db_file).is_file()
 
     @cached_property
-    def result(self) -> ExecOutcome | GoldExecutionError:
-        """The gold's rows, or the error of a gold that does not execute."""
+    def rows(self) -> list[tuple] | None:
+        """The gold's rows, or None for a gold that does not execute."""
         try:
-            return execute_sql(self.sql, self.connection.get(self.db_file), self.timeout_s)
-        except ExecutionFailure as failure:
-            return GoldExecutionError(f"gold query failed: {failure}")
+            return execute_sql(self.sql, self.connection.get(self.db_file), self.timeout_s).rows
+        except ExecutionFailure:
+            return None
 
     @cached_property
     def elapsed(self) -> float | None:
@@ -171,15 +124,37 @@ class _Gold:
             return None
 
 
-def _judge(gold: _Gold, pred_sql: str, ves: bool) -> ExScore:
-    """Execute the prediction and compare it with the gold's result. On a
-    correct prediction with ``ves`` set, both queries are timed on the
-    scoring connection for the efficiency ratio."""
+def score_em(pred_sql: str, gold: _Gold) -> tuple[bool | None, str | None]:
+    """Clause-set match of the prediction with the gold, and its failure:
+    None for a gold outside the clause grammar, which EM leaves out, and
+    False with ``parse-error`` for a prediction outside it."""
+    if gold.unit is None:
+        return None, None
+    try:
+        pred_unit = parse_sql(pred_sql, gold.schema)
+    except SqlParseError:
+        return False, PARSE_ERROR
+    return em_match(pred_unit, gold.unit), None
+
+
+def score_ex(pred_sql: str, gold: _Gold,
+             ves: bool) -> tuple[bool | None, float | None, str | None]:
+    """Execution match of the prediction with the gold, its efficiency ratio
+    and its failure. With no database, or a gold that does not execute,
+    there is no verdict. Otherwise the prediction executes and its rows are
+    compared with the gold's: as a sequence when the gold has a top-level
+    ORDER BY, as a multiset of tuples otherwise. On a correct prediction
+    with ``ves`` set, both queries are timed on the scoring connection (a
+    median of 3 runs each) for the ratio sqrt(gold_time / pred_time)."""
+    if not gold.db_available:
+        return None, None, DB_UNAVAILABLE
+    if gold.rows is None:
+        return None, None, GOLD_ERROR
     try:
         pred_out = execute_sql(pred_sql, gold.connection.get(gold.db_file), gold.timeout_s)
     except ExecutionFailure as failure:
-        return ExScore(ex=False, ves_ratio=None, failure=failure.kind)
-    ex = results_match(gold.result.rows, pred_out.rows, gold.ordered)
+        return False, None, failure.kind
+    ex = results_match(gold.rows, pred_out.rows, gold.ordered)
     ves_ratio = None
     if ex and ves and gold.elapsed is not None:
         try:
@@ -187,7 +162,7 @@ def _judge(gold: _Gold, pred_sql: str, ves: bool) -> ExScore:
             ves_ratio = math.sqrt(gold.elapsed / pred_time)
         except ExecutionFailure:
             ves_ratio = None  # timing rerun failed; the verdict stands
-    return ExScore(ex=ex, ves_ratio=ves_ratio, failure=None)
+    return ex, ves_ratio, None
 
 
 def _score_one(
@@ -199,49 +174,15 @@ def _score_one(
 ) -> EvalRecord:
     difficulty = example.difficulty if bundle.dialect == BIRD else gold.difficulty
     if prediction is None or getattr(prediction, "error", None):
-        return EvalRecord(
-            example_index=example.index,
-            em=False if options.em else None,
-            ex=False if options.ex else None,
-            ves_ratio=None,
-            difficulty=difficulty,
-            failure=PREDICTION_ERROR,
-        )
-    pred_sql = prediction.extracted_sql
-
-    em = None  # an unparseable gold is excluded from EM, kept for EX
-    pred_unparseable = False
-    if options.em and gold.unit is not None:
-        try:
-            pred_unit = parse_sql(pred_sql, gold.schema)
-        except SqlParseError:
-            em, pred_unparseable = False, True
-        else:
-            em = em_match(pred_unit, gold.unit)
-
-    ex = None
-    ves_ratio = None
-    failure = None
+        return EvalRecord(example.index, False if options.em else None,
+                          False if options.ex else None, None, difficulty, PREDICTION_ERROR)
+    em = ex = ves_ratio = em_failure = ex_failure = None
+    if options.em:
+        em, em_failure = score_em(prediction.extracted_sql, gold)
     if options.ex:
-        if not gold.db_available:
-            failure = DB_UNAVAILABLE
-        elif isinstance(gold.result, GoldExecutionError):
-            failure = GOLD_ERROR
-        else:
-            result = _judge(gold, pred_sql, options.ves)
-            ex, ves_ratio, failure = result.ex, result.ves_ratio, result.failure
-    if failure is None and pred_unparseable:
-        # the prediction is outside the clause grammar; execution verdicts,
-        # when computed, still stand on their own
-        failure = PARSE_ERROR
-    return EvalRecord(
-        example_index=example.index,
-        em=em,
-        ex=ex,
-        ves_ratio=ves_ratio,
-        difficulty=difficulty,
-        failure=failure,
-    )
+        ex, ves_ratio, ex_failure = score_ex(prediction.extracted_sql, gold, options.ves)
+    # an execution failure names the record; a parse error only when there is none
+    return EvalRecord(example.index, em, ex, ves_ratio, difficulty, ex_failure or em_failure)
 
 
 def score_run(

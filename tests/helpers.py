@@ -1,5 +1,6 @@
 """Readers that only tests use, the inverses of the files the pipeline
-writes, and a fault injector for the one module that writes them."""
+writes, a fault injector for the one module that writes them, and one
+prediction scored alone."""
 
 from __future__ import annotations
 
@@ -8,12 +9,15 @@ import json
 import os
 import random
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import yaml
 
 from sqlbench import artifacts
 from sqlbench.corpus import TrainProfile
+from sqlbench.inference import Prediction
+from sqlbench.metrics import EvalRecord, ScoreOptions, score_run
 
 
 def read_corpus(path: str | Path) -> list[dict]:
@@ -24,6 +28,18 @@ def read_corpus(path: str | Path) -> list[dict]:
 def load_train_profile(path: str | Path) -> TrainProfile:
     with open(path, encoding="utf-8") as fp:
         return TrainProfile(**yaml.safe_load(fp))
+
+
+def score_pair(bundle, pred_sql: str, gold_sql: str, options: ScoreOptions | None = None,
+               db_file: str | Path | None = None) -> EvalRecord:
+    """``pred_sql`` scored against ``gold_sql`` by ``score_run``, as the one
+    example of its run: the fixture bundle's first dev example, on its
+    concert_singer database, or on ``db_file`` in that database's place."""
+    example = replace(bundle.splits["dev"][0], gold_sql=gold_sql)
+    if db_file is not None:
+        bundle = replace(bundle, db_files={**bundle.db_files, example.db_id: db_file})
+    predictions = {example.index: Prediction(example.index, pred_sql, pred_sql, 1.0, 1)}
+    return score_run([example], predictions, bundle, options)[0]
 
 
 class Killed(BaseException):

@@ -26,7 +26,7 @@ from sqlbench.datasets import (
 )
 from sqlbench.cli import main as cli_main
 from sqlbench.inference import Prediction, read_predictions
-from sqlbench.metrics import EvalRecord, ScoreOptions, score_ex, score_run
+from sqlbench.metrics import EvalRecord, ScoreOptions, score_run
 from sqlbench.prompts import (
     COMPACT_STYLE,
     TRP_SENTENCE,
@@ -41,7 +41,7 @@ from sqlbench.sqlkit import SqlParseError, classify_difficulty, em_match, parse_
 from sqlbench.stub import StubBehavior, StubServer
 
 from conftest import answers_from_examples, cli_child_env, write_config_with_url
-from helpers import load_train_profile, read_corpus
+from helpers import load_train_profile, read_corpus, score_pair
 
 
 def _checked(num: int, name: str, limit_s: float | None = None):
@@ -90,7 +90,7 @@ def test_1_prompt_fidelity(bundle, fixtures_dir):
 def test_2_em_conformance(bundle, fixtures_dir):
     @_checked(2, "EM conformance suite", limit_s=5.0)
     def criterion():
-        pairs = json.loads((fixtures_dir / "em_pairs.json").read_text())["pairs"]
+        pairs = json.loads((fixtures_dir / "em_pairs.json").read_text(encoding="utf-8"))["pairs"]
         assert len(pairs) >= 50
         disagreements = []
         for pair in pairs:
@@ -110,13 +110,14 @@ def test_2_em_conformance(bundle, fixtures_dir):
 def test_3_ex_conformance(bundle, fixtures_dir, db_file, tmp_path):
     @_checked(3, "EX conformance suite", limit_s=30.0)
     def criterion():
-        pairs = json.loads((fixtures_dir / "ex_pairs.json").read_text())["pairs"]
+        pairs = json.loads((fixtures_dir / "ex_pairs.json").read_text(encoding="utf-8"))["pairs"]
         assert len(pairs) >= 30
         checksum_before = hashlib.sha256(db_file.read_bytes()).hexdigest()
         disagreements = []
-        for pair in pairs:
-            db = tmp_path / "absent.sqlite" if pair.get("db") == "missing" else db_file
-            result = score_ex(pair["pred"], pair["gold"], db, timeout_s=1.5)
+        for pair in pairs:  # each scored alone, through score_run
+            db = tmp_path / "absent.sqlite" if pair.get("db") == "missing" else None
+            result = score_pair(bundle, pair["pred"], pair["gold"],
+                                ScoreOptions(em=False, timeout_s=1.5), db)
             expect = pair["expect"]
             if expect == "true":
                 ok = result.ex is True and result.failure is None
@@ -172,7 +173,8 @@ def test_4_metric_sanity(bundle):
 def test_5_difficulty_bucketing(bundle, fixtures_dir):
     @_checked(5, "difficulty bucketing")
     def criterion():
-        rows = json.loads((fixtures_dir / "hardness_pinned.json").read_text())["queries"]
+        rows = json.loads(
+            (fixtures_dir / "hardness_pinned.json").read_text(encoding="utf-8"))["queries"]
         assert len(rows) == 40
         disagreements = [
             row["id"]
@@ -342,14 +344,14 @@ def test_8_end_to_end_stub_run(scratch_config, tmp_path, bundle):
             partial = tmp_path / "out_r" / "resume" / "predictions" / "dev_shots0.jsonl.partial"
             deadline = time.time() + 30
             while time.time() < deadline and proc.poll() is None:
-                if partial.is_file() and len(partial.read_text().splitlines()) >= 2:
+                if partial.is_file() and len(partial.read_text(encoding="utf-8").splitlines()) >= 2:
                     break
                 time.sleep(0.05)
             proc.send_signal(signal.SIGKILL)
             proc.wait(timeout=10)
             assert partial.is_file(), (
                 "no partial file produced before the kill; child stderr:\n"
-                + stderr_path.read_text(errors="replace")
+                + stderr_path.read_text(errors="replace", encoding="utf-8")
             )
         with StubServer(StubBehavior(answers=answers)) as fast:
             config = write_config_with_url(scratch_config, fast.base_url)

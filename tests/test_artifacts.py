@@ -28,7 +28,7 @@ from helpers import Faults, Killed
 
 def test_only_the_writer_renames_or_names_a_temporary_file():
     src = Path(sqlbench.__file__).parent
-    texts = {path.relative_to(src).as_posix(): path.read_text("utf-8")
+    texts = {path.relative_to(src).as_posix(): path.read_text(encoding="utf-8")
              for path in sorted(src.rglob("*.py"))}
     offenders = [(name, needle) for name, text in texts.items() if name != "artifacts.py"
                  for needle in ("os.replace", ".writing", ".partial") if needle in text]
@@ -44,10 +44,10 @@ def test_a_whole_file_replaces_the_old_one_only_when_complete(tmp_path):
         with writing(out) as fp:
             fp.write("new\n")
             raise RuntimeError("cut midway")
-    assert out.read_text() == "old\n" and log_path(out).is_file()
+    assert out.read_text(encoding="utf-8") == "old\n" and log_path(out).is_file()
     write_text(out, "new\n")
     # the temporary file is reused and renamed; the log its records went to is retired
-    assert out.read_text() == "new\n"
+    assert out.read_text(encoding="utf-8") == "new\n"
     assert [p.name for p in out.parent.iterdir()] == ["out.jsonl"]
 
 

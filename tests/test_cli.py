@@ -29,12 +29,17 @@ def run_cli(*argv) -> int:
     return main(list(argv))
 
 
+def replace_in(path: Path, old: str, new: str) -> None:
+    """Rewrite a text file with each ``old`` in it replaced by ``new``."""
+    path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+
+
 def test_cli_runs_without_requests(tmp_path):
     """The package's only HTTP client is the standard library's."""
     probe = ("import sys, sqlbench.cli;"
              " print(sorted(m for m in sys.modules if m.startswith('requests')))")
     done = subprocess.run([sys.executable, "-c", probe], env=cli_child_env(), cwd=str(tmp_path),
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60, encoding="utf-8")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
 
@@ -57,7 +62,7 @@ def test_ingest_writes_manifest(scratch_config, tmp_path, capsys):
     config = write_config_with_url(scratch_config, "http://127.0.0.1:1/v1")
     rc = run_cli("ingest", "--config", str(config), "--run-id", "t")
     assert rc == 0
-    manifest = json.loads((tmp_path / "runs" / "t" / "manifest.json").read_text())
+    manifest = json.loads((tmp_path / "runs" / "t" / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["splits"] == {"dev": 20, "train": 19}
     assert manifest["databases"]["concert_singer"]["has_file"] is True
     out = capsys.readouterr().out
@@ -66,8 +71,7 @@ def test_ingest_writes_manifest(scratch_config, tmp_path, capsys):
 
 def test_ingest_missing_examples_file(scratch_config, capsys):
     config = write_config_with_url(scratch_config, "http://127.0.0.1:1/v1")
-    broken = config.read_text().replace("dev.json", "missing_dev.json")
-    config.write_text(broken)
+    replace_in(config, "dev.json", "missing_dev.json")
     rc = run_cli("ingest", "--config", str(config), "--run-id", "t")
     assert rc == 1
     err = capsys.readouterr().err
@@ -126,15 +130,14 @@ def test_ingest_malformed_dataset_json_is_a_dataset_error(
     """Each problem is one ``dataset:`` line, from ingest and from every stage
     that reads the dataset, before any request or file."""
     tables, dev = _malform(
-        case, json.loads((fixtures_dir / "spider" / "tables.json").read_text()),
-        json.loads((fixtures_dir / "spider" / "dev.json").read_text()))
+        case, json.loads((fixtures_dir / "spider" / "tables.json").read_text(encoding="utf-8")),
+        json.loads((fixtures_dir / "spider" / "dev.json").read_text(encoding="utf-8")))
     tables_path, dev_path = tmp_path / "tables.json", tmp_path / "dev.json"
-    tables_path.write_text(json.dumps(tables))
-    dev_path.write_text(json.dumps(dev))
+    tables_path.write_text(json.dumps(tables), encoding="utf-8")
+    dev_path.write_text(json.dumps(dev), encoding="utf-8")
     config = write_config_with_url(scratch_config, "http://127.0.0.1:1/v1")
-    text = config.read_text()
-    text = text.replace(str(fixtures_dir / "spider" / "tables.json"), str(tables_path))
-    config.write_text(text.replace(str(fixtures_dir / "spider" / "dev.json"), str(dev_path)))
+    replace_in(config, str(fixtures_dir / "spider" / "tables.json"), str(tables_path))
+    replace_in(config, str(fixtures_dir / "spider" / "dev.json"), str(dev_path))
     for stage in (("ingest",), ("predict", "--split", "dev", "--shots", "1"),
                   ("build-corpus", "--split", "dev", "--k", "1")):
         assert run_cli(*stage, "--config", str(config), "--run-id", "t") == 1, stage
@@ -171,9 +174,8 @@ def test_stages_read_only_the_splits_they_use(scratch_config, tmp_path, gold_stu
     """A malformed split file leaves the stages that do not use it running;
     ingest, which checks every split, still reports it."""
     bad = tmp_path / "test.json"
-    bad.write_text("[{not json")
-    scratch_config.write_text(
-        scratch_config.read_text().replace("    dev:", f"    test: {bad}\n    dev:"))
+    bad.write_text("[{not json", encoding="utf-8")
+    replace_in(scratch_config, "    dev:", f"    test: {bad}\n    dev:")
     config = write_config_with_url(scratch_config, gold_stub.base_url)
     common = ("--config", str(config), "--run-id", "t")
     assert run_cli("build-corpus", *common, "--split", "train", "--k", "1") == 0
@@ -261,22 +263,23 @@ def test_ingest_output_is_pinned(scratch_config, tmp_path, fixtures_dir):
 
     spider = fixtures_dir / "spider"
     config = write_config_with_url(scratch_config, "http://127.0.0.1:1/v1")
-    text = config.read_text()
+    text = config.read_text(encoding="utf-8")
     for split, spots in (("dev", (3, None)), ("train", (0, 7, None))):
-        rows = json.loads((spider / f"{split}.json").read_text())
+        rows = json.loads((spider / f"{split}.json").read_text(encoding="utf-8"))
         for n, at in enumerate(spots):
             db_id = ("concert_singer", "college_2")[n % 2]
             row = {"db_id": db_id, "question": f"Is there a {split} singer {n}?",
                    "query": _EXISTS_GOLD}
             rows.insert(len(rows) if at is None else at, row)
         path = tmp_path / f"{split}.json"
-        path.write_text(json.dumps(rows))
+        path.write_text(json.dumps(rows), encoding="utf-8")
         text = text.replace(str(spider / f"{split}.json"), str(path))
-    config.write_text(text)
+    config.write_text(text, encoding="utf-8")
     done = subprocess.run(
         [sys.executable, "-m", "sqlbench.cli", "ingest", "--config", str(config),
          "--run-id", "pin"],
-        env=cli_child_env(), cwd=str(tmp_path), capture_output=True, text=True, timeout=60)
+        env=cli_child_env(), cwd=str(tmp_path), capture_output=True, text=True, timeout=60,
+        encoding="utf-8")
     assert done.returncode == 0, done.stderr
     manifest = tmp_path / "runs" / "pin" / "manifest.json"
     assert done.stderr == _PINNED_INGEST_STDERR
@@ -315,7 +318,8 @@ def test_seed_flag_overrides_the_config_seed(scratch_config, tmp_path):
         assert run_cli(*argv, *(["--seed", seed] if seed else [])) == 0
         run_cli("ingest", "--config", str(config), "--run-id", run_id,
                 *(["--seed", seed] if seed else []))
-        manifest = json.loads((tmp_path / "runs" / run_id / "manifest.json").read_text())
+        manifest = json.loads(
+            (tmp_path / "runs" / run_id / "manifest.json").read_text(encoding="utf-8"))
         corpora[seed] = (manifest["config_fingerprint"],
                          (tmp_path / "runs" / run_id / "corpus" / "train_k1.jsonl").read_bytes())
     base = load_run_config(config)
@@ -365,7 +369,7 @@ def test_build_corpus_builds_one_index_for_all_jobs(scratch_config, tmp_path, bu
     from sqlbench.runconfig import load_run_config
 
     config = write_config_with_url(scratch_config, "http://127.0.0.1:1/v1")
-    config.write_text(config.read_text().replace("strategy: random", f"strategy: {strategy}"))
+    replace_in(config, "strategy: random", f"strategy: {strategy}")
     builds = []
     for module in (sqlbench.cli, sqlbench.corpus):
         def counted(*args, original=module.build_index, **kwargs):
@@ -392,10 +396,9 @@ def test_build_corpus_k0_on_an_empty_split_writes_an_empty_corpus(scratch_config
     """An empty split offers no exemplar candidate, not -1: ``--k 0`` writes
     an empty corpus, and ``--k 1`` is still refused."""
     empty = tmp_path / "empty.json"
-    empty.write_text("[]")
+    empty.write_text("[]", encoding="utf-8")
     config = write_config_with_url(scratch_config, "http://127.0.0.1:1/v1")
-    config.write_text(config.read_text().replace(
-        str(fixtures_dir / "spider" / "train.json"), str(empty)))
+    replace_in(config, str(fixtures_dir / "spider" / "train.json"), str(empty))
     assert run_cli("build-corpus", "--config", str(config), "--run-id", "t", "--k", "0") == 0
     assert (tmp_path / "runs" / "t" / "corpus" / "train_k0.jsonl").read_bytes() == b""
     capsys.readouterr()
@@ -409,8 +412,7 @@ def test_build_corpus_at_k0_builds_no_index(scratch_config, monkeypatch):
     import sqlbench.corpus
 
     config = write_config_with_url(scratch_config, "http://127.0.0.1:1/v1")
-    config.write_text(config.read_text().replace("strategy: random",
-                                                 "strategy: question-similarity"))
+    replace_in(config, "strategy: random", "strategy: question-similarity")
     for module in (sqlbench.cli, sqlbench.corpus):
         monkeypatch.setattr(module, "build_index", None)  # calling it fails the run
     assert run_cli("build-corpus", "--config", str(config), "--run-id", "t",
@@ -442,15 +444,14 @@ def test_evaluate_gold_echo(scratch_config, tmp_path, gold_stub, capsys):
     out = capsys.readouterr().out
     assert "1.000" in out
     summary = json.loads(
-        (tmp_path / "runs" / "t" / "reports" / "dev_summary.json").read_text()
+        (tmp_path / "runs" / "t" / "reports" / "dev_summary.json").read_text(encoding="utf-8")
     )
     assert summary["buckets"]["overall"]["ex_rate"] == "1.000"
     assert summary["buckets"]["overall"]["em_rate"] == "1.000"
 
 
 def test_evaluate_em_only_marks_ex_na(scratch_config, tmp_path, gold_stub, capsys):
-    text = scratch_config.read_text().replace("ex: true", "ex: false")
-    scratch_config.write_text(text)
+    replace_in(scratch_config, "ex: true", "ex: false")
     config = write_config_with_url(scratch_config, gold_stub.base_url)
     run_cli("predict", "--config", str(config), "--run-id", "t", "--split", "dev",
             "--shots", "0")
@@ -478,8 +479,8 @@ def test_evaluate_skips_mistyped_prediction_fields(scratch_config, tmp_path, bun
         assert run_cli("evaluate", "--config", str(config), "--run-id", "t",
                        "--split", "dev", "--predictions", str(pred_file)) == 0
     assert sum("undecodable" in rec.message for rec in caplog.records) == 2
-    records = [json.loads(line) for line in
-               (tmp_path / "runs" / "t" / "eval" / "dev_records.jsonl").read_text().splitlines()]
+    records_file = tmp_path / "runs" / "t" / "eval" / "dev_records.jsonl"
+    records = [json.loads(line) for line in records_file.read_text(encoding="utf-8").splitlines()]
     assert [(r["em"], r["ex"]) for r in records[:2]] == [(False, False)] * 2
     assert all(r["ex"] for r in records[2:])
 
@@ -490,27 +491,28 @@ def test_gold_outside_the_grammar_is_in_the_records_not_the_summary(
     file, with no difficulty label, and evaluate warns that no summary
     bucket counts it."""
     spider = fixtures_dir / "spider"
-    rows = json.loads((spider / "dev.json").read_text())[:3]
+    rows = json.loads((spider / "dev.json").read_text(encoding="utf-8"))[:3]
     rows.append({"db_id": "concert_singer", "question": "Is there a singer?",
                  "query": _EXISTS_GOLD})
     dev = tmp_path / "dev.json"
-    dev.write_text(json.dumps(rows))
+    dev.write_text(json.dumps(rows), encoding="utf-8")
     config = write_config_with_url(scratch_config, "http://127.0.0.1:1/v1")
-    config.write_text(config.read_text().replace(str(spider / "dev.json"), str(dev)))
+    replace_in(config, str(spider / "dev.json"), str(dev))
     predictions = tmp_path / "preds.jsonl"
     predictions.write_text("".join(
         json.dumps({"example_index": n, "extracted_sql": row["query"]}) + "\n"
-        for n, row in enumerate(rows)))
+        for n, row in enumerate(rows)), encoding="utf-8")
     with caplog.at_level("WARNING"):
         assert run_cli("evaluate", "--config", str(config), "--run-id", "t", "--split", "dev",
                        "--predictions", str(predictions)) == 0
     assert [rec.message for rec in caplog.records] == [
         "1 records lack a difficulty label; excluded from summary"]
-    records = [json.loads(line) for line in
-               (tmp_path / "runs" / "t" / "eval" / "dev_records.jsonl").read_text().splitlines()]
+    records_file = tmp_path / "runs" / "t" / "eval" / "dev_records.jsonl"
+    records = [json.loads(line) for line in records_file.read_text(encoding="utf-8").splitlines()]
     assert len(records) == 4
     assert (records[3]["ex"], records[3]["difficulty"]) == (True, None)
-    summary = json.loads((tmp_path / "runs" / "t" / "reports" / "dev_summary.json").read_text())
+    summary = json.loads(
+        (tmp_path / "runs" / "t" / "reports" / "dev_summary.json").read_text(encoding="utf-8"))
     assert summary["buckets"]["overall"]["n"] == 3
     assert summary["buckets"]["overall"]["ex_correct"] == 3
 
@@ -550,9 +552,10 @@ def test_compare_gives_the_delta_of_the_summaries_evaluate_wrote(scratch_config,
     assert run_cli("compare", "--base", str(runs["gold"] / "eval" / "dev_records.jsonl"),
                    "--target", str(runs["half"] / "eval" / "dev_records.jsonl"),
                    "--out", str(out)) == 0
-    summaries = {run_id: json.loads((run / "reports" / "dev_summary.json").read_text())
+    summaries = {run_id: json.loads(
+                     (run / "reports" / "dev_summary.json").read_text(encoding="utf-8"))
                  for run_id, run in runs.items()}
-    delta = json.loads(out.read_text())
+    delta = json.loads(out.read_text(encoding="utf-8"))
     assert delta["scheme"] == "spider4" and delta["base_run"].endswith("dev_records.jsonl")
 
     def rate(counts: dict, metric: str):
@@ -650,7 +653,7 @@ def test_compare_refusal_is_one_line(tmp_path, capsys, content, named):
                          ids=["object", "numbers", "no-question", "not-json"])
 def test_stub_examples_that_are_not_records_are_a_config_error(tmp_path, capsys, examples):
     path = tmp_path / "examples.json"
-    path.write_text(examples)
+    path.write_text(examples, encoding="utf-8")
     assert run_cli("stub", "--examples", str(path), "--port", "0") == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config: --examples {path}: ") and len(err.splitlines()) == 1, err
@@ -669,13 +672,13 @@ def test_stub_serves_gold_from_examples_and_the_fallback_otherwise(tmp_path):
         {"question": "How many singers?", "query": "SELECT count(*) FROM singer"},
         {"question": "Which schools?", "SQL": "SELECT name FROM school"},
         {"question": "No gold here?", "SQL": None},
-    ]))
+    ]), encoding="utf-8")
     for stop in (signal.SIGINT, signal.SIGTERM):
         proc = subprocess.Popen(
             [sys.executable, "-m", "sqlbench.cli", "stub", "--examples", str(examples),
              "--port", "0", "--fallback", "SELECT 'fallback'"],
             env=cli_child_env(), cwd=str(tmp_path), stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, text=True)
+            stderr=subprocess.PIPE, text=True, encoding="utf-8")
         # a banner that never arrives ends in a kill, which ends the read
         watchdog = threading.Timer(30, proc.kill)
         watchdog.start()
@@ -799,14 +802,14 @@ def test_interrupt_and_resume_predict(scratch_config, tmp_path, bundle):
         partial = tmp_path / "runs" / "t" / "predictions" / "dev_shots0.jsonl.partial"
         deadline = time.time() + 30
         while time.time() < deadline and proc.poll() is None:
-            if partial.is_file() and len(partial.read_text().splitlines()) >= 2:
+            if partial.is_file() and len(partial.read_text(encoding="utf-8").splitlines()) >= 2:
                 break
             time.sleep(0.05)
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=10)
         assert partial.is_file(), (
             "no partial file produced before the kill; child stderr:\n"
-            + stderr_path.read_text(errors="replace")
+            + stderr_path.read_text(errors="replace", encoding="utf-8")
         )
         interrupted = len(read_predictions(partial))
         assert 0 < interrupted < 20
@@ -820,7 +823,7 @@ def test_interrupt_and_resume_predict(scratch_config, tmp_path, bundle):
         # only the remaining examples were requested on resume
         assert server2.request_count == 20 - interrupted
     out = tmp_path / "runs" / "t" / "predictions" / "dev_shots0.jsonl"
-    lines = out.read_text().splitlines()
+    lines = out.read_text(encoding="utf-8").splitlines()
     indices = [json.loads(line)["example_index"] for line in lines]
     assert indices == list(range(20))  # one per example, no duplicates, sorted
     assert not partial.is_file()
@@ -972,9 +975,8 @@ def test_target_over_budget_is_an_errored_prediction(scratch_config, tmp_path, f
     (tmp_path / "tables.json").write_text(json.dumps(tables), encoding="utf-8")
     (tmp_path / "dev.json").write_text(json.dumps(dev), encoding="utf-8")
     config = write_config_with_url(scratch_config, gold_stub.base_url)
-    config.write_text(config.read_text()
-                      .replace(str(spider / "tables.json"), str(tmp_path / "tables.json"))
-                      .replace(str(spider / "dev.json"), str(tmp_path / "dev.json")))
+    replace_in(config, str(spider / "tables.json"), str(tmp_path / "tables.json"))
+    replace_in(config, str(spider / "dev.json"), str(tmp_path / "dev.json"))
     argv = ["--config", str(config), "--run-id", "t", "--split", "dev"]
     out = tmp_path / "runs" / "t" / "predictions" / "dev_shots0.jsonl"
 
@@ -1006,7 +1008,8 @@ def test_target_over_budget_is_an_errored_prediction(scratch_config, tmp_path, f
 
     capsys.readouterr()
     assert run_cli("evaluate", *argv, "--predictions", str(out)) == 0
-    records = (tmp_path / "runs" / "t" / "eval" / "dev_records.jsonl").read_text().splitlines()
+    records = (tmp_path / "runs" / "t" / "eval" / "dev_records.jsonl").read_text(
+        encoding="utf-8").splitlines()
     assert [json.loads(line)["failure"] for line in records][2] == "prediction-error"
 
 
@@ -1015,8 +1018,7 @@ def test_predict_budget_reserves_the_response_it_asks_for(scratch_config, tmp_pa
     """Each prompt leaves room for ``endpoint.max_response_tokens``: with 1900
     of the 2048-token context asked for the response, no fixture prompt fits."""
     config = write_config_with_url(scratch_config, gold_stub.base_url)
-    config.write_text(config.read_text().replace("endpoint:\n",
-                                                 "endpoint:\n  max_response_tokens: 1900\n"))
+    replace_in(config, "endpoint:\n", "endpoint:\n  max_response_tokens: 1900\n")
     out = tmp_path / "runs" / "t" / "predictions" / "dev_shots0.jsonl"
     capsys.readouterr()
     assert run_cli("predict", "--config", str(config), "--run-id", "t", "--split", "dev") == 0
@@ -1139,8 +1141,7 @@ def test_cross_split_predict_ranks_by_target_question(scratch_config, tmp_path, 
     """Each dev target's one exemplar is the train question nearest its own."""
     from trigram_oracle import cosine, trigram_vector
 
-    text = scratch_config.read_text().replace("strategy: random", "strategy: question-similarity")
-    scratch_config.write_text(text)
+    replace_in(scratch_config, "strategy: random", "strategy: question-similarity")
     train = bundle.splits["train"]
     dev_index = {ex.question: ex.index for ex in bundle.splits["dev"]}
     behavior = RecordingBehavior(answers_from_examples(bundle.splits["dev"]))
@@ -1162,8 +1163,7 @@ def test_cross_split_predict_ranks_by_target_question(scratch_config, tmp_path, 
 
 
 def test_predict_missing_pool_split_is_a_config_error(scratch_config, bundle, capsys):
-    text = scratch_config.read_text().replace("    train:", "    #train:")
-    scratch_config.write_text(text)
+    replace_in(scratch_config, "    train:", "    #train:")
     with StubServer(StubBehavior(answers=answers_from_examples(bundle.splits["dev"]))) as server:
         config = write_config_with_url(scratch_config, server.base_url)
         rc = run_cli("predict", "--config", str(config), "--run-id", "t",
@@ -1177,8 +1177,7 @@ def test_predict_with_dual_similarity_shots_is_a_config_error(scratch_config, go
                                                               capsys):
     """predict takes no draft SQL, so dual-similarity shots would silently be
     question-similarity ones; zero-shot predict selects nothing and runs."""
-    scratch_config.write_text(
-        scratch_config.read_text().replace("strategy: random", "strategy: dual-similarity"))
+    replace_in(scratch_config, "strategy: random", "strategy: dual-similarity")
     config = write_config_with_url(scratch_config, gold_stub.base_url)
     argv = ["predict", "--config", str(config), "--run-id", "t", "--split", "dev"]
     assert run_cli(*argv, "--shots", "1") == 1
@@ -1231,15 +1230,22 @@ def test_predict_to_a_url_that_is_not_http_is_a_config_error(scratch_config, tmp
          "endpoint:\n  max_response_tokens: 0\n"),
         ("metrics.timeout_s", "timeout_s: 10", "timeout_s: 0"),
         ("metrics.timeout_s", "timeout_s: 10", "timeout_s: -1"),
+        # waits past a day, which overflow a sleep, a socket timeout or a deadline
+        ("endpoint.timeout_s", "endpoint:\n", "endpoint:\n  timeout_s: 1.0e+300\n"),
+        ("endpoint.timeout_s", "endpoint:\n", "endpoint:\n  timeout_s: 86401\n"),
+        ("endpoint.backoff_base_s", "backoff_base_s: 0.01", "backoff_base_s: 1.0e+300"),
+        ("endpoint.backoff_base_s", "backoff_base_s: 0.01", "backoff_base_s: " + "9" * 401),
+        ("metrics.timeout_s", "timeout_s: 10", "timeout_s: " + "9" * 401),
+        ("metrics.timeout_s", "timeout_s: 10", "timeout_s: 86400.5"),
         ("selection.k", "k: 0", "k: -1"),
         ("selection.strategy", "strategy: random", "strategy: telepathy"),
         ("prompt.schema_style", "schema_style: sentence", "schema_style: weird"),
     ]
-    good = write_config_with_url(scratch_config, gold_stub.base_url).read_text()
+    good = write_config_with_url(scratch_config, gold_stub.base_url).read_text(encoding="utf-8")
     for key, replaced, replacement in bad_values:
         assert replaced in good, (key, replaced)
         config = tmp_path / "bad.yaml"
-        config.write_text(good.replace(replaced, replacement))
+        config.write_text(good.replace(replaced, replacement), encoding="utf-8")
         assert run_cli("predict", "--config", str(config), "--run-id", "t",
                        "--split", "dev") == 1, (key, replacement)
         section, name = key.split(".")
@@ -1276,10 +1282,10 @@ def test_misspelt_key_or_wrong_type_is_a_config_error(scratch_config, tmp_path, 
                                                       capsys, replaced, replacement, named):
     """An unknown key at any level, or a value of the wrong type, is refused at
     load with one line naming it, before any data is read or request sent."""
-    good = write_config_with_url(scratch_config, gold_stub.base_url).read_text()
+    good = write_config_with_url(scratch_config, gold_stub.base_url).read_text(encoding="utf-8")
     assert good.count(replaced) == 1
     config = tmp_path / "bad.yaml"
-    config.write_text(good.replace(replaced, replacement))
+    config.write_text(good.replace(replaced, replacement), encoding="utf-8")
     assert run_cli("predict", "--config", str(config), "--run-id", "t", "--split", "dev") == 1
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("config:")]
@@ -1349,7 +1355,7 @@ def test_shot_count_is_bounded_by_the_pool_candidates(scratch_config, tmp_path, 
     """A target is never its own exemplar: the 19-example train pool offers
     18 candidates to a train target and 19 to a dev target."""
     if config_k is not None:
-        scratch_config.write_text(scratch_config.read_text().replace("k: 0", f"k: {config_k}"))
+        replace_in(scratch_config, "k: 0", f"k: {config_k}")
     config = write_config_with_url(scratch_config, gold_stub.base_url)
     rc = run_cli(*argv, "--config", str(config), "--run-id", "t")
     err = capsys.readouterr().err
@@ -1381,7 +1387,7 @@ def test_empty_choices_are_refused_before_any_work(scratch_config, tmp_path, gol
 
 
 def test_predict_without_shots_takes_selection_k(scratch_config, tmp_path, bundle):
-    scratch_config.write_text(scratch_config.read_text().replace("k: 0", "k: 1"))
+    replace_in(scratch_config, "k: 0", "k: 1")
     behavior = RecordingBehavior(answers_from_examples(bundle.splits["dev"]))
     with StubServer(behavior) as server:
         config = write_config_with_url(scratch_config, server.base_url)

@@ -251,7 +251,7 @@ def test_empty_split(bundle, tmp_path):
     summary = export_corpus([], bundle, TRP_SENTENCE, policy(), (0,), out)
     assert summary.records == 0
     assert summary.shot_histogram == {}
-    assert out.read_text() == ""
+    assert out.read_text(encoding="utf-8") == ""
 
 
 def test_random_shot_histogram(bundle, tmp_path):
@@ -270,7 +270,7 @@ def test_random_shot_histogram(bundle, tmp_path):
 class TestTrainProfile:
     def test_default_profile_values(self, tmp_path):
         path = emit_train_profile(TrainProfile(), tmp_path / "profile.yaml")
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
         loaded = load_train_profile(path)
         assert loaded.lora_rank == 64
         assert loaded.lora_alpha == 32

@@ -56,7 +56,7 @@ def test_empty_catalog(tmp_path):
 
 
 def test_dangling_foreign_key_index(tmp_path, fixtures_dir):
-    entries = json.loads((fixtures_dir / "spider" / "tables.json").read_text())
+    entries = json.loads((fixtures_dir / "spider" / "tables.json").read_text(encoding="utf-8"))
     entries[0]["foreign_keys"][0][0] = 99  # out of range
     path = tmp_path / "tables.json"
     path.write_text(json.dumps(entries), encoding="utf-8")
@@ -67,7 +67,7 @@ def test_dangling_foreign_key_index(tmp_path, fixtures_dir):
 
 
 def test_duplicate_db_id(tmp_path, fixtures_dir):
-    entries = json.loads((fixtures_dir / "spider" / "tables.json").read_text())
+    entries = json.loads((fixtures_dir / "spider" / "tables.json").read_text(encoding="utf-8"))
     entries.append(entries[0])
     path = tmp_path / "tables.json"
     path.write_text(json.dumps(entries), encoding="utf-8")
@@ -187,7 +187,7 @@ def test_load_determinism(db_root, fixtures_dir):
 
 
 def test_validate_dataset_collects_all_errors(tmp_path, fixtures_dir):
-    entries = json.loads((fixtures_dir / "spider" / "tables.json").read_text())
+    entries = json.loads((fixtures_dir / "spider" / "tables.json").read_text(encoding="utf-8"))
     entries[0]["primary_keys"] = [999]
     tables = tmp_path / "tables.json"
     tables.write_text(json.dumps(entries), encoding="utf-8")

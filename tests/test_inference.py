@@ -706,7 +706,7 @@ def test_prediction_file_roundtrip_and_dedup(tmp_path):
     assert loaded[3].extracted_sql == "SELECT 1"  # first record wins
     out = tmp_path / "sorted.jsonl"
     write_predictions(out, loaded)
-    lines = out.read_text().splitlines()
+    lines = out.read_text(encoding="utf-8").splitlines()
     assert [Prediction.from_json(l).example_index for l in lines] == [1, 3]
 
 

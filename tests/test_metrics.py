@@ -16,14 +16,13 @@ from sqlbench.execution import (
 from sqlbench.inference import Prediction
 from sqlbench.metrics import (
     EvalRecord,
-    GoldExecutionError,
     ScoreOptions,
-    score_em,
-    score_ex,
     read_eval_records,
     score_run,
     write_eval_records,
 )
+
+from helpers import score_pair
 
 
 def sha256(path) -> str:
@@ -109,20 +108,18 @@ class TestResultsMatch:
 
 
 class TestExConformance:
-    """The committed hand-executed verdict suite (>=30 pairs)."""
+    """The committed hand-executed verdict suite (>=30 pairs), each pair
+    scored alone by ``score_run``."""
 
-    def test_all_pairs_agree(self, db_file, fixtures_dir, tmp_path):
-        pairs = json.loads((fixtures_dir / "ex_pairs.json").read_text())["pairs"]
+    def test_all_pairs_agree(self, bundle, db_file, fixtures_dir, tmp_path):
+        pairs = json.loads((fixtures_dir / "ex_pairs.json").read_text(encoding="utf-8"))["pairs"]
         assert len(pairs) >= 30
         before = sha256(db_file)
         failures = []
         for pair in pairs:
-            db = tmp_path / "ghost.sqlite" if pair.get("db") == "missing" else db_file
-            try:
-                result = score_ex(pair["pred"], pair["gold"], db, timeout_s=1.5)
-            except GoldExecutionError:
-                failures.append(f"pair {pair['id']}: unexpected gold failure")
-                continue
+            db = tmp_path / "ghost.sqlite" if pair.get("db") == "missing" else None
+            result = score_pair(bundle, pair["pred"], pair["gold"],
+                                ScoreOptions(em=False, timeout_s=1.5), db)
             expect = pair["expect"]
             if expect == "true":
                 ok = result.ex is True and result.failure is None
@@ -141,36 +138,37 @@ class TestExConformance:
         assert sha256(db_file) == before, "database bytes changed during scoring"
 
 
+EM_ONLY = ScoreOptions(ex=False)
+
+
 class TestScoreEm:
     def test_verbatim(self, bundle):
-        schema = bundle.schemas["concert_singer"]
-        assert score_em("SELECT count(*) FROM singer", "SELECT count(*) FROM singer", schema)
+        record = score_pair(bundle, "SELECT count(*) FROM singer", "SELECT count(*) FROM singer",
+                            EM_ONLY)
+        assert record.em is True and record.failure is None
 
     def test_garbage_prediction(self, bundle):
-        schema = bundle.schemas["concert_singer"]
-        assert not score_em("garbage text", "SELECT count(*) FROM singer", schema)
+        record = score_pair(bundle, "garbage text", "SELECT count(*) FROM singer", EM_ONLY)
+        assert record.em is False and record.failure == "parse-error"
 
     def test_literal_difference(self, bundle):
-        schema = bundle.schemas["concert_singer"]
-        assert score_em(
-            "SELECT name FROM singer WHERE age > 30",
-            "SELECT name FROM singer WHERE age > 20",
-            schema,
-        )
+        record = score_pair(bundle, "SELECT name FROM singer WHERE age > 30",
+                            "SELECT name FROM singer WHERE age > 20", EM_ONLY)
+        assert record.em is True
 
 
 class TestScoreEx:
-    def test_self_comparison_ves_band(self, db_file):
-        result = score_ex(
-            "SELECT count(*) FROM singer", "SELECT count(*) FROM singer",
-            db_file, ves=True,
-        )
+    def test_self_comparison_ves_band(self, bundle):
+        result = score_pair(bundle, "SELECT count(*) FROM singer", "SELECT count(*) FROM singer",
+                            ScoreOptions(ves=True))
         assert result.ex is True
         assert 0.5 <= result.ves_ratio <= 2.0
 
-    def test_gold_failure_flags_dataset_error(self, db_file):
-        with pytest.raises(GoldExecutionError):
-            score_ex("SELECT 1", "SELECT broken FROM nowhere", db_file)
+    def test_gold_failure_flags_dataset_error(self, bundle):
+        """A gold that does not execute is a dataset error: no verdict, and
+        the record says so."""
+        result = score_pair(bundle, "SELECT 1", "SELECT broken FROM nowhere")
+        assert result.ex is None and result.failure == "gold-error"
 
 
 class TestScoreRun:
@@ -397,43 +395,6 @@ def _scoring_predictions(examples):
     return predictions
 
 
-def _reference_record(example, pred, bundle, options) -> EvalRecord:
-    """One example scored on its own, through the public scorers."""
-    from sqlbench.sqlkit import SqlParseError, classify_difficulty, parse_sql
-
-    schema = bundle.schemas[example.db_id]
-    try:
-        difficulty = classify_difficulty(parse_sql(example.gold_sql, schema))
-    except SqlParseError:
-        difficulty = None
-    if pred is None or pred.error:
-        return EvalRecord(example.index, False if options.em else None,
-                          False if options.ex else None, None, difficulty, "prediction-error")
-    em = None
-    pred_unparseable = False
-    if options.em:
-        try:
-            em = score_em(pred.extracted_sql, example.gold_sql, schema)
-        except SqlParseError:
-            em = None
-        if em is False:
-            try:
-                parse_sql(pred.extracted_sql, schema)
-            except SqlParseError:
-                pred_unparseable = True
-    ex = failure = None
-    if options.ex:
-        try:
-            result = score_ex(pred.extracted_sql, example.gold_sql,
-                              bundle.db_files.get(example.db_id), options.timeout_s)
-            ex, failure = result.ex, result.failure
-        except GoldExecutionError:
-            failure = "gold-error"
-    if failure is None and pred_unparseable:
-        failure = "parse-error"
-    return EvalRecord(example.index, em, ex, None, difficulty, failure)
-
-
 @pytest.mark.parametrize("rounds", [1, 4])
 @pytest.mark.parametrize("em,ex", [(True, True), (True, False), (False, True)])
 def test_score_run_matches_per_example_reference(bundle, db_file, rounds, em, ex):
@@ -449,8 +410,8 @@ def test_score_run_matches_per_example_reference(bundle, db_file, rounds, em, ex
     before = sha256(db_file)
     records = score_run(examples, predictions, bundle, options)
     assert sha256(db_file) == before, "database bytes changed during scoring"
-    reference = [_reference_record(e, predictions.get(e.index), bundle, options)
-                 for e in examples]
+    # each example scored alone, as the one example of its run
+    reference = [score_run([e], predictions, bundle, options)[0] for e in examples]
     assert records == reference
     # the run covers every verdict it is meant to
     failures = {r.failure for r in records}
@@ -461,6 +422,15 @@ def test_score_run_matches_per_example_reference(bundle, db_file, rounds, em, ex
     if em:
         assert "parse-error" in failures
         assert {True, False, None} <= {r.em for r in records}
+
+
+def _counting(calls: list, original):
+    """``original``, appending its first argument (a SQL text) to ``calls``
+    on each call."""
+    def counted(sql, *args, **kwargs):
+        calls.append(sql)
+        return original(sql, *args, **kwargs)
+    return counted
 
 
 def test_score_run_analyses_each_gold_once(bundle, monkeypatch):
@@ -474,15 +444,8 @@ def test_score_run_analyses_each_gold_once(bundle, monkeypatch):
         sql = example.gold_sql if position % 2 else "SELECT count(*) FROM stadium"
         predictions[example.index] = prediction(example.index, sql + " " * (position + 1))
     executed, parsed = [], []
-
-    def counting(calls, original):
-        def counted(sql, *args, **kwargs):
-            calls.append(sql)
-            return original(sql, *args, **kwargs)
-        return counted
-
-    monkeypatch.setattr(metrics, "execute_sql", counting(executed, metrics.execute_sql))
-    monkeypatch.setattr(metrics, "parse_sql", counting(parsed, metrics.parse_sql))
+    monkeypatch.setattr(metrics, "execute_sql", _counting(executed, metrics.execute_sql))
+    monkeypatch.setattr(metrics, "parse_sql", _counting(parsed, metrics.parse_sql))
     records = score_run(examples, predictions, bundle, ScoreOptions(timeout_s=10))
     assert all(r.ex is not None and r.em is not None for r in records)
     golds = {ex.gold_sql for ex in examples}
@@ -492,6 +455,25 @@ def test_score_run_analyses_each_gold_once(bundle, monkeypatch):
     pred_sqls = [p.extracted_sql for p in predictions.values()]
     assert sorted(sql for sql in executed if sql not in golds) == sorted(pred_sqls)
     assert sorted(sql for sql in parsed if sql not in golds) == sorted(pred_sqls)
+
+
+@pytest.mark.parametrize("em,ex", [(True, True), (True, False), (False, True), (False, False)])
+def test_score_run_judges_every_predicted_example_through_score_em_and_score_ex(
+        bundle, monkeypatch, em, ex):
+    """Each judge sees every example that has a prediction without an error
+    once when its metric is on, and none when it is off."""
+    import sqlbench.metrics as metrics
+
+    examples = _scoring_examples(bundle)
+    predictions = _scoring_predictions(examples)
+    judged = {"score_em": [], "score_ex": []}
+    for name, calls in judged.items():
+        monkeypatch.setattr(metrics, name, _counting(calls, getattr(metrics, name)))
+    score_run(examples, predictions, bundle, ScoreOptions(em=em, ex=ex, timeout_s=10))
+    predicted = sorted(p.extracted_sql for p in predictions.values() if not p.error)
+    assert 0 < len(predicted) < len(examples)
+    assert sorted(judged["score_em"]) == (predicted if em else [])
+    assert sorted(judged["score_ex"]) == (predicted if ex else [])
 
 
 def test_score_run_opens_each_database_once(bundle, db_file, tmp_path, monkeypatch):

@@ -69,7 +69,7 @@ def test_golden_parses(schemas, bird_bundle, fixtures_dir):
     pinned reason at the pinned position."""
     all_schemas = {**schemas, **bird_bundle.schemas}
     rows = [json.loads(line) for line in
-            (fixtures_dir / "golden" / "sql_parses.jsonl").read_text("utf-8").splitlines()]
+            (fixtures_dir / "golden" / "sql_parses.jsonl").read_text(encoding="utf-8").splitlines()]
     assert len(rows) > 500
     failures = []
     for row in rows:
@@ -180,7 +180,7 @@ def fixture_sql(fixtures_dir) -> list[tuple[str, str]]:
     """(db_id, sql) for every SQL string among the fixtures (spider train and
     dev, bird dev, both sides of em_pairs, hardness_pinned) and two seeded
     token mutations of each: the strings the golden parse file pins."""
-    golden = (fixtures_dir / "golden" / "sql_parses.jsonl").read_text("utf-8").splitlines()
+    golden = (fixtures_dir / "golden" / "sql_parses.jsonl").read_text(encoding="utf-8").splitlines()
     return [(row["db"], row["sql"]) for row in map(json.loads, golden)]
 
 
@@ -407,7 +407,7 @@ def test_long_runs_scan_in_linear_time():
         "    t.assert_same_as_oracle(sql, t._TINY_SCHEMA)\n"
     )
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=10)
+                          timeout=10, encoding="utf-8")
     assert done.returncode == 0, done.stderr
 
 
@@ -415,7 +415,7 @@ class TestEmConformance:
     """The committed hand-derived clause-decomposition oracle."""
 
     def test_all_pairs_agree(self, schemas, fixtures_dir):
-        pairs = json.loads((fixtures_dir / "em_pairs.json").read_text())["pairs"]
+        pairs = json.loads((fixtures_dir / "em_pairs.json").read_text(encoding="utf-8"))["pairs"]
         assert len(pairs) >= 50
         failures = []
         for pair in pairs:
@@ -432,7 +432,7 @@ class TestEmConformance:
 
 
 def test_em_reflexive_and_symmetric(schemas, fixtures_dir):
-    pairs = json.loads((fixtures_dir / "em_pairs.json").read_text())["pairs"]
+    pairs = json.loads((fixtures_dir / "em_pairs.json").read_text(encoding="utf-8"))["pairs"]
     for pair in pairs[:20]:
         schema = schemas[pair["db"]]
         gold = parse_sql(pair["gold"], schema)
@@ -485,7 +485,8 @@ def test_em_sensitive_to_order_direction_and_distinct(schemas):
 
 class TestHardness:
     def test_pinned_forty_query_set(self, schemas, fixtures_dir):
-        rows = json.loads((fixtures_dir / "hardness_pinned.json").read_text())["queries"]
+        rows = json.loads(
+            (fixtures_dir / "hardness_pinned.json").read_text(encoding="utf-8"))["queries"]
         assert len(rows) == 40
         failures = []
         seen_labels = set()
