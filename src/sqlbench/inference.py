@@ -264,7 +264,8 @@ def _predict_one(
         content, error, retryable = _request_once(client, conn, body)
         if not retryable or attempts > endpoint.max_retries:
             break
-        delay = endpoint.backoff_base_s * (2 ** (attempts - 1))
+        # a capped exponent keeps the float finite for any max_retries
+        delay = min(endpoint.backoff_base_s * 2.0 ** min(attempts - 1, 64), MAX_WAIT_S)
         logger.debug("retrying example %d in %.2fs: %s", envelope.target_index, delay, error)
         sleep(delay)
     latency_ms = (time.perf_counter() - start) * 1000.0

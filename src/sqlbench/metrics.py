@@ -74,23 +74,39 @@ class ScoreOptions:
             raise ValueError(f"timeout_s must be positive and at most {MAX_WAIT_S} (one day)")
 
 
-class _Gold:
-    """One distinct (db_id, gold_sql) of a run. Each fact about it is worked
-    out on first use and then shared by every example with this gold."""
+class _Database:
+    """One database of a run, and each distinct SQL text judged on it so far."""
 
-    def __init__(self, sql: str, schema: DatabaseSchema, db_file: str | Path | None,
+    def __init__(self, schema: DatabaseSchema, db_file: str | Path | None,
                  timeout_s: float, connection: ReusedConnection) -> None:
-        self.sql = sql
         self.schema = schema
         self.db_file = db_file
         self.timeout_s = timeout_s
         self.connection = connection
+        self.available = db_file is not None and Path(db_file).is_file()
+        self.queries: dict[str, _Query] = {}
+
+    def query(self, sql: str) -> "_Query":
+        """The one judgement of ``sql`` here, gold or prediction."""
+        query = self.queries.get(sql)
+        if query is None:
+            query = self.queries[sql] = _Query(sql, self)
+        return query
+
+
+class _Query:
+    """One distinct (db_id, SQL text) of a run, gold or prediction. Each fact
+    about it is worked out on first use and shared by every example it serves."""
+
+    def __init__(self, sql: str, db: _Database) -> None:
+        self.sql = sql
+        self.db = db
 
     @cached_property
     def unit(self) -> SqlUnit | None:
-        """The parsed gold, or None outside the clause grammar."""
+        """The parsed text, or None outside the clause grammar."""
         try:
-            return parse_sql(self.sql, self.schema)
+            return parse_sql(self.sql, self.db.schema)
         except SqlParseError:
             return None
 
@@ -100,65 +116,61 @@ class _Gold:
 
     @cached_property
     def ordered(self) -> bool:
-        """Whether the gold orders its rows, so that EX compares sequences."""
+        """Whether the text orders its rows, so that EX compares sequences."""
         return has_top_level_order_by(self.sql)
 
     @cached_property
-    def db_available(self) -> bool:
-        return self.db_file is not None and Path(self.db_file).is_file()
-
-    @cached_property
-    def rows(self) -> list[tuple] | None:
-        """The gold's rows, or None for a gold that does not execute."""
+    def rows(self) -> list[tuple] | str:
+        """The rows of the text, or the kind of its ExecutionFailure."""
+        db = self.db
         try:
-            return execute_sql(self.sql, self.connection.get(self.db_file), self.timeout_s).rows
-        except ExecutionFailure:
-            return None
+            return execute_sql(self.sql, db.connection.get(db.db_file), db.timeout_s).rows
+        except ExecutionFailure as failure:
+            return failure.kind
 
     @cached_property
     def elapsed(self) -> float | None:
         """The gold's median time for VES, or None if a timing run failed."""
         try:
-            return median_elapsed(self.sql, self.db_file, self.timeout_s, self.connection)
+            return median_elapsed(self.sql, self.db.db_file, self.db.timeout_s, self.db.connection)
         except ExecutionFailure:
             return None
 
 
-def score_em(pred_sql: str, gold: _Gold) -> tuple[bool | None, str | None]:
+def score_em(pred_sql: str, gold: _Query) -> tuple[bool | None, str | None]:
     """Clause-set match of the prediction with the gold, and its failure:
     None for a gold outside the clause grammar, which EM leaves out, and
     False with ``parse-error`` for a prediction outside it."""
     if gold.unit is None:
         return None, None
-    try:
-        pred_unit = parse_sql(pred_sql, gold.schema)
-    except SqlParseError:
+    pred_unit = gold.db.query(pred_sql).unit
+    if pred_unit is None:
         return False, PARSE_ERROR
     return em_match(pred_unit, gold.unit), None
 
 
-def score_ex(pred_sql: str, gold: _Gold,
+def score_ex(pred_sql: str, gold: _Query,
              ves: bool) -> tuple[bool | None, float | None, str | None]:
     """Execution match of the prediction with the gold, its efficiency ratio
     and its failure. With no database, or a gold that does not execute,
-    there is no verdict. Otherwise the prediction executes and its rows are
-    compared with the gold's: as a sequence when the gold has a top-level
-    ORDER BY, as a multiset of tuples otherwise. On a correct prediction
-    with ``ves`` set, both queries are timed on the scoring connection (a
-    median of 3 runs each) for the ratio sqrt(gold_time / pred_time)."""
-    if not gold.db_available:
+    there is no verdict. Otherwise the prediction's rows are compared with
+    the gold's: as a sequence when the gold has a top-level ORDER BY, as a
+    multiset of tuples otherwise. On a correct prediction with ``ves`` set,
+    both queries are timed on the scoring connection (a median of 3 runs
+    each, the gold's once per run) for the ratio sqrt(gold_time / pred_time)."""
+    db = gold.db
+    if not db.available:
         return None, None, DB_UNAVAILABLE
-    if gold.rows is None:
+    if isinstance(gold.rows, str):
         return None, None, GOLD_ERROR
-    try:
-        pred_out = execute_sql(pred_sql, gold.connection.get(gold.db_file), gold.timeout_s)
-    except ExecutionFailure as failure:
-        return False, None, failure.kind
-    ex = results_match(gold.rows, pred_out.rows, gold.ordered)
+    pred_rows = db.query(pred_sql).rows
+    if isinstance(pred_rows, str):
+        return False, None, pred_rows
+    ex = results_match(gold.rows, pred_rows, gold.ordered)
     ves_ratio = None
     if ex and ves and gold.elapsed is not None:
         try:
-            pred_time = median_elapsed(pred_sql, gold.db_file, gold.timeout_s, gold.connection)
+            pred_time = median_elapsed(pred_sql, db.db_file, db.timeout_s, db.connection)
             ves_ratio = math.sqrt(gold.elapsed / pred_time)
         except ExecutionFailure:
             ves_ratio = None  # timing rerun failed; the verdict stands
@@ -168,7 +180,7 @@ def score_ex(pred_sql: str, gold: _Gold,
 def _score_one(
     example: ExampleTriple,
     prediction,
-    gold: _Gold,
+    gold: _Query,
     bundle: DatasetBundle,
     options: ScoreOptions,
 ) -> EvalRecord:
@@ -195,29 +207,31 @@ def score_run(
     in example order. Examples without a prediction score as prediction
     errors rather than aborting.
 
-    Examples are scored in groups sharing one (db_id, gold_sql): the gold is
-    parsed, classified, executed and (for VES) timed at most once per run,
-    and its rows are dropped when its last example has been scored.
-    Predictions always execute. Scoring runs on the calling thread, over one
-    read-only connection kept open to the database it used last until the
-    run ends; a database's groups are scored together, so each database is
-    opened once.
+    Examples are scored a database at a time. Each distinct (db_id, SQL
+    text), gold or prediction, is parsed and executed at most once per run,
+    since the same text on the same read-only database gives the same rows:
+    a query that calls random() scores as one execution, and a text that
+    timed out is not rerun. A gold is also classified and (for VES) timed
+    once, each correct prediction on its own. A database's parses and rows
+    are dropped once its examples are scored. Scoring runs on the calling
+    thread over one read-only connection, kept open to the database it used
+    last until the run ends, so each database is opened once.
     """
     options = options or ScoreOptions()
-    groups: dict[str, dict[str, list[int]]] = {}  # db_id -> gold_sql -> positions
+    positions: dict[str, list[int]] = {}  # db_id -> positions of its examples
     for position, example in enumerate(examples):
-        groups.setdefault(example.db_id, {}).setdefault(example.gold_sql, []).append(position)
+        positions.setdefault(example.db_id, []).append(position)
     records: list[EvalRecord | None] = [None] * len(examples)
     with ReusedConnection() as connection:
-        for db_id, golds in groups.items():
-            for gold_sql, positions in golds.items():
-                gold = _Gold(gold_sql, bundle.schemas[db_id], bundle.db_files.get(db_id),
-                             options.timeout_s, connection)
-                for position in positions:
-                    example = examples[position]
-                    records[position] = _score_one(
-                        example, predictions.get(example.index), gold, bundle, options
-                    )
+        for db_id, members in positions.items():
+            db = _Database(bundle.schemas[db_id], bundle.db_files.get(db_id),
+                           options.timeout_s, connection)
+            for position in members:
+                example = examples[position]
+                gold = db.query(example.gold_sql)
+                records[position] = _score_one(
+                    example, predictions.get(example.index), gold, bundle, options
+                )
     return records
 
 

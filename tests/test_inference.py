@@ -192,6 +192,31 @@ def test_predict_batch_permanent_failure_attempts(bundle):
         assert "500" in prediction.error
 
 
+@pytest.mark.parametrize("backoff_base_s", [0.0, 0.25])
+def test_backoff_past_attempt_1024_stays_finite_and_at_most_a_day(bundle, backoff_base_s):
+    """2 ** 1024 is past a float: each delay doubles up to a capped exponent
+    and waits at most MAX_WAIT_S, and the example ends as one errored record."""
+    import math
+
+    from sqlbench.inference import MAX_WAIT_S
+
+    slept = []
+    with StubServer(StubBehavior(always_status=500)) as server:
+        predictions = predict_all(
+            envelopes_for(bundle, 1),
+            endpoint_for(server, max_retries=1030, concurrency_limit=1,
+                         backoff_base_s=backoff_base_s),
+            sleep=slept.append,
+        )
+    assert len(slept) == 1030
+    assert all(math.isfinite(delay) and 0 <= delay <= MAX_WAIT_S for delay in slept)
+    assert slept[:3] == [backoff_base_s, 2 * backoff_base_s, 4 * backoff_base_s]
+    assert slept[-1] == (0.0 if backoff_base_s == 0.0 else MAX_WAIT_S)
+    prediction, = predictions
+    assert prediction.attempt_count == 1031
+    assert "500" in prediction.error
+
+
 def test_predict_batch_4xx_is_permanent_no_retry(bundle):
     with StubServer(StubBehavior(always_status=401)) as server:
         predictions = predict_all(

@@ -457,6 +457,86 @@ def test_score_run_analyses_each_gold_once(bundle, monkeypatch):
     assert sorted(sql for sql in parsed if sql not in golds) == sorted(pred_sqls)
 
 
+def _count_judgements(monkeypatch) -> tuple[list, list]:
+    """Lists that collect (db_id, text) for each ``parse_sql`` call and the
+    text of each ``execute_sql`` call that scoring makes."""
+    import sqlbench.metrics as metrics
+
+    parsed, executed = [], []
+    parse_sql = metrics.parse_sql
+    monkeypatch.setattr(metrics, "parse_sql",
+                        lambda sql, schema: parsed.append((schema.db_id, sql))
+                        or parse_sql(sql, schema))
+    monkeypatch.setattr(metrics, "execute_sql", _counting(executed, metrics.execute_sql))
+    return parsed, executed
+
+
+@pytest.mark.parametrize("rounds", [1, 3])
+def test_score_run_judges_each_distinct_text_on_a_database_once(bundle, monkeypatch, rounds):
+    """Golds and predictions, echoes and shared texts among them: each
+    (db_id, text) is parsed at most once and executed at most once."""
+    from collections import Counter
+    from dataclasses import replace
+
+    examples = [replace(e, index=round_ * 1000 + e.index)
+                for round_ in range(rounds) for e in _scoring_examples(bundle)]
+    predictions = _scoring_predictions(examples)
+    parsed, executed = _count_judgements(monkeypatch)
+    score_run(examples, predictions, bundle, ScoreOptions(timeout_s=10))
+    # only the fixture database has a file, so every execution is on it
+    assert parsed and executed
+    assert max(Counter(parsed).values()) == 1
+    assert max(Counter(executed).values()) == 1
+
+
+def test_a_gold_echo_adds_no_parse_and_no_execution(bundle, monkeypatch):
+    examples = _scoring_examples(bundle)
+    echoes = {ex.index: prediction(ex.index, ex.gold_sql) for ex in examples}
+    parsed, executed = _count_judgements(monkeypatch)
+    records = score_run(examples, echoes, bundle, ScoreOptions(timeout_s=10))
+    assert sorted(parsed) == sorted({(ex.db_id, ex.gold_sql) for ex in examples})
+    on_file = {ex.gold_sql for ex in examples if bundle.db_files.get(ex.db_id)}
+    assert sorted(executed) == sorted(on_file)
+    assert {r.ex for r in records} == {True, None}
+
+
+@pytest.mark.parametrize("sql, failure", [
+    ("SELECT count(*) FROM singer WHERE age > 0", None),  # parses and executes
+    ("SELECT count(*) FROM singer WHERE EXISTS (SELECT 1)", "parse-error"),  # executes
+    ("SELECT broken FROM nowhere", "exec-error"),  # neither
+])
+def test_one_text_predicted_for_many_golds_executes_once(bundle, monkeypatch, sql, failure):
+    """The text runs once for all of the database's golds; each record is
+    the one its example gets when scored alone."""
+    examples = bundle.splits["dev"]
+    assert len({ex.gold_sql for ex in examples}) > 1
+    assert len({ex.db_id for ex in examples}) == 1
+    predictions = {ex.index: prediction(ex.index, sql) for ex in examples}
+    options = ScoreOptions(timeout_s=10)
+    reference = [score_run([ex], predictions, bundle, options)[0] for ex in examples]
+    parsed, executed = _count_judgements(monkeypatch)
+    records = score_run(examples, predictions, bundle, options)
+    assert executed.count(sql) == 1
+    assert [text for _, text in parsed].count(sql) == 1
+    assert records == reference
+    assert {r.failure for r in records} == {failure}
+    if failure is None:
+        assert {True, False} <= {r.ex for r in records}
+    else:
+        assert {r.em for r in records} == {False}
+        assert {r.ex for r in records} == ({False} if failure == "exec-error" else {True, False})
+
+
+def test_a_text_that_timed_out_is_not_rerun_for_its_duplicates(bundle, monkeypatch):
+    runaway = TestReusedConnection.RUNAWAY
+    examples = bundle.splits["dev"][:3]
+    predictions = {ex.index: prediction(ex.index, runaway) for ex in examples}
+    _, executed = _count_judgements(monkeypatch)
+    records = score_run(examples, predictions, bundle, ScoreOptions(em=False, timeout_s=0.3))
+    assert executed.count(runaway) == 1
+    assert [(r.ex, r.failure) for r in records] == [(False, "timeout")] * 3
+
+
 @pytest.mark.parametrize("em,ex", [(True, True), (True, False), (False, True), (False, False)])
 def test_score_run_judges_every_predicted_example_through_score_em_and_score_ex(
         bundle, monkeypatch, em, ex):
@@ -643,6 +723,25 @@ class TestVes:
         assert sorted(sql for sql in timed if sql in golds) == sorted(golds)
         assert sorted(sql for sql in timed if sql not in golds) == sorted(
             p.extracted_sql for p in predictions.values())
+
+    def test_each_correct_prediction_is_timed_and_each_gold_once(self, bundle, monkeypatch):
+        """Sharing executions leaves the VES timings as they were: one per
+        distinct gold with a correct prediction, and one per correct
+        prediction, echoes and repeated texts included."""
+        from dataclasses import replace
+
+        import sqlbench.metrics as metrics
+
+        examples = [replace(e, index=round_ * 1000 + e.index)
+                    for round_ in range(2) for e in _scoring_examples(bundle)]
+        predictions = _scoring_predictions(examples)
+        timed = []
+        monkeypatch.setattr(metrics, "median_elapsed", _counting(timed, metrics.median_elapsed))
+        records = score_run(examples, predictions, bundle, ScoreOptions(ves=True, timeout_s=10))
+        correct = [(ex, r) for ex, r in zip(examples, records) if r.ex]
+        assert len(correct) > len({ex.gold_sql for ex, _ in correct}) > 1
+        assert all(r.ves_ratio is not None for _, r in correct)
+        assert len(timed) == len(correct) + len({ex.gold_sql for ex, _ in correct})
 
     def test_timing_opens_no_connection(self, bundle, monkeypatch):
         import sqlbench.execution as execution

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import subprocess
 import sys
 
@@ -222,7 +223,8 @@ def test_parser_matches_oracle_under_edits(schemas, bird_bundle, fixture_sql, da
     assert_same_as_oracle(_edit(sql, edits), {**schemas, **bird_bundle.schemas}[db])
 
 
-@pytest.mark.parametrize("sql", [
+# texts at the corners of the token pattern
+_SCANNER_CORNERS = [
     "SELECT a /*/ FROM t",
     "SELECT a /*//*/ FROM t",
     "SELECT t.5.3 FROM t",
@@ -241,7 +243,11 @@ def test_parser_matches_oracle_under_edits(schemas, bird_bundle, fixture_sql, da
     "SELECT a FROM t WHERE b = 'it''s",
     "SELECT `a FROM t",
     "SELECT a FROM t /* b",
-], ids=["comment-closes-itself", "comments-back-to-back", "dot-number-after-word",
+]
+
+
+@pytest.mark.parametrize("sql", _SCANNER_CORNERS, ids=[
+        "comment-closes-itself", "comments-back-to-back", "dot-number-after-word",
         "dot-number-after-paren", "dot-number-after-quoted", "dot-numbers", "dotted-capital-i",
         "numeral-in-word", "numeral-alone", "roman-numeral", "cjk-numeral-is-a-letter",
         "non-ascii-digits", "separator-controls", "bird-backticks", "brackets",
@@ -259,6 +265,45 @@ def test_scanner_corners_match_the_oracle(sql):
     except sql_oracle.SqlParseError as exc:
         expected = ("error", exc.reason, exc.pos)
     assert positions == expected
+
+
+def _quote_identifiers(sql: str, opening: str, closing: str) -> str:
+    """``sql`` with each unquoted word that is not a keyword quoted, or
+    ``sql`` itself if it does not scan."""
+    try:
+        kinds, texts, positions = sql_parser._scan(sql)
+    except SqlParseError:
+        return sql
+    for kind, text, pos in reversed(list(zip(kinds, texts, positions))):
+        word = re.match(r"[^\W\d]\w*", sql[pos:]) if kind == "word" else None
+        if word and text not in sql_parser.RESERVED:
+            sql = sql[:pos] + opening + word[0] + closing + sql[word.end() + pos:]
+    return sql
+
+
+def _scanned(read, sql: str) -> tuple:
+    try:
+        return tuple(read(sql)[:2])
+    except SqlParseError as exc:
+        return ("error", exc.reason, exc.pos)
+
+
+def test_tokenize_reads_what_scan_reads_quoted_or_not(fixture_sql, monkeypatch):
+    """Over every fixture query and the texts checked against the oracle,
+    and each with its identifiers in backticks and in brackets, ``tokenize``
+    gives ``_scan``'s tokens or error; a quoted identifier stays in the
+    ``findall`` path."""
+    texts = [sql for _, sql in fixture_sql] + _SCANNER_CORNERS
+    quoted = [_quote_identifiers(sql, *marks) for sql in texts for marks in ("``", "[]")]
+    assert sum("`" in sql for sql in quoted) > len(texts) // 2
+    for sql in texts + quoted:
+        assert _scanned(sql_parser.tokenize, sql) == _scanned(sql_parser._scan, sql), repr(sql)
+    rescanned = []
+    scan = sql_parser._scan
+    monkeypatch.setattr(sql_parser, "_scan", lambda sql: rescanned.append(sql) or scan(sql))
+    gold = "SELECT T1.`Free Meal Count (K-12)` FROM frpm AS T1 WHERE T1.[County Name] = 'x'"
+    assert sql_parser.tokenize(gold)[1][3] == "free meal count (k-12)"
+    assert rescanned == []
 
 
 @pytest.mark.parametrize("sql, outcome", [
