@@ -169,10 +169,14 @@ class DatasetBundle:
         }
 
 
+# the fields of a catalog entry that its DatabaseSchema is built from
+_SCHEMA_FIELDS = ("db_id", "table_names_original", "column_names_original",
+                  "primary_keys", "foreign_keys")
+
+
 def _catalog_entry_to_schema(entry: dict) -> DatabaseSchema:
+    """The schema of a catalog entry whose db_id ``validate_dataset`` checked."""
     db_id = entry["db_id"]
-    if not isinstance(db_id, str) or not db_id:
-        raise DatasetError("db_id must be a non-empty string")
     table_names = entry["table_names_original"]
     raw_columns = entry["column_names_original"]
 
@@ -189,7 +193,7 @@ def _catalog_entry_to_schema(entry: dict) -> DatabaseSchema:
     tables = tuple(
         TableDef(name=name, columns=tuple(cols)) for name, cols in zip(table_names, per_table)
     )
-    for name in (db_id, *table_names, *(column for cols in per_table for column in cols)):
+    for name in (*table_names, *(column for cols in per_table for column in cols)):
         if not (name.isascii() or is_text(name)):  # isascii() inline, as for records below
             raise DatasetError(f"name {name!r} does not encode to UTF-8")
 
@@ -233,10 +237,14 @@ def discover_db_files(db_dir: str | Path, db_ids: list[str]) -> dict[str, Path]:
     return {db_id: path for db_id, path in paths.items() if path.is_file()}
 
 
-def validate_dataset(source: DatasetSource) -> tuple[DatasetBundle | None, list[str]]:
+def validate_dataset(source: DatasetSource,
+                     every_schema: bool = True) -> tuple[DatasetBundle | None, list[str]]:
     """Load schemas plus splits, collecting every validation failure instead
     of stopping at the first. Returns (bundle, errors); the bundle is None
-    only when the catalog itself is unreadable."""
+    only when the catalog itself is unreadable. Every catalog entry's db_id
+    is checked; with ``every_schema`` off, only the entries that a split's
+    records name are built, each when a record first names it, and only
+    their database files looked up. Catalog problems come first, in order."""
     errors: list[str] = []
     bundle = DatasetBundle(name=source.name, dialect=source.dialect)
     try:
@@ -246,16 +254,40 @@ def validate_dataset(source: DatasetSource) -> tuple[DatasetBundle | None, list[
             raise ValueError("not a JSON list of databases")
     except (OSError, ValueError) as exc:
         return None, [f"schema catalog {source.tables}: {exc}"]
+    catalog_errors: dict[int, str] = {}  # by catalog position
+    # db_id -> its catalog position and the fields its schema is built from
+    unbuilt: dict[str, tuple[int, dict]] = {}
     for pos, entry in enumerate(entries):
         try:
-            schema = _catalog_entry_to_schema(entry)
-            if schema.db_id in bundle.schemas:
-                raise DatasetError(f"duplicate db_id {schema.db_id!r}")
-            bundle.schemas[schema.db_id] = schema
+            db_id = entry["db_id"]
+            if not isinstance(db_id, str) or not db_id:
+                raise DatasetError("db_id must be a non-empty string")
+            if not (db_id.isascii() or is_text(db_id)):
+                raise DatasetError(f"name {db_id!r} does not encode to UTF-8")
+            if db_id in unbuilt:
+                raise DatasetError(f"duplicate db_id {db_id!r}")
+            unbuilt[db_id] = pos, {key: entry[key] for key in _SCHEMA_FIELDS if key in entry}
         except (DatasetError, KeyError, TypeError, ValueError) as exc:
-            errors.append(f"catalog entry {pos}: {exc}")
+            catalog_errors[pos] = f"catalog entry {pos}: {exc}"
     # each file's raw JSON is dropped before the next is read, to bound the peak
     del entries
+
+    def built(db_id: str) -> bool:
+        """Build the schema of a db_id not built yet; False if the catalog
+        has no entry for it or the entry is malformed."""
+        if db_id not in unbuilt:
+            return False
+        pos, entry = unbuilt.pop(db_id)
+        try:
+            bundle.schemas[db_id] = _catalog_entry_to_schema(entry)
+            return True
+        except (DatasetError, KeyError, TypeError, ValueError) as exc:
+            catalog_errors[pos] = f"catalog entry {pos}: {exc}"
+            return False
+
+    if every_schema:
+        for db_id in list(unbuilt):
+            built(db_id)
     bird = bundle.dialect == BIRD
     for split, path in source.splits.items():
         try:
@@ -271,7 +303,8 @@ def validate_dataset(source: DatasetSource) -> tuple[DatasetBundle | None, list[
             # each record is checked in this order and reports only the first failure
             if not isinstance(rec, dict):
                 problem = "not a JSON object"
-            elif not isinstance(db_id := rec.get("db_id"), str) or db_id not in bundle.schemas:
+            elif not isinstance(db_id := rec.get("db_id"), str) or (
+                    db_id not in bundle.schemas and not built(db_id)):
                 problem = f"unknown db_id {db_id!r}"
             elif not (question := rec.get("question")) or not isinstance(question, str):
                 problem = "question must be a non-empty string"
@@ -302,15 +335,18 @@ def validate_dataset(source: DatasetSource) -> tuple[DatasetBundle | None, list[
         del records
     if source.db_dir is not None:
         bundle.db_files = discover_db_files(source.db_dir, sorted(bundle.schemas))
-    return bundle, errors
+    return bundle, [*(catalog_errors[pos] for pos in sorted(catalog_errors)), *errors]
 
 
 def load_bundle(source: DatasetSource, splits: tuple[str, ...] | None = None) -> DatasetBundle:
     """``validate_dataset`` that raises one DatasetError listing every problem.
-    With ``splits``, only those split files are read; the catalog always is."""
+    With ``splits``, only those split files are read, and only the schemas
+    and database files of the databases their records name are built and
+    looked up; every catalog entry's db_id is still checked. Without it,
+    every split and every schema is loaded, as ingest reports them."""
     if splits is not None:
         source = replace(source, splits={k: v for k, v in source.splits.items() if k in splits})
-    bundle, errors = validate_dataset(source)
+    bundle, errors = validate_dataset(source, every_schema=splits is None)
     if errors:
         raise DatasetError(*errors)
     return bundle

@@ -153,8 +153,10 @@ def score_ex(pred_sql: str, gold: _Query,
              ves: bool) -> tuple[bool | None, float | None, str | None]:
     """Execution match of the prediction with the gold, its efficiency ratio
     and its failure. With no database, or a gold that does not execute,
-    there is no verdict. Otherwise the prediction's rows are compared with
-    the gold's: as a sequence when the gold has a top-level ORDER BY, as a
+    there is no verdict. A gold echo, whose rows are the gold's own, is
+    correct with no comparison: SQLite returns no NaN, so a row list always
+    matches itself. Otherwise the prediction's rows are compared with the
+    gold's: as a sequence when the gold has a top-level ORDER BY, as a
     multiset of tuples otherwise. On a correct prediction with ``ves`` set,
     both queries are timed on the scoring connection (a median of 3 runs
     each, the gold's once per run) for the ratio sqrt(gold_time / pred_time)."""
@@ -166,7 +168,7 @@ def score_ex(pred_sql: str, gold: _Query,
     pred_rows = db.query(pred_sql).rows
     if isinstance(pred_rows, str):
         return False, None, pred_rows
-    ex = results_match(gold.rows, pred_rows, gold.ordered)
+    ex = pred_rows is gold.rows or results_match(gold.rows, pred_rows, gold.ordered)
     ves_ratio = None
     if ex and ves and gold.elapsed is not None:
         try:

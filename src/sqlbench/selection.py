@@ -30,10 +30,11 @@ DUAL_SIMILARITY = "dual-similarity"
 STRATEGIES = (RANDOM, QUESTION_SIMILARITY, DUAL_SIMILARITY)
 
 EMBED_DIM = 4096
-# texts embedded at a time. A chunk's working arrays, several int64 words per
-# gram, set the build's high-water mark: over 9,400 BIRD-style questions, 512
-# rows raised it 8.1 MB for a 4.5 MB index and built fastest; 1024 rows raised
-# it 10.6 MB, and 256 rows 5.8 MB but built 8 % slower
+# texts embedded at a time. A chunk's working arrays, a few words per gram,
+# set the build's high-water mark: over 9,400 BIRD-style questions, 512 rows
+# raised it 3.6 MB with a 2.7 MB index, 1024 rows 6.6 MB for a few percent
+# less time, and 256 rows 1.9 MB but built slower. A chunk's local rows stay
+# below it, so a (row, bucket) key stays under 2**21 and fits int32
 _CHUNK_ROWS = 512
 # a chunk keeps the positions of its repeated pairs while at most 1 pair in
 # this many repeats, as in questions (4 % over 9,400 BIRD-style ones); past
@@ -45,10 +46,10 @@ _SHIFT = 1 << 21  # above every code point: a gram code packs three 21-bit field
 
 
 def _gram_codes(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Each text's grams as int64 codes, with the row of each code. A text is
-    lower-cased and its whitespace runs collapsed to single spaces; its grams
-    are its character trigrams, or the whole text, padded with tabs to three
-    code points, when it is one or two characters long."""
+    """Each text's grams as int64 codes, with the int32 row of each code. A
+    text is lower-cased and its whitespace runs collapsed to single spaces;
+    its grams are its character trigrams, or the whole text, padded with tabs
+    to three code points, when it is one or two characters long."""
     normalized = [" ".join(text.lower().split()) for text in texts]
     grams = [max(len(text) - 2, min(len(text), 1)) for text in normalized]
     joined = "\t" + "\t\t".join(normalized) + "\t\t"
@@ -57,7 +58,7 @@ def _gram_codes(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     # a gram starts on a character and ends on one, unless it is a whole short text
     valid = (first != _TAB) & ((third != _TAB) | (before == _TAB))
     codes = (first * _SHIFT + second) * _SHIFT + third
-    return codes[valid], np.repeat(np.arange(len(texts)), grams)
+    return codes[valid], np.repeat(np.arange(len(texts), dtype=np.int32), grams)
 
 
 class _Buckets(dict):
@@ -76,12 +77,12 @@ class _Chunk(NamedTuple):
     pairs sorted by bucket, the pairs of all rows in row order."""
 
     buckets: np.ndarray  # int16: every bucket is below EMBED_DIM
-    counts: np.ndarray  # int32
+    counts: np.ndarray  # unsigned, the narrowest type for the chunk's largest count
     starts: np.ndarray  # each row's first pair, then the end of the last
     filled: np.ndarray  # the rows with at least one pair, numbered in the whole index
     heads: np.ndarray  # the first pair of each filled row
     repeated: np.ndarray | slice  # the pairs counted more than once, or all pairs
-    repeats: np.ndarray  # their counts as float64, exact for int32
+    repeats: np.ndarray  # their counts as float64, exact for any count
 
     def dots(self, vec: np.ndarray) -> np.ndarray:
         """The dot product of ``vec`` with each filled row. A pair counted
@@ -98,10 +99,12 @@ class TrigramRows:
     The rows are built ``_CHUNK_ROWS`` texts at a time with array operations,
     each distinct gram hashed once, and kept in the chunks they were built
     in: each chunk holds its rows' ``(bucket, count)`` pairs as int16 buckets
-    and int32 counts, 6 bytes per distinct trigram of a text where a dense
-    row takes 32 KiB. A chunk also holds float64 counts for scoring: with
-    their positions, 16 bytes more, for the pairs counted more than once,
-    or, in a chunk where many pairs repeat, 8 bytes more for every pair.
+    and counts of the narrowest unsigned type that holds the chunk's largest:
+    3 bytes per distinct trigram of a text, where a dense row takes 32 KiB,
+    while no trigram repeats 256 times in one text of the chunk. A chunk
+    also holds float64 counts for scoring: with their positions, 16 bytes
+    more, for the pairs counted more than once, or, in a chunk where many
+    pairs repeat, 8 bytes more for every pair.
     The rows' L2 norms lie in one array. No array spans chunks, so the
     build's working arrays hold one chunk's grams at a time, and a scoring
     pass one chunk's products: ``cosines`` scores the rows one chunk at a
@@ -123,7 +126,7 @@ class TrigramRows:
             # asked for counts, np.unique sorts; for values alone, numpy 2.4
             # hashes instead and imports numpy.ma, about 1 MB
             distinct, _ = np.unique(codes, return_counts=True)
-            table = np.array([bucket[code] for code in distinct.tolist()], dtype=np.int64)
+            table = np.array([bucket[code] for code in distinct.tolist()], dtype=np.int32)
             keys = rows * EMBED_DIM + table[np.searchsorted(distinct, codes)]
             pairs, count = np.unique(keys, return_counts=True)
             rows = pairs // EMBED_DIM
@@ -135,7 +138,7 @@ class TrigramRows:
                 repeated = slice(None)
             self.chunks.append(_Chunk(
                 buckets=(pairs % EMBED_DIM).astype(np.int16),
-                counts=count.astype(np.int32),
+                counts=count.astype(np.min_scalar_type(count.max(initial=0))),
                 starts=starts,
                 filled=lo + filled,
                 heads=starts[filled],

@@ -187,6 +187,28 @@ def test_stages_read_only_the_splits_they_use(scratch_config, tmp_path, gold_stu
     assert capsys.readouterr().err.startswith(f"dataset: split test ({bad}): ")
 
 
+def test_stages_build_only_the_schemas_their_splits_name(scratch_config, tmp_path, gold_stub,
+                                                         fixtures_dir, capsys):
+    """A malformed catalog entry that no record of the loaded splits names
+    leaves the other stages running; ingest, which builds every entry,
+    still reports it."""
+    entries = json.loads((fixtures_dir / "spider" / "tables.json").read_text(encoding="utf-8"))
+    entries[1]["primary_keys"] = [999]  # college_2, which only train names
+    tables = tmp_path / "tables.json"
+    tables.write_text(json.dumps(entries), encoding="utf-8")
+    replace_in(scratch_config, str(fixtures_dir / "spider" / "tables.json"), str(tables))
+    config = write_config_with_url(scratch_config, gold_stub.base_url)
+    common = ("--config", str(config), "--run-id", "t", "--split", "dev")
+    assert run_cli("build-corpus", *common, "--k", "1") == 0
+    assert run_cli("predict", *common, "--shots", "0") == 0
+    predictions = tmp_path / "runs" / "t" / "predictions" / "dev_shots0.jsonl"
+    assert run_cli("evaluate", *common, "--predictions", str(predictions)) == 0
+    capsys.readouterr()
+    assert run_cli("ingest", *common[:4]) == 1
+    assert capsys.readouterr().err.startswith(
+        "dataset: catalog entry 1: college_2: primary key column index 999 out of range\n")
+
+
 _EXISTS_GOLD = "SELECT name FROM singer WHERE EXISTS (SELECT 1)"
 
 

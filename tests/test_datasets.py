@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -204,6 +205,56 @@ def test_validate_dataset_collects_all_errors(tmp_path, fixtures_dir):
     assert bundle is not None
     assert len(errors) == 3  # bad pk, unknown db, missing question
     assert len(bundle.splits["dev"]) == 1
+
+
+def _fixture_source(fixtures_dir, tables=None, db_dir=None) -> DatasetSource:
+    spider = fixtures_dir / "spider"
+    return DatasetSource("x", "spider", tables or spider / "tables.json",
+                         {"train": spider / "train.json", "dev": spider / "dev.json"}, db_dir)
+
+
+def test_a_partial_load_builds_only_the_schemas_its_splits_name(tmp_path, fixtures_dir):
+    """dev names concert_singer alone; train and a full load name both."""
+    for db_id in ("concert_singer", "college_2"):
+        (tmp_path / db_id).mkdir()
+        (tmp_path / db_id / f"{db_id}.sqlite").write_bytes(b"")
+    source = _fixture_source(fixtures_dir, db_dir=tmp_path)
+    full = load_bundle(source)
+    for splits in (("dev",), ("train",), ("dev", "train"), ()):
+        bundle = load_bundle(source, splits=splits)
+        named = {ex.db_id for split in splits for ex in full.splits[split]}
+        assert set(bundle.splits) == set(splits)
+        assert bundle.schemas == {db_id: full.schemas[db_id] for db_id in named}
+        assert bundle.db_files == {db_id: full.db_files[db_id] for db_id in named}
+    assert set(full.schemas) == set(full.db_files) == {"concert_singer", "college_2"}
+
+
+def test_a_partial_load_reports_the_catalog_entries_it_builds(tmp_path, fixtures_dir):
+    """A malformed entry no loaded record names is not built, and so not
+    reported; one a record names is, before the split's problems. Every
+    entry's db_id is checked."""
+    entries = json.loads((fixtures_dir / "spider" / "tables.json").read_text(encoding="utf-8"))
+    entries[1]["primary_keys"] = [999]  # college_2, which only train names
+    tables = tmp_path / "tables.json"
+    tables.write_text(json.dumps(entries), encoding="utf-8")
+    source = _fixture_source(fixtures_dir, tables)
+    bad_pk = "catalog entry 1: college_2: primary key column index 999 out of range"
+    assert set(load_bundle(source, splits=("dev",)).schemas) == {"concert_singer"}
+    _, errors = validate_dataset(replace(source, splits={"train": source.splits["train"]}),
+                                 every_schema=False)
+    assert errors[0] == bad_pk
+    assert errors[1:] and all(error.startswith("split train: ") for error in errors[1:])
+    with pytest.raises(DatasetError) as err:
+        load_bundle(source)
+    assert bad_pk in err.value.args
+    for db_id, problem in ((7, "db_id must be a non-empty string"),
+                           ("college_2\ud800", "name 'college_2\\ud800' does not encode to UTF-8"),
+                           ("concert_singer", "duplicate db_id 'concert_singer'")):
+        entries[1]["db_id"] = db_id
+        tables.write_text(json.dumps(entries), encoding="utf-8")
+        with pytest.raises(DatasetError) as err:
+            load_bundle(source, splits=("dev",))
+        assert list(err.value.args) == [f"catalog entry 1: {problem}"]
 
 
 @pytest.mark.parametrize("kwargs, message", [

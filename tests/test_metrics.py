@@ -500,6 +500,37 @@ def test_a_gold_echo_adds_no_parse_and_no_execution(bundle, monkeypatch):
     assert {r.ex for r in records} == {True, None}
 
 
+def test_a_gold_echo_takes_its_ex_verdict_without_a_row_comparison(bundle, monkeypatch):
+    """An echo's rows are its gold's own: no ``results_match`` call, and the
+    gold's ORDER BY is not looked for. The same rows from another text are
+    still compared."""
+    import sqlbench.metrics as metrics
+
+    compared, ordered = [], []
+    monkeypatch.setattr(metrics, "results_match", _counting(compared, results_match))
+    monkeypatch.setattr(metrics, "has_top_level_order_by",
+                        _counting(ordered, has_top_level_order_by))
+    examples = _scoring_examples(bundle)
+    echoes = {ex.index: prediction(ex.index, ex.gold_sql) for ex in examples}
+    records = score_run(examples, echoes, bundle, ScoreOptions(timeout_s=10))
+    assert compared == [] and ordered == []
+    assert {r.ex for r in records} == {True, None}
+    first = examples[0]
+    twin = {first.index: prediction(first.index, first.gold_sql + " ")}
+    assert score_run([first], twin, bundle, ScoreOptions(timeout_s=10))[0].ex is True
+    assert len(compared) == 1 and ordered == [first.gold_sql]
+
+
+@pytest.mark.parametrize("ordered", [False, True])
+def test_a_row_list_matches_itself(ordered):
+    """What the echo rule rests on, for rows with duplicates, NULLs, floats,
+    blobs, text and ints beside floats in one column."""
+    rows = [(1, 0.1 + 0.2, None, b"\x00\xff", "a"), (1, 0.1 + 0.2, None, b"\x00\xff", "a"),
+            (2.0, 1e-300, None, b"", ""), (3, -0.0, 7, b"x", "b"), (2.5, 3, 1.5, None, None)]
+    assert results_match(rows, rows, ordered)
+    assert results_match(rows, [tuple(list(row)) for row in rows], ordered)
+
+
 @pytest.mark.parametrize("sql, failure", [
     ("SELECT count(*) FROM singer WHERE age > 0", None),  # parses and executes
     ("SELECT count(*) FROM singer WHERE EXISTS (SELECT 1)", "parse-error"),  # executes
@@ -644,6 +675,8 @@ class TestReusedConnection:
 
 @pytest.mark.parametrize("fail", [False, True])
 def test_score_run_closes_every_connection(bundle, monkeypatch, fail):
+    """Every connection scoring opened is closed, also when a call that
+    each example makes, its gold's execution, fails part way."""
     import sqlite3
 
     import sqlbench.execution as execution
@@ -665,9 +698,9 @@ def test_score_run_closes_every_connection(bundle, monkeypatch, fail):
             calls.append(1)
             if len(calls) == 5:
                 raise RuntimeError("scoring failed")
-            return results_match(*args)
+            return execute_sql(*args)
 
-        monkeypatch.setattr(metrics, "results_match", failing)
+        monkeypatch.setattr(metrics, "execute_sql", failing)
     examples = _scoring_examples(bundle)
     predictions = {ex.index: prediction(ex.index, ex.gold_sql) for ex in examples}
     options = ScoreOptions(timeout_s=10)

@@ -406,9 +406,11 @@ def test_empty_trigram_rows():
 
 def test_trigram_count_beyond_int16():
     """One trigram 69,998 times: a count that int16 would wrap, which the
-    int32 counts hold exactly."""
+    chunk's counts, of the narrowest type that holds it, keep exactly."""
     text = "a" * 70_000
     rows = TrigramRows([text, "abc"])
+    assert rows.chunks[0].counts.dtype == np.uint32
+    assert TrigramRows(["abc abc"]).chunks[0].counts.dtype == np.uint8
     vec, norm = rows.dense(0)
     expected = trigram_vector(text)
     assert vec.tobytes() == expected.tobytes()
