@@ -258,12 +258,11 @@ def cmd_evaluate(args) -> int:
     records_path = run_dir / "eval" / f"{args.split}_records.jsonl"
     write_eval_records(records, records_path)
 
-    labeled = [r for r in records if r.difficulty is not None]
-    dropped = len(records) - len(labeled)
+    dropped = sum(1 for r in records if r.difficulty is None)
     if dropped:
         logger.warning("%d records lack a difficulty label; excluded from summary", dropped)
     summary = summarize(
-        labeled, run_id=run_dir.name, config_fingerprint=config.fingerprint(),
+        records, run_id=run_dir.name, config_fingerprint=config.fingerprint(),
         scheme=config.scheme(),
     )
     write_text(reports_dir / f"{args.split}_summary.txt", render_summary(summary, PLAIN))

@@ -237,14 +237,19 @@ def discover_db_files(db_dir: str | Path, db_ids: list[str]) -> dict[str, Path]:
     return {db_id: path for db_id, path in paths.items() if path.is_file()}
 
 
-def validate_dataset(source: DatasetSource,
-                     every_schema: bool = True) -> tuple[DatasetBundle | None, list[str]]:
+def validate_dataset(source: DatasetSource, splits: tuple[str, ...] | None = None,
+                     ) -> tuple[DatasetBundle | None, list[str]]:
     """Load schemas plus splits, collecting every validation failure instead
     of stopping at the first. Returns (bundle, errors); the bundle is None
-    only when the catalog itself is unreadable. Every catalog entry's db_id
-    is checked; with ``every_schema`` off, only the entries that a split's
-    records name are built, each when a record first names it, and only
-    their database files looked up. Catalog problems come first, in order."""
+    only when the catalog itself is unreadable. With ``splits``, only those
+    split files are read. Every catalog entry's db_id is checked, and an
+    entry is built when a record first names it; only a full load (no
+    ``splits``, as ingest reports) then builds the entries no record named.
+    Only the built databases' files are looked up. Catalog problems come
+    first, in catalog order; a record naming an entry that failed to build
+    adds none, as the entry's line names the problem."""
+    if splits is not None:
+        source = replace(source, splits={k: v for k, v in source.splits.items() if k in splits})
     errors: list[str] = []
     bundle = DatasetBundle(name=source.name, dialect=source.dialect)
     try:
@@ -271,6 +276,7 @@ def validate_dataset(source: DatasetSource,
             catalog_errors[pos] = f"catalog entry {pos}: {exc}"
     # each file's raw JSON is dropped before the next is read, to bound the peak
     del entries
+    broken: set[str] = set()  # the db_ids whose entry failed to build
 
     def built(db_id: str) -> bool:
         """Build the schema of a db_id not built yet; False if the catalog
@@ -283,11 +289,9 @@ def validate_dataset(source: DatasetSource,
             return True
         except (DatasetError, KeyError, TypeError, ValueError) as exc:
             catalog_errors[pos] = f"catalog entry {pos}: {exc}"
+            broken.add(db_id)
             return False
 
-    if every_schema:
-        for db_id in list(unbuilt):
-            built(db_id)
     bird = bundle.dialect == BIRD
     for split, path in source.splits.items():
         try:
@@ -305,6 +309,8 @@ def validate_dataset(source: DatasetSource,
                 problem = "not a JSON object"
             elif not isinstance(db_id := rec.get("db_id"), str) or (
                     db_id not in bundle.schemas and not built(db_id)):
+                if isinstance(db_id, str) and db_id in broken:
+                    continue  # its catalog entry's line names the problem
                 problem = f"unknown db_id {db_id!r}"
             elif not (question := rec.get("question")) or not isinstance(question, str):
                 problem = "question must be a non-empty string"
@@ -333,21 +339,17 @@ def validate_dataset(source: DatasetSource,
                 continue
             errors.append(f"split {split}: record {ordinal}: {problem}")
         del records
+    if splits is None:
+        for db_id in list(unbuilt):
+            built(db_id)
     if source.db_dir is not None:
         bundle.db_files = discover_db_files(source.db_dir, sorted(bundle.schemas))
     return bundle, [*(catalog_errors[pos] for pos in sorted(catalog_errors)), *errors]
 
 
 def load_bundle(source: DatasetSource, splits: tuple[str, ...] | None = None) -> DatasetBundle:
-    """``validate_dataset`` that raises one DatasetError listing every problem.
-    With ``splits``, only those split files are read, and only the schemas
-    and database files of the databases their records name are built and
-    looked up; every catalog entry's db_id is still checked. Without it,
-    every split and every schema is loaded, as ingest reports them."""
-    if splits is not None:
-        source = replace(source, splits={k: v for k, v in source.splits.items() if k in splits})
-    bundle, errors = validate_dataset(source, every_schema=splits is None)
+    """``validate_dataset`` that raises one DatasetError listing every problem."""
+    bundle, errors = validate_dataset(source, splits)
     if errors:
         raise DatasetError(*errors)
     return bundle
-

@@ -24,13 +24,13 @@ TIMEOUT = "timeout"
 _PROGRESS_INTERVAL_OPS = 10_000
 _FETCH_BATCH = 2048
 _MIN_ELAPSED_S = 1e-6
+_ELAPSED_RUNS = 3  # the executions median_elapsed takes the median of
 
 
 class ExecutionFailure(Exception):
     def __init__(self, kind: str, detail: str):
         super().__init__(f"{kind}: {detail}")
         self.kind = kind
-        self.detail = detail
 
 
 @dataclass
@@ -174,7 +174,6 @@ def median_elapsed(
     db_file: str | Path,
     timeout_s: float,
     connection: ReusedConnection,
-    runs: int = 3,
 ) -> float:
     """Median wall-clock time of repeated executions, for efficiency ratios.
 
@@ -183,7 +182,7 @@ def median_elapsed(
     retires the connection leaves the next run a fresh one.
     """
     samples = [execute_sql(sql, connection.get(db_file), timeout_s).elapsed
-               for _ in range(runs)]
+               for _ in range(_ELAPSED_RUNS)]
     return max(statistics.median(samples), _MIN_ELAPSED_S)
 
 

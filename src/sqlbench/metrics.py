@@ -137,34 +137,40 @@ class _Query:
             return None
 
 
-def score_em(pred_sql: str, gold: _Query) -> tuple[bool | None, str | None]:
+def score_em(pred_sql: str | None, gold: _Query) -> tuple[bool | None, str | None]:
     """Clause-set match of the prediction with the gold, and its failure:
-    None for a gold outside the clause grammar, which EM leaves out, and
-    False with ``parse-error`` for a prediction outside it."""
+    None for a gold outside the clause grammar, which EM leaves out, False
+    for a missing or errored prediction (None), and False with
+    ``parse-error`` for a prediction outside the grammar."""
     if gold.unit is None:
         return None, None
+    if pred_sql is None:
+        return False, None
     pred_unit = gold.db.query(pred_sql).unit
     if pred_unit is None:
         return False, PARSE_ERROR
     return em_match(pred_unit, gold.unit), None
 
 
-def score_ex(pred_sql: str, gold: _Query,
+def score_ex(pred_sql: str | None, gold: _Query,
              ves: bool) -> tuple[bool | None, float | None, str | None]:
     """Execution match of the prediction with the gold, its efficiency ratio
     and its failure. With no database, or a gold that does not execute,
-    there is no verdict. A gold echo, whose rows are the gold's own, is
-    correct with no comparison: SQLite returns no NaN, so a row list always
-    matches itself. Otherwise the prediction's rows are compared with the
-    gold's: as a sequence when the gold has a top-level ORDER BY, as a
-    multiset of tuples otherwise. On a correct prediction with ``ves`` set,
-    both queries are timed on the scoring connection (a median of 3 runs
-    each, the gold's once per run) for the ratio sqrt(gold_time / pred_time)."""
+    there is no verdict; otherwise a missing or errored prediction (None)
+    is False. A gold echo, whose rows are the gold's own, is correct with no
+    comparison: SQLite returns no NaN, so a row list always matches itself.
+    Otherwise the prediction's rows are compared with the gold's: as a
+    sequence when the gold has a top-level ORDER BY, as a multiset of tuples
+    otherwise. On a correct prediction with ``ves`` set, both queries are
+    timed on the scoring connection (a median of 3 runs each, the gold's
+    once per run) for the ratio sqrt(gold_time / pred_time)."""
     db = gold.db
     if not db.available:
         return None, None, DB_UNAVAILABLE
     if isinstance(gold.rows, str):
         return None, None, GOLD_ERROR
+    if pred_sql is None:
+        return False, None, None
     pred_rows = db.query(pred_sql).rows
     if isinstance(pred_rows, str):
         return False, None, pred_rows
@@ -179,26 +185,6 @@ def score_ex(pred_sql: str, gold: _Query,
     return ex, ves_ratio, None
 
 
-def _score_one(
-    example: ExampleTriple,
-    prediction,
-    gold: _Query,
-    bundle: DatasetBundle,
-    options: ScoreOptions,
-) -> EvalRecord:
-    difficulty = example.difficulty if bundle.dialect == BIRD else gold.difficulty
-    if prediction is None or getattr(prediction, "error", None):
-        return EvalRecord(example.index, False if options.em else None,
-                          False if options.ex else None, None, difficulty, PREDICTION_ERROR)
-    em = ex = ves_ratio = em_failure = ex_failure = None
-    if options.em:
-        em, em_failure = score_em(prediction.extracted_sql, gold)
-    if options.ex:
-        ex, ves_ratio, ex_failure = score_ex(prediction.extracted_sql, gold, options.ves)
-    # an execution failure names the record; a parse error only when there is none
-    return EvalRecord(example.index, em, ex, ves_ratio, difficulty, ex_failure or em_failure)
-
-
 def score_run(
     examples: list[ExampleTriple],
     predictions: dict[int, object],
@@ -206,8 +192,10 @@ def score_run(
     options: ScoreOptions | None = None,
 ) -> list[EvalRecord]:
     """Score every example of the run: exactly one EvalRecord per example,
-    in example order. Examples without a prediction score as prediction
-    errors rather than aborting.
+    in example order. Each judge whose metric is on sees every example; one
+    without a prediction, or whose prediction errored, is judged as None,
+    so its metrics are null exactly where a present prediction's would be,
+    and its record's failure is ``prediction-error``.
 
     Examples are scored a database at a time. Each distinct (db_id, SQL
     text), gold or prediction, is parsed and executed at most once per run,
@@ -220,6 +208,7 @@ def score_run(
     last until the run ends, so each database is opened once.
     """
     options = options or ScoreOptions()
+    bird = bundle.dialect == BIRD
     positions: dict[str, list[int]] = {}  # db_id -> positions of its examples
     for position, example in enumerate(examples):
         positions.setdefault(example.db_id, []).append(position)
@@ -231,9 +220,20 @@ def score_run(
             for position in members:
                 example = examples[position]
                 gold = db.query(example.gold_sql)
-                records[position] = _score_one(
-                    example, predictions.get(example.index), gold, bundle, options
-                )
+                prediction = predictions.get(example.index)
+                errored = prediction is None or getattr(prediction, "error", None)
+                pred_sql = None if errored else prediction.extracted_sql
+                em = ex = ves_ratio = em_failure = ex_failure = None
+                if options.em:
+                    em, em_failure = score_em(pred_sql, gold)
+                if options.ex:
+                    ex, ves_ratio, ex_failure = score_ex(pred_sql, gold, options.ves)
+                # a prediction error names the record, then an execution
+                # failure, then a parse error
+                failure = PREDICTION_ERROR if pred_sql is None else ex_failure or em_failure
+                records[position] = EvalRecord(
+                    example.index, em, ex, ves_ratio,
+                    example.difficulty if bird else gold.difficulty, failure)
     return records
 
 

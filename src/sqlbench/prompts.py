@@ -104,10 +104,6 @@ class PromptTemplate:
                              f" got {self.schema_style!r}")
 
 
-TRP_SENTENCE = PromptTemplate(SENTENCE_STYLE)
-TRP_COMPACT = PromptTemplate(COMPACT_STYLE)
-
-
 def _text(parts: tuple[Fragment | str, ...]) -> str:
     return "".join(part if isinstance(part, str) else part.text for part in parts)
 

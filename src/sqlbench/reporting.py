@@ -55,7 +55,9 @@ def summarize(
     config_fingerprint: str,
     scheme: str = "spider4",
 ) -> RunSummary:
-    """Reduce records into per-bucket and overall counts.
+    """Reduce the labeled records into per-bucket and overall counts; a
+    record without a difficulty label is left out. ValueError if a label is
+    of another scheme.
 
     Rates are stored exactly as correct/scored counts; rendering rounds to
     three decimals. The VES mean covers every record whose execution verdict
@@ -67,9 +69,7 @@ def summarize(
     ves_seen = False
     for record in records:
         if record.difficulty is None:
-            raise ValueError(
-                f"record {record.example_index} carries no difficulty label"
-            )
+            continue
         if record.difficulty.scheme != scheme:
             raise ValueError(
                 f"record {record.example_index} carries scheme"
@@ -139,7 +139,7 @@ def compare_records(base: list[EvalRecord], target: list[EvalRecord],
     schemes = [d.scheme for d in labels.values() if d is not None]
     if not schemes:
         raise ValueError(f"no example of {base_run} or {target_run} carries a difficulty label")
-    return compare(*(summarize([r for r in run if r.difficulty is not None], name, "", schemes[0])
+    return compare(*(summarize(run, name, "", schemes[0])
                      for run, name in ((base, base_run), (target, target_run))))
 
 

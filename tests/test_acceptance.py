@@ -29,7 +29,7 @@ from sqlbench.inference import Prediction, read_predictions
 from sqlbench.metrics import EvalRecord, ScoreOptions, score_run
 from sqlbench.prompts import (
     COMPACT_STYLE,
-    TRP_SENTENCE,
+    PromptTemplate,
     TokenBudget,
     build_prompt,
     estimate_tokens,
@@ -70,7 +70,7 @@ def test_1_prompt_fidelity(bundle, fixtures_dir):
     @_checked(1, "prompt fidelity", limit_s=1.0)
     def criterion():
         target = bundle.splits["dev"][0]
-        envelope = build_prompt(target, [], TRP_SENTENCE, TokenBudget(), bundle.schemas)
+        envelope = build_prompt(target, [], PromptTemplate(), TokenBudget(), bundle.schemas)
         with open(fixtures_dir / "golden" / "trp_zero_shot_concert_singer.txt",
                   encoding="utf-8", newline="") as fp:
             golden = fp.read()
@@ -268,10 +268,10 @@ def test_7_corpus_determinism_and_mixing(synthetic_bundle, bundle, tmp_path):
         out_a = tmp_path / "mix_a.jsonl"
         out_b = tmp_path / "mix_b.jsonl"
         summary_a = export_corpus(
-            split, synthetic_bundle, TRP_SENTENCE, policy, (0, 1, 3, 5), out_a
+            split, synthetic_bundle, PromptTemplate(), policy, (0, 1, 3, 5), out_a
         )
         export_corpus(
-            split, synthetic_bundle, TRP_SENTENCE, policy, (0, 1, 3, 5), out_b
+            split, synthetic_bundle, PromptTemplate(), policy, (0, 1, 3, 5), out_b
         )
         assert out_a.read_bytes() == out_b.read_bytes(), "fixed-seed export not byte-identical"
         assert summary_a.records == 10_000
@@ -285,7 +285,7 @@ def test_7_corpus_determinism_and_mixing(synthetic_bundle, bundle, tmp_path):
         # no self-leakage under nonzero k on the real fixture split
         fixture_out = tmp_path / "fixture_k5.jsonl"
         export_corpus(
-            bundle.splits["train"], bundle, TRP_SENTENCE,
+            bundle.splits["train"], bundle, PromptTemplate(),
             SelectionPolicy(strategy="random", seed=13), (5,), fixture_out,
         )
         for record in read_corpus(fixture_out):

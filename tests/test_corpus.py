@@ -19,7 +19,6 @@ from sqlbench.datasets import DatabaseSchema, ExampleTriple, KeyRef, TableDef
 from sqlbench.prompts import (
     COMPACT_STYLE,
     SENTENCE_STYLE,
-    TRP_SENTENCE,
     BudgetExceededError,
     PromptTemplate,
     TokenBudget,
@@ -39,7 +38,7 @@ def policy(seed: int = 7) -> SelectionPolicy:
 def test_fixed_zero_shot_export(bundle, tmp_path):
     out = tmp_path / "corpus.jsonl"
     summary = export_corpus(
-        bundle.splits["train"], bundle, TRP_SENTENCE, policy(), (0,), out
+        bundle.splits["train"], bundle, PromptTemplate(), policy(), (0,), out
     )
     records = read_corpus(out)
     assert summary.records == len(bundle.splits["train"]) == len(records)
@@ -53,7 +52,7 @@ def test_fixed_zero_shot_export(bundle, tmp_path):
 
 def test_export_structure_shots_plus_one_questions(bundle, tmp_path):
     out = tmp_path / "corpus_k2.jsonl"
-    export_corpus(bundle.splits["train"], bundle, TRP_SENTENCE, policy(), (2,), out)
+    export_corpus(bundle.splits["train"], bundle, PromptTemplate(), policy(), (2,), out)
     for record in read_corpus(out):
         questions = [
             line for line in record["instruction"].splitlines() if line.startswith("Q: ")
@@ -65,7 +64,7 @@ def test_export_structure_shots_plus_one_questions(bundle, tmp_path):
 def test_export_deterministic_bytes(bundle, tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     for out in (a, b):
-        export_corpus(bundle.splits["train"], bundle, TRP_SENTENCE, policy(), (3,), out)
+        export_corpus(bundle.splits["train"], bundle, PromptTemplate(), policy(), (3,), out)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -90,7 +89,7 @@ def test_each_schema_is_rendered_once_per_style(fixtures_dir, tmp_path, monkeypa
 
     monkeypatch.setattr(prompts, "render_schema", counted)
     bundle = fresh_bundle()
-    export_corpus(bundle.splits["train"], bundle, TRP_SENTENCE, policy(), (0, 1, 3), kept)
+    export_corpus(bundle.splits["train"], bundle, PromptTemplate(), policy(), (0, 1, 3), kept)
     assert {style for _, style in rendered} == {"sentence", "compact"}
     assert len(rendered) == len(set(rendered)) < len(bundle.splits["train"])
 
@@ -98,7 +97,7 @@ def test_each_schema_is_rendered_once_per_style(fixtures_dir, tmp_path, monkeypa
     monkeypatch.setattr(prompts, "_schema_fragment",
                         lambda schema, style: prompts.Fragment(render(schema, style)))
     bundle = fresh_bundle()
-    export_corpus(bundle.splits["train"], bundle, TRP_SENTENCE, policy(), (0, 1, 3), afresh)
+    export_corpus(bundle.splits["train"], bundle, PromptTemplate(), policy(), (0, 1, 3), afresh)
     assert kept.read_bytes() == afresh.read_bytes()
 
 
@@ -200,36 +199,37 @@ def test_a_lone_surrogate_raises_as_encoding_the_whole_prompt(bundle, tmp_path):
     }
     for name, case in cases.items():
         stand_in, exemplars, schemas = case("\x01")
-        text = build_prompt(stand_in, exemplars, TRP_SENTENCE, TokenBudget(10**6, 0), schemas).text
+        text = build_prompt(stand_in, exemplars, PromptTemplate(), TokenBudget(10**6, 0),
+                            schemas).text
         with pytest.raises(UnicodeEncodeError) as whole:
             estimate_tokens(text.replace("\x01", "\ud800"))
         odd_target, exemplars, schemas = case("\ud800")
         with pytest.raises(UnicodeEncodeError) as err:
-            build_prompt(odd_target, exemplars, TRP_SENTENCE, TokenBudget(), schemas)
+            build_prompt(odd_target, exemplars, PromptTemplate(), TokenBudget(), schemas)
         assert err.value.args == whole.value.args, name
 
     split = [replace(bundle.splits["train"][0], gold_sql="SELECT '\ud800'")]
     with pytest.raises(UnicodeEncodeError):
-        export_corpus(split, bundle, TRP_SENTENCE, policy(), (0,), tmp_path / "corpus.jsonl")
+        export_corpus(split, bundle, PromptTemplate(), policy(), (0,), tmp_path / "corpus.jsonl")
 
 
 def test_export_seed_changes_bytes(bundle, tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    export_corpus(bundle.splits["train"], bundle, TRP_SENTENCE, policy(seed=1), (3,), a)
-    export_corpus(bundle.splits["train"], bundle, TRP_SENTENCE, policy(seed=2), (3,), b)
+    export_corpus(bundle.splits["train"], bundle, PromptTemplate(), policy(seed=1), (3,), a)
+    export_corpus(bundle.splits["train"], bundle, PromptTemplate(), policy(seed=2), (3,), b)
     assert a.read_bytes() != b.read_bytes()
 
 
 def test_no_self_leakage(bundle, tmp_path):
     out = tmp_path / "corpus.jsonl"
-    export_corpus(bundle.splits["train"], bundle, TRP_SENTENCE, policy(), (5,), out)
+    export_corpus(bundle.splits["train"], bundle, PromptTemplate(), policy(), (5,), out)
     for record in read_corpus(out):
         assert record["meta"]["example_index"] not in record["meta"]["exemplar_ids"]
 
 
 def test_every_instruction_within_budget(bundle, tmp_path):
     out = tmp_path / "corpus.jsonl"
-    export_corpus(bundle.splits["train"], bundle, TRP_SENTENCE, policy(), (5,), out)
+    export_corpus(bundle.splits["train"], bundle, PromptTemplate(), policy(), (5,), out)
     for record in read_corpus(out):
         assert estimate_tokens(record["instruction"]) <= 2048 - 512
 
@@ -237,7 +237,7 @@ def test_every_instruction_within_budget(bundle, tmp_path):
 def test_over_budget_examples_skipped_with_reason(bundle, tmp_path):
     out = tmp_path / "corpus.jsonl"
     summary = export_corpus(
-        bundle.splits["train"], bundle, TRP_SENTENCE, policy(), (0,), out,
+        bundle.splits["train"], bundle, PromptTemplate(), policy(), (0,), out,
         budget=TokenBudget(max_context=560, reserved_response=512),
     )
     assert summary.records + len(summary.skipped) == len(bundle.splits["train"])
@@ -248,20 +248,20 @@ def test_over_budget_examples_skipped_with_reason(bundle, tmp_path):
 
 def test_empty_split(bundle, tmp_path):
     out = tmp_path / "corpus.jsonl"
-    summary = export_corpus([], bundle, TRP_SENTENCE, policy(), (0,), out)
+    summary = export_corpus([], bundle, PromptTemplate(), policy(), (0,), out)
     assert summary.records == 0
     assert summary.shot_histogram == {}
     assert out.read_text(encoding="utf-8") == ""
 
 
 def test_random_shot_histogram(bundle, tmp_path):
-    from sqlbench.prompts import TRP_COMPACT
 
     out = tmp_path / "corpus.jsonl"
     # compact schema rendering keeps every k below the budget, so the
     # histogram reflects the drawn shot counts exactly
     summary = export_corpus(
-        bundle.splits["train"], bundle, TRP_COMPACT, policy(seed=11), (0, 1, 3, 5), out,
+        bundle.splits["train"], bundle, PromptTemplate(COMPACT_STYLE), policy(seed=11),
+        (0, 1, 3, 5), out,
     )
     assert set(summary.shot_histogram) <= {0, 1, 3, 5}
     assert sum(summary.shot_histogram.values()) == summary.records
@@ -316,7 +316,7 @@ def test_export_with_similarity_strategy(bundle, tmp_path):
     out = tmp_path / "sim.jsonl"
     sim_policy = SelectionPolicy(strategy="question-similarity", seed=3)
     summary = export_corpus(
-        bundle.splits["train"], bundle, TRP_SENTENCE, sim_policy, (2,), out
+        bundle.splits["train"], bundle, PromptTemplate(), sim_policy, (2,), out
     )
     assert summary.records == len(bundle.splits["train"])
     for record in read_corpus(out):

@@ -27,7 +27,7 @@ from sqlbench.inference import (
     read_predictions,
     write_predictions,
 )
-from sqlbench.prompts import TRP_SENTENCE, TokenBudget, build_prompt
+from sqlbench.prompts import PromptTemplate, TokenBudget, build_prompt
 from sqlbench.stub import StubBehavior, StubServer, _Handler
 
 from conftest import answers_from_examples, write_config_with_url
@@ -38,7 +38,7 @@ TLS = Path(__file__).parent / "fixtures" / "tls"
 
 def envelopes_for(bundle, count: int):
     return [
-        build_prompt(target, [], TRP_SENTENCE, TokenBudget(), bundle.schemas)
+        build_prompt(target, [], PromptTemplate(), TokenBudget(), bundle.schemas)
         for target in bundle.splits["dev"][:count]
     ]
 
@@ -499,7 +499,7 @@ def test_predict_with_over_budget_targets_mixed_in_writes_the_same_file(scratch_
     over = {}
     for target in dev:
         try:
-            build_prompt(target, [], TRP_SENTENCE, budget, bundle.schemas)
+            build_prompt(target, [], PromptTemplate(), budget, bundle.schemas)
         except BudgetExceededError as exc:
             over[target.index] = Prediction(target.index, attempt_count=0,
                                             error=f"{exc} at k=0")

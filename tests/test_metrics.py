@@ -571,8 +571,10 @@ def test_a_text_that_timed_out_is_not_rerun_for_its_duplicates(bundle, monkeypat
 @pytest.mark.parametrize("em,ex", [(True, True), (True, False), (False, True), (False, False)])
 def test_score_run_judges_every_predicted_example_through_score_em_and_score_ex(
         bundle, monkeypatch, em, ex):
-    """Each judge sees every example that has a prediction without an error
-    once when its metric is on, and none when it is off."""
+    """Each judge sees every example once when its metric is on, and none
+    when it is off: a missing or errored prediction as None."""
+    from collections import Counter
+
     import sqlbench.metrics as metrics
 
     examples = _scoring_examples(bundle)
@@ -581,10 +583,50 @@ def test_score_run_judges_every_predicted_example_through_score_em_and_score_ex(
     for name, calls in judged.items():
         monkeypatch.setattr(metrics, name, _counting(calls, getattr(metrics, name)))
     score_run(examples, predictions, bundle, ScoreOptions(em=em, ex=ex, timeout_s=10))
-    predicted = sorted(p.extracted_sql for p in predictions.values() if not p.error)
-    assert 0 < len(predicted) < len(examples)
-    assert sorted(judged["score_em"]) == (predicted if em else [])
-    assert sorted(judged["score_ex"]) == (predicted if ex else [])
+    given = [predictions.get(e.index) for e in examples]
+    predicted = Counter(None if p is None or p.error else p.extracted_sql for p in given)
+    assert 0 < predicted[None] < len(examples)
+    assert Counter(judged["score_em"]) == (predicted if em else Counter())
+    assert Counter(judged["score_ex"]) == (predicted if ex else Counter())
+
+
+# gold case -> (gold SQL, the database file, the metrics a wrong prediction leaves null)
+_GOLD_CASES = {
+    "control": ("SELECT count(*) FROM singer", True, ()),
+    "outside-the-grammar": ("SELECT name FROM singer WHERE EXISTS (SELECT 1)", True, ("em",)),
+    "no-database-file": ("SELECT count(*) FROM singer", False, ("ex",)),
+    "gold-does-not-execute": ("SELECT broken FROM nowhere", True, ("ex",)),
+}
+
+
+@pytest.mark.parametrize("em,ex", [(True, True), (True, False), (False, True), (False, False)])
+@pytest.mark.parametrize("case", list(_GOLD_CASES))
+def test_a_prediction_error_leaves_null_what_a_wrong_prediction_leaves_null(
+        bundle, case, em, ex):
+    """A missing and an errored prediction are judged like a wrong, present
+    one: the same metrics are null, the others false, and the record names
+    the prediction error."""
+    from dataclasses import replace
+
+    gold_sql, has_file, gold_nulls = _GOLD_CASES[case]
+    example = replace(bundle.splits["dev"][0], gold_sql=gold_sql)
+    if not has_file:
+        bundle = replace(bundle, db_files={})
+    options = ScoreOptions(em=em, ex=ex, timeout_s=10)
+    wrong, missing, errored = (score_run([example], given, bundle, options)[0] for given in (
+        {example.index: prediction(example.index, "SELECT 1")},
+        {},
+        {example.index: Prediction(example.index, "", "", 1.0, 1, error="HTTP 500")},
+    ))
+    nulls = {"em": not em or "em" in gold_nulls, "ex": not ex or "ex" in gold_nulls}
+    assert {"em": wrong.em is None, "ex": wrong.ex is None} == nulls
+    assert wrong.em is not True and wrong.ex is not True
+    for record in (missing, errored):
+        assert record.em is (None if nulls["em"] else False)
+        assert record.ex is (None if nulls["ex"] else False)
+        assert record.ves_ratio is None
+        assert record.failure == "prediction-error"
+        assert record.difficulty == wrong.difficulty
 
 
 def test_score_run_opens_each_database_once(bundle, db_file, tmp_path, monkeypatch):

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from sqlbench.prompts import (
     COMPACT_STYLE,
-    TRP_COMPACT,
-    TRP_SENTENCE,
     BudgetExceededError,
     PromptTemplate,
     TokenBudget,
@@ -24,7 +22,7 @@ def read_golden(fixtures_dir, name: str) -> str:
 
 def test_zero_shot_envelope_matches_golden(bundle, fixtures_dir):
     target = bundle.splits["dev"][0]
-    envelope = build_prompt(target, [], TRP_SENTENCE, TokenBudget(), bundle.schemas)
+    envelope = build_prompt(target, [], PromptTemplate(), TokenBudget(), bundle.schemas)
     assert envelope.text == read_golden(fixtures_dir, "trp_zero_shot_concert_singer.txt")
     assert envelope.shots == 0
     assert envelope.exemplar_ids == ()
@@ -42,7 +40,7 @@ def test_compact_schema_matches_golden(bundle, fixtures_dir):
 def test_one_shot_same_schema_matches_golden(bundle, fixtures_dir):
     target = bundle.splits["dev"][0]
     exemplar = bundle.splits["train"][17]  # same database as the target
-    envelope = build_prompt(target, [exemplar], TRP_SENTENCE, TokenBudget(), bundle.schemas)
+    envelope = build_prompt(target, [exemplar], PromptTemplate(), TokenBudget(), bundle.schemas)
     assert envelope.text == read_golden(fixtures_dir, "trp_one_shot_same_schema.txt")
     # schema rendered exactly once
     assert envelope.text.count("Database concert_singer contains tables") == 1
@@ -62,7 +60,7 @@ def test_compact_single_table_has_no_key_sentences(bundle):
 def test_cross_schema_exemplar_rendered_compactly(bundle):
     target = bundle.splits["dev"][0]  # concert_singer
     exemplar = bundle.splits["train"][0]  # college_2
-    envelope = build_prompt(target, [exemplar], TRP_SENTENCE, TokenBudget(), bundle.schemas)
+    envelope = build_prompt(target, [exemplar], PromptTemplate(), TokenBudget(), bundle.schemas)
     # the exemplar's schema appears compactly just before its Q/Response pair
     block = "Table course, columns = [*,course_id,title,dept_name,credits]"
     assert block in envelope.text
@@ -73,10 +71,10 @@ def test_cross_schema_exemplar_rendered_compactly(bundle):
 def test_budget_truncation_drops_from_tail(bundle):
     target = bundle.splits["dev"][0]
     exemplars = bundle.splits["train"][16:19]
-    full = build_prompt(target, exemplars, TRP_SENTENCE, TokenBudget(), bundle.schemas)
+    full = build_prompt(target, exemplars, PromptTemplate(), TokenBudget(), bundle.schemas)
     assert full.shots == 3
     tight = TokenBudget(max_context=full.token_estimate + 512 - 10, reserved_response=512)
-    truncated = build_prompt(target, exemplars, TRP_SENTENCE, tight, bundle.schemas)
+    truncated = build_prompt(target, exemplars, PromptTemplate(), tight, bundle.schemas)
     assert truncated.shots < 3
     # prefix order preserved: the kept ids are the first ones supplied
     assert truncated.exemplar_ids == tuple(e.index for e in exemplars[: truncated.shots])
@@ -85,13 +83,13 @@ def test_budget_truncation_drops_from_tail(bundle):
 def test_budget_exceeded_reports_overflow(bundle):
     target = bundle.splits["dev"][0]
     with pytest.raises(BudgetExceededError) as err:
-        build_prompt(target, [], TRP_SENTENCE, TokenBudget(max_context=100 + 50, reserved_response=50), bundle.schemas)
+        build_prompt(target, [], PromptTemplate(), TokenBudget(max_context=100 + 50, reserved_response=50), bundle.schemas)
     assert err.value.overflow > 0
 
 
 def test_zero_shot_single_question_prefix(bundle):
     for target in bundle.splits["dev"][:5]:
-        envelope = build_prompt(target, [], TRP_SENTENCE, TokenBudget(), bundle.schemas)
+        envelope = build_prompt(target, [], PromptTemplate(), TokenBudget(), bundle.schemas)
         lines = [line for line in envelope.text.splitlines() if line.startswith("Q: ")]
         assert len(lines) == 1
         assert envelope.token_estimate <= 2048 - 512
@@ -100,7 +98,7 @@ def test_zero_shot_single_question_prefix(bundle):
 def test_evidence_flag(bird_bundle):
     target = bird_bundle.splits["dev"][0]
     include = PromptTemplate(COMPACT_STYLE, include_evidence=True)
-    exclude = TRP_COMPACT
+    exclude = PromptTemplate(COMPACT_STYLE)
     with_text = build_prompt(target, [], include, TokenBudget(), bird_bundle.schemas).text
     without_text = build_prompt(target, [], exclude, TokenBudget(), bird_bundle.schemas).text
     assert target.evidence in with_text
@@ -113,8 +111,8 @@ def test_evidence_flag(bird_bundle):
 def test_rendering_deterministic(bundle):
     target = bundle.splits["dev"][3]
     exemplars = bundle.splits["train"][0:2]
-    a = build_prompt(target, exemplars, TRP_SENTENCE, TokenBudget(), bundle.schemas)
-    b = build_prompt(target, exemplars, TRP_SENTENCE, TokenBudget(), bundle.schemas)
+    a = build_prompt(target, exemplars, PromptTemplate(), TokenBudget(), bundle.schemas)
+    b = build_prompt(target, exemplars, PromptTemplate(), TokenBudget(), bundle.schemas)
     assert a == b
 
 

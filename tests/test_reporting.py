@@ -79,10 +79,15 @@ def test_zero_records_no_division_error():
     assert "n/a" in rendered
 
 
-def test_unlabeled_record_rejected():
-    record = EvalRecord(0, True, True, None, None, None)
-    with pytest.raises(ValueError, match="difficulty"):
-        summarize([record], "r", "f")
+def test_unlabeled_record_left_out():
+    """A record without a difficulty label counts in no bucket; a label of
+    another scheme is still refused."""
+    labeled = EvalRecord(0, True, False, None, DifficultyLabel("spider4", "easy"), None)
+    unlabeled = EvalRecord(1, True, True, 1.0, None, None)
+    assert summarize([unlabeled, labeled], "r", "f") == summarize([labeled], "r", "f")
+    assert summarize([unlabeled], "r", "f").buckets[OVERALL].n == 0
+    with pytest.raises(ValueError, match="scheme"):
+        summarize([unlabeled, labeled], "r", "f", scheme="bird3")
 
 
 def test_plain_table_layout():
