@@ -354,25 +354,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="sqlbench",
-        description="Text-to-SQL benchmarking pipeline: dataset construction,"
-        " prediction, evaluation, and fine-tuning corpus export.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _run_options(p: argparse.ArgumentParser) -> None:
+    """The options of every command that runs on a config."""
+    p.add_argument("--config", required=True, help="run config file (YAML)")
+    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--output-dir", default=None, help="override the output directory")
+    p.add_argument("--run-id", default=None,
+                   help="pin the run id (default: timestamp + config fingerprint)")
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="run config file (YAML)")
-    common.add_argument("--seed", type=int, default=None, help="override the config seed")
-    common.add_argument("--output-dir", default=None, help="override the output directory")
-    common.add_argument("--run-id", default=None,
-                        help="pin the run id (default: timestamp + config fingerprint)")
 
-    p = sub.add_parser("ingest", parents=[common], help="load and validate the dataset")
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("build-corpus", parents=[common], help="export fine-tuning corpora")
+def _build_corpus_arguments(p: argparse.ArgumentParser) -> None:
+    _run_options(p)
     p.add_argument("--split", default="train")
     p.add_argument("--k", type=_int_list, default=[],
                    help="comma-separated shot counts, one corpus per count")
@@ -381,46 +373,80 @@ def build_parser() -> argparse.ArgumentParser:
                         " drawn from --choices")
     p.add_argument("--choices", type=_int_list, default=(0, 1, 3, 5),
                    help="random-shot choice set, default %(default)s")
-    p.set_defaults(func=cmd_build_corpus)
 
-    p = sub.add_parser("predict", parents=[common], help="request predictions for a split")
+
+def _predict_arguments(p: argparse.ArgumentParser) -> None:
+    _run_options(p)
     p.add_argument("--split", default="dev")
     p.add_argument("--shots", type=int, default=None,
                    help="exemplars per prompt (default: selection.k)")
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("evaluate", parents=[common], help="score a prediction file")
+
+def _evaluate_arguments(p: argparse.ArgumentParser) -> None:
+    _run_options(p)
     p.add_argument("--split", default="dev")
     p.add_argument("--predictions", required=True)
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("compare", help="delta report between two runs on the same examples")
+
+def _compare_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--base", required=True, help="baseline run's eval records (JSONL)")
     p.add_argument("--target", required=True, help="target run's eval records (JSONL)")
     p.add_argument("--out", default=None, help="write the structured delta report here")
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("emit-train-profile", help="write a training-config profile")
+
+def _profile_arguments(p: argparse.ArgumentParser) -> None:
     # one flag per profile field, with the field's type and default
     hints = typing.get_type_hints(TrainProfile)
     for f in fields(TrainProfile):
         p.add_argument("--" + f.name.replace("_", "-"), type=hints[f.name], default=f.default)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_emit_train_profile)
 
-    p = sub.add_parser("stub", help="serve the deterministic stub endpoint")
+
+def _stub_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--examples", default=None, help="examples file for gold-echo answers")
     p.add_argument("--fallback", default="SELECT 1")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=_port, default=8181, help="0-65535; 0 picks a free port")
-    p.set_defaults(func=cmd_stub)
 
+
+# command -> (what runs it, its help line, what adds its arguments)
+COMMANDS = {
+    "ingest": (cmd_ingest, "load and validate the dataset", _run_options),
+    "build-corpus": (cmd_build_corpus, "export fine-tuning corpora", _build_corpus_arguments),
+    "predict": (cmd_predict, "request predictions for a split", _predict_arguments),
+    "evaluate": (cmd_evaluate, "score a prediction file", _evaluate_arguments),
+    "compare": (cmd_compare, "delta report between two runs on the same examples",
+                _compare_arguments),
+    "emit-train-profile": (cmd_emit_train_profile, "write a training-config profile",
+                           _profile_arguments),
+    "stub": (cmd_stub, "serve the deterministic stub endpoint", _stub_arguments),
+}
+
+
+def build_parser(argv: typing.Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser for ``argv``. Every command is listed by name and help, but
+    only the first one ``argv`` names gets its arguments: a stage does not
+    pay to build the other commands' (the top-level parser takes no option
+    with a value, so the command is the first argument that names one)."""
+    parser = _Parser(
+        prog="sqlbench",
+        description="Text-to-SQL benchmarking pipeline: dataset construction,"
+        " prediction, evaluation, and fine-tuning corpus export.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    command = next((arg for arg in argv if arg in COMMANDS), None)
+    for name, (func, help_line, add_arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if name == command:
+            add_arguments(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -11,6 +11,7 @@ field except ``output_dir`` and ``endpoint.api_key_env``.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import logging
 import math
@@ -29,6 +30,10 @@ from .prompts import PromptTemplate
 from .selection import SelectionPolicy
 
 logger = logging.getLogger(__name__)
+
+# libyaml where PyYAML was built with it: the same constructor and resolver as
+# yaml.SafeLoader, so the same values, parsed several times faster
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ConfigError(Exception):
@@ -83,12 +88,22 @@ def load_run_config(path: str | Path) -> RunConfig:
     if not config_path.is_file():
         raise ConfigError([f"config file not found: {config_path}"])
     try:
-        with open(config_path, encoding="utf-8") as fp:
-            raw = yaml.safe_load(fp) or {}
-    except yaml.YAMLError as exc:
-        raise ConfigError([f"config is not valid YAML: {exc}"]) from exc
+        text = config_path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read config file {config_path}: {exc}"]) from exc
+    try:
+        raw = yaml.load(text, Loader=YAML_LOADER)
+    except yaml.YAMLError:
+        # libyaml words its errors otherwise and refuses some text the
+        # pure-Python loader takes (a lone surrogate escape, which is then
+        # refused by key below), so the pure-Python loader has the last word
+        stream = io.StringIO(text)
+        stream.name = str(config_path)  # its error marks name the file
+        try:
+            raw = yaml.load(stream, Loader=yaml.SafeLoader)
+        except yaml.YAMLError as exc:
+            raise ConfigError([f"config is not valid YAML: {exc}"]) from exc
+    raw = raw or {}
     base = config_path.parent
     errors: list[str] = []
     paths: dict[str, Path] = {}  # dotted key -> resolved path

@@ -12,9 +12,10 @@ import types
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
 import yaml
 
-from sqlbench import artifacts
+from sqlbench import artifacts, runconfig
 from sqlbench.corpus import TrainProfile
 from sqlbench.inference import Prediction
 from sqlbench.metrics import EvalRecord, ScoreOptions, score_run
@@ -40,6 +41,25 @@ def score_pair(bundle, pred_sql: str, gold_sql: str, options: ScoreOptions | Non
         bundle = replace(bundle, db_files={**bundle.db_files, example.db_id: db_file})
     predictions = {example.index: Prediction(example.index, pred_sql, pred_sql, 1.0, 1)}
     return score_run([example], predictions, bundle, options)[0]
+
+
+def load_both_ways(path: str | Path):
+    """``load_run_config(path)``'s result, the same with the loader it
+    prefers (libyaml, where PyYAML has it) and with the pure-Python
+    ``yaml.SafeLoader``, the only one a PyYAML without libyaml has: the
+    config and its fingerprint, or the ``ConfigError`` lines."""
+    def load():
+        try:
+            config = runconfig.load_run_config(path)
+        except runconfig.ConfigError as exc:
+            return exc.errors
+        return config, config.fingerprint()
+
+    preferred = load()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runconfig, "YAML_LOADER", yaml.SafeLoader)
+        assert load() == preferred, path
+    return preferred
 
 
 class Killed(BaseException):

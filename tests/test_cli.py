@@ -10,12 +10,12 @@ import time
 
 import pytest
 
-from sqlbench.cli import main
+from sqlbench.cli import COMMANDS, main
 from sqlbench.inference import read_predictions
 from sqlbench.stub import StubBehavior, StubServer
 
 from conftest import answers_from_examples, cli_child_env, write_config_with_url
-from helpers import Faults
+from helpers import Faults, load_both_ways
 
 
 @pytest.fixture()
@@ -737,15 +737,71 @@ def test_stub_serves_gold_from_examples_and_the_fallback_otherwise(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [["predict", "--config", "x", "--shots", "abc"], ["predict"],
-                                  ["compare", "--base", "a.jsonl"], [],
+                                  ["compare", "--base", "a.jsonl"], [], ["bogus"],
                                   ["stub", "--port", "70000"], ["stub", "--port", "-1"]],
                          ids=["bad-int", "no-config", "no-target", "no-command",
-                              "port-over", "port-negative"])
+                              "unknown-command", "port-over", "port-negative"])
 def test_argument_errors_exit_one(capsys, argv):
     with pytest.raises(SystemExit) as exit_info:
         run_cli(*argv)
     assert exit_info.value.code == 1
     assert capsys.readouterr().err.splitlines()[-1].startswith("sqlbench")
+
+
+@pytest.mark.parametrize("argv", [["ingest", "--config", "CONFIG", "--run-id", "t"],
+                                  ["ingest", "--config", "BAD", "--run-id", "t"],
+                                  ["predict", "-h"], ["predict"]],
+                         ids=["ingest", "ingest-bad-config", "predict-help", "predict-usage"])
+def test_the_installed_entry_point_matches_the_in_process_call(
+        scratch_config, tmp_path, monkeypatch, capsys, argv):
+    """``python -m sqlbench.cli``, as the ``sqlbench`` script does, calls
+    ``main()`` with no argv, so it reads ``sys.argv``: its exit status, stdout
+    and ``config:`` and usage lines are those of ``main(argv)``."""
+    monkeypatch.setenv("COLUMNS", "80")
+    config = write_config_with_url(scratch_config, "http://127.0.0.1:1/v1")
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(config.read_text(encoding="utf-8").replace("seed: 42", "seed: abc"),
+                   encoding="utf-8")
+    argv = [{"CONFIG": str(config), "BAD": str(bad)}.get(arg, arg) for arg in argv]
+    try:
+        code = run_cli(*argv)
+    except SystemExit as exc:
+        code = exc.code or 0
+    out, err = capsys.readouterr()
+    done = subprocess.run([sys.executable, "-m", "sqlbench.cli", *argv], env=cli_child_env(),
+                          cwd=str(tmp_path), capture_output=True, text=True, timeout=60,
+                          encoding="utf-8")
+
+    def refusals(text: str) -> list[str]:
+        return [line for line in text.splitlines()
+                if line.startswith(("config:", "usage:", "sqlbench"))]
+
+    assert (done.returncode, done.stdout) == (code, out)
+    assert refusals(done.stderr) == refusals(err)
+    assert out or refusals(err)
+
+
+def test_cli_surface_is_pinned(monkeypatch, capsys, fixtures_dir):
+    """`sqlbench -h`, each command's -h, and the errors for an unknown
+    command and for none, at 80 columns, are the golden bytes."""
+    monkeypatch.setenv("COLUMNS", "80")
+    parts = []
+    for argv in [["-h"], *([command, "-h"] for command in COMMANDS), ["bogus"], []]:
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*argv)
+        out, err = capsys.readouterr()
+        line = " ".join(["sqlbench", *argv])
+        parts.append(f"$ {line}\n# exit {exit_info.value.code}, stdout:\n{out}# stderr:\n{err}")
+    golden = fixtures_dir / "golden" / "cli_surface.txt"
+    assert _argparse_neutral("".join(parts)) == _argparse_neutral(
+        golden.read_text(encoding="utf-8"))
+
+
+def _argparse_neutral(text: str) -> str:
+    """Help text with two differences between Python versions evened out:
+    3.10 titles the options section "optional arguments", and 3.13 keeps a
+    usage's closing "..." on the line before it."""
+    return re.sub(r"\n +\.\.\.\n", " ...\n", text.replace("optional arguments:", "options:"))
 
 
 def test_emit_train_profile_cli(tmp_path):
@@ -1069,6 +1125,7 @@ prompt: sentence
     rc = run_cli("ingest", "--config", str(config), "--run-id", "t")
     assert rc == 1
     assert "expected a mapping" in capsys.readouterr().err
+    load_both_ways(config)
 
 
 def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
@@ -1112,6 +1169,7 @@ seed: 1
 """,
             encoding="utf-8",
         )
+        load_both_ways(config)
         assert run_cli("ingest", "--config", str(config), "--run-id", "b") == 0
         assert run_cli("predict", "--config", str(config), "--run-id", "b",
                        "--split", "dev", "--shots", "0") == 0
@@ -1315,6 +1373,7 @@ def test_misspelt_key_or_wrong_type_is_a_config_error(scratch_config, tmp_path, 
     assert len(errors) == 1 and named in errors[0], errors
     assert not (tmp_path / "runs").exists()
     assert gold_stub.request_count == 0
+    assert [f"config: {error}" for error in load_both_ways(config)] == errors
 
 
 @pytest.mark.parametrize("key", ["k\udcff", "\u20acuro", "a\nb"],

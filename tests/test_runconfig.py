@@ -7,11 +7,15 @@ from pathlib import Path
 import pytest
 import yaml
 
+from sqlbench import runconfig
 from sqlbench.datasets import DatasetSource
 from sqlbench.inference import ModelEndpoint
 from sqlbench.metrics import ScoreOptions
 from sqlbench.prompts import PromptTemplate
 from sqlbench.runconfig import ConfigError, RunConfig, SelectionConfig, load_run_config
+
+from conftest import write_config_with_url
+from helpers import load_both_ways
 
 # fields that may vary between runs of the same experiment
 UNHASHED = {("output_dir",), ("endpoint", "api_key_env")}
@@ -88,26 +92,28 @@ def test_fingerprint_pinned_and_covers_every_field_but_output_dir_and_key_env():
         assert (changed == config.fingerprint()) == (path in UNHASHED), ".".join(path)
 
 
-def _load_with_metrics(config_path: Path, *lines: str) -> RunConfig:
+def _with_metrics(config_path: Path, *lines: str) -> Path:
     """The scratch run config, with the given lines added to its metrics."""
     text = config_path.read_text(encoding="utf-8").replace("BASE_URL", "http://127.0.0.1:9/v1")
     out = config_path.with_name("extra.yaml")
     out.write_text(text.replace("  timeout_s: 10\n", "".join(
         ["  timeout_s: 10\n"] + [f"  {line}\n" for line in lines])), encoding="utf-8")
-    return load_run_config(out)
+    return out
 
 
 def test_retired_workers_key_loads_with_one_warning(scratch_config, caplog):
     with caplog.at_level("WARNING"):
-        config = _load_with_metrics(scratch_config, "workers: 8")
+        config = load_run_config(_with_metrics(scratch_config, "workers: 8"))
     warnings = [rec.getMessage() for rec in caplog.records if rec.levelname == "WARNING"]
     assert len(warnings) == 1 and "metrics.workers" in warnings[0]
-    assert config.fingerprint() == _load_with_metrics(scratch_config).fingerprint()
+    assert load_both_ways(_with_metrics(scratch_config, "workers: 8")) == (
+        config, config.fingerprint())
+    assert config.fingerprint() == load_both_ways(_with_metrics(scratch_config))[1]
 
 
 def test_unknown_metrics_key_is_a_config_error(scratch_config):
-    with pytest.raises(ConfigError, match=r"metrics: unknown keys \['bogus'\]"):
-        _load_with_metrics(scratch_config, "bogus: 1")
+    assert load_both_ways(_with_metrics(scratch_config, "bogus: 1")) == [
+        "metrics: unknown keys ['bogus']"]
 
 
 def test_readme_quickstart_config_loads(tmp_path):
@@ -117,10 +123,9 @@ def test_readme_quickstart_config_loads(tmp_path):
     block = readme.split("```yaml\n# run.yaml\n", 1)[1].split("```", 1)[0]
     config = tmp_path / "run.yaml"
     config.write_text(block, encoding="utf-8")
-    with pytest.raises(ConfigError) as exc_info:
-        load_run_config(config)
-    errors = exc_info.value.errors
-    assert errors and all(" not found: " in error for error in errors), errors
+    errors = load_both_ways(config)
+    assert isinstance(errors, list) and errors, errors
+    assert all(" not found: " in error for error in errors), errors
 
 
 @pytest.mark.parametrize("spelling", [".nan", ".inf", "-.inf"])
@@ -145,7 +150,43 @@ def test_a_float_that_is_not_finite_is_one_config_error(scratch_config, spelling
         bad = scratch_config.with_name("not_finite.yaml")
         bad.write_text(yaml.safe_dump(raw), encoding="utf-8")
         assert f"{path[1]}: {spelling}\n" in bad.read_text(encoding="utf-8")
-        with pytest.raises(ConfigError) as exc_info:
-            load_run_config(bad)
-        assert exc_info.value.errors == [f"{'.'.join(path)} must be a finite number,"
-                                         f" got {value!r}"]
+        assert load_both_ways(bad) == [f"{'.'.join(path)} must be a finite number,"
+                                       f" got {value!r}"]
+
+
+def test_the_fixture_configs_load_the_same_with_either_loader(scratch_config):
+    """The placeholder config (refused for its base_url) and the resolved one."""
+    assert load_both_ways(scratch_config) == [
+        "endpoint.base_url must be an http:// or https:// URL with a host, got 'BASE_URL'"]
+    config, _ = load_both_ways(write_config_with_url(scratch_config, "http://127.0.0.1:9/v1"))
+    assert config.endpoint.base_url == "http://127.0.0.1:9/v1"
+
+
+def test_a_config_that_is_not_yaml_gets_the_pure_python_loaders_message(scratch_config):
+    """Whichever loader is tried first, the error names the file and the
+    line as yaml.SafeLoader does over a file."""
+    bad = scratch_config.with_name("not_yaml.yaml")
+    bad.write_text("seed: [1\nprompt: {}\n", encoding="utf-8")
+    assert load_both_ways(bad) == [
+        f"config is not valid YAML: while parsing a flow sequence\n"
+        f'  in "{bad}", line 1, column 7\n'
+        f"expected ',' or ']', but got ':'\n"
+        f'  in "{bad}", line 2, column 7']
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_a_tab_after_a_keys_colon_is_the_one_divergence_between_the_loaders(
+        scratch_config, monkeypatch):
+    """``seed:<TAB>7`` is valid YAML: libyaml loads it, but the pure-Python
+    scanner refuses the tab, so a PyYAML without libyaml refuses the config."""
+    config = write_config_with_url(scratch_config, "http://127.0.0.1:9/v1")
+    config.write_text(config.read_text(encoding="utf-8").replace("seed: 42", "seed:\t7"),
+                      encoding="utf-8")
+    assert runconfig.YAML_LOADER is yaml.CSafeLoader
+    assert load_run_config(config).seed == 7
+    monkeypatch.setattr(runconfig, "YAML_LOADER", yaml.SafeLoader)
+    with pytest.raises(ConfigError) as exc_info:
+        load_run_config(config)
+    [error] = exc_info.value.errors
+    assert error.startswith("config is not valid YAML: while scanning for the next token\n")
+    assert "found character '\\t' that cannot start any token" in error
