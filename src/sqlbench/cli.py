@@ -148,7 +148,8 @@ def cmd_build_corpus(args) -> int:
     jobs: list[tuple[str, tuple[int, ...]]] = []  # (filename, shot choices)
     if args.random_shot:
         jobs.append((f"{args.split}_random_shot.jsonl", tuple(args.choices)))
-    jobs += [(f"{args.split}_k{k}.jsonl", (k,)) for k in args.k]
+    # a count named twice is one corpus, in the order first named
+    jobs += [(f"{args.split}_k{k}.jsonl", (k,)) for k in dict.fromkeys(args.k)]
     if not jobs:
         raise ConfigError(["nothing to do: pass --k and/or --random-shot"])
     _check_counts(k=args.k, choices=args.choices)

@@ -8,8 +8,10 @@ training happens here.
 
 A corpus line is exactly ``json.dumps(record, ensure_ascii=False)``, but it
 is written from the prompt's parts without joining the prompt text: the
-fragments many prompts share are escaped once (``PromptEnvelope.json_text``),
-and only each record's own text is escaped per record.
+fragments many prompts share (a zero-shot prompt is its schema's head
+fragment and its question) are escaped once (``PromptEnvelope.json_text``),
+and only each record's own text is escaped per record. Lines are written
+``BLOCK_LINES`` at a time, one write per block.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ from .selection import (
 )
 
 logger = logging.getLogger(__name__)
+
+# corpus lines per write: fewer writes, and a block small enough not to
+# raise the stage's peak memory
+BLOCK_LINES = 8
 
 
 @dataclass
@@ -91,15 +97,17 @@ def plan_prompts(
     policies: dict[int, SelectionPolicy] = {}
     for target in targets:
         k = shot_plan[target.index]
-        if k not in policies:
-            policies[k] = replace(policy, k=k)
-        exemplars = select(target, pool, policies[k], index=index, corpus_mode=corpus_mode)
+        exemplars: list[ExampleTriple] = []
+        if k:
+            if k not in policies:
+                policies[k] = replace(policy, k=k)
+            exemplars = select(target, pool, policies[k], index=index, corpus_mode=corpus_mode)
         try:
             envelope = build_prompt(target, exemplars, template, budget, schemas)
         except BudgetExceededError as exc:
             yield target, exc
             continue
-        if envelope.shots < len(exemplars):
+        if len(envelope.exemplar_ids) < len(exemplars):
             logger.warning(
                 "example %d: budget truncated exemplars %d -> %d",
                 target.index, len(exemplars), envelope.shots,
@@ -109,12 +117,21 @@ def plan_prompts(
 
 def record_line(example: ExampleTriple, envelope: PromptEnvelope) -> str:
     """``json.dumps(record, ensure_ascii=False)`` of the example's corpus
-    record, with the instruction escaped from the prompt's parts."""
-    ids = ", ".join(map(str, envelope.exemplar_ids))
+    record, with the instruction escaped from the prompt's parts. A list of
+    ints prints as JSON does."""
+    ids = envelope.exemplar_ids
     return (f'{{"instruction": "{envelope.json_text()}",'
             f' "output": {encode_basestring(example.gold_sql)},'
-            f' "meta": {{"example_index": {example.index}, "shots": {envelope.shots},'
-            f' "exemplar_ids": [{ids}]}}}}')
+            f' "meta": {{"example_index": {example.index}, "shots": {len(ids)},'
+            f' "exemplar_ids": {list(ids)}}}}}')
+
+
+def _write_lines(fp, block: list[str]) -> None:
+    """Write the lines of ``block``, each ended, in one write, and empty it."""
+    if block:
+        block.append("")  # the last line's newline
+        fp.write("\n".join(block))
+        block.clear()
 
 
 def export_corpus(
@@ -142,6 +159,7 @@ def export_corpus(
     histogram: dict[int, int] = {}
     token_estimates: list[int] = []
     skipped: list[dict] = []
+    block: list[str] = []  # lines not yet written
     with writing(out) as fp:
         for example, envelope in plan:
             if isinstance(envelope, BudgetExceededError):
@@ -152,10 +170,13 @@ def export_corpus(
                     }
                 )
                 continue
-            fp.write(record_line(example, envelope))
-            fp.write("\n")
-            histogram[envelope.shots] = histogram.get(envelope.shots, 0) + 1
+            block.append(record_line(example, envelope))
+            if len(block) == BLOCK_LINES:
+                _write_lines(fp, block)
+            shots = len(envelope.exemplar_ids)
+            histogram[shots] = histogram.get(shots, 0) + 1
             token_estimates.append(envelope.token_estimate)
+        _write_lines(fp, block)
     return CorpusSummary(
         records=len(token_estimates),
         shot_histogram=histogram,

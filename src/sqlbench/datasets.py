@@ -87,8 +87,9 @@ class DatabaseSchema:
 
     @cached_property
     def rendered(self) -> dict:
-        """This schema's block by style, a ``Fragment`` kept by ``prompts``
-        and shared by every prompt part that holds it: rendered once."""
+        """The ``Fragment``s ``prompts`` makes of this schema (each style's
+        prompt head, the compact block cross-domain exemplars carry), shared
+        by every prompt that holds one: each rendered once."""
         return {}
 
     def primary_key_of(self, table: str) -> str | None:

@@ -6,12 +6,12 @@ Q/Response pairs, and the target question followed by an unanswered response
 prefix. Two schema renderings are supported: full sentences and a compact
 one-line-per-table form.
 
-A prompt is kept as its parts, in prompt order. Every prompt on one schema
-starts with the same header, schema block and preamble, and a cross-domain
-exemplar carries its schema's compact block; each is a ``Fragment``, made
-once (the schema block once per schema and style), that works out its UTF-8
-size and its JSON escape once. The prompt's own text (exemplar and question
-blocks) is plain strings between them. A prompt's token estimate adds up the
+A prompt is kept as its parts, in prompt order: the head (header, schema
+block and preamble), each exemplar's block, and the question block. The head
+is one ``Fragment`` per schema and style, and a cross-domain exemplar carries
+its schema's compact block, a ``Fragment`` too; each is made once and works
+out its UTF-8 size and its JSON escape once. So a zero-shot prompt is two
+parts, its head and its question. A prompt's token estimate adds up the
 sizes of its parts, ``PromptEnvelope.text`` joins them, and
 ``PromptEnvelope.json_text`` joins their escapes: JSON escapes one character
 at a time, so the escape of a concatenation is the concatenation of the
@@ -20,10 +20,10 @@ escapes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring
+from typing import Sequence
 
 from .datasets import DatabaseSchema, ExampleTriple
 
@@ -60,14 +60,14 @@ class Fragment:
 # preamble, with the blank lines around it
 _HEADER_AND_PREAMBLE = {
     SENTENCE_STYLE: (
-        Fragment("I want you to act as a SQL terminal in front of a database and below is"
-                 " an description of the database schema. Write a response that"
-                 " appropriately completes the request.\n\n/* Instruction */\n"),
-        Fragment("\n\nPlease give SQL statement to answer the following question:\n\n"),
+        "I want you to act as a SQL terminal in front of a database and below is"
+        " an description of the database schema. Write a response that"
+        " appropriately completes the request.\n\n/* Instruction */\n",
+        "\n\nPlease give SQL statement to answer the following question:\n\n",
     ),
     COMPACT_STYLE: (
-        Fragment("Given the following database schema :\n\n"),
-        Fragment("\n\nPlease write queries to answer the following questions:\n\n"),
+        "Given the following database schema :\n\n",
+        "\n\nPlease write queries to answer the following questions:\n\n",
     ),
 }
 _QUESTION_PREFIX = "Q:"
@@ -104,19 +104,16 @@ class PromptTemplate:
                              f" got {self.schema_style!r}")
 
 
-def _text(parts: tuple[Fragment | str, ...]) -> str:
-    return "".join(part if isinstance(part, str) else part.text for part in parts)
+def _text(parts: Sequence[Fragment | str]) -> str:
+    return "".join([part if isinstance(part, str) else part.text for part in parts])
 
 
-def _size(parts: tuple[Fragment | str, ...]) -> int:
-    """The UTF-8 size of the joined parts."""
-    return sum(_nbytes(part) if isinstance(part, str) else part.nbytes for part in parts)
-
-
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PromptEnvelope:
     """A rendered prompt, as its parts, and the exemplars it kept, in prompt
-    order."""
+    order. Made once per prompt and never changed. Not frozen: a frozen
+    dataclass's ``__init__`` sets each field through ``object.__setattr__``,
+    which took a quarter of a zero-shot prompt's render."""
 
     parts: tuple[Fragment | str, ...]
     exemplar_ids: tuple[int, ...]
@@ -134,12 +131,12 @@ class PromptEnvelope:
     def json_text(self) -> str:
         """``json.dumps(self.text, ensure_ascii=False)`` without its quotes,
         reusing each fragment's escape."""
-        return "".join(_json_escape(part) if isinstance(part, str) else part.escaped
-                       for part in self.parts)
+        return "".join([_json_escape(part) if isinstance(part, str) else part.escaped
+                        for part in self.parts])
 
 
 def _tokens(nbytes: int) -> int:
-    return math.ceil(nbytes / 3)
+    return -(-nbytes // 3)  # nbytes / 3, rounded up
 
 
 def estimate_tokens(text: str) -> int:
@@ -181,21 +178,31 @@ def _schema_fragment(schema: DatabaseSchema, style: str) -> Fragment:
     return fragment
 
 
+def _head(schema: DatabaseSchema, style: str) -> Fragment:
+    """The header, schema block and preamble of every prompt on ``schema``
+    in ``style``, made once per schema object and style. Only the compact
+    block, which cross-domain exemplars also carry, is kept by itself."""
+    head = schema.rendered.get((style, "head"))
+    if head is None:
+        header, preamble = _HEADER_AND_PREAMBLE[style]
+        block = (_schema_fragment(schema, style).text if style == COMPACT_STYLE
+                 else render_schema(schema, style))
+        head = schema.rendered[style, "head"] = Fragment(header + block + preamble)
+    return head
+
+
 def _oneline(text: str) -> str:
-    return " ".join(text.split("\n"))
+    return text.replace("\n", " ")
 
 
 def _question_block(
     example: ExampleTriple, template: PromptTemplate, answer: str | None
 ) -> str:
-    lines = [f"{_QUESTION_PREFIX} {_oneline(example.question)}"]
-    if template.include_evidence and example.evidence:
-        lines.append(_oneline(example.evidence))
-    if answer is None:
-        lines.append(f"{_RESPONSE_PREFIX} ")
-    else:
-        lines.append(f"{_RESPONSE_PREFIX} {_oneline(answer)}")
-    return "\n".join(lines)
+    evidence = (_oneline(example.evidence) + "\n"
+                if template.include_evidence and example.evidence else "")
+    response = "" if answer is None else _oneline(answer)
+    return (f"{_QUESTION_PREFIX} {_oneline(example.question)}\n"
+            f"{evidence}{_RESPONSE_PREFIX} {response}")
 
 
 def build_prompt(
@@ -212,36 +219,33 @@ def build_prompt(
     The estimate adds up the sizes of the prompt's parts, so the number of
     exemplars kept is found without joining any text.
     """
-    header, preamble = _HEADER_AND_PREAMBLE[template.schema_style]
-    head = (header, _schema_fragment(schemas[target.db_id], template.schema_style), preamble)
-    shots: list[tuple[Fragment | str, ...]] = []
+    parts: list[Fragment | str] = [_head(schemas[target.db_id], template.schema_style)]
+    ends = [1]  # the head and the first i exemplars are parts[:ends[i]]
     for exemplar in exemplars:
         block = _question_block(exemplar, template, exemplar.gold_sql) + "\n\n"
-        if exemplar.db_id == target.db_id:
-            shots.append((block,))
-        else:
+        if exemplar.db_id != target.db_id:
             # cross-domain exemplars carry their own schema, compactly
-            schema = _schema_fragment(schemas[exemplar.db_id], COMPACT_STYLE)
-            shots.append((schema, "\n\n" + block))
-    question = _question_block(target, template, None)
+            parts.append(_schema_fragment(schemas[exemplar.db_id], COMPACT_STYLE))
+            block = "\n\n" + block
+        parts.append(block)
+        ends.append(len(parts))
+    parts.append(_question_block(target, template, None))
     try:
-        size = _size(head) + _nbytes(question)
-        sizes = [_size(shot) for shot in shots]
+        sizes = [_nbytes(part) if isinstance(part, str) else part.nbytes for part in parts]
     except UnicodeEncodeError:
         # raised as encoding the whole prompt raises it
-        estimate_tokens(_text((*head, *(part for shot in shots for part in shot), question)))
+        estimate_tokens(_text(parts))
         raise
-    keep = len(shots)
-    size += sum(sizes)
-    while keep and _tokens(size) > budget.available:
-        keep -= 1
-        size -= sizes[keep]
+    size = sum(sizes)
+    available = budget.available
+    keep = len(exemplars)
     estimate = _tokens(size)
-    if estimate > budget.available:
-        raise BudgetExceededError(overflow=estimate - budget.available)
-    return PromptEnvelope(
-        parts=(*head, *(part for shot in shots[:keep] for part in shot), question),
-        exemplar_ids=tuple(e.index for e in exemplars[:keep]),
-        token_estimate=estimate,
-        target_index=target.index,
-    )
+    while keep and estimate > available:
+        keep -= 1
+        size -= sum(sizes[ends[keep]:ends[keep + 1]])
+        estimate = _tokens(size)
+    if estimate > available:
+        raise BudgetExceededError(overflow=estimate - available)
+    del parts[ends[keep]:-1]  # the exemplars shed
+    return PromptEnvelope(tuple(parts), tuple([e.index for e in exemplars[:keep]]),
+                          estimate, target.index)

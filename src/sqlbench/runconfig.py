@@ -81,6 +81,43 @@ class RunConfig:
         return "spider4" if self.dataset.dialect == "spider" else "bird3"
 
 
+def _load_yaml(stream, loader_class: type) -> object:
+    """``yaml.load(stream, Loader=loader_class)``, but a key given twice in
+    one mapping is a ConfigError: either loader would keep its last value
+    without a word. An explicit key that overrides one merged in with
+    ``<<`` is not a repeat."""
+    loader = loader_class(stream)
+    try:
+        root = loader.get_single_node()
+        repeated: list[tuple[int, str]] = []  # (first line, error)
+        walked: set[int] = set()  # an alias is its anchor's node: walked once
+        stack = [(root, "")] if root is not None else []
+        while stack:
+            node, where = stack.pop()
+            if id(node) in walked or isinstance(node, yaml.ScalarNode):
+                continue
+            walked.add(id(node))
+            if isinstance(node, yaml.SequenceNode):
+                stack += [(item, where) for item in node.value]
+                continue
+            lines: dict[object, list[int]] = {}  # key -> the lines it is given on
+            for key_node, value_node in node.value:
+                if key_node.tag == "tag:yaml.org,2002:merge":  # its keys are this mapping's
+                    stack.append((value_node, where))
+                    continue
+                key = (loader.construct_object(key_node)
+                       if isinstance(key_node, yaml.ScalarNode) else key_node)
+                lines.setdefault(key, []).append(key_node.start_mark.line + 1)
+                stack.append((value_node, f"{where}{key}."))
+            repeated += [(on[0], f"{where}{key}: key repeated, on lines {', '.join(map(str, on))}")
+                         for key, on in lines.items() if len(on) > 1]
+        if repeated:
+            raise ConfigError([error for _, error in sorted(repeated)])
+        return None if root is None else loader.construct_document(root)
+    finally:
+        loader.dispose()
+
+
 def load_run_config(path: str | Path) -> RunConfig:
     """Parse and validate a run config; raises ConfigError listing every
     problem found, not just the first."""
@@ -92,7 +129,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read config file {config_path}: {exc}"]) from exc
     try:
-        raw = yaml.load(text, Loader=YAML_LOADER)
+        raw = _load_yaml(text, YAML_LOADER)
     except yaml.YAMLError:
         # libyaml words its errors otherwise and refuses some text the
         # pure-Python loader takes (a lone surrogate escape, which is then
@@ -100,7 +137,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         stream = io.StringIO(text)
         stream.name = str(config_path)  # its error marks name the file
         try:
-            raw = yaml.load(stream, Loader=yaml.SafeLoader)
+            raw = _load_yaml(stream, yaml.SafeLoader)
         except yaml.YAMLError as exc:
             raise ConfigError([f"config is not valid YAML: {exc}"]) from exc
     raw = raw or {}

@@ -374,6 +374,27 @@ def test_build_corpus_k_list(scratch_config, tmp_path):
     assert not list(corpus_dir.glob("*.partial")) and not list(corpus_dir.glob("*.writing"))
 
 
+def test_build_corpus_exports_each_k_once(scratch_config, tmp_path, monkeypatch, capsys):
+    """A count named twice in ``--k`` is one corpus, exported and reported
+    once, in the order the counts are first named."""
+    import sqlbench.cli
+
+    config = write_config_with_url(scratch_config, "http://127.0.0.1:1/v1")
+    exported = []
+
+    def counted(*args, original=sqlbench.cli.export_corpus, **kwargs):
+        exported.append(args[4])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sqlbench.cli, "export_corpus", counted)
+    assert run_cli("build-corpus", "--config", str(config), "--run-id", "t",
+                   "--k", "1,0,1,0") == 0
+    assert exported == [(1,), (0,)]
+    corpus_dir = tmp_path / "runs" / "t" / "corpus"
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [
+        f"corpus {corpus_dir / 'train_k1.jsonl'}", f"corpus {corpus_dir / 'train_k0.jsonl'}"]
+
+
 def test_build_corpus_random_shot(scratch_config, tmp_path):
     config = write_config_with_url(scratch_config, "http://127.0.0.1:1/v1")
     rc = run_cli("build-corpus", "--config", str(config), "--run-id", "t", "--random-shot")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sqlbench.cli import main
 from sqlbench.corpus import (
+    BLOCK_LINES,
     CorpusSummary,
     TrainProfile,
     emit_train_profile,
@@ -93,12 +94,68 @@ def test_each_schema_is_rendered_once_per_style(fixtures_dir, tmp_path, monkeypa
     assert {style for _, style in rendered} == {"sentence", "compact"}
     assert len(rendered) == len(set(rendered)) < len(bundle.splits["train"])
 
-    # fresh fragments for every prompt: nothing is kept between prompts
+    # fresh fragments and heads for every prompt: nothing is kept between prompts
     monkeypatch.setattr(prompts, "_schema_fragment",
                         lambda schema, style: prompts.Fragment(render(schema, style)))
+
+    def fresh_head(schema, style):
+        header, preamble = prompts._HEADER_AND_PREAMBLE[style]
+        return prompts.Fragment(header + render(schema, style) + preamble)
+
+    monkeypatch.setattr(prompts, "_head", fresh_head)
     bundle = fresh_bundle()
     export_corpus(bundle.splits["train"], bundle, PromptTemplate(), policy(), (0, 1, 3), afresh)
     assert kept.read_bytes() == afresh.read_bytes()
+
+
+@pytest.mark.parametrize("style", [SENTENCE_STYLE, COMPACT_STYLE])
+def test_an_export_renders_each_schema_once_for_heads_and_exemplars(bundle, monkeypatch,
+                                                                   tmp_path, style):
+    """A prompt's head and a cross-domain exemplar's compact block come from
+    one rendering of each (database, style), and a second export on the same
+    schemas renders nothing."""
+    import sqlbench.prompts as prompts
+
+    rendered = []
+    render = prompts.render_schema
+
+    def counted(schema, style):
+        rendered.append((schema.db_id, style))
+        return render(schema, style)
+
+    monkeypatch.setattr(prompts, "render_schema", counted)
+    schemas = {db_id: replace(schema) for db_id, schema in bundle.schemas.items()}  # unrendered
+    fresh = replace(bundle, schemas=schemas)
+    split = fresh.splits["train"]
+    out = tmp_path / "corpus.jsonl"
+    export_corpus(split, fresh, PromptTemplate(style), policy(), (0, 3), out)
+    records = read_corpus(out)
+    by_index = {example.index: example for example in split}
+    cross = {by_index[i].db_id for record in records for i in record["meta"]["exemplar_ids"]
+             if by_index[i].db_id != by_index[record["meta"]["example_index"]].db_id}
+    assert cross, "no cross-domain exemplar in the fixture corpus"
+    heads = {(example.db_id, style) for example in split}
+    assert sorted(rendered) == sorted(heads | {(db_id, COMPACT_STYLE) for db_id in cross})
+    export_corpus(split, fresh, PromptTemplate(style), policy(), (0, 3), out)
+    assert len(rendered) == len(set(rendered))
+
+
+@pytest.mark.parametrize("size", ["one", "block", "block+1", "split"])
+def test_every_line_is_written_whatever_the_block_size(bundle, tmp_path, size):
+    """A corpus whose record count is not a multiple of ``BLOCK_LINES`` ends
+    in a part block, written too: each line is ``json.dumps`` of its record."""
+    train = bundle.splits["train"]
+    n = {"one": 1, "block": BLOCK_LINES, "block+1": BLOCK_LINES + 1, "split": len(train)}[size]
+    assert n <= len(train) and len(train) % BLOCK_LINES
+    out = tmp_path / "corpus.jsonl"
+    summary = export_corpus(train[:n], bundle, PromptTemplate(), policy(), (0,), out)
+    expected = [
+        json.dumps(_record(example, build_prompt(example, [], PromptTemplate(), TokenBudget(),
+                                                 bundle.schemas)), ensure_ascii=False)
+        for example in train[:n]
+    ]
+    assert summary.records == n
+    assert out.read_text(encoding="utf-8") == "".join(line + "\n" for line in expected)
 
 
 def test_corpus_matches_golden(scratch_config, tmp_path, fixtures_dir):

@@ -154,6 +154,55 @@ def test_a_float_that_is_not_finite_is_one_config_error(scratch_config, spelling
                                        f" got {value!r}"]
 
 
+def test_a_key_given_twice_in_one_mapping_is_a_config_error(scratch_config, capsys):
+    """A repeated section or key is named, with its lines, and not loaded as
+    its last value; each one is a ``config:`` line of its own, in document
+    order."""
+    from sqlbench.cli import main
+
+    config = write_config_with_url(scratch_config, "http://127.0.0.1:9/v1")
+    text = config.read_text(encoding="utf-8") + "seed: 1\nmetrics: {ex: true}\nseed: 2\n"
+    twice = config.with_name("twice.yaml")
+    twice.write_text(text, encoding="utf-8")
+
+    def on(key):
+        return [n for n, line in enumerate(text.splitlines(), 1) if line.startswith(key)]
+
+    (metrics_first, metrics_last), (seed_a, seed_b, seed_c) = on("metrics:"), on("seed:")
+    assert load_both_ways(twice) == [
+        f"metrics: key repeated, on lines {metrics_first}, {metrics_last}",
+        f"seed: key repeated, on lines {seed_a}, {seed_b}, {seed_c}"]
+    capsys.readouterr()
+    assert main(["ingest", "--config", str(twice)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config: metrics: key repeated, on lines {metrics_first}, {metrics_last}",
+        f"config: seed: key repeated, on lines {seed_a}, {seed_b}, {seed_c}"]
+
+    nested = config.with_name("nested.yaml")
+    nested.write_text(config.read_text(encoding="utf-8").replace(
+        "  timeout_s: 10\n", "  timeout_s: 10\n  em: false\n"), encoding="utf-8")
+    line = nested.read_text(encoding="utf-8").splitlines().index("  em: false") + 1
+    (error,) = load_both_ways(nested)
+    assert error.startswith("metrics.em: key repeated, on lines ") and error.endswith(
+        f", {line}")
+
+
+def test_a_key_that_overrides_a_merged_one_is_not_repeated(scratch_config):
+    """``<<`` merges a mapping's keys, and a key given beside it overrides
+    the merged one, as YAML's merge key has it; that is not a repeat."""
+    config = write_config_with_url(scratch_config, "http://127.0.0.1:9/v1")
+    text = config.read_text(encoding="utf-8").replace(
+        "selection:\n", "selection: &selection\n").replace(
+        "prompt:\n", "prompt:\n  <<: {schema_style: compact, include_evidence: true}\n")
+    merged = config.with_name("merged.yaml")
+    merged.write_text(text + "x_defaults:\n  <<: *selection\n  k: 1\n", encoding="utf-8")
+    assert load_both_ways(merged) == ["unknown keys ['x_defaults']"]
+    merged.write_text(text, encoding="utf-8")
+    loaded, _ = load_both_ways(merged)
+    assert loaded.prompt == PromptTemplate(schema_style="sentence", include_evidence=True)
+    assert dataclasses.replace(loaded, prompt=PromptTemplate()) == load_run_config(config)
+
+
 def test_the_fixture_configs_load_the_same_with_either_loader(scratch_config):
     """The placeholder config (refused for its base_url) and the resolved one."""
     assert load_both_ways(scratch_config) == [
