@@ -30,11 +30,12 @@ DUAL_SIMILARITY = "dual-similarity"
 STRATEGIES = (RANDOM, QUESTION_SIMILARITY, DUAL_SIMILARITY)
 
 EMBED_DIM = 4096
-# texts embedded at a time. A chunk's working arrays, a few words per gram,
-# set the build's high-water mark: over 9,400 BIRD-style questions, 512 rows
-# raised it 3.6 MB with a 2.7 MB index, 1024 rows 6.6 MB for a few percent
-# less time, and 256 rows 1.9 MB but built slower. A chunk's local rows stay
-# below it, so a (row, bucket) key stays under 2**21 and fits int32
+# texts embedded at a time. A chunk's working arrays, int32 code points and
+# int16 buckets per gram, set the build's high-water mark: over 9,400
+# BIRD-style questions (a 2.7 MB index), a predict run's peak was 55.5 MB at
+# 512 rows, 54.3 MB at 256 and 59.1 MB at 1024, and a warm build took 26.8,
+# 27.0 and 26.1 ms. A chunk's local rows stay below it, so a (row, bucket)
+# key stays under 2**21 and fits int32
 _CHUNK_ROWS = 512
 # a chunk keeps the positions of its repeated pairs while at most 1 pair in
 # this many repeats, as in questions (4 % over 9,400 BIRD-style ones); past
@@ -43,33 +44,70 @@ _REPEATS_SPARSE = 8
 # normalized text holds no tab: tabs separate texts and pad short grams
 _TAB = ord("\t")
 _SHIFT = 1 << 21  # above every code point: a gram code packs three 21-bit fields
-
-
-def _gram_codes(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Each text's grams as int64 codes, with the int32 row of each code. A
-    text is lower-cased and its whitespace runs collapsed to single spaces;
-    its grams are its character trigrams, or the whole text, padded with tabs
-    to three code points, when it is one or two characters long."""
-    normalized = [" ".join(text.lower().split()) for text in texts]
-    grams = [max(len(text) - 2, min(len(text), 1)) for text in normalized]
-    joined = "\t" + "\t\t".join(normalized) + "\t\t"
-    points = np.frombuffer(joined.encode("utf-32-le"), dtype="<u4").astype(np.int64)
-    before, first, second, third = points[:-3], points[1:-2], points[2:-1], points[3:]
-    # a gram starts on a character and ends on one, unless it is a whole short text
-    valid = (first != _TAB) & ((third != _TAB) | (before == _TAB))
-    codes = (first * _SHIFT + second) * _SHIFT + third
-    return codes[valid], np.repeat(np.arange(len(texts), dtype=np.int32), grams)
+_ASCII = 128
 
 
 class _Buckets(dict):
     """Gram code -> hash bucket, the CRC-32 of the gram's UTF-8 bytes modulo
-    ``EMBED_DIM``; each distinct gram is hashed once."""
+    ``EMBED_DIM``, for the grams that ``_gram_buckets`` cannot read from its
+    tables."""
 
     def __missing__(self, code: int) -> int:
         points = (code // _SHIFT // _SHIFT, code // _SHIFT % _SHIFT, code % _SHIFT)
         gram = "".join(chr(point) for point in points if point != _TAB)
         bucket = self[code] = zlib.crc32(gram.encode("utf-8")) % EMBED_DIM
         return bucket
+
+
+def _crc_table(position: int) -> np.ndarray:
+    """Each ASCII byte's term in the bucket of a 3-byte gram that holds it at
+    ``position``. Over messages of one length CRC-32 is affine, so the CRC of
+    ``a b c`` is ``crc(a 0 0) ^ crc(0 b 0) ^ crc(0 0 c)``: each term carries
+    the constant part once, and three of them XOR to one. ``EMBED_DIM`` is a
+    power of two, so its modulus keeps the low bits of each term."""
+    gram = bytearray(3)
+    table = np.empty(_ASCII, dtype=np.int16)
+    for byte in range(_ASCII):
+        gram[position] = byte
+        table[byte] = zlib.crc32(gram) % EMBED_DIM
+    return table
+
+
+_T0, _T1, _T2 = (_crc_table(position) for position in range(3))
+
+
+def _gram_buckets(texts: list[str], bucket: _Buckets) -> tuple[np.ndarray, np.ndarray]:
+    """Each text's grams as int16 buckets, with the int32 row of each gram. A
+    text is lower-cased and its whitespace runs collapsed to single spaces;
+    its grams are its character trigrams, or the whole text, padded with tabs
+    to three code points, when it is one or two characters long. A trigram of
+    ASCII code points is three bytes of UTF-8, its bucket ``_T0[a] ^ _T1[b] ^
+    _T2[c]``. Any other gram, one with a code point past ASCII or a short
+    text's, is looked up in ``bucket`` once per distinct gram of the chunk,
+    and ``bucket`` hashes it once per build."""
+    normalized = [" ".join(text.lower().split()) for text in texts]
+    lengths = np.fromiter(map(len, normalized), dtype=np.int32, count=len(normalized))
+    rows = np.repeat(np.arange(len(texts), dtype=np.int32),
+                     np.maximum(lengths - 2, np.minimum(lengths, 1)))
+    joined = "\t" + "\t\t".join(normalized) + "\t\t"
+    points = np.frombuffer(joined.encode("utf-32-le"), dtype="<i4")
+    before, first, second, third = points[:-3], points[1:-2], points[2:-1], points[3:]
+    # a gram starts on a character and ends on one, unless it is a whole short text
+    valid = (first != _TAB) & ((third != _TAB) | (before == _TAB))
+    buckets = (_T0.take(first, mode="clip") ^ _T1.take(second, mode="clip")
+               ^ _T2.take(third, mode="clip"))
+    # looked up instead: a gram with a code point past ASCII, which read its
+    # tables' last entries, and a short text's, which ends on a tab
+    wide = points >= _ASCII
+    slow = np.flatnonzero(valid & (wide[1:-2] | wide[2:-1] | wide[3:] | (third == _TAB)))
+    if len(slow):
+        codes = (first[slow].astype(np.int64) * _SHIFT + second[slow]) * _SHIFT + third[slow]
+        # asked for counts, np.unique sorts; for values alone, numpy 2.4
+        # hashes instead and imports numpy.ma, about 1 MB
+        distinct, _ = np.unique(codes, return_counts=True)
+        table = np.array([bucket[code] for code in distinct.tolist()], dtype=np.int16)
+        buckets[slow] = table[np.searchsorted(distinct, codes)]
+    return buckets[valid], rows
 
 
 class _Chunk(NamedTuple):
@@ -97,14 +135,15 @@ class TrigramRows:
     """The hashed character-trigram frequency vectors of many texts as sparse rows.
 
     The rows are built ``_CHUNK_ROWS`` texts at a time with array operations,
-    each distinct gram hashed once, and kept in the chunks they were built
-    in: each chunk holds its rows' ``(bucket, count)`` pairs as int16 buckets
-    and counts of the narrowest unsigned type that holds the chunk's largest:
-    3 bytes per distinct trigram of a text, where a dense row takes 32 KiB,
-    while no trigram repeats 256 times in one text of the chunk. A chunk
-    also holds float64 counts for scoring: with their positions, 16 bytes
-    more, for the pairs counted more than once, or, in a chunk where many
-    pairs repeat, 8 bytes more for every pair.
+    an ASCII trigram's bucket read from three tables and each distinct other
+    gram hashed once (``_gram_buckets``), and kept in the chunks they were
+    built in: each chunk holds its rows' ``(bucket, count)`` pairs as int16
+    buckets and counts of the narrowest unsigned type that holds the chunk's
+    largest: 3 bytes per distinct trigram of a text, where a dense row takes
+    32 KiB, while no trigram repeats 256 times in one text of the chunk. A
+    chunk also holds float64 counts for scoring: with their positions, 16
+    bytes more, for the pairs counted more than once, or, in a chunk where
+    many pairs repeat, 8 bytes more for every pair.
     The rows' L2 norms lie in one array. No array spans chunks, so the
     build's working arrays hold one chunk's grams at a time, and a scoring
     pass one chunk's products: ``cosines`` scores the rows one chunk at a
@@ -122,13 +161,8 @@ class TrigramRows:
         squares = [np.zeros(0)]  # per chunk: each row's squared norm
         for lo in range(0, len(texts), self.chunk_rows):
             chunk = texts[lo : lo + self.chunk_rows]
-            codes, rows = _gram_codes(chunk)
-            # asked for counts, np.unique sorts; for values alone, numpy 2.4
-            # hashes instead and imports numpy.ma, about 1 MB
-            distinct, _ = np.unique(codes, return_counts=True)
-            table = np.array([bucket[code] for code in distinct.tolist()], dtype=np.int32)
-            keys = rows * EMBED_DIM + table[np.searchsorted(distinct, codes)]
-            pairs, count = np.unique(keys, return_counts=True)
+            buckets, rows = _gram_buckets(chunk, bucket)
+            pairs, count = np.unique(rows * EMBED_DIM + buckets, return_counts=True)
             rows = pairs // EMBED_DIM
             sizes = np.bincount(rows, minlength=len(chunk))
             starts = np.concatenate(([0], np.cumsum(sizes)))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -15,13 +17,17 @@ from sqlbench.selection import (
     EMBED_DIM,
     SelectionPolicy,
     TrigramRows,
+    _T0,
+    _T1,
+    _T2,
+    _Buckets,
     _text_vector,
     build_index,
     mix_shots,
     select,
     sql_skeleton,
 )
-from trigram_oracle import cosine, trigram_vector
+from trigram_oracle import _trigrams, cosine, trigram_vector
 
 
 def make_pool(n: int, db_id: str = "concert_singer") -> list[ExampleTriple]:
@@ -394,6 +400,75 @@ def test_array_build_matches_dense_oracle(texts):
         assert vec.tobytes() == expected.tobytes(), text
         assert norm == float(np.linalg.norm(expected)), text
         assert rows.cosines(vec, norm).tolist() == [cosine(vec, other) for other in oracle]
+
+
+def _table_bucket(gram: bytes) -> int:
+    return int(_T0[gram[0]] ^ _T1[gram[1]] ^ _T2[gram[2]])
+
+
+def test_crc_tables_equal_zlib_on_ascii_trigrams():
+    """Every ASCII byte at each of the three positions, beside a few fixed
+    neighbours, then 10,000 seeded random ASCII triples: the three tables
+    give the CRC-32 of the gram modulo ``EMBED_DIM``."""
+    assert {table.dtype for table in (_T0, _T1, _T2)} == {np.dtype(np.int16)}
+    assert len(_T0) == len(_T1) == len(_T2) == 128
+    for position in range(3):
+        for other in (0, ord("a"), 127):
+            for byte in range(128):
+                gram = bytearray([other] * 3)
+                gram[position] = byte
+                assert _table_bucket(gram) == zlib.crc32(gram) % EMBED_DIM, bytes(gram)
+    rng = random.Random(34)
+    for _ in range(10_000):
+        gram = bytes(rng.randrange(128) for _ in range(3))
+        assert _table_bucket(gram) == zlib.crc32(gram) % EMBED_DIM, gram
+
+
+# one chunk of texts whose grams take both ways to a bucket: ASCII trigrams,
+# 1- and 2-character texts, two-byte (é, final ς), three-byte (CJK) and
+# four-byte (emoji) characters, and a combining mark
+MIXED_TEXTS = ("How many singers do we have?", "a", "ab", "é", "éa", "x é y",
+               "ΟΔΟΣ ΚΑΙ ΣΟΦΙΑ", "数据库", "找出 5 个", "\U0001f600", "ok \U0001f600!",
+               "cafe\u0301 ok", "naïve café", "", "  Z  ", "What is the total?")
+
+
+def test_mixed_chunk_rows_equal_dense_oracle():
+    rows = TrigramRows(list(MIXED_TEXTS))
+    assert len(rows.chunks) == 1
+    for i, text in enumerate(MIXED_TEXTS):
+        vec, norm = rows.dense(i)
+        expected = trigram_vector(text)
+        assert vec.tobytes() == expected.tobytes(), text
+        assert norm == float(np.linalg.norm(expected)), text
+
+
+def _slow_grams(texts) -> set[str]:
+    """The distinct grams that are not three ASCII characters."""
+    return {gram for text in texts for gram in _trigrams(text)
+            if len(gram) < 3 or not gram.isascii()}
+
+
+def test_only_grams_outside_the_tables_are_hashed_in_python():
+    """An all-ASCII list of texts of 3 or more characters hashes no gram in
+    Python; a mixed list hashes each of its distinct other grams once."""
+    hashed = []
+    missing = _Buckets.__missing__
+
+    def counted(self, code):
+        hashed.append(code)
+        return missing(self, code)
+
+    ascii_texts = ["How many singers do we have?", "abc", "  List   ALL names  ", "a b"]
+    with mock.patch.object(_Buckets, "__missing__", counted):
+        TrigramRows(ascii_texts)
+        assert hashed == []
+        with mock.patch("sqlbench.selection._CHUNK_ROWS", 3):
+            TrigramRows(list(MIXED_TEXTS))
+    shift = 1 << 21  # a code packs three 21-bit code points, tabs padding short grams
+    grams = ["".join(chr(point) for point in (code >> 42, code >> 21 & shift - 1, code & shift - 1)
+                     if point != ord("\t")) for code in hashed]
+    assert len(grams) == len(set(grams))
+    assert set(grams) == _slow_grams(MIXED_TEXTS)
 
 
 def test_empty_trigram_rows():
